@@ -16,6 +16,14 @@ element fixing a node and both its branches the smoothing character is
 forced to be the product of the two tangent characters; for a
 branch-swapping element it must be supplied (its square is checked against
 the derived value on the branch-preserving part).
+
+Every check runs by BFS over generators (of the group, of a stabilizer, or
+of the subgroup the seeds generate), so validation costs
+O(|G| * (|V| + |H| + |E|)) group products plus O(1) per supplied value:
+kernel equivariance is checked on the group generators only (it is
+multiplicative), and a character table is built as a homomorphism on each
+orbit representative's stabilizer, then carried around the orbit by one
+transporter per member.
 """
 
 from __future__ import annotations
@@ -106,15 +114,6 @@ class CurveAction:
     half_edge_orbits: tuple[Orbit, ...]
     edge_orbits: tuple[Orbit, ...]
 
-    def vertex_stabilizer(self, v: int) -> list[int]:
-        return [g for g in range(self.group.order) if self.vertex_perms[g][v] == v]
-
-    def half_edge_stabilizer(self, h: int) -> list[int]:
-        return [g for g in range(self.group.order) if self.half_edge_perms[g][h] == h]
-
-    def edge_stabilizer(self, n: int) -> list[int]:
-        return [g for g in range(self.group.order) if self.edge_perms[g][n] == n]
-
     def swaps_branches(self, g: int, n: int) -> bool:
         p, q = self.graph.edges[n]
         return self.edge_perms[g][n] == n and self.half_edge_perms[g][p] == q
@@ -124,67 +123,131 @@ def _transport_and_close(
     group: FiniteGroup,
     perms: Sequence[Perm],
     orbit: Orbit,
-    seeds: Mapping[tuple[int, int], Fraction],
-    forced: Mapping[tuple[int, int], Fraction],
+    values: Mapping[int, Sequence[tuple[int, Fraction]]],
     kind: str,
     obj_kind: str,
 ) -> CharTable:
     """Complete a character table on one orbit of objects.
 
-    ``seeds`` are user-supplied values, ``forced`` are values implied by
-    other data (kernel triviality, tangent-product rule); both are
-    transported to the representative, closed under multiplication, checked
-    pairwise, and redistributed.  Gaps raise CharacterError naming the
-    offending (element, object) pair.
+    ``values`` maps an object to its known (element, value) pairs: values
+    implied by other data (kernel triviality, tangent-product rule) and
+    user-supplied ones.  Four steps, in group products:
+
+    1. a Schreier transversal (one transporter per member) by BFS over the
+       group generators moves each value to the representative:
+       O(|orbit| * gens + #values);
+    2. the moved values are closed under conjugation by a reduced
+       generating set of the representative's stabilizer, values checked to
+       agree: O(|stab| * gens);
+    3. the character is built as a homomorphism by BFS from a reduced
+       generating set of the subgroup the values generate, every (element,
+       generator) product and every remaining value checked:
+       O(|stab| * gens);
+    4. the table is carried back around the orbit through the transversal:
+       O(|orbit| * |stab|) = O(|G|).
+
+    Conflicts raise CharacterError naming the value's object and the
+    element transporting it to the representative; gaps raise
+    CharacterError naming the first missing (element, object) pair.
     """
     rep = orbit.representative
-    transporters = {
-        obj: [g for g in range(group.order) if perms[g][rep] == obj]
-        for obj in orbit.members
-    }
-    known: dict[int, Fraction] = {0: TRIVIAL_CHAR}
+    transporter = {rep: 0}
+    queue = [rep]
+    for obj in queue:
+        for s in group.generator_indices:
+            img = perms[s][obj]
+            if img not in transporter:
+                transporter[img] = group.mul(s, transporter[obj])
+                queue.append(img)
 
-    def learn(h: int, val: Fraction, provenance: str) -> None:
-        val = val % 1
-        if h in known and known[h] != val:
+    # known[h] is the character of h at the representative; origin[h] says
+    # where it came from: (object, element there, transporter) for a moved
+    # value, (element, conjugator) for a conjugate, None for the identity
+    known: dict[int, Fraction] = {0: TRIVIAL_CHAR}
+    origin: dict[int, tuple | None] = {0: None}
+
+    def provenance(h: int) -> str:
+        steps = []
+        while origin[h] is not None and len(origin[h]) == 2:
+            h, u = origin[h]
+            steps.append(u)
+        if origin[h] is None:
+            return "the identity"
+        obj, x, g = origin[h]
+        for u in reversed(steps):
+            g = group.mul(g, u)
+        where = f"value of element {x} at {obj_kind} {obj}"
+        return where if g == 0 else f"{where} transported by element {g}"
+
+    def learn(h: int, val: Fraction, source: tuple) -> bool:
+        if h not in known:
+            known[h] = val
+            origin[h] = source
+            return True
+        if known[h] != val:
+            theirs = provenance(h)
+            origin[h] = source
             raise CharacterError(
                 f"inconsistent {kind} character at (element {h}, {obj_kind} {rep}): "
-                f"{provenance} gives {val}, have {known[h]}"
+                f"{provenance(h)} gives {val}, {theirs} gives {known[h]}"
             )
-        known[h] = val
+        return False
 
-    for source in (forced, seeds):
-        for (h, obj), val in source.items():
-            if obj not in transporters:
-                continue
-            for g in transporters[obj]:
-                ginv = group.inverse(g)
-                learn(group.mul(group.mul(ginv, h), g), val, f"value at {obj_kind} {obj}")
+    for obj in orbit.members:
+        if obj not in values:
+            continue
+        t = transporter[obj]
+        tinv = group.inverse(t)
+        for h, val in values[obj]:
+            learn(group.mul(group.mul(tinv, h), t), val % 1, (obj, h, t))
 
-    frontier = list(known)
+    conjugators = [(u, group.inverse(u)) for u in group.generating_set(orbit.stabilizer)]
+    frontier = [h for h in known if h != 0]
     while frontier:
         nxt = []
-        for a in frontier:
-            for b in list(known):
-                for c, val in (
-                    (group.mul(a, b), known[a] + known[b]),
-                    (group.mul(b, a), known[b] + known[a]),
-                ):
-                    if c not in known:
-                        known[c] = val % 1
-                        nxt.append(c)
+        for x in frontier:
+            for u, uinv in conjugators:
+                # u x u^-1 is x moved by the transporter composed with u^-1
+                y = group.mul(group.mul(u, x), uinv)
+                if learn(y, known[x], (x, uinv)):
+                    nxt.append(y)
         frontier = nxt
-    for a in known:
-        for b in known:
-            c = group.mul(a, b)
-            if c in known and known[c] != (known[a] + known[b]) % 1:
-                raise CharacterError(
-                    f"inconsistent {kind} character data on the stabilizer of "
-                    f"{obj_kind} {rep}: product rule fails at elements ({a}, {b})"
-                )
 
-    stab = set(orbit.stabilizer)
-    missing = sorted(stab - set(known))
+    chi: dict[int, Fraction] = {0: TRIVIAL_CHAR}
+    gens: list[int] = []
+
+    def extend(elements: Iterable[int], ts: Sequence[int]) -> list[int]:
+        new = []
+        for a in elements:
+            for t in ts:
+                c = group.mul(a, t)
+                val = (chi[a] + known[t]) % 1
+                if c not in chi:
+                    chi[c] = val
+                    new.append(c)
+                elif chi[c] != val:
+                    raise CharacterError(
+                        f"inconsistent {kind} character data on the stabilizer of "
+                        f"{obj_kind} {rep}: product rule fails at elements ({a}, {t})"
+                    )
+        return new
+
+    for x in list(known):
+        if x not in chi:
+            gens.append(x)
+            # old elements need only the new generator, new ones every generator
+            frontier = extend(list(chi), (x,))
+            while frontier:
+                frontier = extend(frontier, gens)
+        elif chi[x] != known[x]:
+            raise CharacterError(
+                f"inconsistent {kind} character data on the stabilizer of "
+                f"{obj_kind} {rep}: {provenance(x)} gives {known[x]}, the "
+                f"product rule gives {chi[x]}"
+            )
+
+    stab = orbit.stabilizer
+    missing = [h for h in stab if h not in chi]
     if missing:
         raise CharacterError(
             f"missing {kind} character for element {missing[0]} at {obj_kind} {rep}"
@@ -192,12 +255,20 @@ def _transport_and_close(
 
     table: CharTable = {}
     for obj in orbit.members:
-        g = transporters[obj][0]
-        ginv = group.inverse(g)
-        for h, val in known.items():
-            if h in stab:
-                table[(group.mul(group.mul(g, h), ginv), obj)] = val
+        t = transporter[obj]
+        tinv = group.inverse(t)
+        for h in stab:
+            table[(group.mul(group.mul(t, h), tinv), obj)] = chi[h]
     return table
+
+
+def _by_object(*sources: Mapping[tuple[int, int], Fraction]) -> dict[int, list]:
+    """(element, object) -> value mappings regrouped as object -> [(element, value)]."""
+    out: dict[int, list[tuple[int, Fraction]]] = {}
+    for source in sources:
+        for (h, obj), val in source.items():
+            out.setdefault(obj, []).append((h, val))
+    return out
 
 
 def validate_action(
@@ -271,19 +342,24 @@ def validate_action(
         edge_perm_rows.append(tuple(row))
     edge_perms = tuple(edge_perm_rows)
 
+    half_edges_at: list[list[int]] = [[] for _ in range(graph.n_vertices)]
+    for h, v in enumerate(graph.half_edge_vertex):
+        half_edges_at[v].append(h)
+
     kernel_subs: list[frozenset[int]] = []
     for v in range(graph.n_vertices):
         sub = group.subgroup_closure(kernels.get(v, ()))
         for k in sub:
             if vertex_perms[k][v] != v:
                 raise ActionError(f"kernel element {k} of vertex {v} moves the vertex")
-            for h in graph.half_edges_at(v):
+            for h in half_edges_at[v]:
                 if half_edge_perms[k][h] != h:
                     raise ActionError(
                         f"kernel element {k} of vertex {v} moves half-edge {h}"
                     )
         kernel_subs.append(sub)
-    for g in range(group.order):
+    # g K_v g^-1 = K_{g.v} is multiplicative in g, so generators suffice
+    for g in group.generator_indices:
         for v in range(graph.n_vertices):
             if group.conjugate_subgroup(kernel_subs[v], g) != kernel_subs[vertex_perms[g][v]]:
                 raise ActionError(
@@ -317,15 +393,15 @@ def validate_action(
     forced_tangent: CharTable = {}
     for v in range(graph.n_vertices):
         for k in kernel_subs[v]:
-            for h in graph.half_edges_at(v):
+            for h in half_edges_at[v]:
                 forced_tangent[(k, h)] = TRIVIAL_CHAR
 
+    tangent_values = _by_object(forced_tangent, tangent_chars)
     full_tangent: CharTable = {}
     for orbit in half_edge_orbits:
         full_tangent.update(
             _transport_and_close(
-                group, half_edge_perms, orbit, tangent_chars, forced_tangent,
-                "tangent", "half-edge",
+                group, half_edge_perms, orbit, tangent_values, "tangent", "half-edge"
             )
         )
     for key, val in tangent_chars.items():
@@ -348,12 +424,12 @@ def validate_action(
             if half_edge_perms[g][p] == p and half_edge_perms[g][q] == q:
                 forced_smoothing[(g, n)] = (full_tangent[(g, p)] + full_tangent[(g, q)]) % 1
 
+    smoothing_values = _by_object(forced_smoothing, smoothing_chars)
     full_smoothing: CharTable = {}
     for orbit in edge_orbits:
         full_smoothing.update(
             _transport_and_close(
-                group, edge_perms, orbit, smoothing_chars, forced_smoothing,
-                "smoothing", "edge",
+                group, edge_perms, orbit, smoothing_values, "smoothing", "edge"
             )
         )
     for key, val in smoothing_chars.items():

@@ -50,12 +50,6 @@ class DualGraph:
     def degree(self, v: int) -> int:
         return sum(1 for w in self.half_edge_vertex if w == v)
 
-    def edge_of(self, h: int) -> int:
-        for n, (p, q) in enumerate(self.edges):
-            if h in (p, q):
-                return n
-        raise GraphError(f"half-edge {h} lies on no edge")
-
 
 @dataclass(frozen=True)
 class T1Breakdown:

@@ -535,7 +535,7 @@ def _emit_curve(graph: DualGraph, names: CurveNames) -> dict:
 
 def _emit_action(action: CurveAction, curve_name: str, names: CurveNames) -> dict:
     group = action.group
-    gen_indices = [group.index_of(g) for g in group.generators]
+    gen_indices = group.generator_indices
     block: dict[str, Any] = {
         "curve": curve_name,
         "vertex_images": [

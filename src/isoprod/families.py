@@ -193,11 +193,9 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
 
     new_graph = build_graph(new_genera, new_he_vertex, new_edges, new_marks)
 
-    ngens = len(group.generators)
     new_vertex_images = []
     new_he_images = []
-    for k in range(ngens):
-        gen_idx = group.index_of(group.generators[k])
+    for gen_idx in group.generator_indices:
         vimg = [0] * len(roots)
         for c, vs in enumerate(class_vertices):
             targets = {vclass[action.vertex_perms[gen_idx][v]] for v in vs}

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import root_of_unity_sum
@@ -108,10 +109,12 @@ class FiniteGroup:
     parents: tuple[tuple[int, int], ...] = field(repr=False)
 
     def __post_init__(self):
-        # lookup cache; not a field, so it stays out of eq/repr
+        # lookup caches; not fields, so they stay out of eq/repr.  The
+        # inverse memo is filled lazily by :meth:`inverse`.
         object.__setattr__(
             self, "_index", {p: i for i, p in enumerate(self.elements)}
         )
+        object.__setattr__(self, "_inverse", {0: 0})
 
     @classmethod
     def from_generators(
@@ -167,7 +170,17 @@ class FiniteGroup:
         return self.index_of(compose(self.elements[i], self.elements[j]))
 
     def inverse(self, i: int) -> int:
-        return self.index_of(invert(self.elements[i]))
+        try:
+            return self._inverse[i]
+        except KeyError:
+            j = self.index_of(invert(self.elements[i]))
+            self._inverse[i] = j
+            self._inverse[j] = i
+            return j
+
+    @cached_property
+    def generator_indices(self) -> tuple[int, ...]:
+        return tuple(self._index[s] for s in self.generators)
 
     def element_order(self, i: int) -> int:
         n, j = 1, i
@@ -176,34 +189,75 @@ class FiniteGroup:
             n += 1
         return n
 
-    def subgroup_closure(self, seeds: Iterable[int]) -> frozenset[int]:
-        """Subgroup generated by the given element indices."""
-        known = {0}
-        frontier = [s for s in set(seeds) if s != 0]
-        for s in frontier:
+    def _close(self, seeds: Iterable[int]) -> tuple[set[int], list[int]]:
+        """Closure of the seeds with a reduced generating set of it.
+
+        Each seed not already in the closure of the earlier ones becomes a
+        generator; the closure grows by a BFS under right multiplication,
+        where the old elements need only the new generator and the new
+        elements all generators.  Every (element, generator) product is
+        taken once: O(|H| * gens) group products for the subgroup H.
+        """
+        seeds = list(dict.fromkeys(seeds))
+        for s in seeds:
             if not (0 <= s < self.order):
                 raise GroupError(f"element index {s} out of range")
-        known.update(frontier)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(known):
-                    for c in (self.mul(a, b), self.mul(b, a)):
+        known = {0}
+        gens: list[int] = []
+        for s in seeds:
+            if s in known:
+                continue
+            gens.append(s)
+            # a * s for a in the old closure are all new, as s is not in it
+            frontier = [self.mul(a, s) for a in known]
+            known.update(frontier)
+            while frontier:
+                nxt = []
+                for a in frontier:
+                    for t in gens:
+                        c = self.mul(a, t)
                         if c not in known:
                             known.add(c)
                             nxt.append(c)
-            frontier = nxt
-        return frozenset(known)
+                frontier = nxt
+        return known, gens
+
+    def subgroup_closure(self, seeds: Iterable[int]) -> frozenset[int]:
+        """Subgroup generated by the given element indices.
+
+        BFS from a reduced generating set (seeds already in the closure are
+        skipped): O(|H| * gens) group products.
+        """
+        return frozenset(self._close(seeds)[0])
+
+    def generating_set(self, elements: Iterable[int]) -> tuple[int, ...]:
+        """A reduced generating set of the subgroup generated by ``elements``:
+        those elements, in the given order, outside the subgroup generated by
+        the earlier ones (at most log2 |H| of them)."""
+        return tuple(self._close(elements)[1])
 
     def conjugate_subgroup(self, sub: Iterable[int], g: int) -> frozenset[int]:
         ginv = self.inverse(g)
         return frozenset(self.mul(self.mul(g, s), ginv) for s in sub)
 
     def conjugacy_union(self, sub: Iterable[int]) -> frozenset[int]:
-        """Union of all conjugates of a subgroup."""
-        out: set[int] = set()
-        for g in range(self.order):
-            out.update(self.conjugate_subgroup(sub, g))
+        """Union of all conjugates of a subgroup (or of any set of elements).
+
+        BFS closure under conjugation by the group generators, which generate
+        every conjugation: O(|union| * gens) group products.
+        """
+        out = set(sub)
+        gens = [(s, self.inverse(s)) for s in self.generator_indices]
+        frontier = list(out)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for s, sinv in gens:
+                    y = self.mul(self.mul(s, x), sinv)
+                    if y not in out:
+                        out.add(y)
+                        nxt.append(y)
+            frontier = nxt
         return frozenset(out)
 
     def extend_action(self, generator_perms: Sequence[Perm]) -> tuple[Perm, ...]:
@@ -254,7 +308,7 @@ def _check_is_action(group: FiniteGroup, act: Action, points: Sequence) -> None:
     for p in points:
         if act(0, p) != p:
             raise GroupError(f"not a group action: identity moves point {p!r}")
-    gen_indices = [group.index_of(s) for s in group.generators]
+    gen_indices = group.generator_indices
     for i in range(group.order):
         for k, s in enumerate(group.generators):
             prod = group.index_of(compose(group.elements[i], s))

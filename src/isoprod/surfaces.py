@@ -105,31 +105,43 @@ def build_surface(
     return SurfaceDescriptor(factor1, factor2, declared_minimal)
 
 
+def _fixed_point_sets(action: CurveAction) -> tuple[frozenset[int], frozenset[int]]:
+    """(elements with a fixed point, elements fixing a whole component).
+
+    An element fixes a point exactly when it lies in a kernel, in a
+    conjugate of a half-edge or edge stabilizer, or in a conjugate of a
+    ramification orbit's point stabilizer (generated by the orbit's element
+    and the component's kernel).  Kernels are permuted by conjugation, so
+    one conjugacy closure of all these subgroups gives the first set:
+    O(|G| * gens) group products.  Computed once per action and kept on it.
+    """
+    try:
+        return action._fixed_point_sets
+    except AttributeError:
+        pass
+    group = action.group
+    fixes_component = frozenset().union(*action.kernels)
+    seeds = set(fixes_component)
+    for orbit in action.half_edge_orbits + action.edge_orbits:
+        seeds.update(orbit.stabilizer)
+    for o in action.ramification_orbits:
+        seeds |= group.subgroup_closure([o.element, *action.kernels[o.vertex]])
+    sets = (group.conjugacy_union(seeds), fixes_component)
+    object.__setattr__(action, "_fixed_point_sets", sets)
+    return sets
+
+
 def fixed_point_profile(action: CurveAction) -> dict[int, ElementFixedPoints]:
     """For each nonidentity element: does it fix a point / a whole component.
 
     A fixed point arises from membership in a conjugate of a ramification
     orbit's point stabilizer, a fixed half-edge, a fixed node, or a kernel.
     """
-    group = action.group
-    ram_unions = []
-    for o in action.ramification_orbits:
-        stab = group.subgroup_closure({o.element} | set(action.kernels[o.vertex]))
-        ram_unions.append(group.conjugacy_union(stab))
-    profile = {}
-    for g in range(1, group.order):
-        fixes_component = any(g in k for k in action.kernels)
-        has_fp = (
-            fixes_component
-            or any(
-                action.half_edge_perms[g][h] == h
-                for h in range(action.graph.n_half_edges)
-            )
-            or any(action.edge_perms[g][n] == n for n in range(action.graph.n_edges))
-            or any(g in u for u in ram_unions)
-        )
-        profile[g] = ElementFixedPoints(has_fp, fixes_component)
-    return profile
+    has_fixed_point, fixes_component = _fixed_point_sets(action)
+    return {
+        g: ElementFixedPoints(g in has_fixed_point, g in fixes_component)
+        for g in range(1, action.group.order)
+    }
 
 
 def check_free_action(surface: SurfaceDescriptor) -> FreenessCheck:

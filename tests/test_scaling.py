@@ -1,0 +1,49 @@
+"""Scaling regressions: validation and the queries built on it stay linear in
+|G| * (|V| + |H| + |E|) group products.  The budgets are generous (tens of
+times the expected time); they catch a return to quadratic or cubic work,
+not small slowdowns."""
+
+from test_acceptance import criterion
+
+from isoprod.actions import (
+    inert_action,
+    t1_equivariant,
+    t1_equivariant_oracle,
+    validate_action,
+)
+from isoprod.curves import build_graph
+from isoprod.groups import FiniteGroup, perm_from_cycles
+from isoprod.surfaces import build_surface, check_free_codim1
+
+
+def necklace(n: int):
+    """Z_n rotating an n-cycle of genus-2 components: edge i joins half-edge
+    i at vertex i to half-edge n + i at vertex i + 1."""
+    group = FiniteGroup.from_generators([perm_from_cycles([list(range(n))], n)], n)
+    graph = build_graph(
+        [2] * n,
+        list(range(n)) + [(i + 1) % n for i in range(n)],
+        [(i, n + i) for i in range(n)],
+    )
+    shift = tuple((i + 1) % n for i in range(n))
+    return group, graph, [shift], [shift + tuple(n + j for j in shift)]
+
+
+def test_inert_s6_on_one_node_curve():
+    s6 = FiniteGroup.from_generators(
+        [perm_from_cycles([list(range(6))], 6), perm_from_cycles([[0, 1]], 6)], 6
+    )
+    graph = build_graph([2], [0, 0], [(0, 1)])
+    with criterion(101, "inert S6 (|G| = 720): validate, T1, oracle, freeness", budget=5.0):
+        action = inert_action(s6, graph)
+        t1 = t1_equivariant(action)
+        assert t1 == t1_equivariant_oracle(action)
+        assert t1.total == 3 * 3 - 3
+        assert not check_free_codim1(build_surface(action, action)).passed
+
+
+def test_necklace_z400_validates():
+    group, graph, vertex_images, half_edge_images = necklace(400)
+    with criterion(102, "Z_400 necklace validates", budget=5.0):
+        action = validate_action(group, graph, vertex_images, half_edge_images)
+        assert len(action.vertex_orbits) == len(action.edge_orbits) == 1

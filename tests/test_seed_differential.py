@@ -1,0 +1,267 @@
+"""Differential tests: the BFS character-table completion, subgroup and
+conjugacy closures and fixed-point sets against the algorithms they replaced
+(``reference_seed``), on the random catalog, on inert, kernel and ramified
+actions of S4 and A5, and on corrupted inputs."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import randgen
+import reference_seed
+from isoprod.actions import RamificationOrbit, inert_action, validate_action
+from isoprod.curves import build_graph
+from isoprod.errors import ActionError, CharacterError, IsoprodError
+from isoprod.groups import FiniteGroup, perm_from_cycles
+from isoprod.surfaces import fixed_point_profile
+
+
+def s4():
+    return FiniteGroup.from_generators(
+        [perm_from_cycles([[0, 1, 2, 3]], 4), perm_from_cycles([[0, 1]], 4)], 4
+    )
+
+
+def a5():
+    return FiniteGroup.from_generators(
+        [perm_from_cycles([[0, 1, 2]], 5), perm_from_cycles([[0, 1, 2, 3, 4]], 5)], 5
+    )
+
+
+def element(group, cycles):
+    return group.index_of(perm_from_cycles(cycles, group.degree))
+
+
+def outcome(validate, group, graph, args):
+    try:
+        return validate(group, graph, *args["images"], **args["kwargs"])
+    except IsoprodError as exc:
+        return type(exc)
+
+
+def assert_same(group, graph, args):
+    """Both validations give the same verdict, and on success the same
+    tables, kernels and fixed-point profile."""
+    new = outcome(validate_action, group, graph, args)
+    ref = outcome(reference_seed.validate_action, group, graph, args)
+    if isinstance(ref, type):
+        assert new is ref
+        return None
+    assert not isinstance(new, type), f"seed validates, new raises {new.__name__}"
+    assert new.tangent_chars == ref.tangent_chars
+    assert new.smoothing_chars == ref.smoothing_chars
+    assert new.kernels == ref.kernels
+    assert fixed_point_profile(new) == reference_seed.fixed_point_profile(ref)
+    return new
+
+
+def captured_inputs(group, seed, count):
+    """Inputs of ``count`` random actions (and as many free ones) of ``group``,
+    recorded at the ``validate_action`` call of the random builder."""
+    calls = []
+
+    def record(group, graph, vertex_images, half_edge_images, **kwargs):
+        calls.append((graph, {"images": (vertex_images, half_edge_images), "kwargs": kwargs}))
+        return validate_action(group, graph, vertex_images, half_edge_images, **kwargs)
+
+    rng = random.Random(seed)
+    mp = pytest.MonkeyPatch()
+    mp.setattr(randgen, "validate_action", record)
+    try:
+        for _ in range(count):
+            randgen.random_action(group, rng)
+            randgen.random_free_action(group, rng)
+    finally:
+        mp.undo()
+    return calls
+
+
+def kernel_action_inputs(group, stab, kernel):
+    """Vertices G/stab, the kernel g N g^-1 at vertex g.stab (N = ``kernel``,
+    normal in ``stab``), and one self-loop per coset of N: half-edges
+    (side, g N) at vertex g.stab, edge {(0, g N), (1, g N)}.  Kernels force
+    every tangent and smoothing character; nothing is supplied."""
+    vertices = randgen.left_cosets(group, stab)
+    branches = randgen.left_cosets(group, kernel)
+    vertex_of = {g: v for v, coset in enumerate(vertices) for g in coset}
+    half_edge_vertex = [vertex_of[min(c)] for c in branches] * 2
+    nb = len(branches)
+    graph = build_graph(
+        [2] * len(vertices), half_edge_vertex, [(i, nb + i) for i in range(nb)],
+        allow_disconnected=True,
+    )
+
+    def image(s, cosets, of):
+        return tuple(of[group.mul(s, min(c))] for c in cosets)
+
+    branch_of = {g: i for i, coset in enumerate(branches) for g in coset}
+    gens = group.generator_indices
+    vertex_images = [image(s, vertices, vertex_of) for s in gens]
+    half_edge_images = [
+        image(s, branches, branch_of)
+        + tuple(nb + i for i in image(s, branches, branch_of))
+        for s in gens
+    ]
+    kernels = {
+        v: group.conjugate_subgroup(kernel, min(coset)) for v, coset in enumerate(vertices)
+    }
+    args = {"images": (vertex_images, half_edge_images), "kwargs": {"kernels": kernels}}
+    return graph, args
+
+
+def ramified_inputs(group, vector, genus):
+    """A faithful action on a smooth curve of ``genus`` with one ramification
+    orbit per (element cycles, order) entry of ``vector``."""
+    ngens = len(group.generators)
+    ram = [
+        RamificationOrbit(0, element(group, cycles), Fraction(1, e), e)
+        for cycles, e in vector
+    ]
+    graph = build_graph([genus], [], [])
+    args = {"images": ([(0,)] * ngens, [()] * ngens), "kwargs": {"ramification_orbits": ram}}
+    return graph, args
+
+
+def test_catalog_matches_seed():
+    groups = randgen.catalog() + [s4(), a5()]
+    for i, group in enumerate(groups):
+        for graph, args in captured_inputs(group, 100 + i, 4 if group.order < 24 else 2):
+            assert assert_same(group, graph, args) is not None
+
+
+def test_subgroup_and_conjugacy_closures_match_seed():
+    for group in randgen.catalog() + [s4()]:
+        rng = random.Random(group.order)
+        for _ in range(20):
+            seeds = [rng.randrange(group.order) for _ in range(rng.randint(0, 3))]
+            sub = group.subgroup_closure(seeds)
+            assert sub == reference_seed.subgroup_closure(group, seeds)
+            assert group.conjugacy_union(sub) == reference_seed.conjugacy_union(group, sub)
+
+
+@pytest.mark.parametrize("make", [s4, a5])
+def test_inert_kernel_and_ramified_actions_match_seed(make):
+    group = make()
+    one_node = build_graph([2], [0, 0], [(0, 1)])
+    two_vertices = build_graph([2, 3], [0, 1, 0, 1], [(0, 1), (2, 3)])
+    for graph in (one_node, two_vertices):
+        ngens = len(group.generators)
+        args = {
+            "images": (
+                [tuple(range(graph.n_vertices))] * ngens,
+                [tuple(range(graph.n_half_edges))] * ngens,
+            ),
+            "kwargs": {"kernels": {v: range(group.order) for v in range(graph.n_vertices)}},
+        }
+        action = assert_same(group, graph, args)
+        assert action == inert_action(group, graph)
+
+    v4 = [element(group, c) for c in ([[0, 1], [2, 3]], [[0, 2], [1, 3]])]
+    kernel = group.subgroup_closure(v4)
+    if group.order == 24:
+        # V4 is normal in S4: one component, S4/V4 = S3 acting on it
+        stab = frozenset(range(group.order))
+        vector = [([[0, 1]], 2), ([[0, 1]], 2), ([[0, 1], [2, 3]], 2), ([[0, 1, 2]], 3)]
+        genus = 3
+    else:
+        # A5 is simple: V4 is normal in the stabilizer A4 of a letter
+        stab = group.subgroup_closure(v4 + [element(group, [[0, 1, 2]])])
+        vector = [([[0, 1], [2, 3]], 2), ([[0, 1, 2, 3, 4]], 5), ([[0, 2, 4, 1, 3]], 5)]
+        genus = 4
+    graph, args = kernel_action_inputs(group, stab, kernel)
+    assert assert_same(group, graph, args) is not None
+    # one involution of V4 as the only kernel fixes the branches at vertex 0
+    # but is not carried to the kernels of its conjugate vertices
+    args["kwargs"]["kernels"] = {0: [v4[0]]}
+    assert outcome(validate_action, group, graph, args) is ActionError
+    assert assert_same(group, graph, args) is None
+    assert assert_same(group, *ramified_inputs(group, vector, genus)) is not None
+
+
+def corrupted(args, kind, key, value):
+    kwargs = dict(args["kwargs"])
+    chars = dict(kwargs.get(kind, {}))
+    if value is None:
+        del chars[key]
+    else:
+        chars[key] = value
+    kwargs[kind] = chars
+    return {"images": args["images"], "kwargs": kwargs}
+
+
+def test_corrupted_inputs_match_seed():
+    verdicts = set()
+    for i, group in enumerate(randgen.catalog()[1:] + [s4()]):
+        for graph, args in captured_inputs(group, 200 + i, 6):
+            for kind in ("tangent_chars", "smoothing_chars"):
+                for key, val in args["kwargs"].get(kind, {}).items():
+                    for value in (None, (val + Fraction(1, 2)) % 1, (val + Fraction(1, 3)) % 1):
+                        bad = corrupted(args, kind, key, value)
+                        action = assert_same(group, graph, bad)
+                        verdicts.add("ok" if action is not None else "error")
+    # the corruptions both break and keep validity somewhere in the catalog
+    assert verdicts == {"ok", "error"}
+
+
+def test_conjugation_closure_completes_a_stabilizer():
+    # S4 fixes both branches of the node; a tangent value at one
+    # transposition reaches every transposition only by conjugation, which
+    # completes the sign character; a 3-cycle's conjugates generate only A4,
+    # which leaves the transpositions missing
+    group = s4()
+    graph = build_graph([2], [0, 0], [(0, 1)])
+    ngens = len(group.generators)
+    transposition = element(group, [[2, 3]])
+    three_cycle = element(group, [[0, 1, 2]])
+    for seed, val, completes in ((transposition, Fraction(1, 2), True),
+                                 (three_cycle, Fraction(0), False)):
+        args = {
+            "images": ([(0,)] * ngens, [(0, 1)] * ngens),
+            "kwargs": {"tangent_chars": {(seed, 0): val, (seed, 1): Fraction(0)}},
+        }
+        action = assert_same(group, graph, args)
+        if not completes:
+            with pytest.raises(CharacterError, match="missing tangent character"):
+                validate_action(group, graph, *args["images"], **args["kwargs"])
+        else:
+            a4 = group.subgroup_closure([three_cycle, element(group, [[0, 1], [2, 3]])])
+            for g in range(group.order):
+                assert action.tangent_chars[(g, 0)] == (0 if g in a4 else Fraction(1, 2))
+
+
+def test_conflict_names_seed_object_and_transporter():
+    # Z4 = <r> swaps two components, r^2 fixes everything; the values given
+    # for r^2 at the two branches of one half-edge orbit disagree
+    z4 = FiniteGroup.from_generators([perm_from_cycles([[0, 1, 2, 3]], 4)], 4)
+    r = 1
+    r2 = z4.mul(r, r)
+    graph = build_graph([2, 2], [0, 1, 0, 1], [(0, 2), (1, 3)], allow_disconnected=True)
+    with pytest.raises(CharacterError, match="inconsistent tangent character") as err:
+        validate_action(
+            z4,
+            graph,
+            vertex_images=[(1, 0)],
+            half_edge_images=[(1, 0, 3, 2)],
+            tangent_chars={(r2, 0): Fraction(1, 2), (r2, 1): Fraction(0)},
+        )
+    assert f"value of element {r2} at half-edge 1 transported by element {r}" in str(err.value)
+
+
+def test_value_contradicting_the_product_rule_is_named():
+    # r^2 is reached from r by the product rule before its own value is read
+    z4 = FiniteGroup.from_generators([perm_from_cycles([[0, 1, 2, 3]], 4)], 4)
+    r = 1
+    r2 = z4.mul(r, r)
+    graph = build_graph([2], [0, 0], [(0, 1)])
+    with pytest.raises(CharacterError) as err:
+        validate_action(
+            z4,
+            graph,
+            vertex_images=[(0,)],
+            half_edge_images=[(0, 1)],
+            tangent_chars={(r, 0): Fraction(1, 4), (r2, 0): Fraction(0), (r, 1): Fraction(3, 4)},
+        )
+    assert f"value of element {r2} at half-edge 0 gives 0, the product rule gives 1/2" in str(
+        err.value
+    )
