@@ -23,13 +23,16 @@ O(|G| * (|V| + |H| + |E|)) group products plus O(1) per supplied value:
 kernel equivariance is checked on the group generators only (it is
 multiplicative), and a character table is built as a homomorphism on each
 orbit representative's stabilizer, then carried around the orbit by one
-transporter per member.
+transporter per member, read from the action's per-element permutations.
+Products by generators are read from the group's table and products with
+the identity are free, so a free action needs almost no group products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .curves import DualGraph, connected_components
@@ -118,6 +121,16 @@ class CurveAction:
         p, q = self.graph.edges[n]
         return self.edge_perms[g][n] == n and self.half_edge_perms[g][p] == q
 
+    @cached_property
+    def vertex_orbit_of(self) -> dict[int, Orbit]:
+        """Vertex -> its orbit, built on first use."""
+        return {v: orbit for orbit in self.vertex_orbits for v in orbit.members}
+
+    @cached_property
+    def edge_orbit_of(self) -> dict[int, Orbit]:
+        """Edge -> its orbit, built on first use."""
+        return {n: orbit for orbit in self.edge_orbits for n in orbit.members}
+
 
 def _transport_and_close(
     group: FiniteGroup,
@@ -133,9 +146,9 @@ def _transport_and_close(
     implied by other data (kernel triviality, tangent-product rule) and
     user-supplied ones.  Four steps, in group products:
 
-    1. a Schreier transversal (one transporter per member) by BFS over the
-       group generators moves each value to the representative:
-       O(|orbit| * gens + #values);
+    1. a transversal (per member, the first element in table order carrying
+       the representative there, read from ``perms`` in O(|G|) lookups)
+       moves each value to the representative: O(#values);
     2. the moved values are closed under conjugation by a reduced
        generating set of the representative's stabilizer, values checked to
        agree: O(|stab| * gens);
@@ -151,14 +164,12 @@ def _transport_and_close(
     CharacterError naming the first missing (element, object) pair.
     """
     rep = orbit.representative
-    transporter = {rep: 0}
-    queue = [rep]
-    for obj in queue:
-        for s in group.generator_indices:
-            img = perms[s][obj]
-            if img not in transporter:
-                transporter[img] = group.mul(s, transporter[obj])
-                queue.append(img)
+    transporter: dict[int, int] = {}
+    for g, perm in enumerate(perms):
+        if perm[rep] not in transporter:
+            transporter[perm[rep]] = g
+            if len(transporter) == len(orbit.members):
+                break
 
     # known[h] is the character of h at the representative; origin[h] says
     # where it came from: (object, element there, transporter) for a moved
@@ -199,7 +210,7 @@ def _transport_and_close(
         t = transporter[obj]
         tinv = group.inverse(t)
         for h, val in values[obj]:
-            learn(group.mul(group.mul(tinv, h), t), val % 1, (obj, h, t))
+            learn(group.conjugate(tinv, h), val % 1, (obj, h, t))
 
     conjugators = [(u, group.inverse(u)) for u in group.generating_set(orbit.stabilizer)]
     frontier = [h for h in known if h != 0]
@@ -208,7 +219,7 @@ def _transport_and_close(
         for x in frontier:
             for u, uinv in conjugators:
                 # u x u^-1 is x moved by the transporter composed with u^-1
-                y = group.mul(group.mul(u, x), uinv)
+                y = group.conjugate(u, x)
                 if learn(y, known[x], (x, uinv)):
                     nxt.append(y)
         frontier = nxt
@@ -256,9 +267,8 @@ def _transport_and_close(
     table: CharTable = {}
     for obj in orbit.members:
         t = transporter[obj]
-        tinv = group.inverse(t)
         for h in stab:
-            table[(group.mul(group.mul(t, h), tinv), obj)] = chi[h]
+            table[(group.conjugate(t, h), obj)] = chi[h]
     return table
 
 
@@ -295,6 +305,18 @@ def validate_action(
     ngens = len(group.generators)
     if len(vertex_images) != ngens or len(half_edge_images) != ngens:
         raise ActionError("need one vertex image and one half-edge image per generator")
+    for kind, seeds, n_objects, obj_kind in (
+        ("tangent", tangent_chars, graph.n_half_edges, "half-edge"),
+        ("smoothing", smoothing_chars, graph.n_edges, "edge"),
+    ):
+        for h, obj in seeds:
+            if not 0 <= h < group.order:
+                raise ActionError(f"{kind} character names unknown element {h}")
+            if not 0 <= obj < n_objects:
+                raise ActionError(f"{kind} character at unknown {obj_kind} {obj}")
+    for v in kernels:
+        if not 0 <= v < graph.n_vertices:
+            raise ActionError(f"kernel at unknown vertex {v}")
 
     try:
         vertex_perms = group.extend_action(
@@ -327,18 +349,21 @@ def validate_action(
                     f"(generator {k}, half-edge {h})"
                 )
 
-    edge_index = {frozenset(pair): n for n, pair in enumerate(graph.edges)}
+    # an element sends a node to edge m when both its branches land on m
+    edge_at = [-1] * graph.n_half_edges
+    for n, (p, q) in enumerate(graph.edges):
+        edge_at[p] = edge_at[q] = n
     edge_perm_rows = []
-    for g in range(group.order):
+    for g, hp in enumerate(half_edge_perms):
         row = []
         for p, q in graph.edges:
-            image = frozenset((half_edge_perms[g][p], half_edge_perms[g][q]))
-            if image not in edge_index:
+            m = edge_at[hp[p]]
+            if m < 0 or edge_at[hp[q]] != m:
                 raise ActionError(
                     f"edge action ill-defined: element {g} sends a node to the "
-                    f"non-node pair {sorted(image)}"
+                    f"non-node pair {sorted((hp[p], hp[q]))}"
                 )
-            row.append(edge_index[image])
+            row.append(m)
         edge_perm_rows.append(tuple(row))
     edge_perms = tuple(edge_perm_rows)
 
@@ -378,8 +403,6 @@ def validate_action(
     )
 
     for (h, obj), val in tangent_chars.items():
-        if not 0 <= obj < graph.n_half_edges:
-            raise ActionError(f"tangent character at unknown half-edge {obj}")
         if half_edge_perms[h][obj] != obj:
             raise ActionError(
                 f"tangent character assigned to element {h} which moves half-edge {obj}"
@@ -410,9 +433,7 @@ def validate_action(
                 f"inconsistent tangent character at (element {key[0]}, half-edge {key[1]})"
             )
 
-    for (h, n), _ in smoothing_chars.items():
-        if not 0 <= n < graph.n_edges:
-            raise ActionError(f"smoothing character at unknown edge {n}")
+    for h, n in smoothing_chars:
         if edge_perms[h][n] != n:
             raise ActionError(
                 f"smoothing character assigned to element {h} which moves edge {n}"
@@ -564,10 +585,10 @@ def _solve_riemann_hurwitz(
 
 
 def _vertex_orbit_of(action: CurveAction, vertex: int) -> Orbit:
-    for orbit in action.vertex_orbits:
-        if vertex in orbit.members:
-            return orbit
-    raise ActionError(f"vertex {vertex} not found in any orbit")
+    try:
+        return action.vertex_orbit_of[vertex]
+    except KeyError:
+        raise ActionError(f"vertex {vertex} not found in any orbit") from None
 
 
 def _half_edge_suborbits(action: CurveAction, vertex: int, stabilizer: Sequence[int]):

@@ -82,10 +82,10 @@ class SmoothingChain:
 
 
 def _edge_orbit_of(action: CurveAction, edge: int) -> Orbit:
-    for orbit in action.edge_orbits:
-        if edge in orbit.members:
-            return orbit
-    raise SmoothingError(f"edge {edge} not found in any orbit")
+    try:
+        return action.edge_orbit_of[edge]
+    except KeyError:
+        raise SmoothingError(f"edge {edge} not found in any orbit") from None
 
 
 def _require_smoothable(action: CurveAction, orbit: Orbit) -> None:

@@ -4,7 +4,9 @@ Groups are given by permutation generators on {0..degree-1} and enumerated
 once, deterministically: the identity first, then breadth-first by generator
 words, ties within a word length broken by lexicographic order of the
 permutation tuples.  Every other module refers to group elements by their
-index in this table.
+index in this table.  The enumeration keeps every product it computes as a
+right-multiply-by-generator table of element indices (``right``), so
+products by generators are table reads, not rebuilt permutation tuples.
 
 Rotation characters (the action of an element on a one-dimensional space)
 are plain ``Fraction`` values r in [0, 1), meaning the root of unity
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import root_of_unity_sum
@@ -35,7 +36,7 @@ def identity_perm(degree: int) -> Perm:
 
 def compose(a: Perm, b: Perm) -> Perm:
     """Product a*b: apply b first, then a."""
-    return tuple(a[b[i]] for i in range(len(a)))
+    return tuple([a[x] for x in b])
 
 
 def invert(p: Perm) -> Perm:
@@ -97,8 +98,11 @@ def format_perm(p: Perm) -> str:
 class FiniteGroup:
     """A finite permutation group with a fixed element table.
 
-    Index 0 is always the identity.  Instances are immutable and safe to
-    share; construct through :meth:`from_generators`.
+    Index 0 is always the identity.  ``right[i][k]`` is the index of
+    ``elements[i] * generators[k]``, recorded during enumeration (|G| * gens
+    ints); ``parents`` marks the entries that built the element table.
+    Instances are immutable and safe to share; construct through
+    :meth:`from_generators`.
     """
 
     degree: int
@@ -107,6 +111,7 @@ class FiniteGroup:
     # parent[i] = (j, k) with elements[i] == elements[j] * generators[k];
     # lets group actions be extended from generator images along BFS words.
     parents: tuple[tuple[int, int], ...] = field(repr=False)
+    right: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def __post_init__(self):
         # lookup caches; not fields, so they stay out of eq/repr.  The
@@ -115,6 +120,9 @@ class FiniteGroup:
             self, "_index", {p: i for i, p in enumerate(self.elements)}
         )
         object.__setattr__(self, "_inverse", {0: 0})
+        object.__setattr__(
+            self, "_generator_position", {j: k for k, j in enumerate(self.right[0])}
+        )
 
     @classmethod
     def from_generators(
@@ -130,13 +138,21 @@ class FiniteGroup:
         elements = [ident]
         index = {ident: 0}
         parents: list[tuple[int, int]] = [(0, -1)]
+        right: list[list[int]] = [[0] * len(gens)]
         frontier = [0]
         while frontier:
             discovered: dict[Perm, tuple[int, int]] = {}
+            # products not yet indexed; resolved once this level is sorted
+            pending: list[tuple[int, int, Perm]] = []
             for i in frontier:
                 for k, s in enumerate(gens):
                     y = compose(elements[i], s)
-                    if y not in index and y not in discovered:
+                    j = index.get(y)
+                    if j is not None:
+                        right[i][k] = j
+                        continue
+                    pending.append((i, k, y))
+                    if y not in discovered:
                         discovered[y] = (i, k)
             frontier = []
             for y in sorted(discovered):
@@ -146,7 +162,12 @@ class FiniteGroup:
                 frontier.append(len(elements))
                 elements.append(y)
                 parents.append(discovered[y])
-        return cls(degree, gens, tuple(elements), tuple(parents))
+                right.append([0] * len(gens))
+            for i, k, y in pending:
+                right[i][k] = index[y]
+        return cls(
+            degree, gens, tuple(elements), tuple(parents), tuple(map(tuple, right))
+        )
 
     @classmethod
     def trivial(cls, degree: int = 1) -> "FiniteGroup":
@@ -167,6 +188,13 @@ class FiniteGroup:
             raise GroupError(f"permutation {perm!r} is not a group element") from None
 
     def mul(self, i: int, j: int) -> int:
+        if i == 0:
+            return j
+        if j == 0:
+            return i
+        k = self._generator_position.get(j)
+        if k is not None:
+            return self.right[i][k]
         return self.index_of(compose(self.elements[i], self.elements[j]))
 
     def inverse(self, i: int) -> int:
@@ -178,9 +206,9 @@ class FiniteGroup:
             self._inverse[j] = i
             return j
 
-    @cached_property
+    @property
     def generator_indices(self) -> tuple[int, ...]:
-        return tuple(self._index[s] for s in self.generators)
+        return self.right[0]
 
     def element_order(self, i: int) -> int:
         n, j = 1, i
@@ -236,9 +264,14 @@ class FiniteGroup:
         the earlier ones (at most log2 |H| of them)."""
         return tuple(self._close(elements)[1])
 
+    def conjugate(self, g: int, x: int) -> int:
+        """g * x * g^-1."""
+        if g == 0 or x == 0:
+            return x
+        return self.mul(self.mul(g, x), self.inverse(g))
+
     def conjugate_subgroup(self, sub: Iterable[int], g: int) -> frozenset[int]:
-        ginv = self.inverse(g)
-        return frozenset(self.mul(self.mul(g, s), ginv) for s in sub)
+        return frozenset(self.conjugate(g, s) for s in sub)
 
     def conjugacy_union(self, sub: Iterable[int]) -> frozenset[int]:
         """Union of all conjugates of a subgroup (or of any set of elements).
@@ -247,13 +280,12 @@ class FiniteGroup:
         every conjugation: O(|union| * gens) group products.
         """
         out = set(sub)
-        gens = [(s, self.inverse(s)) for s in self.generator_indices]
         frontier = list(out)
         while frontier:
             nxt = []
             for x in frontier:
-                for s, sinv in gens:
-                    y = self.mul(self.mul(s, x), sinv)
+                for s in self.generator_indices:
+                    y = self.conjugate(s, x)
                     if y not in out:
                         out.add(y)
                         nxt.append(y)
@@ -265,7 +297,9 @@ class FiniteGroup:
 
         Raises GroupError if the images do not define a group homomorphism
         (checked against every (element, generator) product, which suffices
-        by induction on word length).
+        by induction on word length).  The products are read from ``right``;
+        the |G| - 1 of them that built the table (``parents``) hold by
+        construction and are skipped.
         """
         if len(generator_perms) != len(self.generators):
             raise GroupError("one image required per generator")
@@ -279,9 +313,10 @@ class FiniteGroup:
         for i in range(1, self.order):
             j, k = self.parents[i]
             table.append(compose(table[j], images[k]))
-        for i in range(self.order):
-            for k in range(len(self.generators)):
-                prod = self.index_of(compose(self.elements[i], self.generators[k]))
+        for i, row in enumerate(self.right):
+            for k, prod in enumerate(row):
+                if self.parents[prod] == (i, k):
+                    continue
                 if table[prod] != compose(table[i], images[k]):
                     raise GroupError(
                         "generator images do not extend to a group homomorphism "
@@ -309,9 +344,8 @@ def _check_is_action(group: FiniteGroup, act: Action, points: Sequence) -> None:
         if act(0, p) != p:
             raise GroupError(f"not a group action: identity moves point {p!r}")
     gen_indices = group.generator_indices
-    for i in range(group.order):
-        for k, s in enumerate(group.generators):
-            prod = group.index_of(compose(group.elements[i], s))
+    for i, row in enumerate(group.right):
+        for k, prod in enumerate(row):
             for p in points:
                 if act(prod, p) != act(i, act(gen_indices[k], p)):
                     raise GroupError(

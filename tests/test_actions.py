@@ -102,6 +102,32 @@ def test_edge_action_must_be_well_defined(z2):
         )
 
 
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        ({"tangent_chars": {(5, 0): Fraction(1, 2)}}, "tangent character names unknown element 5"),
+        ({"tangent_chars": {(-1, 0): Fraction(1, 2)}}, "tangent character names unknown element -1"),
+        ({"smoothing_chars": {(7, 0): Fraction(0)}}, "smoothing character names unknown element 7"),
+        ({"smoothing_chars": {(-1, 0): Fraction(0)}}, "smoothing character names unknown element -1"),
+        ({"kernels": {7: [1]}}, "kernel at unknown vertex 7"),
+        ({"kernels": {-1: [1]}}, "kernel at unknown vertex -1"),
+    ],
+    ids=["tangent5", "tangent-1", "smoothing7", "smoothing-1", "kernel7", "kernel-1"],
+)
+def test_out_of_range_seed_rejected(z2, nodal_quartic_graph, seeds, message):
+    with pytest.raises(ActionError, match=message):
+        validate_action(
+            z2, nodal_quartic_graph, vertex_images=[(0,)], half_edge_images=[(1, 0)], **seeds
+        )
+
+
+def test_orbit_lookup(paper_action):
+    assert paper_action.vertex_orbit_of == {0: paper_action.vertex_orbits[0]}
+    assert paper_action.edge_orbit_of == {0: paper_action.edge_orbits[0]}
+    with pytest.raises(ActionError, match="vertex 1 not found in any orbit"):
+        quotient_signature(paper_action, 1)
+
+
 def test_missing_tangent_character_is_a_gap(z2):
     # the involution fixes both half-edges but no character is supplied
     graph = build_graph([2], [0, 0], [(0, 1)])

@@ -117,6 +117,11 @@ def test_unsmoothable_nontrivial_character(z2, nodal_quartic_graph):
         smooth_node_orbit(action, 0)
 
 
+def test_unknown_edge_rejected(paper_action):
+    with pytest.raises(SmoothingError, match="edge 1 not found in any orbit"):
+        smooth_node_orbit(paper_action, 1)
+
+
 def test_unsupported_order4_swap():
     z4 = FiniteGroup.from_generators([perm_from_cycles([[0, 1, 2, 3]], 4)], 4)
     graph = build_graph([2], [0, 0], [(0, 1)])

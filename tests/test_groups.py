@@ -20,6 +20,7 @@ from isoprod.groups import (
 )
 
 from randgen import all_subgroups, catalog, left_cosets
+from test_seed_differential import a5, s4
 
 
 # -- enumeration ---------------------------------------------------------
@@ -87,6 +88,45 @@ def test_mul_and_inverse_indices():
     for i in range(g.order):
         assert g.mul(i, g.inverse(i)) == 0
     assert g.element_order(0) == 1
+
+
+@pytest.mark.parametrize("group", catalog() + [s4(), a5()], ids=lambda g: f"order{g.order}")
+def test_right_table_and_mul_match_composed_tuples(group):
+    assert len(group.right) == group.order
+    for i, row in enumerate(group.right):
+        assert len(row) == len(group.generators)
+        for k, j in enumerate(row):
+            assert j == group.index_of(compose(group.elements[i], group.generators[k]))
+    # mul reads products by generators and by the identity without composing
+    for i, a in enumerate(group.elements):
+        for j, b in enumerate(group.elements):
+            assert group.mul(i, j) == group.index_of(compose(a, b))
+
+
+def test_extend_action_rejects_broken_power_relation():
+    # Z4 = <r>: the table is built along r, r^2, r^3, so r^3 * r = e is the
+    # one relation not used to build it; a 3-cycle image breaks only that one
+    z4 = FiniteGroup.from_generators([perm_from_cycles([[0, 1, 2, 3]], 4)], 4)
+    with pytest.raises(GroupError, match="homomorphism"):
+        z4.extend_action([perm_from_cycles([[0, 1, 2]], 3)])
+
+
+def test_extend_action_rejects_broken_braid_relation():
+    # S3 = <a, b>: images of orders 3 and 2 for which b a b != a^-1
+    s3 = FiniteGroup.from_generators(
+        [perm_from_cycles([[0, 1, 2]], 3), perm_from_cycles([[0, 1]], 3)], 3
+    )
+    with pytest.raises(GroupError, match="homomorphism"):
+        s3.extend_action([perm_from_cycles([[0, 1, 2]], 4), perm_from_cycles([[0, 3]], 4)])
+    assert s3.extend_action(list(s3.generators)) == s3.elements
+
+
+def test_orbits_rejects_action_failing_only_off_the_tree():
+    # element r^i of Z4 acts by c^i for a 3-cycle c: only r^3 * r = e fails
+    z4 = FiniteGroup.from_generators([perm_from_cycles([[0, 1, 2, 3]], 4)], 4)
+    powers = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 1, 2)]
+    with pytest.raises(GroupError, match="composition fails"):
+        orbits(z4, lambda g, p: powers[z4.elements[g][0]][p], [0, 1, 2])
 
 
 # -- permutation helpers --------------------------------------------------

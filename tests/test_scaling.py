@@ -42,6 +42,16 @@ def test_inert_s6_on_one_node_curve():
         assert not check_free_codim1(build_surface(action, action)).passed
 
 
+def test_inert_s7_on_one_node_curve():
+    s7 = FiniteGroup.from_generators(
+        [perm_from_cycles([list(range(7))], 7), perm_from_cycles([[0, 1]], 7)], 7
+    )
+    graph = build_graph([2], [0, 0], [(0, 1)])
+    with criterion(103, "inert S7 (|G| = 5040) validates", budget=5.0):
+        action = inert_action(s7, graph)
+        assert action.kernels == (frozenset(range(s7.order)),)
+
+
 def test_necklace_z400_validates():
     group, graph, vertex_images, half_edge_images = necklace(400)
     with criterion(102, "Z_400 necklace validates", budget=5.0):
