@@ -11,19 +11,23 @@ points away from the nodes.
 Validation materializes the full character tables: user-supplied values are
 transported around orbits (char(g h g^-1, g.p) = char(h, p)), extended
 multiplicatively inside each stabilizer, checked for conflicts, and any
-value still missing is reported as a gap rather than guessed.  For an
-element fixing a node and both its branches the smoothing character is
-forced to be the product of the two tangent characters; for a
-branch-swapping element it must be supplied (its square is checked against
-the derived value on the branch-preserving part).
+value still missing is reported as a gap rather than guessed.  The
+identity's values are trivial by construction, so they are neither forced
+nor transported.  For an element fixing a node and both its branches the
+smoothing character is forced to be the product of the two tangent
+characters, read from the completed tangent table (g fixes both branches
+exactly when the table holds both entries); for a branch-swapping element
+it must be supplied (its square is checked against the derived value on
+the branch-preserving part).
 
 Every check runs by BFS over generators (of the group, of a stabilizer, or
 of the subgroup the seeds generate), so validation costs
 O(|G| * (|V| + |H| + |E|)) group products plus O(1) per supplied value:
-kernel equivariance is checked on the group generators only (it is
-multiplicative), and a character table is built as a homomorphism on each
-orbit representative's stabilizer, then carried around the orbit by one
-transporter per member, read from the action's per-element permutations.
+kernel equivariance and the edge action are checked on the group
+generators only (both are multiplicative), and a character table is built
+as a homomorphism on each orbit representative's stabilizer, then carried
+around the orbit by one transporter per member, read from the action's
+per-element permutations.
 Products by generators are read from the group's table and products with
 the identity are free, so a free action needs almost no group products.
 """
@@ -148,7 +152,8 @@ def _transport_and_close(
 
     1. a transversal (per member, the first element in table order carrying
        the representative there, read from ``perms`` in O(|G|) lookups)
-       moves each value to the representative: O(#values);
+       moves each value to the representative: O(#values), and no product
+       at all for the identity's values;
     2. the moved values are closed under conjugation by a reduced
        generating set of the representative's stabilizer, values checked to
        agree: O(|stab| * gens);
@@ -208,9 +213,10 @@ def _transport_and_close(
         if obj not in values:
             continue
         t = transporter[obj]
-        tinv = group.inverse(t)
         for h, val in values[obj]:
-            learn(group.conjugate(tinv, h), val % 1, (obj, h, t))
+            # the identity is its own conjugate: no transporter to invert
+            at_rep = group.conjugate(group.inverse(t), h) if h else 0
+            learn(at_rep, val % 1, (obj, h, t))
 
     conjugators = [(u, group.inverse(u)) for u in group.generating_set(orbit.stabilizer)]
     frontier = [h for h in known if h != 0]
@@ -272,6 +278,16 @@ def _transport_and_close(
     return table
 
 
+def _is_int(x: object) -> bool:
+    """An index: an int that is not a bool (True would pass for element 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_char(x: object) -> bool:
+    """A rotation character: a Fraction or an int (not a bool), never a float."""
+    return isinstance(x, Fraction) or _is_int(x)
+
+
 def _by_object(*sources: Mapping[tuple[int, int], Fraction]) -> dict[int, list]:
     """(element, object) -> value mappings regrouped as object -> [(element, value)]."""
     out: dict[int, list[tuple[int, Fraction]]] = {}
@@ -309,14 +325,48 @@ def validate_action(
         ("tangent", tangent_chars, graph.n_half_edges, "half-edge"),
         ("smoothing", smoothing_chars, graph.n_edges, "edge"),
     ):
-        for h, obj in seeds:
+        for key, val in seeds.items():
+            if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_int, key))):
+                raise ActionError(
+                    f"{kind} character key {key!r} is not an (element, {obj_kind}) "
+                    "pair of integers"
+                )
+            h, obj = key
             if not 0 <= h < group.order:
                 raise ActionError(f"{kind} character names unknown element {h}")
             if not 0 <= obj < n_objects:
                 raise ActionError(f"{kind} character at unknown {obj_kind} {obj}")
-    for v in kernels:
-        if not 0 <= v < graph.n_vertices:
-            raise ActionError(f"kernel at unknown vertex {v}")
+            if not _is_char(val):
+                raise ActionError(
+                    f"{kind} character at {key!r} must be a Fraction or an integer, "
+                    f"got {val!r}"
+                )
+    for v, ks in kernels.items():
+        if not _is_int(v) or not 0 <= v < graph.n_vertices:
+            raise ActionError(f"kernel at unknown vertex {v!r}")
+        for k in ks:
+            if not _is_int(k):
+                raise ActionError(f"kernel of vertex {v} names non-integer element {k!r}")
+    ram_entries: list[RamificationOrbit] = []
+    for entry in ramification_orbits:
+        if not isinstance(entry, RamificationOrbit):
+            try:
+                entry = RamificationOrbit(*entry)
+            except TypeError:
+                raise ActionError(
+                    f"ramification orbit {entry!r} is not (vertex, element, char, order)"
+                ) from None
+        for name in ("vertex", "element", "order"):
+            if not _is_int(getattr(entry, name)):
+                raise ActionError(
+                    f"ramification orbit {name} must be an integer, "
+                    f"got {getattr(entry, name)!r}"
+                )
+        if not _is_char(entry.char):
+            raise ActionError(
+                f"ramification character must be a Fraction or an integer, got {entry.char!r}"
+            )
+        ram_entries.append(entry)
 
     try:
         vertex_perms = group.extend_action(
@@ -349,12 +399,15 @@ def validate_action(
                     f"(generator {k}, half-edge {h})"
                 )
 
-    # an element sends a node to edge m when both its branches land on m
+    # an element sends a node to edge m when both its branches land on m;
+    # composites keep nodes on nodes, so the generators are checked and
+    # their edge permutations extended like the other two
     edge_at = [-1] * graph.n_half_edges
     for n, (p, q) in enumerate(graph.edges):
         edge_at[p] = edge_at[q] = n
-    edge_perm_rows = []
-    for g, hp in enumerate(half_edge_perms):
+    edge_images = []
+    for g in group.generator_indices:
+        hp = half_edge_perms[g]
         row = []
         for p, q in graph.edges:
             m = edge_at[hp[p]]
@@ -364,8 +417,11 @@ def validate_action(
                     f"non-node pair {sorted((hp[p], hp[q]))}"
                 )
             row.append(m)
-        edge_perm_rows.append(tuple(row))
-    edge_perms = tuple(edge_perm_rows)
+        edge_images.append(tuple(row))
+    if ngens == 0:
+        edge_perms = tuple(tuple(range(graph.n_edges)) for _ in range(group.order))
+    else:
+        edge_perms = group.extend_action(edge_images)
 
     half_edges_at: list[list[int]] = [[] for _ in range(graph.n_vertices)]
     for h, v in enumerate(graph.half_edge_vertex):
@@ -413,11 +469,14 @@ def validate_action(
                 f"{char_order(val)}, not a divisor of the order of element {h}"
             )
 
+    # the identity's values are trivial by construction: forcing them would
+    # only move values that say nothing
     forced_tangent: CharTable = {}
     for v in range(graph.n_vertices):
         for k in kernel_subs[v]:
-            for h in half_edges_at[v]:
-                forced_tangent[(k, h)] = TRIVIAL_CHAR
+            if k:
+                for h in half_edges_at[v]:
+                    forced_tangent[(k, h)] = TRIVIAL_CHAR
 
     tangent_values = _by_object(forced_tangent, tangent_chars)
     full_tangent: CharTable = {}
@@ -439,11 +498,14 @@ def validate_action(
                 f"smoothing character assigned to element {h} which moves edge {n}"
             )
 
+    # g fixes both branches of node (p, q) exactly when the complete tangent
+    # table holds both (g, p) and (g, q): read from the table, O(#entries)
     forced_smoothing: CharTable = {}
-    for n, (p, q) in enumerate(graph.edges):
-        for g in range(group.order):
-            if half_edge_perms[g][p] == p and half_edge_perms[g][q] == q:
-                forced_smoothing[(g, n)] = (full_tangent[(g, p)] + full_tangent[(g, q)]) % 1
+    for (g, p), val in full_tangent.items():
+        n = edge_at[p]
+        first, q = graph.edges[n]
+        if g and p == first and (g, q) in full_tangent:
+            forced_smoothing[(g, n)] = (val + full_tangent[(g, q)]) % 1
 
     smoothing_values = _by_object(forced_smoothing, smoothing_chars)
     full_smoothing: CharTable = {}
@@ -460,9 +522,7 @@ def validate_action(
             )
 
     ram: list[RamificationOrbit] = []
-    for entry in ramification_orbits:
-        if not isinstance(entry, RamificationOrbit):
-            entry = RamificationOrbit(*entry)
+    for entry in ram_entries:
         v, h, chi, e = entry.vertex, entry.element, entry.char % 1, entry.order
         if not 0 <= v < graph.n_vertices:
             raise ActionError(f"ramification orbit at unknown vertex {v}")
@@ -661,24 +721,16 @@ def t1_equivariant_oracle(action: CurveAction) -> EquivariantT1:
     """Same contract as :func:`t1_equivariant` by an independent route.
 
     Node and branch invariants come from the exact Burnside trace average
-    over the node-stalk and branch-tangent representations; the quotient
-    pieces are recomputed from scratch with the generic orbit machinery.
+    over the node-stalk and branch-tangent representations, with fixed
+    points read from the per-element permutations rather than from the
+    orbits or the table keys; the quotient pieces are recomputed from
+    scratch with the generic orbit machinery.
     """
     _check_t1_preconditions(action)
     group = action.group
-    node_inv = invariant_dimension_trace(
-        group,
-        lambda g, n: action.edge_perms[g][n],
-        range(action.graph.n_edges),
-        lambda g, n: action.smoothing_chars[(g, n)],
-        check=False,
-    )
+    node_inv = invariant_dimension_trace(group, action.edge_perms, action.smoothing_chars)
     branch_inv = invariant_dimension_trace(
-        group,
-        lambda g, h: action.half_edge_perms[g][h],
-        range(action.graph.n_half_edges),
-        lambda g, h: action.tangent_chars[(g, h)],
-        check=False,
+        group, action.half_edge_perms, action.tangent_chars
     )
     minus_chi_inv = 0
     vertex_orbs = orbits(

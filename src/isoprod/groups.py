@@ -16,9 +16,12 @@ invariant dimensions stay exact integers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from itertools import compress
+from operator import eq
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .cyclotomic import root_of_unity_sum
 from .errors import CharacterError, GroupError
@@ -393,34 +396,43 @@ def orbits(
 
 def invariant_dimension_trace(
     group: FiniteGroup,
-    act: Action,
-    points: Sequence,
-    char: Callable[[int, object], Fraction],
-    check: bool = True,
+    perms: Sequence[Perm],
+    chars: Mapping[tuple[int, int], Fraction],
 ) -> int:
     """dim V^G for a permutation representation with 1-dimensional fibers.
 
-    Burnside average (1/|G|) sum_g tr(g), where tr(g) sums the character
-    values of g over its fixed points; evaluated exactly as a sum of roots
-    of unity.  Raises CharacterError when the average is not a nonnegative
-    integer or a needed character value is missing.
+    ``perms[g]`` is the permutation of the points {0..n-1} by element g (as
+    returned by :meth:`FiniteGroup.extend_action`) and ``chars`` maps each
+    (element, fixed point) pair to its rotation character.  Burnside average
+    (1/|G|) sum_g tr(g), where tr(g) sums the character values of g over its
+    fixed points; evaluated exactly as a sum of roots of unity.
+
+    Each element's fixed points are read by comparing its permutation with
+    the identity, so an element fixing no point costs one tuple scan and
+    only fixed pairs are looked up; the keys of ``chars`` are never
+    enumerated.  Raises CharacterError when the average is not a
+    nonnegative integer or a fixed pair has no character value.
     """
-    if check:
-        _check_is_action(group, act, points)
-    counts: dict[Fraction, int] = {}
-    for g in range(group.order):
-        for p in points:
-            if act(g, p) == p:
-                try:
-                    val = char(g, p)
-                except KeyError:
-                    raise CharacterError(
-                        f"inconsistent character data: no character for element {g} "
-                        f"at fixed point {p!r}"
-                    ) from None
-                val = val % 1
-                counts[val] = counts.get(val, 0) + 1
-    total = root_of_unity_sum(counts)
+    if len(perms) != group.order:
+        raise GroupError("one permutation required per group element")
+    ident = identity_perm(len(perms[0]))
+    values: list[Fraction] = []
+    for g, perm in enumerate(perms):
+        if perm == ident:
+            fixed: Sequence[int] = ident
+        elif any(map(eq, perm, ident)):
+            fixed = list(compress(ident, map(eq, perm, ident)))
+        else:
+            continue
+        try:
+            values.extend([chars[g, p] for p in fixed])
+        except KeyError:
+            p = next(p for p in fixed if (g, p) not in chars)
+            raise CharacterError(
+                f"inconsistent character data: no character for element {g} "
+                f"at fixed point {p!r}"
+            ) from None
+    total = root_of_unity_sum(Counter(values))
     if total is None:
         raise CharacterError("inconsistent character data: trace sum is irrational")
     dim, rem = divmod(total, group.order)

@@ -4,25 +4,29 @@ A test-only oracle for the differential tests in ``test_seed_differential``:
 ``subgroup_closure`` (O(|H|^2) products per round), ``conjugacy_union``
 (conjugates by every element), ``_transport_and_close`` (every transporter,
 pairwise closure and product check), the ``validate_action`` that calls
-them (kernel equivariance checked at every element) and the per-element
-``fixed_point_profile``.  The bodies are copied unchanged; the group
-methods take the group as ``self``, and calls to them go to the copies
-here instead of the library's.
+them (kernel equivariance checked at every element), the per-element
+``fixed_point_profile`` and the callable Burnside ``invariant_dimension_trace``
+(action and character evaluated at every (element, point) pair).  The
+bodies are copied unchanged; the group methods take the group as ``self``,
+and calls to them go to the copies here instead of the library's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from isoprod.actions import CharTable, CurveAction, RamificationOrbit
 from isoprod.curves import DualGraph
+from isoprod.cyclotomic import root_of_unity_sum
 from isoprod.errors import ActionError, CharacterError, GroupError
 from isoprod.groups import (
     TRIVIAL_CHAR,
+    Action,
     FiniteGroup,
     Orbit,
     Perm,
+    _check_is_action,
     char_order,
     orbits,
 )
@@ -372,3 +376,44 @@ def fixed_point_profile(action: CurveAction) -> dict[int, ElementFixedPoints]:
         )
         profile[g] = ElementFixedPoints(has_fp, fixes_component)
     return profile
+
+
+def invariant_dimension_trace(
+    group: FiniteGroup,
+    act: Action,
+    points: Sequence,
+    char: Callable[[int, object], Fraction],
+    check: bool = True,
+) -> int:
+    """dim V^G for a permutation representation with 1-dimensional fibers.
+
+    Burnside average (1/|G|) sum_g tr(g), where tr(g) sums the character
+    values of g over its fixed points; evaluated exactly as a sum of roots
+    of unity.  Raises CharacterError when the average is not a nonnegative
+    integer or a needed character value is missing.
+    """
+    if check:
+        _check_is_action(group, act, points)
+    counts: dict[Fraction, int] = {}
+    for g in range(group.order):
+        for p in points:
+            if act(g, p) == p:
+                try:
+                    val = char(g, p)
+                except KeyError:
+                    raise CharacterError(
+                        f"inconsistent character data: no character for element {g} "
+                        f"at fixed point {p!r}"
+                    ) from None
+                val = val % 1
+                counts[val] = counts.get(val, 0) + 1
+    total = root_of_unity_sum(counts)
+    if total is None:
+        raise CharacterError("inconsistent character data: trace sum is irrational")
+    dim, rem = divmod(total, group.order)
+    if rem != 0 or dim < 0:
+        raise CharacterError(
+            f"inconsistent character data: trace average {total}/{group.order} "
+            "is not a nonnegative integer"
+        )
+    return dim

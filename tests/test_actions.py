@@ -102,6 +102,23 @@ def test_edge_action_must_be_well_defined(z2):
         )
 
 
+def test_edge_action_checked_on_each_generator():
+    # the first generator fixes every half-edge; the second swaps the two
+    # branches at vertex 0 that belong to different nodes
+    v4 = FiniteGroup.from_generators(
+        [perm_from_cycles([[2, 3]], 4), perm_from_cycles([[0, 1]], 4)], 4
+    )
+    graph = build_graph([2, 2], [0, 0, 1, 1], [(0, 2), (1, 3)])
+    second = v4.generator_indices[1]
+    with pytest.raises(ActionError, match=f"ill-defined: element {second} sends"):
+        validate_action(
+            v4,
+            graph,
+            vertex_images=[(0, 1), (0, 1)],
+            half_edge_images=[(0, 1, 2, 3), (1, 0, 2, 3)],
+        )
+
+
 @pytest.mark.parametrize(
     "seeds, message",
     [
@@ -118,6 +135,46 @@ def test_out_of_range_seed_rejected(z2, nodal_quartic_graph, seeds, message):
     with pytest.raises(ActionError, match=message):
         validate_action(
             z2, nodal_quartic_graph, vertex_images=[(0,)], half_edge_images=[(1, 0)], **seeds
+        )
+
+
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        ({"tangent_chars": {(1,): Fraction(1, 2)}}, r"tangent character key \(1,\) is not"),
+        ({"smoothing_chars": {(1, 0, 0): Fraction(0)}}, r"smoothing character key \(1, 0, 0\)"),
+        ({"tangent_chars": {(1.0, 0): Fraction(1, 2)}}, r"tangent character key \(1.0, 0\)"),
+        ({"tangent_chars": {(True, 0): Fraction(1, 2)}}, r"tangent character key \(True, 0\)"),
+        ({"tangent_chars": {(1, 0): 0.5}}, r"tangent character at \(1, 0\) .* got 0.5"),
+        ({"tangent_chars": {(1, 0): "1/2"}}, r"tangent character at \(1, 0\) .* got '1/2'"),
+        ({"kernels": {0: ["1"]}}, "kernel of vertex 0 names non-integer element '1'"),
+        ({"kernels": {0: [1.0]}}, "kernel of vertex 0 names non-integer element 1.0"),
+        ({"kernels": {"0": [1]}}, "kernel at unknown vertex '0'"),
+        (
+            {"ramification_orbits": [(0, 1, Fraction(1, 2))]},
+            r"ramification orbit \(0, 1, Fraction\(1, 2\)\) is not",
+        ),
+        (
+            {"ramification_orbits": [RamificationOrbit(0, 1, 0.5, 2)]},
+            "ramification character must be a Fraction or an integer, got 0.5",
+        ),
+        (
+            {"ramification_orbits": [RamificationOrbit(0, 1, Fraction(1, 2), 2.0)]},
+            "ramification orbit order must be an integer, got 2.0",
+        ),
+    ],
+    ids=[
+        "tangent-key-short", "smoothing-key-long", "key-float", "key-bool",
+        "value-float", "value-str", "kernel-str", "kernel-float", "kernel-vertex-str",
+        "ramification-arity",
+        "ramification-char-float", "ramification-order-float",
+    ],
+)
+def test_malformed_seed_rejected(z2, nodal_quartic_graph, seeds, message):
+    # both branches fixed, so each seed would otherwise be meaningful
+    with pytest.raises(ActionError, match=message):
+        validate_action(
+            z2, nodal_quartic_graph, vertex_images=[(0,)], half_edge_images=[(0, 1)], **seeds
         )
 
 

@@ -203,7 +203,7 @@ def test_orbit_stabilizer_theorem():
 def test_trace_trivial_group_three_points():
     g = FiniteGroup.trivial()
     dim = invariant_dimension_trace(
-        g, lambda e, p: p, [0, 1, 2], lambda e, p: Fraction(0)
+        g, [(0, 1, 2)], {(0, p): Fraction(0) for p in range(3)}
     )
     assert dim == 3
 
@@ -211,7 +211,7 @@ def test_trace_trivial_group_three_points():
 def test_trace_swap_two_points(z2):
     # only the diagonal vector survives the swap
     dim = invariant_dimension_trace(
-        z2, lambda e, p: p ^ (e == 1), [0, 1], lambda e, p: Fraction(0)
+        z2, [(0, 1), (1, 0)], {(e, p): Fraction(0) for e in range(2) for p in range(2)}
     )
     assert dim == 1
 
@@ -219,17 +219,13 @@ def test_trace_swap_two_points(z2):
 def test_trace_fixed_point_with_sign(z2):
     # (1 + (-1)) / 2 = 0
     char = {(0, 0): Fraction(0), (1, 0): Fraction(1, 2)}
-    dim = invariant_dimension_trace(
-        z2, lambda e, p: p, [0], lambda e, p: char[(e, p)]
-    )
+    dim = invariant_dimension_trace(z2, [(0,), (0,)], char)
     assert dim == 0
 
 
 def test_trace_missing_character(z2):
     with pytest.raises(CharacterError, match="inconsistent character data"):
-        invariant_dimension_trace(
-            z2, lambda e, p: p, [0], lambda e, p: {(0, 0): Fraction(0)}[(e, p)]
-        )
+        invariant_dimension_trace(z2, [(0,), (0,)], {(0, 0): Fraction(0)})
 
 
 def test_trace_non_integer_average(z2):
@@ -237,7 +233,12 @@ def test_trace_non_integer_average(z2):
     # character table that is not multiplicative: value 1/3 on an involution
     char = {(0, 0): Fraction(0), (1, 0): Fraction(1, 3)}
     with pytest.raises(CharacterError, match="inconsistent character data"):
-        invariant_dimension_trace(z2, lambda e, p: p, [0], lambda e, p: char[(e, p)])
+        invariant_dimension_trace(z2, [(0,), (0,)], char)
+
+
+def test_trace_needs_one_permutation_per_element(z2):
+    with pytest.raises(GroupError, match="one permutation required per group element"):
+        invariant_dimension_trace(z2, [(0,)], {(0, 0): Fraction(0)})
 
 
 def test_frobenius_property_random_instances():
@@ -295,7 +296,14 @@ def test_frobenius_property_random_instances():
                     return char(g, p)
             raise AssertionError
 
-        dim = invariant_dimension_trace(group, global_act, points, global_char)
+        perms = [tuple(global_act(g, p) for p in points) for g in range(group.order)]
+        fixed_chars = {
+            (g, p): global_char(g, p)
+            for g, perm in enumerate(perms)
+            for p in points
+            if perm[p] == p
+        }
+        dim = invariant_dimension_trace(group, perms, fixed_chars)
         assert dim == expected, f"trial {trial}"
 
 

@@ -57,3 +57,10 @@ def test_necklace_z400_validates():
     with criterion(102, "Z_400 necklace validates", budget=5.0):
         action = validate_action(group, graph, vertex_images, half_edge_images)
         assert len(action.vertex_orbits) == len(action.edge_orbits) == 1
+
+
+def test_necklace_z400_oracle():
+    group, graph, vertex_images, half_edge_images = necklace(400)
+    with criterion(104, "Z_400 necklace: validate, T1 == oracle", budget=5.0):
+        action = validate_action(group, graph, vertex_images, half_edge_images)
+        assert t1_equivariant(action) == t1_equivariant_oracle(action)

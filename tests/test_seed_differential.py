@@ -1,8 +1,10 @@
 """Differential tests: the BFS character-table completion, subgroup and
-conjugacy closures and fixed-point sets against the algorithms they replaced
-(``reference_seed``), on the random catalog, on inert, kernel and ramified
-actions of S4 and A5, and on corrupted inputs."""
+conjugacy closures, edge permutations, fixed-point sets and Burnside counts
+against the algorithms they replaced (``reference_seed``), on the random
+catalog, on inert, kernel and ramified actions of S4 and A5, on necklaces,
+and on corrupted inputs."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,11 +12,17 @@ import pytest
 
 import randgen
 import reference_seed
-from isoprod.actions import RamificationOrbit, inert_action, validate_action
+from isoprod.actions import (
+    RamificationOrbit,
+    inert_action,
+    t1_equivariant_oracle,
+    validate_action,
+)
 from isoprod.curves import build_graph
 from isoprod.errors import ActionError, CharacterError, IsoprodError
-from isoprod.groups import FiniteGroup, perm_from_cycles
+from isoprod.groups import FiniteGroup, invariant_dimension_trace, perm_from_cycles
 from isoprod.surfaces import fixed_point_profile
+from test_scaling import necklace
 
 
 def s4():
@@ -40,9 +48,27 @@ def outcome(validate, group, graph, args):
         return type(exc)
 
 
+def assert_same_traces(action):
+    """The table-driven node and branch Burnside counts equal the callable
+    trace's, which evaluates every (element, point) pair."""
+    group = action.group
+    for perms, chars in (
+        (action.edge_perms, action.smoothing_chars),
+        (action.half_edge_perms, action.tangent_chars),
+    ):
+        expected = reference_seed.invariant_dimension_trace(
+            group,
+            lambda g, p: perms[g][p],
+            range(len(perms[0])),
+            lambda g, p: chars[(g, p)],
+        )
+        assert invariant_dimension_trace(group, perms, chars) == expected
+
+
 def assert_same(group, graph, args):
     """Both validations give the same verdict, and on success the same
-    tables, kernels and fixed-point profile."""
+    tables, edge permutations, kernels, fixed-point profile and Burnside
+    counts."""
     new = outcome(validate_action, group, graph, args)
     ref = outcome(reference_seed.validate_action, group, graph, args)
     if isinstance(ref, type):
@@ -51,8 +77,10 @@ def assert_same(group, graph, args):
     assert not isinstance(new, type), f"seed validates, new raises {new.__name__}"
     assert new.tangent_chars == ref.tangent_chars
     assert new.smoothing_chars == ref.smoothing_chars
+    assert new.edge_perms == ref.edge_perms
     assert new.kernels == ref.kernels
     assert fixed_point_profile(new) == reference_seed.fixed_point_profile(ref)
+    assert_same_traces(new)
     return new
 
 
@@ -177,6 +205,29 @@ def test_inert_kernel_and_ramified_actions_match_seed(make):
     assert outcome(validate_action, group, graph, args) is ActionError
     assert assert_same(group, graph, args) is None
     assert assert_same(group, *ramified_inputs(group, vector, genus)) is not None
+
+
+@pytest.mark.parametrize("n", [3, 8, 25])
+def test_necklaces_match_seed(n):
+    group, graph, vertex_images, half_edge_images = necklace(n)
+    args = {"images": (vertex_images, half_edge_images), "kwargs": {}}
+    assert assert_same(group, graph, args) is not None
+
+
+@pytest.mark.parametrize("table", ["tangent_chars", "smoothing_chars"])
+def test_oracle_reads_fixed_points_from_the_permutations(table):
+    # inert S4: every element fixes every branch and node, every value is 0;
+    # with one fixed entry gone the oracle must name it, which a sum over
+    # the table's values cannot do
+    group = s4()
+    graph = build_graph([2, 3], [0, 1, 0, 1], [(0, 1), (2, 3)])
+    action = inert_action(group, graph)
+    g = element(group, [[0, 1]])
+    chars = dict(getattr(action, table))
+    del chars[(g, 1)]
+    damaged = dataclasses.replace(action, **{table: chars})
+    with pytest.raises(CharacterError, match=f"no character for element {g} at fixed point 1"):
+        t1_equivariant_oracle(damaged)
 
 
 def corrupted(args, kind, key, value):
