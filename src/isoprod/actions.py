@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .curves import DualGraph, connected_components
+from .curves import DualGraph
 from .errors import (
     ActionError,
     CharacterError,
@@ -347,6 +347,8 @@ def validate_action(
         for k in ks:
             if not _is_int(k):
                 raise ActionError(f"kernel of vertex {v} names non-integer element {k!r}")
+            if not 0 <= k < group.order:
+                raise ActionError(f"kernel of vertex {v} names unknown element {k}")
     ram_entries: list[RamificationOrbit] = []
     for entry in ramification_orbits:
         if not isinstance(entry, RamificationOrbit):
@@ -423,17 +425,13 @@ def validate_action(
     else:
         edge_perms = group.extend_action(edge_images)
 
-    half_edges_at: list[list[int]] = [[] for _ in range(graph.n_vertices)]
-    for h, v in enumerate(graph.half_edge_vertex):
-        half_edges_at[v].append(h)
-
     kernel_subs: list[frozenset[int]] = []
     for v in range(graph.n_vertices):
         sub = group.subgroup_closure(kernels.get(v, ()))
         for k in sub:
             if vertex_perms[k][v] != v:
                 raise ActionError(f"kernel element {k} of vertex {v} moves the vertex")
-            for h in half_edges_at[v]:
+            for h in graph.vertex_half_edges[v]:
                 if half_edge_perms[k][h] != h:
                     raise ActionError(
                         f"kernel element {k} of vertex {v} moves half-edge {h}"
@@ -475,7 +473,7 @@ def validate_action(
     for v in range(graph.n_vertices):
         for k in kernel_subs[v]:
             if k:
-                for h in half_edges_at[v]:
+                for h in graph.vertex_half_edges[v]:
                     forced_tangent[(k, h)] = TRIVIAL_CHAR
 
     tangent_values = _by_object(forced_tangent, tangent_chars)
@@ -653,7 +651,7 @@ def _vertex_orbit_of(action: CurveAction, vertex: int) -> Orbit:
 
 def _half_edge_suborbits(action: CurveAction, vertex: int, stabilizer: Sequence[int]):
     """Partition the half-edges at a vertex into orbits of its stabilizer."""
-    hes = action.graph.half_edges_at(vertex)
+    hes = action.graph.vertex_half_edges[vertex]
     seen: set[int] = set()
     for p in hes:
         if p in seen:
@@ -698,7 +696,7 @@ def quotient_signatures(action: CurveAction) -> list[QuotientSignature]:
 def _check_t1_preconditions(action: CurveAction) -> None:
     if action.graph.marks:
         raise GraphError("T1 of marked curves not in scope")
-    if len(connected_components(action.graph)) > 1:
+    if len(action.graph.components) > 1:
         raise GraphError("equivariant T1 requires a connected curve")
 
 
@@ -749,7 +747,7 @@ def t1_equivariant_oracle(action: CurveAction) -> EquivariantT1:
         suborbits = orbits(
             group,
             lambda g, h: action.half_edge_perms[g][h],
-            action.graph.half_edges_at(rep),
+            action.graph.vertex_half_edges[rep],
             within=orb.stabilizer,
             check=False,
         )

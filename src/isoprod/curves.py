@@ -9,6 +9,7 @@ self-loop keeps both half-edges on one vertex), and marks are marked points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import GraphError
@@ -22,6 +23,13 @@ class DualGraph:
     ``half_edge_vertex[h]`` the vertex carrying half-edge ``h``,
     ``edges`` the node pairs (each half-edge in exactly one pair), and
     ``marks[m]`` the vertex carrying mark ``m``.
+
+    Derived structure is built on first use, in one pass over the graph each,
+    and kept on the instance (it is not a field, so equality, hashing and
+    repr see the data only): ``components`` (the connected components, each
+    a sorted vertex tuple), ``vertex_half_edges[v]`` and ``vertex_marks[v]``
+    (the half-edges and marks at ``v``, in index order).  ``half_edges_at``,
+    ``marks_at`` and ``degree`` read them.
     """
 
     genera: tuple[int, ...]
@@ -41,14 +49,54 @@ class DualGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def vertex_half_edges(self) -> tuple[tuple[int, ...], ...]:
+        return _incidence(self.half_edge_vertex, self.n_vertices)
+
+    @cached_property
+    def vertex_marks(self) -> tuple[tuple[int, ...], ...]:
+        return _incidence(self.marks, self.n_vertices)
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        adj: list[set[int]] = [set() for _ in range(self.n_vertices)]
+        for p, q in self.edges:
+            a, b = self.half_edge_vertex[p], self.half_edge_vertex[q]
+            adj[a].add(b)
+            adj[b].add(a)
+        seen: set[int] = set()
+        comps = []
+        for v in range(self.n_vertices):
+            if v in seen:
+                continue
+            stack, comp = [v], []
+            seen.add(v)
+            while stack:
+                w = stack.pop()
+                comp.append(w)
+                for u in adj[w]:
+                    if u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
+
     def half_edges_at(self, v: int) -> list[int]:
-        return [h for h, w in enumerate(self.half_edge_vertex) if w == v]
+        return list(self.vertex_half_edges[v])
 
     def marks_at(self, v: int) -> list[int]:
-        return [m for m, w in enumerate(self.marks) if w == v]
+        return list(self.vertex_marks[v])
 
     def degree(self, v: int) -> int:
-        return sum(1 for w in self.half_edge_vertex if w == v)
+        return len(self.vertex_half_edges[v])
+
+
+def _incidence(owner: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
+    """Per target in range(n), the indices i with owner[i] == target, ascending."""
+    at: list[list[int]] = [[] for _ in range(n)]
+    for i, v in enumerate(owner):
+        at[v].append(i)
+    return tuple(map(tuple, at))
 
 
 @dataclass(frozen=True)
@@ -120,46 +168,28 @@ def build_graph(
     )
     unstable = [
         v
-        for v in range(nv)
-        if 2 * graph.genera[v] - 2 + graph.degree(v) + len(graph.marks_at(v)) <= 0
+        for v, (g, hs, ms) in enumerate(
+            zip(graph.genera, graph.vertex_half_edges, graph.vertex_marks)
+        )
+        if 2 * g - 2 + len(hs) + len(ms) <= 0
     ]
     if unstable:
         raise GraphError(
             "unstable vertices (2g - 2 + branches + marks must be > 0): "
             + ", ".join(map(str, unstable))
         )
-    if not allow_disconnected and len(connected_components(graph)) > 1:
+    if not allow_disconnected and len(graph.components) > 1:
         raise GraphError("graph is disconnected (pass allow_disconnected to permit)")
     return graph
 
 
 def connected_components(graph: DualGraph) -> list[list[int]]:
-    """Vertex sets of the connected components, each sorted."""
-    adj: dict[int, set[int]] = {v: set() for v in range(graph.n_vertices)}
-    for p, q in graph.edges:
-        a, b = graph.half_edge_vertex[p], graph.half_edge_vertex[q]
-        adj[a].add(b)
-        adj[b].add(a)
-    seen: set[int] = set()
-    comps = []
-    for v in range(graph.n_vertices):
-        if v in seen:
-            continue
-        stack, comp = [v], []
-        seen.add(v)
-        while stack:
-            w = stack.pop()
-            comp.append(w)
-            for u in adj[w]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
+    """Vertex sets of the connected components, each sorted (fresh lists)."""
+    return [list(c) for c in graph.components]
 
 
 def _require_connected(graph: DualGraph) -> None:
-    if len(connected_components(graph)) > 1:
+    if len(graph.components) > 1:
         raise GraphError("operation requires a connected graph")
 
 
@@ -171,15 +201,14 @@ def arithmetic_genus(graph: DualGraph) -> int:
 
 def component_arithmetic_genera(graph: DualGraph) -> list[int]:
     """Arithmetic genus of each connected component (for normalization-side data)."""
-    out = []
-    for comp in connected_components(graph):
-        vs = set(comp)
-        delta = sum(
-            1
-            for p, q in graph.edges
-            if graph.half_edge_vertex[p] in vs
-        )
-        out.append(sum(graph.genera[v] for v in comp) + delta - len(comp) + 1)
+    comps = graph.components
+    out = [sum(graph.genera[v] for v in comp) - len(comp) + 1 for comp in comps]
+    component_of = [0] * graph.n_vertices
+    for i, comp in enumerate(comps):
+        for v in comp:
+            component_of[v] = i
+    for p, _ in graph.edges:
+        out[component_of[graph.half_edge_vertex[p]]] += 1
     return out
 
 

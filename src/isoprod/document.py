@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 import jsonschema
 
@@ -234,11 +234,30 @@ def _json_path(error: jsonschema.ValidationError) -> str:
     return ".".join(str(p) for p in error.absolute_path) or "<root>"
 
 
+def _floats(node: Any, path: tuple) -> Iterator[tuple[str, float]]:
+    """(JSON path, value) of every float in decoded JSON data."""
+    if isinstance(node, float):
+        yield ".".join(map(str, path)) or "<root>", node
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from _floats(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _floats(value, path + (i,))
+
+
 def document_from_dict(data: Any, cap: int = DEFAULT_GROUP_CAP) -> Document:
     problems: list[str] = []
     validator = jsonschema.Draft202012Validator(SCHEMA)
     for error in sorted(validator.iter_errors(data), key=_json_path):
         problems.append(f"{_json_path(error)}: {error.message}")
+    if not problems:
+        # the schema has no number fields and accepts 2.0 as an integer, so
+        # every float still present is an integral value in an integer slot
+        problems = [
+            f"{path}: {value!r} is not of type 'integer'"
+            for path, value in sorted(_floats(data, ()))
+        ]
     if problems:
         raise DocumentError(problems)
 

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from operator import eq
+from operator import eq, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .cyclotomic import root_of_unity_sum
@@ -38,7 +38,13 @@ def identity_perm(degree: int) -> Perm:
 
 
 def compose(a: Perm, b: Perm) -> Perm:
-    """Product a*b: apply b first, then a."""
+    """Product a*b: apply b first, then a.
+
+    ``itemgetter`` does the work in C; it returns a bare value for one index
+    and needs at least one, so degrees 0 and 1 take the comprehension.
+    """
+    if len(b) > 1:
+        return itemgetter(*b)(a)
     return tuple([a[x] for x in b])
 
 

@@ -20,7 +20,7 @@ from .actions import (
     quotient_signature,
     t1_equivariant,
 )
-from .curves import arithmetic_genus, connected_components
+from .curves import arithmetic_genus
 from .errors import SurfaceError
 from .groups import format_perm
 
@@ -94,7 +94,7 @@ def build_surface(
     if factor1.group != factor2.group:
         raise SurfaceError("both factors must carry the identical group")
     for label, action in (("factor1", factor1), ("factor2", factor2)):
-        if len(connected_components(action.graph)) > 1:
+        if len(action.graph.components) > 1:
             raise SurfaceError(f"{label}: factor curve must be connected")
         g = arithmetic_genus(action.graph)
         if g < 2:
@@ -113,7 +113,9 @@ def _fixed_point_sets(action: CurveAction) -> tuple[frozenset[int], frozenset[in
     ramification orbit's point stabilizer (generated by the orbit's element
     and the component's kernel).  Kernels are permuted by conjugation, so
     one conjugacy closure of all these subgroups gives the first set:
-    O(|G| * gens) group products.  Computed once per action and kept on it.
+    O(|G| * gens) group products.  Computed once per action and kept on it;
+    the freeness checks and :func:`fixed_point_profile` read it.  Both sets
+    may hold the identity, which every reader skips.
     """
     try:
         return action._fixed_point_sets
@@ -144,16 +146,22 @@ def fixed_point_profile(action: CurveAction) -> dict[int, ElementFixedPoints]:
     }
 
 
+def _first_witness(surface: SurfaceDescriptor, offenders: frozenset[int]) -> FreenessCheck:
+    """Passed when no nonidentity element offends; else the least one."""
+    g = min((g for g in offenders if g), default=None)
+    if g is None:
+        return FreenessCheck(True, None, None)
+    return FreenessCheck(False, g, format_perm(surface.factor1.group.elements[g]))
+
+
 def check_free_action(surface: SurfaceDescriptor) -> FreenessCheck:
-    """Free on the product: no g != e with fixed points on both factors."""
-    p1 = fixed_point_profile(surface.factor1)
-    p2 = fixed_point_profile(surface.factor2)
-    for g in sorted(p1):
-        if p1[g].has_fixed_point and p2[g].has_fixed_point:
-            return FreenessCheck(
-                False, g, format_perm(surface.factor1.group.elements[g])
-            )
-    return FreenessCheck(True, None, None)
+    """Free on the product: no g != e with fixed points on both factors.
+
+    Reads the two factors' fixed-point sets: one set intersection.
+    """
+    fp1, _ = _fixed_point_sets(surface.factor1)
+    fp2, _ = _fixed_point_sets(surface.factor2)
+    return _first_witness(surface, fp1 & fp2)
 
 
 def check_free_codim1(surface: SurfaceDescriptor) -> FreenessCheck:
@@ -161,17 +169,11 @@ def check_free_codim1(surface: SurfaceDescriptor) -> FreenessCheck:
 
     A 1-dimensional fixed locus needs a pointwise-fixed component on one
     factor times a nonempty fixed set on the other, in either order.
+    Reads the two factors' fixed-point sets.
     """
-    p1 = fixed_point_profile(surface.factor1)
-    p2 = fixed_point_profile(surface.factor2)
-    for g in sorted(p1):
-        if (p1[g].fixes_component and p2[g].has_fixed_point) or (
-            p2[g].fixes_component and p1[g].has_fixed_point
-        ):
-            return FreenessCheck(
-                False, g, format_perm(surface.factor1.group.elements[g])
-            )
-    return FreenessCheck(True, None, None)
+    fp1, fc1 = _fixed_point_sets(surface.factor1)
+    fp2, fc2 = _fixed_point_sets(surface.factor2)
+    return _first_witness(surface, (fc1 & fp2) | (fc2 & fp1))
 
 
 def surface_invariants(surface: SurfaceDescriptor) -> SurfaceInvariants:

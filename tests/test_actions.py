@@ -138,6 +138,18 @@ def test_out_of_range_seed_rejected(z2, nodal_quartic_graph, seeds, message):
         )
 
 
+@pytest.mark.parametrize("k", [5, -1])
+def test_out_of_range_kernel_element_rejected(z2, nodal_quartic_graph, k):
+    with pytest.raises(ActionError, match=f"kernel of vertex 0 names unknown element {k}"):
+        validate_action(
+            z2,
+            nodal_quartic_graph,
+            vertex_images=[(0,)],
+            half_edge_images=[(1, 0)],
+            kernels={0: [k]},
+        )
+
+
 @pytest.mark.parametrize(
     "seeds, message",
     [

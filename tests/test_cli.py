@@ -239,3 +239,14 @@ def test_validate_emit_roundtrip(capsys, golden_path, tmp_path):
     code2, out2, _ = run_cli(capsys, "t1-equivariant", str(path), "--json")
     assert code2 == 0
     assert json.loads(out2)["items"]["node_swap"]["total"] == 4
+
+
+def test_exit_1_on_float_degree(capsys, tmp_path, bundled_document_text):
+    # 2.0 passes the schema's "integer"; it is reported, not a traceback
+    data = json.loads(bundled_document_text)
+    data["group"]["degree"] = 2.0
+    path = tmp_path / "float_degree.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert "group.degree" in err

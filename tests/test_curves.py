@@ -3,6 +3,7 @@ import random
 import pytest
 
 from isoprod.curves import (
+    DualGraph,
     arithmetic_genus,
     build_graph,
     component_arithmetic_genera,
@@ -160,3 +161,77 @@ def test_smoothing_one_node_preserves_genus_drops_delta():
         smoothed = smooth_node_orbit(action, rng.randrange(g.n_edges))
         assert smoothed.graph.n_edges == g.n_edges - 1
         assert arithmetic_genus(smoothed.graph) == arithmetic_genus(g)
+
+
+# -- derived structure ---------------------------------------------------------
+
+
+def random_marked_forest(rng):
+    """Disjoint union of one to three random stable graphs, with random marks
+    (marks only add to stability)."""
+    genera, half_edge_vertex, edges = [], [], []
+    for _ in range(rng.randint(1, 3)):
+        part = random_stable_graph(rng, max_vertices=5, max_edges=6)
+        nv, nh = len(genera), len(half_edge_vertex)
+        genera += part.genera
+        half_edge_vertex += [nv + v for v in part.half_edge_vertex]
+        edges += [(nh + p, nh + q) for p, q in part.edges]
+    marks = [rng.randrange(len(genera)) for _ in range(rng.randint(0, 4))]
+    return build_graph(genera, half_edge_vertex, edges, marks, allow_disconnected=True)
+
+
+def scanned_components(graph):
+    """Components by relabelling each vertex with the least vertex it is
+    joined to until nothing changes."""
+    label = list(range(graph.n_vertices))
+    changed = True
+    while changed:
+        changed = False
+        for p, q in graph.edges:
+            a, b = graph.half_edge_vertex[p], graph.half_edge_vertex[q]
+            low = min(label[a], label[b])
+            for v in (a, b):
+                if label[v] != low:
+                    label[v], changed = low, True
+    roots = sorted(set(label))
+    return tuple(tuple(v for v in range(graph.n_vertices) if label[v] == r) for r in roots)
+
+
+def test_derived_structure_matches_scans():
+    rng = random.Random(21)
+    graphs = [random_stable_graph(rng) for _ in range(100)]
+    graphs += [random_marked_forest(rng) for _ in range(100)]
+    assert any(len(g.components) > 1 for g in graphs)
+    assert any(g.marks for g in graphs)
+    for g in graphs:
+        assert g.components == scanned_components(g)
+        assert connected_components(g) == [list(c) for c in scanned_components(g)]
+        for v in range(g.n_vertices):
+            at = [h for h, w in enumerate(g.half_edge_vertex) if w == v]
+            assert g.half_edges_at(v) == at
+            assert g.vertex_half_edges[v] == tuple(at)
+            assert g.degree(v) == len(at)
+            assert g.marks_at(v) == [m for m, w in enumerate(g.marks) if w == v]
+
+
+def test_connected_components_result_is_a_copy():
+    g = build_graph([2, 3, 2], [0, 1], [(0, 1)], allow_disconnected=True)
+    first = connected_components(g)
+    assert first == [[0, 1], [2]]
+    first[0].append(7)
+    first.append([9])
+    assert connected_components(g) == [[0, 1], [2]]
+    assert g.components == ((0, 1), (2,))
+
+
+def test_cached_structure_leaves_equality_and_hash_alone():
+    data = ([2, 0], [0, 1, 1, 1], [(0, 1), (2, 3)], [1, 1])
+    filled = build_graph(*data)
+    for name in ("components", "vertex_half_edges", "vertex_marks"):
+        getattr(filled, name)
+    fresh = DualGraph(
+        tuple(data[0]), tuple(data[1]), tuple(data[2]), tuple(data[3])
+    )
+    assert filled == fresh and fresh == build_graph(*data)
+    assert hash(filled) == hash(fresh)
+    assert repr(filled) == repr(fresh)

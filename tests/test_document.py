@@ -190,3 +190,68 @@ def test_emit_validates_against_schema(golden_doc):
     from isoprod.document import SCHEMA
 
     jsonschema.validate(emit_document(golden_doc), SCHEMA)
+
+
+# -- integral floats ------------------------------------------------------------
+
+
+def _float_degree(doc):
+    doc["group"]["degree"] = 2.0
+
+
+def _float_cycle_entry(doc):
+    doc["group"]["generators"][0][0][1] = 1.0
+
+
+def _float_genus(doc):
+    doc["curves"]["c"]["vertices"][0]["genus"] = 2.0
+
+
+def _float_tangent_element(doc):
+    doc["actions"]["a"]["tangent_chars"][0]["element"] = 1.0
+
+
+@pytest.mark.parametrize(
+    "mutate, path",
+    [
+        (_float_degree, "group.degree: 2.0"),
+        (_float_cycle_entry, "group.generators.0.0.1: 1.0"),
+        (_float_genus, "curves.c.vertices.0.genus: 2.0"),
+        (_float_tangent_element, "actions.a.tangent_chars.0.element: 1.0"),
+    ],
+    ids=["degree", "cycle-entry", "genus", "tangent-element"],
+)
+def test_integral_float_in_integer_slot_rejected(mutate, path):
+    # the schema's "integer" accepts 2.0; the document names it instead of
+    # passing a float on to the group and graph builders
+    data = minimal_doc(
+        curves={"c": curve_block()},
+        actions={
+            "a": {
+                "curve": "c",
+                "vertex_images": [{}],
+                "half_edge_images": [{"p": "p", "q": "q"}],
+                "tangent_chars": [
+                    {"element": 1, "half_edge": "p", "char": "1/2"},
+                    {"element": 1, "half_edge": "q", "char": "1/2"},
+                ],
+            }
+        },
+    )
+    parse_document(json.dumps(data))
+    mutate(data)
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(data))
+    assert err.value.problems == [f"{path} is not of type 'integer'"]
+
+
+def test_integral_floats_all_reported_in_path_order():
+    data = minimal_doc(curves={"c": curve_block()})
+    _float_genus(data)
+    _float_degree(data)
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(data))
+    assert err.value.problems == [
+        "curves.c.vertices.0.genus: 2.0 is not of type 'integer'",
+        "group.degree: 2.0 is not of type 'integer'",
+    ]

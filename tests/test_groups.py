@@ -145,6 +145,22 @@ def test_compose_invert(a, b):
     assert invert(compose(a, b)) == compose(invert(b), invert(a))
 
 
+def test_compose_matches_comprehension_at_every_degree():
+    # degrees 0 and 1 cannot go through itemgetter (no index / a bare value)
+    rng = random.Random(8)
+    cases = [((), ()), ((0,), (0,)), ((0, 1), (1, 0)), ((1, 0), (1, 0))]
+    for degree in (2, 3, 7, 50, 400):
+        for _ in range(5):
+            a, b = list(range(degree)), list(range(degree))
+            rng.shuffle(a)
+            rng.shuffle(b)
+            cases.append((tuple(a), tuple(b)))
+    for a, b in cases:
+        product = compose(a, b)
+        assert type(product) is tuple
+        assert product == tuple([a[x] for x in b])
+
+
 def test_format_perm():
     assert format_perm((0, 1, 2)) == "()"
     assert format_perm((1, 0, 2)) == "(0 1)"

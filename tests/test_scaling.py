@@ -11,7 +11,7 @@ from isoprod.actions import (
     t1_equivariant_oracle,
     validate_action,
 )
-from isoprod.curves import build_graph
+from isoprod.curves import arithmetic_genus, build_graph, t1_dimension
 from isoprod.groups import FiniteGroup, perm_from_cycles
 from isoprod.surfaces import build_surface, check_free_codim1
 
@@ -64,3 +64,15 @@ def test_necklace_z400_oracle():
     with criterion(104, "Z_400 necklace: validate, T1 == oracle", budget=5.0):
         action = validate_action(group, graph, vertex_images, half_edge_images)
         assert t1_equivariant(action) == t1_equivariant_oracle(action)
+
+
+def test_necklace_graph_20000_builds():
+    n = 20000
+    with criterion(105, "20,000-component necklace graph: build, genus, T1", budget=5.0):
+        graph = build_graph(
+            [2] * n,
+            list(range(n)) + [(i + 1) % n for i in range(n)],
+            [(i, n + i) for i in range(n)],
+        )
+        assert arithmetic_genus(graph) == 2 * n + 1
+        assert t1_dimension(graph).total == 3 * (2 * n + 1) - 3

@@ -1,6 +1,6 @@
 """Differential tests: the BFS character-table completion, subgroup and
-conjugacy closures, edge permutations, fixed-point sets and Burnside counts
-against the algorithms they replaced (``reference_seed``), on the random
+conjugacy closures, edge permutations, fixed-point sets, freeness verdicts
+and Burnside counts against the algorithms they replaced (``reference_seed``), on the random
 catalog, on inert, kernel and ramified actions of S4 and A5, on necklaces,
 and on corrupted inputs."""
 
@@ -20,8 +20,19 @@ from isoprod.actions import (
 )
 from isoprod.curves import build_graph
 from isoprod.errors import ActionError, CharacterError, IsoprodError
-from isoprod.groups import FiniteGroup, invariant_dimension_trace, perm_from_cycles
-from isoprod.surfaces import fixed_point_profile
+from isoprod.groups import (
+    FiniteGroup,
+    format_perm,
+    invariant_dimension_trace,
+    perm_from_cycles,
+)
+from isoprod.surfaces import (
+    FreenessCheck,
+    SurfaceDescriptor,
+    check_free_action,
+    check_free_codim1,
+    fixed_point_profile,
+)
 from test_scaling import necklace
 
 
@@ -316,3 +327,68 @@ def test_value_contradicting_the_product_rule_is_named():
     assert f"value of element {r2} at half-edge 0 gives 0, the product rule gives 1/2" in str(
         err.value
     )
+
+
+def reference_freeness(factor1, factor2):
+    """Both freeness checks scanned element by element over the reference
+    fixed-point profiles."""
+    p1 = reference_seed.fixed_point_profile(factor1)
+    p2 = reference_seed.fixed_point_profile(factor2)
+
+    def first(offends):
+        g = next((g for g in sorted(p1) if offends(p1[g], p2[g])), None)
+        if g is None:
+            return FreenessCheck(True, None, None)
+        return FreenessCheck(False, g, format_perm(factor1.group.elements[g]))
+
+    return (
+        first(lambda a, b: a.has_fixed_point and b.has_fixed_point),
+        first(
+            lambda a, b: (a.fixes_component and b.has_fixed_point)
+            or (b.fixes_component and a.has_fixed_point)
+        ),
+    )
+
+
+def s4_a5_actions(group):
+    """The inert, kernel and ramified actions of the S4/A5 differential test."""
+    one_node = build_graph([2], [0, 0], [(0, 1)])
+    actions = [inert_action(group, one_node)]
+    v4 = group.subgroup_closure(
+        [element(group, c) for c in ([[0, 1], [2, 3]], [[0, 2], [1, 3]])]
+    )
+    if group.order == 24:
+        stab = frozenset(range(group.order))
+        vector = [([[0, 1]], 2), ([[0, 1]], 2), ([[0, 1], [2, 3]], 2), ([[0, 1, 2]], 3)]
+        genus = 3
+    else:
+        stab = group.subgroup_closure(sorted(v4) + [element(group, [[0, 1, 2]])])
+        vector = [([[0, 1], [2, 3]], 2), ([[0, 1, 2, 3, 4]], 5), ([[0, 2, 4, 1, 3]], 5)]
+        genus = 4
+    for graph, args in (
+        kernel_action_inputs(group, stab, v4),
+        ramified_inputs(group, vector, genus),
+    ):
+        actions.append(validate_action(group, graph, *args["images"], **args["kwargs"]))
+    return actions
+
+
+def test_freeness_checks_match_seed_profiles():
+    verdicts = set()
+    groups = randgen.catalog() + [s4(), a5()]
+    for i, group in enumerate(groups):
+        actions = [
+            validate_action(group, graph, *args["images"], **args["kwargs"])
+            for graph, args in captured_inputs(group, 300 + i, 3 if group.order < 24 else 1)
+        ]
+        if group.order >= 24:
+            actions += s4_a5_actions(group)
+        for f1 in actions:
+            for f2 in actions:
+                surface = SurfaceDescriptor(f1, f2)
+                free, codim1 = reference_freeness(f1, f2)
+                assert check_free_action(surface) == free
+                assert check_free_codim1(surface) == codim1
+                verdicts.add((free.passed, codim1.passed))
+    # free, free in codimension 1 only, and neither all occur
+    assert {(True, True), (False, True), (False, False)} <= verdicts
