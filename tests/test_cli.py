@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from isoprod.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
 
 @pytest.fixture()
@@ -250,3 +253,27 @@ def test_exit_1_on_float_degree(capsys, tmp_path, bundled_document_text):
     code, _, err = run_cli(capsys, "validate", str(path))
     assert code == 1
     assert "group.degree" in err
+
+
+
+# -- golden transcript (tests/data/make_cli_golden.py) ---------------------------
+
+
+def _load_golden():
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    return [
+        pytest.param(golden["documents"][case["document"]], case,
+                     id=f"{case['document']}-{'-'.join(case['argv'])}")
+        for case in golden["cases"]
+    ]
+
+
+@pytest.mark.parametrize("document,case", _load_golden())
+def test_golden_transcript(capsys, tmp_path, document, case):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, case["argv"][0], str(path), *case["argv"][1:])
+    assert out == case["stdout"]
+    assert err == case["stderr"]
+    assert code == case["code"]
