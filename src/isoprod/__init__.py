@@ -25,7 +25,6 @@ from .curves import (
     T1Breakdown,
     arithmetic_genus,
     build_graph,
-    connected_components,
     t1_dimension,
 )
 from .document import Document, emit_document, parse_document
@@ -107,7 +106,6 @@ __all__ = [
     "check_constancy",
     "check_free_action",
     "check_free_codim1",
-    "connected_components",
     "emit_document",
     "fixed_point_profile",
     "inert_action",

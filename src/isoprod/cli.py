@@ -1,11 +1,16 @@
 """Command line interface.
 
-Every subcommand reads one JSON document and runs over all the items the
-command applies to, in sorted name order.  Exit codes: 0 when everything
-computed and every verdict is positive, 2 when a certificate or constancy
-check fails (the computation succeeded, the verdict is negative), 1 on
-input or computation errors.  ``--json`` emits the machine block only; the
-default prints both the human tables and the machine block.
+Every subcommand reads one JSON document.  ``validate`` summarizes the
+whole document; every other command runs over the items of one document
+section (curves, actions, surfaces or families) in sorted name order, as
+described by its entry in ``_SPECS``.  One loop runs every item: an item
+whose computation raises an ``IsoprodError`` becomes ``{"error": message}``
+in the machine block and one error row or line in the human block.
+
+Exit codes: 1 when some item failed (or the input did), otherwise 2 when
+some certificate or constancy verdict is negative, otherwise 0.  ``--json``
+emits the machine block ``{command, items[, note]}`` only; the default
+prints the human block, a blank line and the machine block.
 
 The environment variable ISOPROD_GROUP_CAP overrides the group-order cap.
 """
@@ -16,8 +21,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from typing import Any, Callable
 
 from . import __version__
 from .actions import quotient_signatures, t1_equivariant
@@ -28,18 +34,17 @@ from .families import FamilyStratum, check_constancy, smoothing_chain
 from .groups import DEFAULT_GROUP_CAP, format_perm
 from .surfaces import certify_degeneration, kuranishi_dimension, surface_invariants
 
-COMMANDS = (
-    "validate",
-    "genus",
-    "t1",
-    "t1-equivariant",
-    "quotient",
-    "surface-invariants",
-    "kuranishi",
-    "certify-degeneration",
-    "check-family",
-    "smooth",
-)
+
+def _plain(x: Any) -> Any:
+    """JSON-able form of a result: a dataclass becomes a dict field by field,
+    a tuple a list, a Fraction an int or "a/b"."""
+    if is_dataclass(x):
+        return {f.name: _plain(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, tuple):
+        return [_plain(v) for v in x]
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return x
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
@@ -53,346 +58,207 @@ def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
     return lines
 
 
-def _run_items(names, fn) -> tuple[dict, bool]:
-    items: dict[str, dict] = {}
-    had_error = False
-    for name in sorted(names):
-        try:
-            items[name] = fn(name)
-        except IsoprodError as exc:
-            items[name] = {"error": str(exc)}
-            had_error = True
-    return items, had_error
+def _error_row(known: list[str], error: str, width: int) -> list[str]:
+    """A table row for a failed computation: the known cells, "-" up to the
+    last column, and the error message there."""
+    return [*known, *["-"] * (width - len(known) - 1), error]
 
 
-def _rat(x: Fraction) -> int | str:
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _breakdown(t1) -> dict:
-    return {
-        "node_inv": t1.node_inv,
-        "branch_inv": t1.branch_inv,
-        "minus_chi_inv": t1.minus_chi_inv,
-        "total": t1.total,
-    }
-
-
-def _cmd_validate(doc: Document):
-    items = {
-        "group": {
-            "degree": doc.group.degree,
-            "order": doc.group.order,
-            "elements": [format_perm(p) for p in doc.group.elements],
-        },
-        "curves": sorted(doc.curves),
-        "actions": sorted(doc.actions),
-        "surfaces": sorted(doc.surfaces),
-        "families": sorted(doc.families),
-    }
-    human = [
-        f"group: degree {doc.group.degree}, order {doc.group.order}",
-        "elements: "
-        + ", ".join(f"{i}={format_perm(p)}" for i, p in enumerate(doc.group.elements)),
-        f"curves: {', '.join(sorted(doc.curves)) or '(none)'}",
-        f"actions: {', '.join(sorted(doc.actions)) or '(none)'}",
-        f"surfaces: {', '.join(sorted(doc.surfaces)) or '(none)'}",
-        f"families: {', '.join(sorted(doc.families)) or '(none)'}",
-        "all items validated",
+def _row(*keys: str) -> Callable[[str, dict], list[list[str]]]:
+    """Rows of an item that prints as its name followed by ``d[key]`` cells
+    (None prints as "not computed")."""
+    return lambda name, d: [
+        [name, *("not computed" if d[k] is None else str(d[k]) for k in keys)]
     ]
-    return items, human, False, False
-
-
-def _cmd_genus(doc: Document):
-    items, had_error = _run_items(
-        doc.curves, lambda n: {"arithmetic_genus": arithmetic_genus(doc.curves[n])}
-    )
-    rows = [
-        [n, str(d.get("arithmetic_genus", d.get("error")))] for n, d in items.items()
-    ]
-    return items, _table(["curve", "genus"], rows), False, had_error
-
-
-def _cmd_t1(doc: Document):
-    def one(n):
-        b = t1_dimension(doc.curves[n])
-        return {
-            "delta": b.delta,
-            "branch_term": b.branch_term,
-            "minus_chi": b.minus_chi,
-            "total": b.total,
-        }
-
-    items, had_error = _run_items(doc.curves, one)
-    rows = []
-    for n, d in items.items():
-        if "error" in d:
-            rows.append([n, "-", "-", "-", d["error"]])
-        else:
-            rows.append(
-                [n, str(d["delta"]), str(d["branch_term"]), str(d["minus_chi"]), str(d["total"])]
-            )
-    human = _table(["curve", "delta", "branch", "-chi", "total"], rows)
-    return items, human, False, had_error
-
-
-def _cmd_t1_equivariant(doc: Document):
-    items, had_error = _run_items(
-        doc.actions, lambda n: _breakdown(t1_equivariant(doc.actions[n]))
-    )
-    rows = []
-    for n, d in items.items():
-        if "error" in d:
-            rows.append([n, "-", "-", "-", d["error"]])
-        else:
-            rows.append(
-                [n, str(d["node_inv"]), str(d["branch_inv"]), str(d["minus_chi_inv"]), str(d["total"])]
-            )
-    human = _table(["action", "node", "branch", "quotient", "total"], rows)
-    return items, human, False, had_error
-
-
-def _cmd_quotient(doc: Document):
-    def one(n):
-        names = doc.names_for_action(n)
-        return {
-            "signatures": [
-                {
-                    "representative": names.vertices[s.representative],
-                    "g_prime": s.g_prime,
-                    "b": s.b,
-                    "contribution": s.contribution,
-                }
-                for s in quotient_signatures(doc.actions[n])
-            ]
-        }
-
-    items, had_error = _run_items(doc.actions, one)
-    rows = []
-    for n, d in items.items():
-        if "error" in d:
-            rows.append([n, "-", "-", "-", d["error"]])
-        else:
-            for s in d["signatures"]:
-                rows.append(
-                    [n, s["representative"], str(s["g_prime"]), str(s["b"]), str(s["contribution"])]
-                )
-    human = _table(["action", "component", "g'", "b", "3g'-3+b"], rows)
-    return items, human, False, had_error
-
-
-def _cmd_surface_invariants(doc: Document):
-    def one(n):
-        inv = surface_invariants(doc.surfaces[n])
-        return {
-            "chi": _rat(inv.chi),
-            "k_squared": _rat(inv.k_squared),
-            "euler": _rat(inv.euler),
-            "q": inv.q,
-            "p_g": _rat(inv.p_g) if inv.p_g is not None else None,
-        }
-
-    items, had_error = _run_items(doc.surfaces, one)
-    rows = []
-    for n, d in items.items():
-        if "error" in d:
-            rows.append([n, "-", "-", "-", "-", d["error"]])
-        else:
-            rows.append(
-                [
-                    n,
-                    str(d["chi"]),
-                    str(d["k_squared"]),
-                    str(d["euler"]),
-                    str(d["q"]) if d["q"] is not None else "not computed",
-                    str(d["p_g"]) if d["p_g"] is not None else "not computed",
-                ]
-            )
-    human = _table(["surface", "chi", "K^2", "e", "q", "p_g"], rows)
-    return items, human, False, had_error
-
-
-def _cmd_kuranishi(doc: Document):
-    def one(n):
-        k = kuranishi_dimension(doc.surfaces[n])
-        return {
-            "factor1": _breakdown(k.factor1),
-            "factor2": _breakdown(k.factor2),
-            "total": k.total,
-        }
-
-    items, had_error = _run_items(doc.surfaces, one)
-    rows = []
-    for n, d in items.items():
-        if "error" in d:
-            rows.append([n, "-", "-", "-", d["error"]])
-        else:
-            rows.append(
-                [n, str(d["factor1"]["total"]), str(d["factor2"]["total"]), str(d["total"]), ""]
-            )
-    human = _table(["surface", "factor1", "factor2", "total", ""], rows)
-    return items, human, False, had_error
-
-
-def _cmd_certify(doc: Document):
-    def one(n):
-        cert = certify_degeneration(doc.surfaces[n])
-        return {
-            "passed": cert.passed,
-            "first_failure": cert.first_failure,
-            "conditions": [
-                {
-                    "key": c.key,
-                    "description": c.description,
-                    "citation": c.citation,
-                    "passed": c.passed,
-                    "detail": c.detail,
-                }
-                for c in cert.conditions
-            ],
-        }
-
-    items, had_error = _run_items(doc.surfaces, one)
-    negative = any("error" not in d and not d["passed"] for d in items.values())
-    human = []
-    for n, d in items.items():
-        if "error" in d:
-            human.append(f"{n}: error: {d['error']}")
-            continue
-        human.append(f"{n}: {'PASS' if d['passed'] else 'FAIL'}")
-        for c in d["conditions"]:
-            status = "pass" if c["passed"] else "FAIL"
-            human.append(f"  [{status}] {c['key']}: {c['detail']}  ({c['citation']})")
-    return items, human, negative, had_error
-
-
-def _cmd_check_family(doc: Document):
-    def one(n):
-        strata = [
-            FamilyStratum(label, doc.actions[label]) for label in doc.families[n]
-        ]
-        report = check_constancy(strata)
-        return {
-            "verdict": report.verdict,
-            "constant_value": report.constant_value,
-            "offending": list(report.offending) if report.offending else None,
-            "bound_violations": [list(p) for p in report.bound_violations],
-            "strata": [
-                {
-                    "label": v.label,
-                    "delta": v.delta,
-                    "genus": v.genus,
-                    **(_breakdown(v.t1) if v.t1 else {"error": v.error}),
-                }
-                for v in report.strata
-            ],
-        }
-
-    items, had_error = _run_items(doc.families, one)
-    negative = False
-    human = []
-    for n, d in items.items():
-        if "error" in d:
-            human.append(f"{n}: error: {d['error']}")
-            continue
-        if d["verdict"] == "constant":
-            human.append(f"{n}: constant at {d['constant_value']}")
-        elif d["verdict"] == "violation":
-            negative = True
-            a, b = d["offending"]
-            human.append(f"{n}: VIOLATION between strata {a!r} and {b!r}")
-        else:
-            had_error = True
-            human.append(f"{n}: error in some stratum")
-        rows = []
-        for s in d["strata"]:
-            if "error" in s:
-                rows.append([s["label"], str(s["delta"]), str(s["genus"]), "-", "-", "-", s["error"]])
-            else:
-                rows.append(
-                    [
-                        s["label"],
-                        str(s["delta"]),
-                        str(s["genus"]),
-                        str(s["node_inv"]),
-                        str(s["branch_inv"]),
-                        str(s["minus_chi_inv"]),
-                        str(s["total"]),
-                    ]
-                )
-        human.extend(
-            "  " + line
-            for line in _table(
-                ["stratum", "delta", "genus", "node", "branch", "quotient", "total"], rows
-            )
-        )
-    return items, human, negative, had_error
-
-
-def _cmd_smooth(doc: Document):
-    def one(n):
-        chain = smoothing_chain(doc.actions[n])
-        return {
-            "strata": [
-                {
-                    "label": s.label,
-                    "delta": s.action.graph.n_edges,
-                    "genus": arithmetic_genus(s.action.graph),
-                    "ramification_orbits": len(s.action.ramification_orbits),
-                }
-                for s in chain.strata
-            ],
-            "obstructions": list(chain.obstructions),
-        }
-
-    items, had_error = _run_items(doc.actions, one)
-    human = []
-    for n, d in items.items():
-        if "error" in d:
-            human.append(f"{n}: error: {d['error']}")
-            continue
-        steps = " -> ".join(
-            f"{s['label']}(delta={s['delta']})" for s in d["strata"]
-        )
-        human.append(f"{n}: {steps}")
-        for o in d["obstructions"]:
-            human.append(f"  obstruction: {o}")
-    return items, human, False, had_error
-
-
-_DISPATCH = {
-    "validate": (_cmd_validate, None),
-    "genus": (_cmd_genus, "curves"),
-    "t1": (_cmd_t1, "curves"),
-    "t1-equivariant": (_cmd_t1_equivariant, "actions"),
-    "quotient": (_cmd_quotient, "actions"),
-    "surface-invariants": (_cmd_surface_invariants, "surfaces"),
-    "kuranishi": (_cmd_kuranishi, "surfaces"),
-    "certify-degeneration": (_cmd_certify, "surfaces"),
-    "check-family": (_cmd_check_family, "families"),
-    "smooth": (_cmd_smooth, "actions"),
-}
 
 
 @dataclass(frozen=True)
-class Report:
-    """Result of one subcommand run: a JSON-able machine block and a
-    human-readable block derived from the same data."""
+class _Command:
+    """One subcommand, run over the items of document section ``section``.
 
-    machine: dict
-    human: str
+    ``compute(doc, name)`` returns the item's machine dict.  A table command
+    names its ``columns`` and ``render(name, d)`` returns the item's rows; a
+    line command has ``columns == ()`` and ``render`` returns its lines.
+    ``outcome(d)`` is 0, 1 for a failure reported inside the item, or 2 for
+    a negative verdict.  Library functions are looked up when called, never
+    bound here, so patching a module global reaches every command.
+    """
+
+    section: str
+    columns: tuple[str, ...]
+    compute: Callable[[Document, str], dict]
+    render: Callable[[str, dict], list]
+    outcome: Callable[[dict], int] = lambda d: 0
 
 
-def run(command: str, doc: Document) -> tuple[Report, int]:
-    """Run one subcommand over a parsed document; returns (report, exit code)."""
-    fn, section = _DISPATCH[command]
-    if section is not None and not getattr(doc, section):
+def _quotient(doc: Document, name: str) -> dict:
+    vertices = doc.names_for_action(name).vertices
+    return {
+        "signatures": [
+            {**_plain(s), "representative": vertices[s.representative]}
+            for s in quotient_signatures(doc.actions[name])
+        ]
+    }
+
+
+def _check_family(doc: Document, name: str) -> dict:
+    strata = [FamilyStratum(label, doc.actions[label]) for label in doc.families[name]]
+    report = _plain(check_constancy(strata))
+    for s in report["strata"]:
+        t1, error = s.pop("t1"), s.pop("error")
+        s.update(t1 or {"error": error})
+    return report
+
+
+def _family_lines(name: str, d: dict) -> list[str]:
+    if d["verdict"] == "constant":
+        head = f"{name}: constant at {d['constant_value']}"
+    elif d["verdict"] == "violation":
+        a, b = d["offending"]
+        head = f"{name}: VIOLATION between strata {a!r} and {b!r}"
+    else:
+        head = f"{name}: error in some stratum"
+    columns = ["stratum", "delta", "genus", "node", "branch", "quotient", "total"]
+    rows = []
+    for s in d["strata"]:
+        known = [s["label"], str(s["delta"]), str(s["genus"])]
+        if "error" in s:
+            rows.append(_error_row(known, s["error"], len(columns)))
+        else:
+            rows.append(
+                known + [str(s[k]) for k in ("node_inv", "branch_inv", "minus_chi_inv", "total")]
+            )
+    return [head, *("  " + line for line in _table(columns, rows))]
+
+
+def _smooth(doc: Document, name: str) -> dict:
+    chain = smoothing_chain(doc.actions[name])
+    return {
+        "strata": [
+            {
+                "label": s.label,
+                "delta": s.action.graph.n_edges,
+                "genus": arithmetic_genus(s.action.graph),
+                "ramification_orbits": len(s.action.ramification_orbits),
+            }
+            for s in chain.strata
+        ],
+        "obstructions": list(chain.obstructions),
+    }
+
+
+def _smooth_lines(name: str, d: dict) -> list[str]:
+    steps = " -> ".join(f"{s['label']}(delta={s['delta']})" for s in d["strata"])
+    return [f"{name}: {steps}", *(f"  obstruction: {o}" for o in d["obstructions"])]
+
+
+def _certificate_lines(name: str, d: dict) -> list[str]:
+    lines = [f"{name}: {'PASS' if d['passed'] else 'FAIL'}"]
+    for c in d["conditions"]:
+        status = "pass" if c["passed"] else "FAIL"
+        lines.append(f"  [{status}] {c['key']}: {c['detail']}  ({c['citation']})")
+    return lines
+
+
+_SPECS = {
+    "genus": _Command(
+        "curves", ("curve", "genus"),
+        lambda doc, n: {"arithmetic_genus": arithmetic_genus(doc.curves[n])},
+        _row("arithmetic_genus"),
+    ),
+    "t1": _Command(
+        "curves", ("curve", "delta", "branch", "-chi", "total"),
+        lambda doc, n: _plain(t1_dimension(doc.curves[n])),
+        _row("delta", "branch_term", "minus_chi", "total"),
+    ),
+    "t1-equivariant": _Command(
+        "actions", ("action", "node", "branch", "quotient", "total"),
+        lambda doc, n: _plain(t1_equivariant(doc.actions[n])),
+        _row("node_inv", "branch_inv", "minus_chi_inv", "total"),
+    ),
+    "quotient": _Command(
+        "actions", ("action", "component", "g'", "b", "3g'-3+b"),
+        _quotient,
+        lambda name, d: [
+            [name, s["representative"], *(str(s[k]) for k in ("g_prime", "b", "contribution"))]
+            for s in d["signatures"]
+        ],
+    ),
+    "surface-invariants": _Command(
+        "surfaces", ("surface", "chi", "K^2", "e", "q", "p_g"),
+        lambda doc, n: _plain(surface_invariants(doc.surfaces[n])),
+        _row("chi", "k_squared", "euler", "q", "p_g"),
+    ),
+    "kuranishi": _Command(
+        "surfaces", ("surface", "factor1", "factor2", "total", ""),
+        lambda doc, n: _plain(kuranishi_dimension(doc.surfaces[n])),
+        lambda name, d: [
+            [name, str(d["factor1"]["total"]), str(d["factor2"]["total"]), str(d["total"]), ""]
+        ],
+    ),
+    "certify-degeneration": _Command(
+        "surfaces", (),
+        lambda doc, n: _plain(certify_degeneration(doc.surfaces[n])),
+        _certificate_lines,
+        lambda d: 0 if d["passed"] else 2,
+    ),
+    "check-family": _Command(
+        "families", (), _check_family, _family_lines,
+        lambda d: {"constant": 0, "violation": 2}.get(d["verdict"], 1),
+    ),
+    "smooth": _Command("actions", (), _smooth, _smooth_lines),
+}
+
+COMMANDS = ("validate", *_SPECS)
+
+
+def _validate(doc: Document) -> tuple[dict, list[str]]:
+    group, sections = doc.group, ("curves", "actions", "surfaces", "families")
+    elements = [format_perm(p) for p in group.elements]
+    items = {
+        "group": {"degree": group.degree, "order": group.order, "elements": elements},
+        **{s: sorted(getattr(doc, s)) for s in sections},
+    }
+    human = [
+        f"group: degree {group.degree}, order {group.order}",
+        "elements: " + ", ".join(f"{i}={e}" for i, e in enumerate(elements)),
+        *(f"{s}: {', '.join(items[s]) or '(none)'}" for s in sections),
+        "all items validated",
+    ]
+    return items, human
+
+
+def run(command: str, doc: Document) -> tuple[dict, str, int]:
+    """Run one subcommand over a parsed document; returns the machine block,
+    the human block and the exit code."""
+    if command == "validate":
+        items, human = _validate(doc)
+        return {"command": command, "items": items}, "\n".join(human), 0
+    spec = _SPECS[command]
+    names = getattr(doc, spec.section)
+    if not names:
         machine = {"command": command, "items": {}, "note": "nothing to do"}
-        return Report(machine, f"nothing to do: document has no {section}"), 0
-    items, human_lines, negative, had_error = fn(doc)
-    machine = {"command": command, "items": items}
-    code = 1 if had_error else (2 if negative else 0)
-    return Report(machine, "\n".join(human_lines)), code
+        return machine, f"nothing to do: document has no {spec.section}", 0
+    items: dict[str, dict] = {}
+    shown: list = []  # table rows, or the lines of a line command
+    outcomes = {0}
+    for name in sorted(names):
+        try:
+            items[name] = d = spec.compute(doc, name)
+        except IsoprodError as exc:
+            items[name] = {"error": str(exc)}
+            outcomes.add(1)
+            shown.append(
+                _error_row([name], str(exc), len(spec.columns))
+                if spec.columns
+                else f"{name}: error: {exc}"
+            )
+        else:
+            outcomes.add(spec.outcome(d))
+            shown.extend(spec.render(name, d))
+    human = _table(list(spec.columns), shown) if spec.columns else shown
+    code = 1 if 1 in outcomes else max(outcomes)
+    return {"command": command, "items": items}, "\n".join(human), code
 
 
 def _group_cap() -> int:
@@ -444,6 +310,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.document}: {exc}", file=sys.stderr)
+        return 1
     try:
         doc = parse_document(text, cap=_group_cap())
     except DocumentError as exc:
@@ -451,16 +320,13 @@ def main(argv=None) -> int:
             print(f"error: {problem}", file=sys.stderr)
         return 1
 
-    report, code = run(args.command, doc)
-    machine = dict(report.machine)
-    if args.command == "validate" and getattr(args, "emit", False):
+    machine, human, code = run(args.command, doc)
+    if args.command == "validate" and args.emit:
         machine["document"] = emit_document(doc)
-    if args.json:
-        print(json.dumps(machine, indent=2, sort_keys=True))
-    else:
-        print(report.human)
+    if not args.json:
+        print(human)
         print()
-        print(json.dumps(machine, indent=2, sort_keys=True))
+    print(json.dumps(machine, indent=2, sort_keys=True))
     return code
 
 

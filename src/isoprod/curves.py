@@ -183,11 +183,6 @@ def build_graph(
     return graph
 
 
-def connected_components(graph: DualGraph) -> list[list[int]]:
-    """Vertex sets of the connected components, each sorted (fresh lists)."""
-    return [list(c) for c in graph.components]
-
-
 def _require_connected(graph: DualGraph) -> None:
     if len(graph.components) > 1:
         raise GraphError("operation requires a connected graph")
@@ -197,19 +192,6 @@ def arithmetic_genus(graph: DualGraph) -> int:
     """g = sum(g_i) + delta - nu + 1 for a connected nodal curve."""
     _require_connected(graph)
     return sum(graph.genera) + graph.n_edges - graph.n_vertices + 1
-
-
-def component_arithmetic_genera(graph: DualGraph) -> list[int]:
-    """Arithmetic genus of each connected component (for normalization-side data)."""
-    comps = graph.components
-    out = [sum(graph.genera[v] for v in comp) - len(comp) + 1 for comp in comps]
-    component_of = [0] * graph.n_vertices
-    for i, comp in enumerate(comps):
-        for v in comp:
-            component_of[v] = i
-    for p, _ in graph.edges:
-        out[component_of[graph.half_edge_vertex[p]]] += 1
-    return out
 
 
 def t1_dimension(graph: DualGraph) -> T1Breakdown:

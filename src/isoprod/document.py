@@ -227,6 +227,8 @@ def parse_document(text: str, cap: int = DEFAULT_GROUP_CAP) -> Document:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError([f"<json>: {exc}"]) from exc
+    except RecursionError:
+        raise DocumentError(["<json>: nesting too deep"]) from None
     return document_from_dict(data, cap=cap)
 
 

@@ -195,6 +195,25 @@ def test_exit_1_on_missing_file(capsys):
     assert "error" in err
 
 
+def test_exit_1_on_non_utf8_document(capsys, tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
+
+
+def test_exit_1_on_deeply_nested_document(capsys, tmp_path):
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: <json>: nesting too deep\n"
+
+
 def test_schema_invalid_never_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{}")

@@ -6,8 +6,6 @@ from isoprod.curves import (
     DualGraph,
     arithmetic_genus,
     build_graph,
-    component_arithmetic_genera,
-    connected_components,
     t1_dimension,
 )
 from isoprod.errors import GraphError
@@ -64,8 +62,7 @@ def test_disconnected_rejected_unless_flagged():
     with pytest.raises(GraphError, match="disconnected"):
         build_graph([2, 2], [], [])
     g = build_graph([2, 3], [], [], allow_disconnected=True)
-    assert len(connected_components(g)) == 2
-    assert component_arithmetic_genera(g) == [2, 3]
+    assert g.components == ((0,), (1,))
 
 
 def test_marks_count_toward_stability():
@@ -205,23 +202,12 @@ def test_derived_structure_matches_scans():
     assert any(g.marks for g in graphs)
     for g in graphs:
         assert g.components == scanned_components(g)
-        assert connected_components(g) == [list(c) for c in scanned_components(g)]
         for v in range(g.n_vertices):
             at = [h for h, w in enumerate(g.half_edge_vertex) if w == v]
             assert g.half_edges_at(v) == at
             assert g.vertex_half_edges[v] == tuple(at)
             assert g.degree(v) == len(at)
             assert g.marks_at(v) == [m for m, w in enumerate(g.marks) if w == v]
-
-
-def test_connected_components_result_is_a_copy():
-    g = build_graph([2, 3, 2], [0, 1], [(0, 1)], allow_disconnected=True)
-    first = connected_components(g)
-    assert first == [[0, 1], [2]]
-    first[0].append(7)
-    first.append([9])
-    assert connected_components(g) == [[0, 1], [2]]
-    assert g.components == ((0, 1), (2,))
 
 
 def test_cached_structure_leaves_equality_and_hash_alone():

@@ -41,6 +41,13 @@ def test_malformed_json():
         parse_document("{not json")
 
 
+def test_deep_nesting_is_a_document_error():
+    depth = 100_000
+    with pytest.raises(DocumentError) as err:
+        parse_document("[" * depth + "]" * depth)
+    assert err.value.problems == ["<json>: nesting too deep"]
+
+
 def test_unknown_version():
     with pytest.raises(DocumentError, match="unknown version"):
         parse_document(json.dumps({"version": "2", "group": {"degree": 1, "generators": []}}))
