@@ -30,6 +30,14 @@ around the orbit by one transporter per member, read from the action's
 per-element permutations.
 Products by generators are read from the group's table and products with
 the identity are free, so a free action needs almost no group products.
+Group products and conjugations are taken in batches over element lists
+(``FiniteGroup.products`` / ``conjugates``): conjugation by a group
+generator is one list read, and any other element costs one C-level
+compose and one index lookup per entry.  Inside a table completion the
+characters are integers modulo D, the lcm of the denominators given for
+that orbit, so sums and comparisons are int operations; ``Fraction``
+values appear only in the returned tables (0 always as the shared
+``TRIVIAL_CHAR``) and in error messages.
 """
 
 from __future__ import annotations
@@ -37,6 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .curves import DualGraph
@@ -164,6 +174,9 @@ def _transport_and_close(
     4. the table is carried back around the orbit through the transversal:
        O(|orbit| * |stab|) = O(|G|).
 
+    Characters are integers modulo D, the lcm of the denominators of the
+    given values; they become ``Fraction`` values only in the returned table
+    (one object per distinct value, 0 as ``TRIVIAL_CHAR``) and in messages.
     Conflicts raise CharacterError naming the value's object and the
     element transporting it to the representative; gaps raise
     CharacterError naming the first missing (element, object) pair.
@@ -176,10 +189,16 @@ def _transport_and_close(
             if len(transporter) == len(orbit.members):
                 break
 
+    given = [(obj, values[obj]) for obj in orbit.members if obj in values]
+    denom = lcm(*(val.denominator for _, pairs in given for _, val in pairs))
+
+    def frac(a: int) -> Fraction:
+        return Fraction(a, denom) if a else TRIVIAL_CHAR
+
     # known[h] is the character of h at the representative; origin[h] says
     # where it came from: (object, element there, transporter) for a moved
     # value, (element, conjugator) for a conjugate, None for the identity
-    known: dict[int, Fraction] = {0: TRIVIAL_CHAR}
+    known: dict[int, int] = {0: 0}
     origin: dict[int, tuple | None] = {0: None}
 
     def provenance(h: int) -> str:
@@ -195,7 +214,7 @@ def _transport_and_close(
         where = f"value of element {x} at {obj_kind} {obj}"
         return where if g == 0 else f"{where} transported by element {g}"
 
-    def learn(h: int, val: Fraction, source: tuple) -> bool:
+    def learn(h: int, val: int, source: tuple) -> bool:
         if h not in known:
             known[h] = val
             origin[h] = source
@@ -205,40 +224,45 @@ def _transport_and_close(
             origin[h] = source
             raise CharacterError(
                 f"inconsistent {kind} character at (element {h}, {obj_kind} {rep}): "
-                f"{provenance(h)} gives {val}, {theirs} gives {known[h]}"
+                f"{provenance(h)} gives {frac(val)}, {theirs} gives {frac(known[h])}"
             )
         return False
 
-    for obj in orbit.members:
-        if obj not in values:
-            continue
+    for obj, pairs in given:
         t = transporter[obj]
-        for h, val in values[obj]:
+        at_rep = [h for h, _ in pairs]
+        if any(at_rep):
             # the identity is its own conjugate: no transporter to invert
-            at_rep = group.conjugate(group.inverse(t), h) if h else 0
-            learn(at_rep, val % 1, (obj, h, t))
+            at_rep = group.conjugates(group.inverse(t), at_rep)
+        for (h, val), x in zip(pairs, at_rep):
+            learn(x, val.numerator * (denom // val.denominator) % denom, (obj, h, t))
 
     conjugators = [(u, group.inverse(u)) for u in group.generating_set(orbit.stabilizer)]
     frontier = [h for h in known if h != 0]
     while frontier:
+        # u x u^-1 is x moved by the transporter composed with u^-1
+        images = [group.conjugates(u, frontier) for u, _ in conjugators]
         nxt = []
-        for x in frontier:
-            for u, uinv in conjugators:
-                # u x u^-1 is x moved by the transporter composed with u^-1
-                y = group.conjugate(u, x)
-                if learn(y, known[x], (x, uinv)):
+        for i, x in enumerate(frontier):
+            val = known[x]
+            for (u, uinv), col in zip(conjugators, images):
+                y = col[i]
+                if known.get(y) != val and learn(y, val, (x, uinv)):
                     nxt.append(y)
         frontier = nxt
 
-    chi: dict[int, Fraction] = {0: TRIVIAL_CHAR}
+    chi: dict[int, int] = {0: 0}
     gens: list[int] = []
 
-    def extend(elements: Iterable[int], ts: Sequence[int]) -> list[int]:
+    def extend(elements: Sequence[int], ts: Sequence[int]) -> list[int]:
         new = []
-        for a in elements:
-            for t in ts:
-                c = group.mul(a, t)
-                val = (chi[a] + known[t]) % 1
+        columns = [group.products(elements, t) for t in ts]
+        steps = [known[t] for t in ts]
+        for i, a in enumerate(elements):
+            at_a = chi[a]
+            for t, col, step in zip(ts, columns, steps):
+                c = col[i]
+                val = (at_a + step) % denom
                 if c not in chi:
                     chi[c] = val
                     new.append(c)
@@ -259,8 +283,8 @@ def _transport_and_close(
         elif chi[x] != known[x]:
             raise CharacterError(
                 f"inconsistent {kind} character data on the stabilizer of "
-                f"{obj_kind} {rep}: {provenance(x)} gives {known[x]}, the "
-                f"product rule gives {chi[x]}"
+                f"{obj_kind} {rep}: {provenance(x)} gives {frac(known[x])}, the "
+                f"product rule gives {frac(chi[x])}"
             )
 
     stab = orbit.stabilizer
@@ -270,11 +294,16 @@ def _transport_and_close(
             f"missing {kind} character for element {missing[0]} at {obj_kind} {rep}"
         )
 
+    if len(stab) == 1:
+        # the identity alone, at every member: nothing to conjugate
+        return dict.fromkeys(zip(repeat(0), orbit.members), TRIVIAL_CHAR)
+    at_stab = [chi[h] for h in stab]
+    fracs = {a: frac(a) for a in set(at_stab)}
+    column = [fracs[a] for a in at_stab]
     table: CharTable = {}
     for obj in orbit.members:
-        t = transporter[obj]
-        for h in stab:
-            table[(group.conjugate(t, h), obj)] = chi[h]
+        keys = zip(group.conjugates(transporter[obj], stab), repeat(obj))
+        table.update(zip(keys, column))
     return table
 
 
@@ -495,6 +524,12 @@ def validate_action(
             raise ActionError(
                 f"smoothing character assigned to element {h} which moves edge {n}"
             )
+    for (h, n), val in smoothing_chars.items():
+        if char_order(val) > 1 and group.element_order(h) % char_order(val) != 0:
+            raise CharacterError(
+                f"smoothing character {val} at edge {n} has order "
+                f"{char_order(val)}, not a divisor of the order of element {h}"
+            )
 
     # g fixes both branches of node (p, q) exactly when the complete tangent
     # table holds both (g, p) and (g, q): read from the table, O(#entries)
@@ -503,7 +538,13 @@ def validate_action(
         n = edge_at[p]
         first, q = graph.edges[n]
         if g and p == first and (g, q) in full_tangent:
-            forced_smoothing[(g, n)] = (val + full_tangent[(g, q)]) % 1
+            other = full_tangent[(g, q)]
+            # table values are reduced and share TRIVIAL_CHAR for 0, so a
+            # zero summand needs no Fraction arithmetic
+            if val is TRIVIAL_CHAR or other is TRIVIAL_CHAR:
+                forced_smoothing[(g, n)] = other if val is TRIVIAL_CHAR else val
+            else:
+                forced_smoothing[(g, n)] = (val + other) % 1
 
     smoothing_values = _by_object(forced_smoothing, smoothing_chars)
     full_smoothing: CharTable = {}

@@ -225,7 +225,8 @@ def parse_document(text: str, cap: int = DEFAULT_GROUP_CAP) -> Document:
     every detected problem."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past Python's digit limit
         raise DocumentError([f"<json>: {exc}"]) from exc
     except RecursionError:
         raise DocumentError(["<json>: nesting too deep"]) from None
@@ -234,6 +235,28 @@ def parse_document(text: str, cap: int = DEFAULT_GROUP_CAP) -> Document:
 
 def _json_path(error: jsonschema.ValidationError) -> str:
     return ".".join(str(p) for p in error.absolute_path) or "<root>"
+
+
+# longest "<path>: <message>" line a schema problem prints; messages echo
+# the offending value, which hostile input can make megabytes long
+_MAX_PROBLEM = 240
+
+
+def _schema_problem(error: jsonschema.ValidationError) -> str:
+    """``<path>: <message>``, the echoed value cut in the middle with "..."
+    when the line would exceed ``_MAX_PROBLEM`` characters."""
+    path, message = _json_path(error), error.message
+    excess = len(path) + 2 + len(message) - _MAX_PROBLEM
+    if excess > 0:
+        echoed = repr(error.instance)
+        at = message.find(echoed)
+        if at < 0:
+            # the value echoed is not the instance (unexpected keys)
+            echoed, at = message, 0
+        keep = max(len(echoed) - excess - 3, 0)
+        head, tail = echoed[: (keep + 1) // 2], echoed[len(echoed) - keep // 2 :]
+        message = f"{message[:at]}{head}...{tail}{message[at + len(echoed):]}"
+    return f"{path}: {message}"
 
 
 def _floats(node: Any, path: tuple) -> Iterator[tuple[str, float]]:
@@ -252,7 +275,7 @@ def document_from_dict(data: Any, cap: int = DEFAULT_GROUP_CAP) -> Document:
     problems: list[str] = []
     validator = jsonschema.Draft202012Validator(SCHEMA)
     for error in sorted(validator.iter_errors(data), key=_json_path):
-        problems.append(f"{_json_path(error)}: {error.message}")
+        problems.append(_schema_problem(error))
     if not problems:
         # the schema has no number fields and accepts 2.0 as an integer, so
         # every float still present is an integral value in an integer slot

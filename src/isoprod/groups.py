@@ -8,6 +8,15 @@ index in this table.  The enumeration keeps every product it computes as a
 right-multiply-by-generator table of element indices (``right``), so
 products by generators are table reads, not rebuilt permutation tuples.
 
+Batched arithmetic (:meth:`FiniteGroup.products`,
+:meth:`FiniteGroup.conjugates`) works on lists of element indices.
+Conjugation by a group generator is one list read per element: the table
+x -> s x s^-1 is built on first use from ``right`` and ``parents`` alone
+(3 |G| list reads, |G| ints kept per generator).  A product by any other
+element hoists that element's permutation out of the loop, so each list
+entry costs one C-level compose and one index lookup; a conjugation by any
+other element costs two composes and one lookup.
+
 Rotation characters (the action of an element on a one-dimensional space)
 are plain ``Fraction`` values r in [0, 1), meaning the root of unity
 exp(2*pi*i*r); products of characters are sums of fractions mod 1, so all
@@ -124,11 +133,13 @@ class FiniteGroup:
 
     def __post_init__(self):
         # lookup caches; not fields, so they stay out of eq/repr.  The
-        # inverse memo is filled lazily by :meth:`inverse`.
+        # inverse memo and the generator conjugation tables are filled
+        # lazily, by :meth:`inverse` and :meth:`_generator_conjugation`.
         object.__setattr__(
             self, "_index", {p: i for i, p in enumerate(self.elements)}
         )
         object.__setattr__(self, "_inverse", {0: 0})
+        object.__setattr__(self, "_conjugation", {})
         object.__setattr__(
             self, "_generator_position", {j: k for k, j in enumerate(self.right[0])}
         )
@@ -226,6 +237,64 @@ class FiniteGroup:
             n += 1
         return n
 
+    def products(self, xs: Iterable[int], t: int) -> list[int]:
+        """``[mul(x, t) for x in xs]``: a column read of ``right`` when t is
+        a generator, else one compose with t's hoisted permutation and one
+        index lookup per entry."""
+        xs = list(xs)
+        if t == 0:
+            return xs
+        if not any(xs):
+            return [t] * len(xs)
+        k = self._generator_position.get(t)
+        if k is not None:
+            right = self.right
+            return [right[x][k] for x in xs]
+        by_t = itemgetter(*self.elements[t])
+        index = self._index
+        elements = self.elements
+        return [index[by_t(elements[x])] for x in xs]
+
+    def conjugates(self, g: int, xs: Iterable[int]) -> list[int]:
+        """``[conjugate(g, x) for x in xs]``: one read of a generator's
+        conjugation table per entry, or for any other g one compose with the
+        hoisted permutation of g^-1, one with g, and one index lookup."""
+        xs = list(xs)
+        if g == 0 or not any(xs):
+            return xs
+        k = self._generator_position.get(g)
+        if k is not None:
+            return list(map(self._generator_conjugation(k).__getitem__, xs))
+        # g x g^-1 = g o (x o g^-1) as permutations; degree >= 2 here
+        perm = self.elements[g]
+        by_inverse = itemgetter(*self.elements[self.inverse(g)])
+        index = self._index
+        elements = self.elements
+        return [index[itemgetter(*by_inverse(elements[x]))(perm)] for x in xs]
+
+    def _generator_conjugation(self, k: int) -> list[int]:
+        """x -> s x s^-1 over element indices, for generator s = generators[k].
+
+        Table reads only: left[i], the index of s * elements[i], follows the
+        enumeration tree (left[i] = right[left[j]][k'] for parents[i] =
+        (j, k')), and right division by s inverts column k of ``right``.
+        Built on first use and kept; a concurrent first use only computes
+        the same list twice.
+        """
+        table = self._conjugation.get(k)
+        if table is None:
+            right, parents = self.right, self.parents
+            left = [right[0][k]] * self.order
+            for i in range(1, self.order):
+                j, kk = parents[i]
+                left[i] = right[left[j]][kk]
+            divide = [0] * self.order
+            for z, row in enumerate(right):
+                divide[row[k]] = z
+            table = [divide[y] for y in left]
+            self._conjugation[k] = table
+        return table
+
     def _close(self, seeds: Iterable[int]) -> tuple[set[int], list[int]]:
         """Closure of the seeds with a reduced generating set of it.
 
@@ -236,8 +305,9 @@ class FiniteGroup:
         taken once: O(|H| * gens) group products for the subgroup H.
         """
         seeds = list(dict.fromkeys(seeds))
+        order = self.order
         for s in seeds:
-            if not (0 <= s < self.order):
+            if not (0 <= s < order):
                 raise GroupError(f"element index {s} out of range")
         known = {0}
         gens: list[int] = []
@@ -246,13 +316,12 @@ class FiniteGroup:
                 continue
             gens.append(s)
             # a * s for a in the old closure are all new, as s is not in it
-            frontier = [self.mul(a, s) for a in known]
+            frontier = self.products(known, s)
             known.update(frontier)
             while frontier:
                 nxt = []
-                for a in frontier:
-                    for t in gens:
-                        c = self.mul(a, t)
+                for t in gens:
+                    for c in self.products(frontier, t):
                         if c not in known:
                             known.add(c)
                             nxt.append(c)
@@ -280,7 +349,7 @@ class FiniteGroup:
         return self.mul(self.mul(g, x), self.inverse(g))
 
     def conjugate_subgroup(self, sub: Iterable[int], g: int) -> frozenset[int]:
-        return frozenset(self.conjugate(g, s) for s in sub)
+        return frozenset(self.conjugates(g, sub))
 
     def conjugacy_union(self, sub: Iterable[int]) -> frozenset[int]:
         """Union of all conjugates of a subgroup (or of any set of elements).
@@ -292,9 +361,8 @@ class FiniteGroup:
         frontier = list(out)
         while frontier:
             nxt = []
-            for x in frontier:
-                for s in self.generator_indices:
-                    y = self.conjugate(s, x)
+            for s in self.generator_indices:
+                for y in self.conjugates(s, frontier):
                     if y not in out:
                         out.add(y)
                         nxt.append(y)

@@ -214,6 +214,21 @@ def test_missing_swap_smoothing_character(z2, nodal_quartic_graph):
         )
 
 
+def test_smoothing_seed_order_must_divide_element_order(z2):
+    # the involution swaps the branches, so its smoothing value is a seed; a
+    # value of order 3 is named as such, not as a product-rule failure
+    graph = build_graph([2], [0, 0], [(0, 1)])
+    images = dict(vertex_images=[(0,)], half_edge_images=[(1, 0)])
+    with pytest.raises(CharacterError) as err:
+        validate_action(z2, graph, smoothing_chars={(1, 0): Fraction(1, 3)}, **images)
+    assert str(err.value) == (
+        "smoothing character 1/3 at edge 0 has order 3, not a divisor of the "
+        "order of element 1"
+    )
+    ok = validate_action(z2, graph, smoothing_chars={(1, 0): Fraction(1, 2)}, **images)
+    assert ok.smoothing_chars[(1, 0)] == Fraction(1, 2)
+
+
 def test_character_on_moved_half_edge_rejected(z2, nodal_quartic_graph):
     with pytest.raises(ActionError, match="moves half-edge"):
         validate_action(

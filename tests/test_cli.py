@@ -214,6 +214,17 @@ def test_exit_1_on_deeply_nested_document(capsys, tmp_path):
     assert err == "error: <json>: nesting too deep\n"
 
 
+def test_exit_1_on_huge_schema_violation_with_bounded_message(capsys, tmp_path):
+    # a one-line array of 200,000 zeros used to be echoed whole to stderr
+    path = tmp_path / "zeros.json"
+    path.write_text(json.dumps([0] * 200_000))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and len(err) == len("error: \n") + 240
+    assert err.startswith("error: <root>: [0, 0, ") and err.endswith("is not of type 'object'\n")
+
+
 def test_schema_invalid_never_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{}")

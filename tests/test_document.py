@@ -262,3 +262,39 @@ def test_integral_floats_all_reported_in_path_order():
         "curves.c.vertices.0.genus: 2.0 is not of type 'integer'",
         "group.degree: 2.0 is not of type 'integer'",
     ]
+
+
+def test_schema_problem_shortens_a_long_echoed_value():
+    # the message echoes the offending value; only that value is cut, in the
+    # middle, so the line keeps its path and the validator's wording
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps([0] * 200_000))
+    (problem,) = err.value.problems
+    assert len(problem) == 240
+    assert problem.startswith("<root>: [0, 0, 0, ")
+    assert "0, ... 0, " in problem and problem.endswith("0, 0] is not of type 'object'")
+
+    data = minimal_doc(curves={"c": {**curve_block(), "x" * 10_000: 1}})
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(data))
+    (problem,) = err.value.problems
+    assert len(problem) == 240
+    assert problem.startswith("curves.c: Additional properties are not allowed ('xxx")
+    assert problem.endswith("xxx' was unexpected)")
+
+
+def test_short_schema_problems_are_unchanged():
+    data = minimal_doc(curves={"c": {"vertices": [{"id": "v", "genus": "x" * 150}]}})
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(data))
+    assert err.value.problems == [
+        f"curves.c.vertices.0.genus: {'x' * 150!r} is not of type 'integer'"
+    ]
+
+
+def test_integer_literal_past_the_digit_limit_is_a_document_error():
+    text = '{"version": "1", "group": {"degree": ' + "9" * 5000 + ', "generators": []}}'
+    with pytest.raises(DocumentError) as err:
+        parse_document(text)
+    (problem,) = err.value.problems
+    assert problem.startswith("<json>: Exceeds the limit")

@@ -1,4 +1,6 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from isoprod.groups import (
     perm_to_cycles,
 )
 
+import reference_seed
 from randgen import all_subgroups, catalog, left_cosets
 from test_seed_differential import a5, s4
 
@@ -101,6 +104,70 @@ def test_right_table_and_mul_match_composed_tuples(group):
     for i, a in enumerate(group.elements):
         for j, b in enumerate(group.elements):
             assert group.mul(i, j) == group.index_of(compose(a, b))
+
+
+def unusual_generator_groups():
+    """An identity generator, a repeated generator, and the trivial group on
+    three letters (the catalog starts with the trivial group of degree 1)."""
+    cycle3, swap = perm_from_cycles([[0, 1, 2]], 3), perm_from_cycles([[0, 1]], 3)
+    return [
+        FiniteGroup.from_generators([cycle3, (0, 1, 2), swap], 3),
+        FiniteGroup.from_generators([swap, cycle3, swap, cycle3], 3),
+        FiniteGroup.trivial(3),
+    ]
+
+
+BATCHED = catalog() + [s4(), a5()] + unusual_generator_groups()
+
+
+def batched_id(group):
+    return f"order{group.order}-degree{group.degree}-gens{len(group.generators)}"
+
+
+@pytest.mark.parametrize("group", BATCHED, ids=batched_id)
+def test_batched_arithmetic_matches_scalar(group):
+    everything = list(range(group.order))
+    for g in everything:
+        assert group.products(everything, g) == [group.mul(x, g) for x in everything]
+        assert group.conjugates(g, everything) == [group.conjugate(g, x) for x in everything]
+        # lists with no non-identity entry, and the empty list
+        assert group.products([0, 0], g) == [g, g]
+        assert group.conjugates(g, [0, 0]) == [0, 0]
+        assert group.products([], g) == group.conjugates(g, []) == []
+    for k, s in enumerate(group.generators):
+        assert group._generator_conjugation(k) == [
+            group.index_of(compose(compose(s, x), invert(s))) for x in group.elements
+        ]
+
+
+def test_lazy_conjugation_tables_race_to_the_same_values():
+    # more threads than cores race on the first use of each generator's
+    # table; a lost or partial table would give a wrong conjugate
+    reference = a5()
+    everything = list(range(reference.order))
+    expected = {g: [reference.conjugate(g, x) for x in everything] for g in range(1, 4)}
+    group = a5()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [
+                (g, pool.submit(group.conjugates, g, everything))
+                for g in expected
+                for _ in range(6)
+            ]
+            for g, future in futures:
+                assert future.result(timeout=30) == expected[g]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("group", BATCHED, ids=batched_id)
+def test_conjugacy_union_matches_seed(group):
+    for x in range(group.order):
+        for sub in ({x}, group.subgroup_closure([x])):
+            assert group.conjugacy_union(sub) == reference_seed.conjugacy_union(group, sub)
+    assert group.conjugacy_union(range(group.order)) == frozenset(range(group.order))
 
 
 def test_extend_action_rejects_broken_power_relation():

@@ -52,6 +52,26 @@ def test_inert_s7_on_one_node_curve():
         assert action.kernels == (frozenset(range(s7.order)),)
 
 
+def test_inert_z101_z99_on_one_node_curve():
+    # two disjoint cycles of coprime lengths: a cyclic group of order 9999
+    # at degree 200, so every non-generator product composes long tuples
+    group = FiniteGroup.from_generators(
+        [
+            perm_from_cycles([list(range(101))], 200),
+            perm_from_cycles([list(range(101, 200))], 200),
+        ],
+        200,
+    )
+    graph = build_graph([2], [0, 0], [(0, 1)])
+    with criterion(
+        106, "inert Z101xZ99 (|G| = 9999, degree 200): validate, T1, oracle", budget=5.0
+    ):
+        action = inert_action(group, graph)
+        t1 = t1_equivariant(action)
+        assert t1 == t1_equivariant_oracle(action)
+        assert t1.total == 3 * 3 - 3
+
+
 def test_necklace_z400_validates():
     group, graph, vertex_images, half_edge_images = necklace(400)
     with criterion(102, "Z_400 necklace validates", budget=5.0):
