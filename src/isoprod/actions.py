@@ -38,6 +38,11 @@ characters are integers modulo D, the lcm of the denominators given for
 that orbit, so sums and comparisons are int operations; ``Fraction``
 values appear only in the returned tables (0 always as the shared
 ``TRIVIAL_CHAR``) and in error messages.
+
+Orbits are computed once, at validation, from the permutation tables.
+Quotient signatures read the stabilizer orbits of branches from the cached
+half-edge orbits, one lookup per branch; the oracle recomputes them with
+``orbits(..., within=stabilizer)``, an independent route.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -139,6 +144,11 @@ class CurveAction:
     def vertex_orbit_of(self) -> dict[int, Orbit]:
         """Vertex -> its orbit, built on first use."""
         return {v: orbit for orbit in self.vertex_orbits for v in orbit.members}
+
+    @cached_property
+    def half_edge_orbit_of(self) -> dict[int, Orbit]:
+        """Half-edge -> its orbit, built on first use."""
+        return {h: orbit for orbit in self.half_edge_orbits for h in orbit.members}
 
     @cached_property
     def edge_orbit_of(self) -> dict[int, Orbit]:
@@ -317,13 +327,45 @@ def _is_char(x: object) -> bool:
     return isinstance(x, Fraction) or _is_int(x)
 
 
-def _by_object(*sources: Mapping[tuple[int, int], Fraction]) -> dict[int, list]:
-    """(element, object) -> value mappings regrouped as object -> [(element, value)]."""
-    out: dict[int, list[tuple[int, Fraction]]] = {}
-    for source in sources:
-        for (h, obj), val in source.items():
-            out.setdefault(obj, []).append((h, val))
-    return out
+def _complete_chars(
+    group: FiniteGroup,
+    perms: Sequence[Perm],
+    orbit_list: Sequence[Orbit],
+    seeds: CharTable,
+    forced: CharTable,
+    kind: str,
+    obj_kind: str,
+) -> CharTable:
+    """The complete table of one kind of character (tangent or smoothing).
+
+    Each seed is checked first: its element fixes the object, and the
+    character's order divides the element's order.  Every orbit is then
+    completed from the forced and seeded values, and the seeds are checked
+    against the completed table.
+    """
+    for (h, obj), val in seeds.items():
+        if perms[h][obj] != obj:
+            raise ActionError(
+                f"{kind} character assigned to element {h} which moves {obj_kind} {obj}"
+            )
+        if char_order(val) > 1 and group.element_order(h) % char_order(val) != 0:
+            raise CharacterError(
+                f"{kind} character {val} at {obj_kind} {obj} has order "
+                f"{char_order(val)}, not a divisor of the order of element {h}"
+            )
+    # object -> its known (element, value) pairs, forced ones first
+    values: dict[int, list[tuple[int, Fraction]]] = {}
+    for (h, obj), val in chain(forced.items(), seeds.items()):
+        values.setdefault(obj, []).append((h, val))
+    table: CharTable = {}
+    for orbit in orbit_list:
+        table.update(_transport_and_close(group, perms, orbit, values, kind, obj_kind))
+    for (h, obj), val in seeds.items():
+        if table[h, obj] != val % 1:
+            raise CharacterError(
+                f"inconsistent {kind} character at (element {h}, {obj_kind} {obj})"
+            )
+    return table
 
 
 def validate_action(
@@ -399,25 +441,15 @@ def validate_action(
             )
         ram_entries.append(entry)
 
+    if any(len(img) != graph.n_vertices for img in vertex_images):
+        raise ActionError("vertex images must permute the graph's vertices")
+    if any(len(img) != graph.n_half_edges for img in half_edge_images):
+        raise ActionError("half-edge images must permute the graph's half-edges")
     try:
-        vertex_perms = group.extend_action(
-            [tuple(img) for img in vertex_images] if ngens else []
-        )
-        half_edge_perms = group.extend_action(
-            [tuple(img) for img in half_edge_images] if ngens else []
-        )
+        vertex_perms = group.extend_action(vertex_images, graph.n_vertices)
+        half_edge_perms = group.extend_action(half_edge_images, graph.n_half_edges)
     except GroupError as exc:
         raise ActionError(str(exc)) from exc
-    if ngens == 0:
-        vertex_perms = tuple(tuple(range(graph.n_vertices)) for _ in range(group.order))
-        half_edge_perms = tuple(
-            tuple(range(graph.n_half_edges)) for _ in range(group.order)
-        )
-    else:
-        if any(len(p) != graph.n_vertices for p in vertex_perms):
-            raise ActionError("vertex images must permute the graph's vertices")
-        if any(len(p) != graph.n_half_edges for p in half_edge_perms):
-            raise ActionError("half-edge images must permute the graph's half-edges")
 
     for k in range(ngens):
         for h in range(graph.n_half_edges):
@@ -449,10 +481,7 @@ def validate_action(
                 )
             row.append(m)
         edge_images.append(tuple(row))
-    if ngens == 0:
-        edge_perms = tuple(tuple(range(graph.n_edges)) for _ in range(group.order))
-    else:
-        edge_perms = group.extend_action(edge_images)
+    edge_perms = group.extend_action(edge_images, graph.n_edges)
 
     kernel_subs: list[frozenset[int]] = []
     for v in range(graph.n_vertices):
@@ -475,26 +504,9 @@ def validate_action(
                     f"{vertex_perms[g][v]} but does not conjugate the kernels"
                 )
 
-    vertex_orbits = tuple(
-        orbits(group, lambda g, v: vertex_perms[g][v], range(graph.n_vertices), check=False)
-    )
-    half_edge_orbits = tuple(
-        orbits(group, lambda g, h: half_edge_perms[g][h], range(graph.n_half_edges), check=False)
-    )
-    edge_orbits = tuple(
-        orbits(group, lambda g, n: edge_perms[g][n], range(graph.n_edges), check=False)
-    )
-
-    for (h, obj), val in tangent_chars.items():
-        if half_edge_perms[h][obj] != obj:
-            raise ActionError(
-                f"tangent character assigned to element {h} which moves half-edge {obj}"
-            )
-        if char_order(val) > 1 and group.element_order(h) % char_order(val) != 0:
-            raise CharacterError(
-                f"tangent character {val} at half-edge {obj} has order "
-                f"{char_order(val)}, not a divisor of the order of element {h}"
-            )
+    vertex_orbits = tuple(orbits(vertex_perms, range(graph.n_vertices)))
+    half_edge_orbits = tuple(orbits(half_edge_perms, range(graph.n_half_edges)))
+    edge_orbits = tuple(orbits(edge_perms, range(graph.n_edges)))
 
     # the identity's values are trivial by construction: forcing them would
     # only move values that say nothing
@@ -505,31 +517,10 @@ def validate_action(
                 for h in graph.vertex_half_edges[v]:
                     forced_tangent[(k, h)] = TRIVIAL_CHAR
 
-    tangent_values = _by_object(forced_tangent, tangent_chars)
-    full_tangent: CharTable = {}
-    for orbit in half_edge_orbits:
-        full_tangent.update(
-            _transport_and_close(
-                group, half_edge_perms, orbit, tangent_values, "tangent", "half-edge"
-            )
-        )
-    for key, val in tangent_chars.items():
-        if full_tangent[key] != val % 1:
-            raise CharacterError(
-                f"inconsistent tangent character at (element {key[0]}, half-edge {key[1]})"
-            )
-
-    for h, n in smoothing_chars:
-        if edge_perms[h][n] != n:
-            raise ActionError(
-                f"smoothing character assigned to element {h} which moves edge {n}"
-            )
-    for (h, n), val in smoothing_chars.items():
-        if char_order(val) > 1 and group.element_order(h) % char_order(val) != 0:
-            raise CharacterError(
-                f"smoothing character {val} at edge {n} has order "
-                f"{char_order(val)}, not a divisor of the order of element {h}"
-            )
+    full_tangent = _complete_chars(
+        group, half_edge_perms, half_edge_orbits, tangent_chars, forced_tangent,
+        "tangent", "half-edge",
+    )
 
     # g fixes both branches of node (p, q) exactly when the complete tangent
     # table holds both (g, p) and (g, q): read from the table, O(#entries)
@@ -546,19 +537,10 @@ def validate_action(
             else:
                 forced_smoothing[(g, n)] = (val + other) % 1
 
-    smoothing_values = _by_object(forced_smoothing, smoothing_chars)
-    full_smoothing: CharTable = {}
-    for orbit in edge_orbits:
-        full_smoothing.update(
-            _transport_and_close(
-                group, edge_perms, orbit, smoothing_values, "smoothing", "edge"
-            )
-        )
-    for key, val in smoothing_chars.items():
-        if full_smoothing[key] != val % 1:
-            raise CharacterError(
-                f"inconsistent smoothing character at (element {key[0]}, edge {key[1]})"
-            )
+    full_smoothing = _complete_chars(
+        group, edge_perms, edge_orbits, smoothing_chars, forced_smoothing,
+        "smoothing", "edge",
+    )
 
     ram: list[RamificationOrbit] = []
     for entry in ram_entries:
@@ -690,19 +672,6 @@ def _vertex_orbit_of(action: CurveAction, vertex: int) -> Orbit:
         raise ActionError(f"vertex {vertex} not found in any orbit") from None
 
 
-def _half_edge_suborbits(action: CurveAction, vertex: int, stabilizer: Sequence[int]):
-    """Partition the half-edges at a vertex into orbits of its stabilizer."""
-    hes = action.graph.vertex_half_edges[vertex]
-    seen: set[int] = set()
-    for p in hes:
-        if p in seen:
-            continue
-        members = {action.half_edge_perms[g][p] for g in stabilizer}
-        seen.update(members)
-        stab = [g for g in stabilizer if action.half_edge_perms[g][p] == p]
-        yield p, sorted(members), stab
-
-
 def quotient_signature(action: CurveAction, vertex: int) -> QuotientSignature:
     """Quotient genus and branch count for the component orbit of ``vertex``.
 
@@ -710,8 +679,12 @@ def quotient_signature(action: CurveAction, vertex: int) -> QuotientSignature:
     declared kernel; branch points are the declared ramification orbits on
     the component orbit together with the stabilizer orbits of node
     branches at the representative that are fixed by more than the kernel.
-    The quotient genus comes from an exactly-divisible Riemann-Hurwitz
-    computation and the contribution is 3g' - 3 + b.
+    Those stabilizer orbits are read from the cached half-edge orbits: the
+    orbits of Stab(rep) on the branches at rep are exactly the G-orbits of
+    half-edges meeting the component orbit, with stabilizers of the same
+    order, so this costs one lookup per branch.  The quotient genus comes
+    from an exactly-divisible Riemann-Hurwitz computation and the
+    contribution is 3g' - 3 + b.
     """
     orbit = _vertex_orbit_of(action, vertex)
     rep = orbit.representative
@@ -720,8 +693,9 @@ def quotient_signature(action: CurveAction, vertex: int) -> QuotientSignature:
     branch_orders = [
         o.order for o in action.ramification_orbits if o.vertex in orbit.members
     ]
-    for _, _, stab in _half_edge_suborbits(action, rep, orbit.stabilizer):
-        e = len(stab) // len(kernel)
+    branches = map(action.half_edge_orbit_of.__getitem__, action.graph.vertex_half_edges[rep])
+    for branch in dict.fromkeys(branches):
+        e = len(branch.stabilizer) // len(kernel)
         if e >= 2:
             branch_orders.append(e)
     g_prime, b = _solve_riemann_hurwitz(
@@ -763,7 +737,8 @@ def t1_equivariant_oracle(action: CurveAction) -> EquivariantT1:
     over the node-stalk and branch-tangent representations, with fixed
     points read from the per-element permutations rather than from the
     orbits or the table keys; the quotient pieces are recomputed from
-    scratch with the generic orbit machinery.
+    scratch, the branch suborbits as orbits of each stabilizer rather than
+    from the cached half-edge orbits.
     """
     _check_t1_preconditions(action)
     group = action.group
@@ -772,13 +747,7 @@ def t1_equivariant_oracle(action: CurveAction) -> EquivariantT1:
         group, action.half_edge_perms, action.tangent_chars
     )
     minus_chi_inv = 0
-    vertex_orbs = orbits(
-        group,
-        lambda g, v: action.vertex_perms[g][v],
-        range(action.graph.n_vertices),
-        check=False,
-    )
-    for orb in vertex_orbs:
+    for orb in orbits(action.vertex_perms, range(action.graph.n_vertices)):
         rep = orb.representative
         kernel = action.kernels[rep]
         hbar = len(orb.stabilizer) // len(kernel)
@@ -786,11 +755,7 @@ def t1_equivariant_oracle(action: CurveAction) -> EquivariantT1:
             o.order for o in action.ramification_orbits if o.vertex in orb.members
         ]
         suborbits = orbits(
-            group,
-            lambda g, h: action.half_edge_perms[g][h],
-            action.graph.vertex_half_edges[rep],
-            within=orb.stabilizer,
-            check=False,
+            action.half_edge_perms, action.graph.vertex_half_edges[rep], within=orb.stabilizer
         )
         for sub in suborbits:
             e = len(sub.stabilizer) // len(kernel)

@@ -16,15 +16,6 @@ from functools import lru_cache
 from typing import Mapping
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Long division by a monic integer polynomial; stays in Z[x]."""
     assert den and den[-1] == 1, "divisor must be monic"

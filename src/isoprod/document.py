@@ -22,7 +22,7 @@ import jsonschema
 
 from .actions import CurveAction, RamificationOrbit, validate_action
 from .curves import DualGraph, build_graph
-from .errors import DocumentError, IsoprodError
+from .errors import _MAX_PROBLEM, DocumentError, IsoprodError
 from .groups import (
     DEFAULT_GROUP_CAP,
     FiniteGroup,
@@ -235,11 +235,6 @@ def parse_document(text: str, cap: int = DEFAULT_GROUP_CAP) -> Document:
 
 def _json_path(error: jsonschema.ValidationError) -> str:
     return ".".join(str(p) for p in error.absolute_path) or "<root>"
-
-
-# longest "<path>: <message>" line a schema problem prints; messages echo
-# the offending value, which hostile input can make megabytes long
-_MAX_PROBLEM = 240
 
 
 def _schema_problem(error: jsonschema.ValidationError) -> str:

@@ -37,12 +37,27 @@ class FamilyError(IsoprodError):
     """Invalid family input (mismatched groups, too few strata)."""
 
 
+# longest "<path>: <message>" line a document problem keeps; paths carry
+# user-chosen keys and messages echo user values, which hostile input can
+# make megabytes long
+_MAX_PROBLEM = 240
+
+
+def _clip(problem: str) -> str:
+    """``problem`` cut in the middle with "..." to ``_MAX_PROBLEM`` characters."""
+    if len(problem) <= _MAX_PROBLEM:
+        return problem
+    keep = _MAX_PROBLEM - 3
+    return f"{problem[: (keep + 1) // 2]}...{problem[len(problem) - keep // 2 :]}"
+
+
 class DocumentError(IsoprodError):
     """Input document rejected; carries every detected problem, not just the first.
 
-    ``problems`` is a list of "json.path: message" strings.
+    ``problems`` is a list of "json.path: message" strings, each cut in the
+    middle to at most ``_MAX_PROBLEM`` characters.
     """
 
     def __init__(self, problems):
-        self.problems = list(problems)
+        self.problems = [_clip(problem) for problem in problems]
         super().__init__("\n".join(self.problems))

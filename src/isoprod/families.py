@@ -271,20 +271,13 @@ def smoothing_chain(action: CurveAction) -> SmoothingChain:
     strata = [FamilyStratum("step0", action)]
     current = action
     while True:
-        progress = False
-        for orbit, obstruction in smoothable_edge_orbits(current):
-            if obstruction is None:
-                current = smooth_node_orbit(current, orbit.representative)
-                strata.append(FamilyStratum(f"step{len(strata)}", current))
-                progress = True
-                break
-        if not progress:
-            remaining = tuple(
-                obstruction
-                for _, obstruction in smoothable_edge_orbits(current)
-                if obstruction is not None
-            )
+        classified = smoothable_edge_orbits(current)
+        smoothable = [orbit for orbit, obstruction in classified if obstruction is None]
+        if not smoothable:
+            remaining = tuple(obstruction for _, obstruction in classified)
             return SmoothingChain(tuple(strata), remaining)
+        current = smooth_node_orbit(current, smoothable[0].representative)
+        strata.append(FamilyStratum(f"step{len(strata)}", current))
 
 
 def check_constancy(strata) -> ConstancyReport:

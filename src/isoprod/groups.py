@@ -17,6 +17,10 @@ element hoists that element's permutation out of the loop, so each list
 entry costs one C-level compose and one index lookup; a conjugation by any
 other element costs two composes and one lookup.
 
+A group action is a table of per-element permutations built by
+:meth:`FiniteGroup.extend_action`, which proves the homomorphism; orbits and
+stabilizers (:func:`orbits`) are read from such tables, never from a callable.
+
 Rotation characters (the action of an element on a one-dimensional space)
 are plain ``Fraction`` values r in [0, 1), meaning the root of unity
 exp(2*pi*i*r); products of characters are sums of fractions mod 1, so all
@@ -28,9 +32,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from operator import eq, itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .cyclotomic import root_of_unity_sum
 from .errors import CharacterError, GroupError
@@ -369,23 +373,19 @@ class FiniteGroup:
             frontier = nxt
         return frozenset(out)
 
-    def extend_action(self, generator_perms: Sequence[Perm]) -> tuple[Perm, ...]:
-        """Per-element permutations induced by generator images along BFS words.
+    def extend_action(self, generator_perms: Sequence[Perm], n: int) -> tuple[Perm, ...]:
+        """Per-element permutations of {0..n-1} induced by generator images
+        along BFS words; the trivial group gets the identity alone.
 
-        Raises GroupError if the images do not define a group homomorphism
-        (checked against every (element, generator) product, which suffices
-        by induction on word length).  The products are read from ``right``;
-        the |G| - 1 of them that built the table (``parents``) hold by
-        construction and are skipped.
+        Raises GroupError if an image is not a permutation of n letters or
+        the images do not define a group homomorphism (checked against every
+        (element, generator) product, which suffices by induction on word
+        length).  The products are read from ``right``; the |G| - 1 of them
+        that built the table (``parents``) hold by construction and are skipped.
         """
         if len(generator_perms) != len(self.generators):
             raise GroupError("one image required per generator")
-        if generator_perms:
-            n = len(generator_perms[0])
-            images = [check_perm(p, n) for p in generator_perms]
-        else:
-            images = []
-            n = 0
+        images = [check_perm(p, n) for p in generator_perms]
         table: list[Perm] = [identity_perm(n)]
         for i in range(1, self.order):
             j, k = self.parents[i]
@@ -402,69 +402,48 @@ class FiniteGroup:
         return tuple(table)
 
 
-Action = Callable[[int, object], object]
-
-
 @dataclass(frozen=True)
 class Orbit:
     """One orbit of a group action: canonical representative (the member
     appearing first in the input point sequence), all members in input
     order, and the representative's stabilizer as sorted element indices."""
 
-    representative: object
-    members: tuple
+    representative: int
+    members: tuple[int, ...]
     stabilizer: tuple[int, ...]
 
 
-def _check_is_action(group: FiniteGroup, act: Action, points: Sequence) -> None:
-    for p in points:
-        if act(0, p) != p:
-            raise GroupError(f"not a group action: identity moves point {p!r}")
-    gen_indices = group.generator_indices
-    for i, row in enumerate(group.right):
-        for k, prod in enumerate(row):
-            for p in points:
-                if act(prod, p) != act(i, act(gen_indices[k], p)):
-                    raise GroupError(
-                        "not a group action: composition fails at "
-                        f"(element {i}, generator {k}, point {p!r})"
-                    )
-
-
 def orbits(
-    group: FiniteGroup,
-    act: Action,
-    points: Sequence,
+    perms: Sequence[Perm],
+    points: Sequence[int],
     within: Iterable[int] | None = None,
-    check: bool = True,
 ) -> list[Orbit]:
-    """Partition ``points`` into orbits.
+    """Partition ``points`` into orbits of the permutation tables ``perms``.
 
-    ``within`` restricts to a subgroup (sorted element indices); the check of
-    the action axioms (identity + composition against every generator) runs
-    only for full-group calls with ``check`` left on.
+    ``perms[g]`` is the permutation of element g, as returned by
+    :meth:`FiniteGroup.extend_action`, which has already checked that the
+    tables form an action; no callable and no further check.  ``within``
+    restricts to a subgroup (element indices), and ``points`` must be closed
+    under it (or under the whole group): an image outside ``points`` raises
+    GroupError.  Each orbit reads one column of the tables, O(|G|) lookups.
     """
-    elems = sorted(set(within)) if within is not None else list(range(group.order))
-    if within is None and check:
-        _check_is_action(group, act, points)
+    elems = range(len(perms)) if within is None else sorted(set(within))
+    rows = [perms[g] for g in elems]
     pos = {p: i for i, p in enumerate(points)}
-    seen: set = set()
+    seen: set[int] = set()
     out: list[Orbit] = []
     for p in points:
         if p in seen:
             continue
-        members = set()
-        stab = []
-        for g in elems:
-            q = act(g, p)
-            if q not in pos:
-                raise GroupError(f"not a group action on the given points: {p!r} -> {q!r}")
-            members.add(q)
-            if q == p:
-                stab.append(g)
+        column = list(map(itemgetter(p), rows))
+        members = set(column)
+        if not members.issubset(pos):
+            q = next(q for q in column if q not in pos)
+            raise GroupError(f"not a group action on the given points: {p!r} -> {q!r}")
         seen.update(members)
         ordered = tuple(sorted(members, key=pos.__getitem__))
-        out.append(Orbit(p, ordered, tuple(stab)))
+        stab = tuple(compress(elems, map(eq, column, repeat(p))))
+        out.append(Orbit(p, ordered, stab))
     return out
 
 

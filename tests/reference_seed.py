@@ -6,9 +6,12 @@ A test-only oracle for the differential tests in ``test_seed_differential``:
 pairwise closure and product check), the ``validate_action`` that calls
 them (kernel equivariance checked at every element), the per-element
 ``fixed_point_profile`` and the callable Burnside ``invariant_dimension_trace``
-(action and character evaluated at every (element, point) pair).  The
-bodies are copied unchanged; the group methods take the group as ``self``,
-and calls to them go to the copies here instead of the library's.
+(action and character evaluated at every (element, point) pair), with the
+``Action`` alias and the action-axiom check ``_check_is_action`` that trace
+runs.  The bodies are copied unchanged; the group methods take the group as
+``self``, and calls to them go to the copies here instead of the library's.
+Calls to ``extend_action`` and ``orbits`` pass the library's permutation
+tables and point counts.
 """
 
 from __future__ import annotations
@@ -22,15 +25,30 @@ from isoprod.cyclotomic import root_of_unity_sum
 from isoprod.errors import ActionError, CharacterError, GroupError
 from isoprod.groups import (
     TRIVIAL_CHAR,
-    Action,
     FiniteGroup,
     Orbit,
     Perm,
-    _check_is_action,
     char_order,
     orbits,
 )
 from isoprod.surfaces import ElementFixedPoints
+
+Action = Callable[[int, object], object]
+
+
+def _check_is_action(group: FiniteGroup, act: Action, points: Sequence) -> None:
+    for p in points:
+        if act(0, p) != p:
+            raise GroupError(f"not a group action: identity moves point {p!r}")
+    gen_indices = group.generator_indices
+    for i, row in enumerate(group.right):
+        for k, prod in enumerate(row):
+            for p in points:
+                if act(prod, p) != act(i, act(gen_indices[k], p)):
+                    raise GroupError(
+                        "not a group action: composition fails at "
+                        f"(element {i}, generator {k}, point {p!r})"
+                    )
 
 
 def subgroup_closure(self, seeds: Iterable[int]) -> frozenset[int]:
@@ -168,10 +186,10 @@ def validate_action(
 
     try:
         vertex_perms = group.extend_action(
-            [tuple(img) for img in vertex_images] if ngens else []
+            [tuple(img) for img in vertex_images] if ngens else [], graph.n_vertices
         )
         half_edge_perms = group.extend_action(
-            [tuple(img) for img in half_edge_images] if ngens else []
+            [tuple(img) for img in half_edge_images] if ngens else [], graph.n_half_edges
         )
     except GroupError as exc:
         raise ActionError(str(exc)) from exc
@@ -233,13 +251,13 @@ def validate_action(
                 )
 
     vertex_orbits = tuple(
-        orbits(group, lambda g, v: vertex_perms[g][v], range(graph.n_vertices), check=False)
+        orbits(vertex_perms, range(graph.n_vertices))
     )
     half_edge_orbits = tuple(
-        orbits(group, lambda g, h: half_edge_perms[g][h], range(graph.n_half_edges), check=False)
+        orbits(half_edge_perms, range(graph.n_half_edges))
     )
     edge_orbits = tuple(
-        orbits(group, lambda g, n: edge_perms[g][n], range(graph.n_edges), check=False)
+        orbits(edge_perms, range(graph.n_edges))
     )
 
     for (h, obj), val in tangent_chars.items():

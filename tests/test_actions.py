@@ -85,6 +85,28 @@ def test_homomorphism_failure():
         )
 
 
+@pytest.mark.parametrize(
+    "images, message",
+    [
+        (([(1, 0)], [(0, 1)]), "vertex images must permute the graph's vertices"),
+        (([(0,)], [(0, 1, 2)]), "half-edge images must permute the graph's half-edges"),
+        (([()], [(0, 1)]), "vertex images must permute the graph's vertices"),
+    ],
+)
+def test_wrong_length_generator_image_rejected(z2, nodal_quartic_graph, images, message):
+    # checked on each generator image, before the image is extended
+    with pytest.raises(ActionError, match=message):
+        validate_action(z2, nodal_quartic_graph, *images)
+
+
+def test_trivial_group_acts_by_identity_tables():
+    graph = build_graph([2, 2], [0, 1, 0, 1], [(0, 1), (2, 3)])
+    action = trivial_action(graph)
+    assert action.vertex_perms == ((0, 1),)
+    assert action.half_edge_perms == ((0, 1, 2, 3),)
+    assert action.edge_perms == ((0, 1),)
+
+
 def test_half_edge_action_must_cover_vertex_action(z2):
     graph = build_graph([2, 2], [0, 1], [(0, 1)])
     with pytest.raises(ActionError, match="cover"):

@@ -225,6 +225,23 @@ def test_exit_1_on_huge_schema_violation_with_bounded_message(capsys, tmp_path):
     assert err.startswith("error: <root>: [0, 0, ") and err.endswith("is not of type 'object'\n")
 
 
+def test_exit_1_on_long_curve_name_with_bounded_message(capsys, tmp_path):
+    # the JSON path carries the 5,000-character name; the line is still cut
+    path = tmp_path / "long_name.json"
+    block = {
+        "vertices": [{"id": "v", "genus": 0}],
+        "half_edges": [{"id": "p", "vertex": "v"}, {"id": "q", "vertex": "v"}],
+        "edges": [["p", "q"]],
+    }
+    data = {"version": "1", "group": {"degree": 2, "generators": []}, "curves": {"c" * 5000: block}}
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and len(err) == len("error: \n") + 240
+    assert err.startswith("error: curves.ccc") and err.endswith("must be > 0): 0\n")
+
+
 def test_schema_invalid_never_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{}")

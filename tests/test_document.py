@@ -292,6 +292,49 @@ def test_short_schema_problems_are_unchanged():
     ]
 
 
+LONG = "c" * 5000
+
+
+@pytest.mark.parametrize(
+    "data, head, tail",
+    [
+        (
+            minimal_doc(curves={LONG: {**curve_block(), "vertices": "bad"}}),
+            "curves.ccc",
+            "ccc.vertices: ... is not of type 'array'",
+        ),
+        (
+            minimal_doc(curves={LONG: {**curve_block(), "vertices": [{"id": "v", "genus": 0}]}}),
+            "curves.ccc",
+            "ccc: unstable vertices (2g - 2 + branches + marks must be > 0): 0",
+        ),
+        (
+            {**minimal_doc(), "version": "9" * 5000},
+            "version: unknown version '999",
+            "999' (expected \"1\")",
+        ),
+        (
+            minimal_doc(
+                curves={"c": curve_block()},
+                actions={"a": {"curve": LONG, "vertex_images": [{}], "half_edge_images": [{}]}},
+            ),
+            "actions.a.curve: unresolved curve reference 'ccc",
+            "ccc'",
+        ),
+    ],
+    ids=["long-path-schema", "long-path-curve", "long-version", "long-curve-reference"],
+)
+def test_every_problem_line_is_cut_in_the_middle(data, head, tail):
+    # paths carry user-chosen keys and messages echo user values: each
+    # problem is cut to 240 characters, keeping its start and its end
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(data))
+    (problem,) = err.value.problems
+    assert len(problem) == 240
+    assert problem.startswith(head) and problem.endswith(tail)
+    assert "c..." in problem or "9...9" in problem
+
+
 def test_integer_literal_past_the_digit_limit_is_a_document_error():
     text = '{"version": "1", "group": {"degree": ' + "9" * 5000 + ', "generators": []}}'
     with pytest.raises(DocumentError) as err:

@@ -175,7 +175,7 @@ def test_extend_action_rejects_broken_power_relation():
     # one relation not used to build it; a 3-cycle image breaks only that one
     z4 = FiniteGroup.from_generators([perm_from_cycles([[0, 1, 2, 3]], 4)], 4)
     with pytest.raises(GroupError, match="homomorphism"):
-        z4.extend_action([perm_from_cycles([[0, 1, 2]], 3)])
+        z4.extend_action([perm_from_cycles([[0, 1, 2]], 3)], 3)
 
 
 def test_extend_action_rejects_broken_braid_relation():
@@ -184,16 +184,13 @@ def test_extend_action_rejects_broken_braid_relation():
         [perm_from_cycles([[0, 1, 2]], 3), perm_from_cycles([[0, 1]], 3)], 3
     )
     with pytest.raises(GroupError, match="homomorphism"):
-        s3.extend_action([perm_from_cycles([[0, 1, 2]], 4), perm_from_cycles([[0, 3]], 4)])
-    assert s3.extend_action(list(s3.generators)) == s3.elements
+        s3.extend_action([perm_from_cycles([[0, 1, 2]], 4), perm_from_cycles([[0, 3]], 4)], 4)
+    assert s3.extend_action(list(s3.generators), 3) == s3.elements
 
 
-def test_orbits_rejects_action_failing_only_off_the_tree():
-    # element r^i of Z4 acts by c^i for a 3-cycle c: only r^3 * r = e fails
-    z4 = FiniteGroup.from_generators([perm_from_cycles([[0, 1, 2, 3]], 4)], 4)
-    powers = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 1, 2)]
-    with pytest.raises(GroupError, match="composition fails"):
-        orbits(z4, lambda g, p: powers[z4.elements[g][0]][p], [0, 1, 2])
+def test_extend_action_of_the_trivial_group_is_the_identity():
+    assert FiniteGroup.trivial().extend_action([], 3) == ((0, 1, 2),)
+    assert FiniteGroup.trivial().extend_action([], 0) == ((),)
 
 
 # -- permutation helpers --------------------------------------------------
@@ -237,14 +234,13 @@ def test_format_perm():
 
 
 def test_orbits_trivial_group():
-    g = FiniteGroup.trivial()
-    out = orbits(g, lambda e, p: p, ["p", "q"])
-    assert [o.members for o in out] == [("p",), ("q",)]
+    out = orbits(FiniteGroup.trivial().extend_action([], 2), [0, 1])
+    assert [o.members for o in out] == [(0,), (1,)]
     assert all(o.stabilizer == (0,) for o in out)
 
 
 def test_orbits_swap(z2):
-    out = orbits(z2, lambda e, p: p ^ (e == 1), [0, 1])
+    out = orbits(z2.extend_action([(1, 0)], 2), [0, 1])
     assert len(out) == 1
     assert out[0].representative == 0
     assert out[0].members == (0, 1)
@@ -252,19 +248,33 @@ def test_orbits_swap(z2):
 
 
 def test_orbits_fixing(z2):
-    out = orbits(z2, lambda e, p: p, [0, 1])
+    out = orbits(z2.extend_action([(0, 1)], 2), [0, 1])
     assert [o.members for o in out] == [(0,), (1,)]
     assert all(o.stabilizer == (0, 1) for o in out)
 
 
+def test_orbits_members_in_point_order_and_within_a_subgroup():
+    # Z4 = <r> by a 4-cycle on 4 points: r^2 has orbits {0, 2} and {1, 3}
+    z4 = FiniteGroup.from_generators([perm_from_cycles([[0, 1, 2, 3]], 4)], 4)
+    perms = z4.extend_action(list(z4.generators), 4)
+    r2 = z4.mul(1, 1)
+    out = orbits(perms, [3, 2, 1, 0], within=[r2, 0])
+    assert [(o.representative, o.members, o.stabilizer) for o in out] == [
+        (3, (3, 1), (0,)),
+        (2, (2, 0), (0,)),
+    ]
+    (whole,) = orbits(perms, range(4))
+    assert whole.members == (0, 1, 2, 3) and whole.stabilizer == (0,)
+
+
 def test_orbits_rejects_non_action(z2):
-    # "identity" that moves a point
+    # the generator sends point 1 to 2, which is not among the points
+    perms = z2.extend_action([(0, 2, 1)], 3)
+    with pytest.raises(GroupError, match="not a group action on the given points: 1 -> 2"):
+        orbits(perms, [0, 1])
     with pytest.raises(GroupError, match="not a group action"):
-        orbits(z2, lambda e, p: 1 - p, [0, 1])
-    # composition failure: generator acts by a non-involution on 3 points
-    cyc = {0: 1, 1: 2, 2: 0}
-    with pytest.raises(GroupError, match="not a group action"):
-        orbits(z2, lambda e, p: cyc[p] if e == 1 else p, [0, 1, 2])
+        orbits(perms, [1, 0], within=[1, 0])
+    assert [o.members for o in orbits(perms, [0, 1, 2])] == [(0,), (1, 2)]
 
 
 def test_orbit_stabilizer_theorem():
@@ -272,11 +282,11 @@ def test_orbit_stabilizer_theorem():
         for sub in all_subgroups(group):
             cosets = left_cosets(group, sub)
             index = {c: i for i, c in enumerate(cosets)}
-
-            def act(g, i):
-                return index[frozenset(group.mul(g, x) for x in cosets[i])]
-
-            for orbit in orbits(group, act, range(len(cosets))):
+            perms = [
+                tuple(index[frozenset(group.mul(g, x) for x in c)] for c in cosets)
+                for g in range(group.order)
+            ]
+            for orbit in orbits(perms, range(len(cosets))):
                 assert len(orbit.members) * len(orbit.stabilizer) == group.order
 
 

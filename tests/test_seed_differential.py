@@ -13,17 +13,21 @@ import pytest
 import randgen
 import reference_seed
 from isoprod.actions import (
+    QuotientSignature,
     RamificationOrbit,
+    _solve_riemann_hurwitz,
     inert_action,
+    quotient_signature,
     t1_equivariant_oracle,
     validate_action,
 )
 from isoprod.curves import build_graph
-from isoprod.errors import ActionError, CharacterError, IsoprodError
+from isoprod.errors import ActionError, CharacterError, IsoprodError, RamificationError
 from isoprod.groups import (
     FiniteGroup,
     format_perm,
     invariant_dimension_trace,
+    orbits,
     perm_from_cycles,
 )
 from isoprod.surfaces import (
@@ -392,3 +396,50 @@ def test_freeness_checks_match_seed_profiles():
                 verdicts.add((free.passed, codim1.passed))
     # free, free in codimension 1 only, and neither all occur
     assert {(True, True), (False, True), (False, False)} <= verdicts
+
+
+def test_quotient_signatures_read_the_stabilizer_suborbits_from_cached_orbits():
+    # per vertex orbit, the half-edge orbits met by the representative's
+    # branches (looked up in first-branch order, as quotient_signature reads
+    # them) are the orbits of Stab(rep) on those branches, recomputed here
+    # with orbits(within=...), with stabilizers of the same order
+    groups = randgen.catalog() + [s4(), a5()]
+    suborbits_seen = 0
+    for i, group in enumerate(groups):
+        actions = [
+            validate_action(group, graph, *args["images"], **args["kwargs"])
+            for graph, args in captured_inputs(group, 500 + i, 4 if group.order < 24 else 1)
+        ]
+        if group.order >= 24:
+            actions += s4_a5_actions(group)
+        for action in actions:
+            for orb in action.vertex_orbits:
+                rep = orb.representative
+                branches = action.graph.vertex_half_edges[rep]
+                cached = list(dict.fromkeys(action.half_edge_orbit_of[h] for h in branches))
+                subs = orbits(action.half_edge_perms, branches, within=orb.stabilizer)
+                assert [len(o.stabilizer) for o in cached] == [
+                    len(sub.stabilizer) for sub in subs
+                ]
+                for o, sub in zip(cached, subs):
+                    assert sub.members == tuple(h for h in branches if h in o.members)
+                kernel = len(action.kernels[rep])
+                orders = [o.order for o in action.ramification_orbits if o.vertex in orb.members]
+                orders += [
+                    len(sub.stabilizer) // kernel
+                    for sub in subs
+                    if len(sub.stabilizer) // kernel >= 2
+                ]
+                genus = action.graph.genera[rep]
+                hbar = len(orb.stabilizer) // kernel
+                try:
+                    g_prime, b = _solve_riemann_hurwitz(genus, hbar, orders, f"vertex {rep}")
+                    expected = QuotientSignature(rep, g_prime, b, 3 * g_prime - 3 + b)
+                except RamificationError as exc:
+                    expected = str(exc)
+                try:
+                    assert quotient_signature(action, rep) == expected
+                except RamificationError as exc:
+                    assert str(exc) == expected
+                suborbits_seen += len(subs)
+    assert suborbits_seen > 100
