@@ -605,6 +605,16 @@ def inert_action(group: FiniteGroup, graph: DualGraph) -> CurveAction:
     )
 
 
+def _trivial_orbits(chars: CharTable, orbit_list: Sequence[Orbit]) -> int:
+    """Number of orbits on whose representative every stabilizer element has
+    character 0 in ``chars``."""
+    total = 0
+    for orbit in orbit_list:
+        if all(chars[(g, orbit.representative)] == 0 for g in orbit.stabilizer):
+            total += 1
+    return total
+
+
 def node_invariants(action: CurveAction) -> int:
     """Number of node orbits whose stabilizer fixes the smoothing parameter.
 
@@ -612,26 +622,12 @@ def node_invariants(action: CurveAction) -> int:
     node; an orbit contributes an invariant section exactly when every
     stabilizer element acts trivially on the stalk.
     """
-    total = 0
-    for orbit in action.edge_orbits:
-        if all(
-            action.smoothing_chars[(g, orbit.representative)] == 0
-            for g in orbit.stabilizer
-        ):
-            total += 1
-    return total
+    return _trivial_orbits(action.smoothing_chars, action.edge_orbits)
 
 
 def branch_invariants(action: CurveAction) -> int:
     """Number of half-edge orbits with trivial stabilizer tangent character."""
-    total = 0
-    for orbit in action.half_edge_orbits:
-        if all(
-            action.tangent_chars[(g, orbit.representative)] == 0
-            for g in orbit.stabilizer
-        ):
-            total += 1
-    return total
+    return _trivial_orbits(action.tangent_chars, action.half_edge_orbits)
 
 
 def _solve_riemann_hurwitz(

@@ -28,8 +28,7 @@ class DualGraph:
     and kept on the instance (it is not a field, so equality, hashing and
     repr see the data only): ``components`` (the connected components, each
     a sorted vertex tuple), ``vertex_half_edges[v]`` and ``vertex_marks[v]``
-    (the half-edges and marks at ``v``, in index order).  ``half_edges_at``,
-    ``marks_at`` and ``degree`` read them.
+    (the half-edges and marks at ``v``, in index order).
     """
 
     genera: tuple[int, ...]
@@ -59,36 +58,35 @@ class DualGraph:
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n_vertices)]
-        for p, q in self.edges:
-            a, b = self.half_edge_vertex[p], self.half_edge_vertex[q]
-            adj[a].add(b)
-            adj[b].add(a)
-        seen: set[int] = set()
-        comps = []
-        for v in range(self.n_vertices):
-            if v in seen:
-                continue
-            stack, comp = [v], []
-            seen.add(v)
-            while stack:
-                w = stack.pop()
-                comp.append(w)
-                for u in adj[w]:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        return _components(self.n_vertices, self.half_edge_vertex, self.edges)
 
-    def half_edges_at(self, v: int) -> list[int]:
-        return list(self.vertex_half_edges[v])
 
-    def marks_at(self, v: int) -> list[int]:
-        return list(self.vertex_marks[v])
-
-    def degree(self, v: int) -> int:
-        return len(self.vertex_half_edges[v])
+def _components(
+    n_vertices: int, half_edge_vertex: Sequence[int], edges: Iterable[Sequence[int]]
+) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the vertices joined by ``edges``, each a sorted
+    vertex tuple, ordered by their least vertex."""
+    adj: list[set[int]] = [set() for _ in range(n_vertices)]
+    for p, q in edges:
+        a, b = half_edge_vertex[p], half_edge_vertex[q]
+        adj[a].add(b)
+        adj[b].add(a)
+    seen: set[int] = set()
+    comps = []
+    for v in range(n_vertices):
+        if v in seen:
+            continue
+        stack, comp = [v], []
+        seen.add(v)
+        while stack:
+            w = stack.pop()
+            comp.append(w)
+            for u in adj[w]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
 
 
 def _incidence(owner: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:

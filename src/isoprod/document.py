@@ -239,9 +239,11 @@ def _json_path(error: jsonschema.ValidationError) -> str:
 
 def _schema_problem(error: jsonschema.ValidationError) -> str:
     """``<path>: <message>``, the echoed value cut in the middle with "..."
-    when the line would exceed ``_MAX_PROBLEM`` characters."""
+    when the line would exceed ``_MAX_PROBLEM`` characters.  A long path
+    counts as half a line: :class:`DocumentError` cuts the rest of it from
+    the middle of the line."""
     path, message = _json_path(error), error.message
-    excess = len(path) + 2 + len(message) - _MAX_PROBLEM
+    excess = min(len(path), _MAX_PROBLEM // 2) + 2 + len(message) - _MAX_PROBLEM
     if excess > 0:
         echoed = repr(error.instance)
         at = message.find(echoed)

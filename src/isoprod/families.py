@@ -29,7 +29,7 @@ from .actions import (
     t1_equivariant,
     validate_action,
 )
-from .curves import arithmetic_genus, build_graph
+from .curves import _components, arithmetic_genus, build_graph
 from .errors import FamilyError, IsoprodError, SmoothingError
 from .groups import Orbit, format_rotation_char
 
@@ -124,22 +124,6 @@ def _classify_local_model(action: CurveAction, orbit: Orbit) -> tuple[str, int |
     )
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     """Smooth the whole orbit of the given edge, equivariantly.
 
@@ -157,26 +141,21 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     model, swap_element = _classify_local_model(action, orbit)
 
     removed = set(orbit.members)
-    uf = _UnionFind(graph.n_vertices)
-    for n in removed:
-        p, q = graph.edges[n]
-        uf.union(graph.half_edge_vertex[p], graph.half_edge_vertex[q])
-
-    roots = sorted({uf.find(v) for v in range(graph.n_vertices)})
-    class_index = {r: i for i, r in enumerate(roots)}
-    vclass = [class_index[uf.find(v)] for v in range(graph.n_vertices)]
-
-    class_vertices: list[list[int]] = [[] for _ in roots]
-    for v in range(graph.n_vertices):
-        class_vertices[vclass[v]].append(v)
-    class_edges = [0] * len(roots)
+    classes = _components(
+        graph.n_vertices, graph.half_edge_vertex, [graph.edges[n] for n in removed]
+    )
+    vclass = [0] * graph.n_vertices
+    for c, vs in enumerate(classes):
+        for v in vs:
+            vclass[v] = c
+    class_edges = [0] * len(classes)
     for n in removed:
         p, _ = graph.edges[n]
         class_edges[vclass[graph.half_edge_vertex[p]]] += 1
 
     new_genera = [
         sum(graph.genera[v] for v in vs) + (class_edges[c] - len(vs) + 1)
-        for c, vs in enumerate(class_vertices)
+        for c, vs in enumerate(classes)
     ]
 
     removed_hes = {h for n in removed for h in graph.edges[n]}
@@ -196,12 +175,10 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     new_vertex_images = []
     new_he_images = []
     for gen_idx in group.generator_indices:
-        vimg = [0] * len(roots)
-        for c, vs in enumerate(class_vertices):
-            targets = {vclass[action.vertex_perms[gen_idx][v]] for v in vs}
-            assert len(targets) == 1, "contracted edge set is not G-invariant"
-            vimg[c] = targets.pop()
-        new_vertex_images.append(tuple(vimg))
+        # the removed edges form one orbit, so each generator permutes the
+        # classes and one member's image names the class's image
+        vperm = action.vertex_perms[gen_idx]
+        new_vertex_images.append(tuple(vclass[vperm[vs[0]]] for vs in classes))
         new_he_images.append(
             tuple(he_map[action.half_edge_perms[gen_idx][h]] for h in surviving)
         )
@@ -216,12 +193,10 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
         for (g, n), val in action.smoothing_chars.items()
         if n in edge_map
     }
-    kernels = {}
-    for c, vs in enumerate(class_vertices):
-        if class_edges[c] == 0:
-            kernels[c] = sorted(action.kernels[vs[0]])
-        else:
-            kernels[c] = []
+    kernels = {
+        c: sorted(action.kernels[vs[0]]) if class_edges[c] == 0 else []
+        for c, vs in enumerate(classes)
+    }
 
     ram = [
         RamificationOrbit(vclass[o.vertex], o.element, o.char, o.order)
@@ -314,15 +289,12 @@ def check_constancy(strata) -> ConstancyReport:
         if len(totals) == 1:
             verdict, constant_value, offending = "constant", totals.pop(), None
         else:
+            # the first stratum differing from the first one: if none did,
+            # the totals would be constant
+            first = computed[0]
+            other = next(v for v in computed if v.t1.total != first.t1.total)
             verdict, constant_value = "violation", None
-            offending = None
-            for i, a in enumerate(computed):
-                for b in computed[i + 1 :]:
-                    if a.t1.total != b.t1.total:
-                        offending = (a.label, b.label)
-                        break
-                if offending:
-                    break
+            offending = (first.label, other.label)
 
     bound_violations = []
     for a in computed:

@@ -201,10 +201,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def index_of(self, perm: Perm) -> int:
         try:
             return self._index[perm]

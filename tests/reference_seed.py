@@ -236,7 +236,7 @@ def validate_action(
         for k in sub:
             if vertex_perms[k][v] != v:
                 raise ActionError(f"kernel element {k} of vertex {v} moves the vertex")
-            for h in graph.half_edges_at(v):
+            for h in graph.vertex_half_edges[v]:
                 if half_edge_perms[k][h] != h:
                     raise ActionError(
                         f"kernel element {k} of vertex {v} moves half-edge {h}"
@@ -276,7 +276,7 @@ def validate_action(
     forced_tangent: CharTable = {}
     for v in range(graph.n_vertices):
         for k in kernel_subs[v]:
-            for h in graph.half_edges_at(v):
+            for h in graph.vertex_half_edges[v]:
                 forced_tangent[(k, h)] = TRIVIAL_CHAR
 
     full_tangent: CharTable = {}

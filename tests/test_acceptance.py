@@ -165,7 +165,7 @@ def test_criterion_6_riemann_hurwitz_integrality():
                     if o.vertex in orbit.members
                 ]
                 seen = set()
-                for p in action.graph.half_edges_at(rep):
+                for p in action.graph.vertex_half_edges[rep]:
                     if p in seen:
                         continue
                     members = {

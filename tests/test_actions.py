@@ -544,7 +544,7 @@ def test_riemann_hurwitz_reconstruction():
                 if o.vertex in orbit.members
             ]
             seen = set()
-            for p in action.graph.half_edges_at(rep):
+            for p in action.graph.vertex_half_edges[rep]:
                 if p in seen:
                     continue
                 members = {action.half_edge_perms[g][p] for g in orbit.stabilizer}

@@ -204,10 +204,9 @@ def test_derived_structure_matches_scans():
         assert g.components == scanned_components(g)
         for v in range(g.n_vertices):
             at = [h for h, w in enumerate(g.half_edge_vertex) if w == v]
-            assert g.half_edges_at(v) == at
             assert g.vertex_half_edges[v] == tuple(at)
-            assert g.degree(v) == len(at)
-            assert g.marks_at(v) == [m for m, w in enumerate(g.marks) if w == v]
+            marks = tuple(m for m, w in enumerate(g.marks) if w == v)
+            assert g.vertex_marks[v] == marks
 
 
 def test_cached_structure_leaves_equality_and_hash_alone():

@@ -301,7 +301,7 @@ LONG = "c" * 5000
         (
             minimal_doc(curves={LONG: {**curve_block(), "vertices": "bad"}}),
             "curves.ccc",
-            "ccc.vertices: ... is not of type 'array'",
+            "ccc.vertices: 'bad' is not of type 'array'",
         ),
         (
             minimal_doc(curves={LONG: {**curve_block(), "vertices": [{"id": "v", "genus": 0}]}}),

@@ -104,6 +104,35 @@ def test_smooth_connecting_swap_edge(z2):
     assert after.total == before.total == 2
 
 
+def test_smooth_free_square_contracts_two_classes(z2):
+    # free involution turning a 4-cycle of genus-1 components by half a turn:
+    # edges 01, 12, 23, 30 pair half-edges (0, 1), (2, 3), (4, 5), (6, 7)
+    graph = build_graph(
+        [1, 1, 1, 1], [0, 1, 1, 2, 2, 3, 3, 0], [(0, 1), (2, 3), (4, 5), (6, 7)]
+    )
+    action = validate_action(
+        z2,
+        graph,
+        vertex_images=[(2, 3, 0, 1)],
+        half_edge_images=[(4, 5, 6, 7, 0, 1, 2, 3)],
+    )
+    assert action.edge_orbit_of[0].members == (0, 2)
+    # smoothing {01, 23} merges {0, 1} and {2, 3}; vertex 0's class comes
+    # first, and the surviving half-edges 2, 3, 6, 7 sit on 1, 2, 3, 0
+    halved = smooth_node_orbit(action, 0)
+    assert halved.graph.genera == (2, 2)
+    assert halved.graph.half_edge_vertex == (0, 1, 1, 0)
+    assert halved.vertex_perms[z2.generator_indices[0]] == (1, 0)
+    smooth = smooth_node_orbit(halved, 0)
+    assert smooth.graph.genera == (5,)
+    assert smooth.graph.n_edges == 0
+    chain = smoothing_chain(action)
+    assert [s.action for s in chain.strata] == [action, halved, smooth]
+    report = check_constancy(chain.strata)
+    assert report.verdict == "constant"
+    assert report.constant_value == 6
+
+
 def test_unsmoothable_nontrivial_character(z2, nodal_quartic_graph):
     action = validate_action(
         z2,
@@ -251,6 +280,31 @@ def test_constancy_violation_dropped_orbits(paper_action, free_involution_action
     assert report.offending == ("nodal", "corrupted")
     values = [v.t1.total for v in report.strata]
     assert values == [4, 3]
+
+
+def test_constancy_violation_names_the_first_stratum_that_differs(
+    paper_action, smooth_fiber_action, free_involution_action
+):
+    # totals 4, 4, 3 and 3, 4, 4: the pair is the first stratum and the
+    # first one whose total differs from it
+    report = check_constancy(
+        [
+            FamilyStratum("nodal", paper_action),
+            FamilyStratum("smooth", smooth_fiber_action),
+            FamilyStratum("corrupted", free_involution_action),
+        ]
+    )
+    assert [v.t1.total for v in report.strata] == [4, 4, 3]
+    assert report.verdict == "violation"
+    assert report.offending == ("nodal", "corrupted")
+    report = check_constancy(
+        [
+            FamilyStratum("corrupted", free_involution_action),
+            FamilyStratum("nodal", paper_action),
+            FamilyStratum("smooth", smooth_fiber_action),
+        ]
+    )
+    assert report.offending == ("corrupted", "nodal")
 
 
 def test_constancy_dropping_one_orbit_is_rh_inconsistent(paper_action, z2):
