@@ -155,6 +155,28 @@ class CurveAction:
         """Edge -> its orbit, built on first use."""
         return {n: orbit for orbit in self.edge_orbits for n in orbit.members}
 
+    @cached_property
+    def fixed_point_sets(self) -> tuple[frozenset[int], frozenset[int]]:
+        """(elements with a fixed point, elements fixing a whole component).
+
+        An element fixes a point exactly when it lies in a kernel, in a
+        conjugate of a half-edge or edge stabilizer, or in a conjugate of a
+        ramification orbit's point stabilizer (generated by the orbit's element
+        and the component's kernel).  Kernels are permuted by conjugation, so
+        one conjugacy closure of all these subgroups gives the first set:
+        O(|G| * gens) group products, on first use.  The freeness checks and
+        ``surfaces.fixed_point_profile`` read it.  Both sets may hold the
+        identity, which every reader skips.
+        """
+        group = self.group
+        fixes_component = frozenset().union(*self.kernels)
+        seeds = set(fixes_component)
+        for orbit in self.half_edge_orbits + self.edge_orbits:
+            seeds.update(orbit.stabilizer)
+        for o in self.ramification_orbits:
+            seeds |= group.subgroup_closure([o.element, *self.kernels[o.vertex]])
+        return group.conjugacy_union(seeds), fixes_component
+
 
 def _transport_and_close(
     group: FiniteGroup,

@@ -22,7 +22,7 @@ import jsonschema
 
 from .actions import CurveAction, RamificationOrbit, validate_action
 from .curves import DualGraph, build_graph
-from .errors import _MAX_PROBLEM, DocumentError, IsoprodError
+from .errors import _MAX_PROBLEM, DocumentError, IsoprodError, _clip
 from .groups import (
     DEFAULT_GROUP_CAP,
     FiniteGroup,
@@ -238,21 +238,23 @@ def _json_path(error: jsonschema.ValidationError) -> str:
 
 
 def _schema_problem(error: jsonschema.ValidationError) -> str:
-    """``<path>: <message>``, the echoed value cut in the middle with "..."
-    when the line would exceed ``_MAX_PROBLEM`` characters.  A long path
-    counts as half a line: :class:`DocumentError` cuts the rest of it from
-    the middle of the line."""
+    """``<path>: <message>`` in at most ``_MAX_PROBLEM`` characters.
+
+    The path is cut in the middle with "..." to what the message leaves of
+    the line, but never below half a line; the echoed value is then cut in
+    the middle to what remains, so both ends of the path (and the failing
+    field) survive a long value."""
     path, message = _json_path(error), error.message
-    excess = min(len(path), _MAX_PROBLEM // 2) + 2 + len(message) - _MAX_PROBLEM
+    path = _clip(path, max(_MAX_PROBLEM - 2 - len(message), _MAX_PROBLEM // 2))
+    excess = len(path) + 2 + len(message) - _MAX_PROBLEM
     if excess > 0:
         echoed = repr(error.instance)
         at = message.find(echoed)
         if at < 0:
             # the value echoed is not the instance (unexpected keys)
             echoed, at = message, 0
-        keep = max(len(echoed) - excess - 3, 0)
-        head, tail = echoed[: (keep + 1) // 2], echoed[len(echoed) - keep // 2 :]
-        message = f"{message[:at]}{head}...{tail}{message[at + len(echoed):]}"
+        cut = _clip(echoed, max(len(echoed) - excess, 3))
+        message = f"{message[:at]}{cut}{message[at + len(echoed):]}"
     return f"{path}: {message}"
 
 

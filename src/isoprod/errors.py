@@ -43,11 +43,11 @@ class FamilyError(IsoprodError):
 _MAX_PROBLEM = 240
 
 
-def _clip(problem: str) -> str:
-    """``problem`` cut in the middle with "..." to ``_MAX_PROBLEM`` characters."""
-    if len(problem) <= _MAX_PROBLEM:
+def _clip(problem: str, limit: int = _MAX_PROBLEM) -> str:
+    """``problem`` cut in the middle with "..." to ``limit`` (>= 3) characters."""
+    if len(problem) <= limit:
         return problem
-    keep = _MAX_PROBLEM - 3
+    keep = limit - 3
     return f"{problem[: (keep + 1) // 2]}...{problem[len(problem) - keep // 2 :]}"
 
 

@@ -88,9 +88,13 @@ def _edge_orbit_of(action: CurveAction, edge: int) -> Orbit:
         raise SmoothingError(f"edge {edge} not found in any orbit") from None
 
 
-def _require_smoothable(action: CurveAction, orbit: Orbit) -> None:
+def _local_model(action: CurveAction, orbit: Orbit) -> tuple[str, int | None]:
+    """("free" | "rotation" | "swap", swap element or None) for a node orbit;
+    SmoothingError when a stabilizer element moves the smoothing parameter
+    or the stabilizer is not one of the three supported local models."""
     rep = orbit.representative
-    for g in orbit.stabilizer:
+    stab = orbit.stabilizer
+    for g in stab:
         chi = action.smoothing_chars[(g, rep)]
         if chi != 0:
             raise SmoothingError(
@@ -98,16 +102,10 @@ def _require_smoothable(action: CurveAction, orbit: Orbit) -> None:
                 f"{g} acts on the smoothing parameter of edge {rep} by "
                 f"{format_rotation_char(chi)}"
             )
-
-
-def _classify_local_model(action: CurveAction, orbit: Orbit) -> tuple[str, int | None]:
-    """Return ("free" | "rotation" | "swap", swap element or None)."""
-    rep = orbit.representative
-    stab = orbit.stabilizer
-    p0, _ = action.graph.edges[rep]
-    swaps = [g for g in stab if action.swaps_branches(g, rep)]
     if len(stab) == 1:
         return "free", None
+    p0, _ = action.graph.edges[rep]
+    swaps = [g for g in stab if action.swaps_branches(g, rep)]
     if not swaps:
         chars = {action.tangent_chars[(g, p0)] for g in stab}
         if len(chars) == len(stab):
@@ -137,8 +135,7 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     graph = action.graph
     group = action.group
     orbit = _edge_orbit_of(action, edge)
-    _require_smoothable(action, orbit)
-    model, swap_element = _classify_local_model(action, orbit)
+    model, swap_element = _local_model(action, orbit)
 
     removed = set(orbit.members)
     classes = _components(
@@ -228,8 +225,7 @@ def smoothable_edge_orbits(action: CurveAction) -> list[tuple[Orbit, str | None]
     out = []
     for orbit in action.edge_orbits:
         try:
-            _require_smoothable(action, orbit)
-            _classify_local_model(action, orbit)
+            _local_model(action, orbit)
             out.append((orbit, None))
         except SmoothingError as exc:
             out.append((orbit, str(exc)))

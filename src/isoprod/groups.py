@@ -7,15 +7,17 @@ permutation tuples.  Every other module refers to group elements by their
 index in this table.  The enumeration keeps every product it computes as a
 right-multiply-by-generator table of element indices (``right``), so
 products by generators are table reads, not rebuilt permutation tuples.
+Read row by row, ``right`` reaches each element first from a word one
+letter shorter, so one walk of it extends any data along words.
 
 Batched arithmetic (:meth:`FiniteGroup.products`,
 :meth:`FiniteGroup.conjugates`) works on lists of element indices.
 Conjugation by a group generator is one list read per element: the table
-x -> s x s^-1 is built on first use from ``right`` and ``parents`` alone
-(3 |G| list reads, |G| ints kept per generator).  A product by any other
-element hoists that element's permutation out of the loop, so each list
-entry costs one C-level compose and one index lookup; a conjugation by any
-other element costs two composes and one lookup.
+x -> s x s^-1 is built on first use from ``right`` alone (one walk of it,
+|G| ints kept per generator).  A product by any other element hoists that
+element's permutation out of the loop, so each list entry costs one C-level
+compose and one index lookup; a conjugation by any other element costs two
+composes and one lookup.
 
 A group action is a table of per-element permutations built by
 :meth:`FiniteGroup.extend_action`, which proves the homomorphism; orbits and
@@ -33,6 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
+from math import lcm
 from operator import eq, itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -122,17 +125,13 @@ class FiniteGroup:
 
     Index 0 is always the identity.  ``right[i][k]`` is the index of
     ``elements[i] * generators[k]``, recorded during enumeration (|G| * gens
-    ints); ``parents`` marks the entries that built the element table.
-    Instances are immutable and safe to share; construct through
+    ints).  Instances are immutable and safe to share; construct through
     :meth:`from_generators`.
     """
 
     degree: int
     generators: tuple[Perm, ...]
     elements: tuple[Perm, ...]
-    # parent[i] = (j, k) with elements[i] == elements[j] * generators[k];
-    # lets group actions be extended from generator images along BFS words.
-    parents: tuple[tuple[int, int], ...] = field(repr=False)
     right: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def __post_init__(self):
@@ -161,37 +160,30 @@ class FiniteGroup:
         ident = identity_perm(degree)
         elements = [ident]
         index = {ident: 0}
-        parents: list[tuple[int, int]] = [(0, -1)]
         right: list[list[int]] = [[0] * len(gens)]
         frontier = [0]
         while frontier:
-            discovered: dict[Perm, tuple[int, int]] = {}
             # products not yet indexed; resolved once this level is sorted
             pending: list[tuple[int, int, Perm]] = []
             for i in frontier:
                 for k, s in enumerate(gens):
                     y = compose(elements[i], s)
                     j = index.get(y)
-                    if j is not None:
+                    if j is None:
+                        pending.append((i, k, y))
+                    else:
                         right[i][k] = j
-                        continue
-                    pending.append((i, k, y))
-                    if y not in discovered:
-                        discovered[y] = (i, k)
             frontier = []
-            for y in sorted(discovered):
+            for y in sorted({y for _, _, y in pending}):
                 if len(elements) >= cap:
                     raise GroupError(f"group too large: order exceeds cap {cap}")
                 index[y] = len(elements)
                 frontier.append(len(elements))
                 elements.append(y)
-                parents.append(discovered[y])
                 right.append([0] * len(gens))
             for i, k, y in pending:
                 right[i][k] = index[y]
-        return cls(
-            degree, gens, tuple(elements), tuple(parents), tuple(map(tuple, right))
-        )
+        return cls(degree, gens, tuple(elements), tuple(map(tuple, right)))
 
     @classmethod
     def trivial(cls, degree: int = 1) -> "FiniteGroup":
@@ -231,11 +223,8 @@ class FiniteGroup:
         return self.right[0]
 
     def element_order(self, i: int) -> int:
-        n, j = 1, i
-        while j != 0:
-            j = self.mul(j, i)
-            n += 1
-        return n
+        """The lcm of the cycle lengths of element i's permutation."""
+        return lcm(*map(len, perm_to_cycles(self.elements[i])))
 
     def products(self, xs: Iterable[int], t: int) -> list[int]:
         """``[mul(x, t) for x in xs]``: a column read of ``right`` when t is
@@ -275,19 +264,20 @@ class FiniteGroup:
     def _generator_conjugation(self, k: int) -> list[int]:
         """x -> s x s^-1 over element indices, for generator s = generators[k].
 
-        Table reads only: left[i], the index of s * elements[i], follows the
-        enumeration tree (left[i] = right[left[j]][k'] for parents[i] =
-        (j, k')), and right division by s inverts column k of ``right``.
-        Built on first use and kept; a concurrent first use only computes
-        the same list twice.
+        Table reads only: left[i], the index of s * elements[i], satisfies
+        left[right[j][k']] = right[left[j]][k'] for every (j, k'), so one
+        walk of ``right`` row by row fills it (each row comes after the row
+        that first reaches it), and right division by s inverts column k of
+        ``right``.  Built on first use and kept; a concurrent first use only
+        computes the same list twice.
         """
         table = self._conjugation.get(k)
         if table is None:
-            right, parents = self.right, self.parents
+            right = self.right
             left = [right[0][k]] * self.order
-            for i in range(1, self.order):
-                j, kk = parents[i]
-                left[i] = right[left[j]][kk]
+            for j, row in enumerate(right):
+                for i, x in zip(row, right[left[j]]):
+                    left[i] = x
             divide = [0] * self.order
             for z, row in enumerate(right):
                 divide[row[k]] = z
@@ -373,24 +363,23 @@ class FiniteGroup:
         """Per-element permutations of {0..n-1} induced by generator images
         along BFS words; the trivial group gets the identity alone.
 
-        Raises GroupError if an image is not a permutation of n letters or
-        the images do not define a group homomorphism (checked against every
-        (element, generator) product, which suffices by induction on word
-        length).  The products are read from ``right``; the |G| - 1 of them
-        that built the table (``parents``) hold by construction and are skipped.
+        One walk of ``right`` row by row: the first (element, generator)
+        product that reaches an element sets its permutation, and every
+        later one is a relation check.  Raises GroupError if an image is not
+        a permutation of n letters or the images do not define a group
+        homomorphism (every (element, generator) product is checked, which
+        suffices by induction on word length).
         """
         if len(generator_perms) != len(self.generators):
             raise GroupError("one image required per generator")
         images = [check_perm(p, n) for p in generator_perms]
-        table: list[Perm] = [identity_perm(n)]
-        for i in range(1, self.order):
-            j, k = self.parents[i]
-            table.append(compose(table[j], images[k]))
+        table: list[Perm | None] = [identity_perm(n)] + [None] * (self.order - 1)
         for i, row in enumerate(self.right):
             for k, prod in enumerate(row):
-                if self.parents[prod] == (i, k):
-                    continue
-                if table[prod] != compose(table[i], images[k]):
+                image = compose(table[i], images[k])
+                if table[prod] is None:
+                    table[prod] = image
+                elif table[prod] != image:
                     raise GroupError(
                         "generator images do not extend to a group homomorphism "
                         f"(relation fails at element {i}, generator {k})"

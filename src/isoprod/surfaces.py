@@ -105,41 +105,13 @@ def build_surface(
     return SurfaceDescriptor(factor1, factor2, declared_minimal)
 
 
-def _fixed_point_sets(action: CurveAction) -> tuple[frozenset[int], frozenset[int]]:
-    """(elements with a fixed point, elements fixing a whole component).
-
-    An element fixes a point exactly when it lies in a kernel, in a
-    conjugate of a half-edge or edge stabilizer, or in a conjugate of a
-    ramification orbit's point stabilizer (generated by the orbit's element
-    and the component's kernel).  Kernels are permuted by conjugation, so
-    one conjugacy closure of all these subgroups gives the first set:
-    O(|G| * gens) group products.  Computed once per action and kept on it;
-    the freeness checks and :func:`fixed_point_profile` read it.  Both sets
-    may hold the identity, which every reader skips.
-    """
-    try:
-        return action._fixed_point_sets
-    except AttributeError:
-        pass
-    group = action.group
-    fixes_component = frozenset().union(*action.kernels)
-    seeds = set(fixes_component)
-    for orbit in action.half_edge_orbits + action.edge_orbits:
-        seeds.update(orbit.stabilizer)
-    for o in action.ramification_orbits:
-        seeds |= group.subgroup_closure([o.element, *action.kernels[o.vertex]])
-    sets = (group.conjugacy_union(seeds), fixes_component)
-    object.__setattr__(action, "_fixed_point_sets", sets)
-    return sets
-
-
 def fixed_point_profile(action: CurveAction) -> dict[int, ElementFixedPoints]:
     """For each nonidentity element: does it fix a point / a whole component.
 
     A fixed point arises from membership in a conjugate of a ramification
     orbit's point stabilizer, a fixed half-edge, a fixed node, or a kernel.
     """
-    has_fixed_point, fixes_component = _fixed_point_sets(action)
+    has_fixed_point, fixes_component = action.fixed_point_sets
     return {
         g: ElementFixedPoints(g in has_fixed_point, g in fixes_component)
         for g in range(1, action.group.order)
@@ -159,8 +131,8 @@ def check_free_action(surface: SurfaceDescriptor) -> FreenessCheck:
 
     Reads the two factors' fixed-point sets: one set intersection.
     """
-    fp1, _ = _fixed_point_sets(surface.factor1)
-    fp2, _ = _fixed_point_sets(surface.factor2)
+    fp1, _ = surface.factor1.fixed_point_sets
+    fp2, _ = surface.factor2.fixed_point_sets
     return _first_witness(surface, fp1 & fp2)
 
 
@@ -171,8 +143,8 @@ def check_free_codim1(surface: SurfaceDescriptor) -> FreenessCheck:
     factor times a nonempty fixed set on the other, in either order.
     Reads the two factors' fixed-point sets.
     """
-    fp1, fc1 = _fixed_point_sets(surface.factor1)
-    fp2, fc2 = _fixed_point_sets(surface.factor2)
+    fp1, fc1 = surface.factor1.fixed_point_sets
+    fp2, fc2 = surface.factor2.fixed_point_sets
     return _first_witness(surface, (fc1 & fp2) | (fc2 & fp1))
 
 

@@ -26,6 +26,10 @@ from isoprod.groups import FiniteGroup, perm_from_cycles
 
 from randgen import catalog, random_action, random_stable_graph
 
+# a genus-2 component with one node, and two genus-2 components joined at one
+ONE_NODE = build_graph([2], [0, 0], [(0, 1)])
+TWO_COMPONENTS = build_graph([2, 2], [0, 1], [(0, 1)])
+
 
 # -- validation --------------------------------------------------------------
 
@@ -91,6 +95,7 @@ def test_homomorphism_failure():
         (([(1, 0)], [(0, 1)]), "vertex images must permute the graph's vertices"),
         (([(0,)], [(0, 1, 2)]), "half-edge images must permute the graph's half-edges"),
         (([()], [(0, 1)]), "vertex images must permute the graph's vertices"),
+        (([], [(1, 0)]), "need one vertex image and one half-edge image per generator"),
     ],
 )
 def test_wrong_length_generator_image_rejected(z2, nodal_quartic_graph, images, message):
@@ -113,6 +118,24 @@ def test_half_edge_action_must_cover_vertex_action(z2):
         validate_action(
             z2, graph, vertex_images=[(1, 0)], half_edge_images=[(0, 1)]
         )
+
+
+def test_half_edge_action_must_cover_fixed_vertices(z2):
+    # both vertices fixed, but the node's branches change components
+    with pytest.raises(ActionError) as err:
+        validate_action(z2, TWO_COMPONENTS, vertex_images=[(0, 1)], half_edge_images=[(1, 0)])
+    assert str(err.value) == (
+        "half-edge action does not cover the vertex action (generator 0, half-edge 0)"
+    )
+
+
+def test_kernel_element_must_fix_its_vertex(z2):
+    with pytest.raises(ActionError) as err:
+        validate_action(
+            z2, TWO_COMPONENTS, vertex_images=[(1, 0)], half_edge_images=[(1, 0)],
+            kernels={0: [1]},
+        )
+    assert str(err.value) == "kernel element 1 of vertex 0 moves the vertex"
 
 
 def test_edge_action_must_be_well_defined(z2):
@@ -150,8 +173,12 @@ def test_edge_action_checked_on_each_generator():
         ({"smoothing_chars": {(-1, 0): Fraction(0)}}, "smoothing character names unknown element -1"),
         ({"kernels": {7: [1]}}, "kernel at unknown vertex 7"),
         ({"kernels": {-1: [1]}}, "kernel at unknown vertex -1"),
+        ({"smoothing_chars": {(1, 3): Fraction(0)}}, "smoothing character at unknown edge 3"),
     ],
-    ids=["tangent5", "tangent-1", "smoothing7", "smoothing-1", "kernel7", "kernel-1"],
+    ids=[
+        "tangent5", "tangent-1", "smoothing7", "smoothing-1", "kernel7", "kernel-1",
+        "smoothing-edge3",
+    ],
 )
 def test_out_of_range_seed_rejected(z2, nodal_quartic_graph, seeds, message):
     with pytest.raises(ActionError, match=message):
@@ -285,6 +312,58 @@ def test_ramification_order_mismatch(z2):
             half_edge_images=[()],
             ramification_orbits=[RamificationOrbit(0, 1, Fraction(1, 4), 4)],
         )
+
+
+@pytest.mark.parametrize(
+    "graph, images, orbit, message",
+    [
+        (ONE_NODE, ((0,), (1, 0)), (3, 1, 2), "ramification orbit at unknown vertex 3"),
+        (ONE_NODE, ((0,), (1, 0)), (0, 7, 2), "ramification orbit names unknown element 7"),
+        (
+            TWO_COMPONENTS, ((1, 0), (1, 0)), (0, 1, 2),
+            "ramification element 1 does not stabilize its vertex 0",
+        ),
+        (ONE_NODE, ((0,), (1, 0)), (0, 1, 1), "ramification order must be >= 2, got 1"),
+    ],
+    ids=["unknown-vertex", "unknown-element", "moved-vertex", "order-1"],
+)
+def test_ramification_orbit_out_of_place_rejected(z2, graph, images, orbit, message):
+    v, h, e = orbit
+    with pytest.raises(ActionError) as err:
+        validate_action(
+            z2,
+            graph,
+            vertex_images=[images[0]],
+            half_edge_images=[images[1]],
+            smoothing_chars={(1, 0): Fraction(0)},
+            ramification_orbits=[RamificationOrbit(v, h, Fraction(1, 2), e)],
+        )
+    assert str(err.value) == message
+
+
+def test_tangent_conflict_names_the_transported_seed():
+    # S3 fixes both branches of the node; the transpositions (0 1) and (1 2)
+    # are conjugate, so seeds 1/2 and 0 on them conflict, and the message
+    # names the element carrying the first seed onto the second
+    s3 = FiniteGroup.from_generators(
+        [perm_from_cycles([[0, 1, 2]], 3), perm_from_cycles([[0, 1]], 3)], 3
+    )
+    first = s3.index_of(perm_from_cycles([[0, 1]], 3))
+    second = s3.index_of(perm_from_cycles([[1, 2]], 3))
+    assert (first, second) == (1, 3)
+    with pytest.raises(CharacterError) as err:
+        validate_action(
+            s3,
+            ONE_NODE,
+            vertex_images=[(0,), (0,)],
+            half_edge_images=[(0, 1), (0, 1)],
+            tangent_chars={(first, 0): Fraction(1, 2), (second, 0): Fraction(0)},
+        )
+    assert str(err.value) == (
+        "inconsistent tangent character at (element 3, half-edge 0): value of "
+        "element 1 at half-edge 0 transported by element 4 gives 1/2, value of "
+        "element 3 at half-edge 0 gives 0"
+    )
 
 
 def test_ramification_character_must_be_faithful(z2):

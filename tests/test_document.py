@@ -296,22 +296,25 @@ LONG = "c" * 5000
 
 
 @pytest.mark.parametrize(
-    "data, head, tail",
+    "data, head, tail, kept",
     [
         (
             minimal_doc(curves={LONG: {**curve_block(), "vertices": "bad"}}),
             "curves.ccc",
             "ccc.vertices: 'bad' is not of type 'array'",
+            "ccc.vertices: ",
         ),
         (
             minimal_doc(curves={LONG: {**curve_block(), "vertices": [{"id": "v", "genus": 0}]}}),
             "curves.ccc",
             "ccc: unstable vertices (2g - 2 + branches + marks must be > 0): 0",
+            "ccc: unstable",
         ),
         (
             {**minimal_doc(), "version": "9" * 5000},
             "version: unknown version '999",
             "999' (expected \"1\")",
+            "version: unknown",
         ),
         (
             minimal_doc(
@@ -320,19 +323,70 @@ LONG = "c" * 5000
             ),
             "actions.a.curve: unresolved curve reference 'ccc",
             "ccc'",
+            "curve: unresolved",
+        ),
+        (
+            minimal_doc(curves={LONG: {**curve_block(), "vertices": "b" * 300}}),
+            "curves.ccc",
+            "' is not of type 'array'",
+            "ccc.vertices: 'bbb",
         ),
     ],
-    ids=["long-path-schema", "long-path-curve", "long-version", "long-curve-reference"],
+    ids=[
+        "long-path-schema", "long-path-curve", "long-version", "long-curve-reference",
+        "long-path-long-value",
+    ],
 )
-def test_every_problem_line_is_cut_in_the_middle(data, head, tail):
+def test_every_problem_line_is_cut_in_the_middle(data, head, tail, kept):
     # paths carry user-chosen keys and messages echo user values: each
-    # problem is cut to 240 characters, keeping its start and its end
+    # problem is cut to 240 characters, keeping its start, its end and the
+    # name of the failing field
     with pytest.raises(DocumentError) as err:
         parse_document(json.dumps(data))
     (problem,) = err.value.problems
     assert len(problem) == 240
     assert problem.startswith(head) and problem.endswith(tail)
     assert "c..." in problem or "9...9" in problem
+    assert kept in problem
+
+
+@pytest.mark.parametrize(
+    "where, value, problem",
+    [
+        (
+            ("surfaces", "zz"),
+            {"factor1": "nope", "factor2": "node_swap"},
+            "surfaces.zz.factor1: unresolved action reference 'nope'",
+        ),
+        (
+            ("actions", "node_swap", "vertex_images"),
+            [{}, {}],
+            "actions.node_swap.vertex_images: expected 1 image maps (one per generator), got 2",
+        ),
+        (
+            ("actions", "node_swap", "ramification_orbits", 0, "element"),
+            5,
+            "actions.node_swap.ramification_orbits[0]: element index 5 out of range (|G| = 2)",
+        ),
+        (
+            ("actions", "node_swap", "smoothing_chars", 0, "edge"),
+            ["p", "p"],
+            "actions.node_swap.smoothing_chars[0]: half-edge pair is not an edge of the curve",
+        ),
+    ],
+    ids=["surface-factor", "image-count", "ramification-element", "smoothing-edge"],
+)
+def test_bundled_document_with_one_bad_reference_rejected(
+    bundled_document_text, where, value, problem
+):
+    data = json.loads(bundled_document_text)
+    node = data
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(data))
+    assert err.value.problems == [problem]
 
 
 def test_integer_literal_past_the_digit_limit_is_a_document_error():

@@ -193,6 +193,67 @@ def test_extend_action_of_the_trivial_group_is_the_identity():
     assert FiniteGroup.trivial().extend_action([], 0) == ((),)
 
 
+@pytest.mark.parametrize("group", BATCHED, ids=batched_id)
+def test_extend_action_by_the_generators_is_the_element_table(group):
+    # identity and repeated generators reach elements already in the table:
+    # every such product is a relation check, never a second definition
+    assert group.extend_action(group.generators, group.degree) == group.elements
+    for g in range(group.order):
+        n, power = 1, g
+        while power != 0:
+            power, n = group.mul(power, g), n + 1
+        assert group.element_order(g) == n
+
+
+def test_element_order_is_the_lcm_of_the_cycle_lengths():
+    # Z6 generated by (0 1)(2 3 4): the generator has cycles of lengths 2, 3
+    z6 = FiniteGroup.from_generators([perm_from_cycles([[0, 1], [2, 3, 4]], 5)], 5)
+    assert sorted(map(z6.element_order, range(z6.order))) == [1, 2, 3, 3, 6, 6]
+
+
+CYCLE3, SWAP = perm_from_cycles([[0, 1, 2]], 3), perm_from_cycles([[0, 1]], 3)
+
+
+@pytest.mark.parametrize(
+    "group, images, element, generator",
+    [
+        (FiniteGroup.from_generators([SWAP, CYCLE3], 3), [CYCLE3, SWAP], 1, 0),
+        (FiniteGroup.from_generators([CYCLE3], 3), [SWAP], 2, 0),
+        (a5(), list(reversed(a5().generators)), 3, 0),
+        (FiniteGroup.from_generators([CYCLE3, (0, 1, 2), SWAP], 3), [CYCLE3, SWAP, SWAP], 0, 1),
+    ],
+    ids=["s3-swapped", "z3-to-transposition", "a5-swapped", "identity-generator"],
+)
+def test_failed_relation_names_the_first_product_in_table_order(group, images, element, generator):
+    # the first (element, generator) product in row order that contradicts
+    # the permutations already set is named
+    with pytest.raises(GroupError) as err:
+        group.extend_action(images, len(images[0]))
+    assert str(err.value) == (
+        "generator images do not extend to a group homomorphism "
+        f"(relation fails at element {element}, generator {generator})"
+    )
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: perm_from_cycles([[0, 5]], 2), "cycle entry 5 out of range for degree 2"),
+        (lambda: perm_from_cycles([[0, 1], [1, 2]], 3), "letter 1 appears in two cycles"),
+        (lambda: FiniteGroup.from_generators([], 0), "degree must be at least 1"),
+        (
+            lambda: FiniteGroup.from_generators([(1, 0)], 2).extend_action([], 2),
+            "one image required per generator",
+        ),
+    ],
+    ids=["cycle-entry", "repeated-letter", "degree-0", "no-images"],
+)
+def test_malformed_group_input_rejected(build, message):
+    with pytest.raises(GroupError) as err:
+        build()
+    assert str(err.value) == message
+
+
 # -- permutation helpers --------------------------------------------------
 
 

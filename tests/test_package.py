@@ -1,4 +1,10 @@
+import ast
+import re
+import sys
+from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import isoprod
 
@@ -15,3 +21,24 @@ def test_export_list_matches_the_package_namespace():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert public <= set(isoprod.__all__), sorted(public - set(isoprod.__all__))
+
+
+def test_runtime_imports_match_the_declared_dependencies():
+    # a third-party module imported by the package must be declared, and a
+    # declared dependency must still be imported: dropping one means dropping
+    # both
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower().replace("-", "_")
+        for spec in project["dependencies"]
+    }
+    imported = set()
+    for path in (root / "src" / "isoprod").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    assert imported - set(sys.stdlib_module_names) - {"isoprod"} == declared
