@@ -75,14 +75,15 @@ from .groups import (
 CharTable = dict[tuple[int, int], Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class RamificationOrbit:
     """One orbit of smooth non-node points with nontrivial cyclic stabilizer.
 
     ``element`` generates the stabilizer of a point of the orbit on the
     component of ``vertex``; ``char`` is its tangent character there and
     ``order`` the ramification index (the element's order modulo the
-    component's kernel).
+    component's kernel).  The field order is the sort order of an action's
+    ramification orbits.
     """
 
     vertex: int
@@ -119,8 +120,9 @@ class CurveAction:
 
     Character tables are complete: every (element, fixed half-edge) and
     (element, fixed edge) pair has an entry.  Orbit decompositions are
-    cached at validation time.  Instances are immutable; build through
-    :func:`validate_action`.
+    cached at construction.  Instances are immutable.  Build one from raw
+    input through :func:`validate_action`; ``families.smooth_node_orbit``
+    derives a smoothed child directly from its parent's tables.
     """
 
     group: FiniteGroup
@@ -262,10 +264,7 @@ def _transport_and_close(
 
     for obj, pairs in given:
         t = transporter[obj]
-        at_rep = [h for h, _ in pairs]
-        if any(at_rep):
-            # the identity is its own conjugate: no transporter to invert
-            at_rep = group.conjugates(group.inverse(t), at_rep)
+        at_rep = group.conjugates(group.inverse(t), [h for h, _ in pairs])
         for (h, val), x in zip(pairs, at_rep):
             learn(x, val.numerator * (denom // val.denominator) % denom, (obj, h, t))
 
@@ -362,8 +361,8 @@ def _complete_chars(
 
     Each seed is checked first: its element fixes the object, and the
     character's order divides the element's order.  Every orbit is then
-    completed from the forced and seeded values, and the seeds are checked
-    against the completed table.
+    completed from the forced and seeded values; the completion writes each
+    seed's own value back, so the table agrees with every seed.
     """
     for (h, obj), val in seeds.items():
         if perms[h][obj] != obj:
@@ -382,11 +381,6 @@ def _complete_chars(
     table: CharTable = {}
     for orbit in orbit_list:
         table.update(_transport_and_close(group, perms, orbit, values, kind, obj_kind))
-    for (h, obj), val in seeds.items():
-        if table[h, obj] != val % 1:
-            raise CharacterError(
-                f"inconsistent {kind} character at (element {h}, {obj_kind} {obj})"
-            )
     return table
 
 
@@ -592,7 +586,7 @@ def validate_action(
                 f"ramification character {chi} at vertex {v} must have exact order {e}"
             )
         ram.append(RamificationOrbit(v, h, chi, e))
-    ram.sort(key=lambda o: (o.vertex, o.element, o.char, o.order))
+    ram.sort()
 
     return CurveAction(
         group=group,

@@ -1,9 +1,11 @@
 """Equivariant node smoothings and constancy of the invariant deformation count.
 
 Smoothing a node orbit contracts the orbit's edges in the dual graph,
-merging the incident components equivariantly; the invariant deformation
-dimension is locally constant across such smoothings, and
-:func:`check_constancy` verifies that on an explicit list of strata.
+merging the incident components equivariantly.  The smoothed action is the
+parent's, restricted to the surviving objects and renumbered; it is never
+re-validated.  The invariant deformation dimension is locally constant
+across such smoothings, and :func:`check_constancy` verifies that on an
+explicit list of strata, computing each stratum's count from scratch.
 
 Only three local models around a node are smoothed automatically:
 a trivial edge stabilizer, a cyclic branch-preserving stabilizer acting
@@ -22,16 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .actions import (
-    CurveAction,
-    EquivariantT1,
-    RamificationOrbit,
-    t1_equivariant,
-    validate_action,
-)
+from .actions import CurveAction, EquivariantT1, RamificationOrbit, t1_equivariant
 from .curves import _components, arithmetic_genus, build_graph
 from .errors import FamilyError, IsoprodError, SmoothingError
-from .groups import Orbit, format_rotation_char
+from .groups import Orbit, Perm, compose, format_rotation_char, orbits
 
 
 @dataclass(frozen=True)
@@ -122,6 +118,11 @@ def _local_model(action: CurveAction, orbit: Orbit) -> tuple[str, int | None]:
     )
 
 
+def _relabel(perms: tuple[Perm, ...], kept: list[int], new_index) -> tuple[Perm, ...]:
+    """Each permutation read at ``kept``, renumbered by a list or dict ``new_index``."""
+    return tuple(compose(new_index, compose(perm, kept)) for perm in perms)
+
+
 def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     """Smooth the whole orbit of the given edge, equivariantly.
 
@@ -131,9 +132,15 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     The swap model appends two new order-2 ramification orbits.  Raises
     SmoothingError when the orbit's smoothing character is nontrivial or
     the stabilizer is not one of the three supported local models.
+
+    The child is read off the parent's tables, not re-validated: per-element
+    and character tables are restricted to the surviving objects and
+    renumbered (a merged class moves as its first vertex does), and orbits
+    are recomputed from the new tables.  A merged class gets the trivial
+    kernel: a kernel element at an orbit endpoint fixes the node and its
+    branch there, which each local model allows only for the identity.
     """
     graph = action.graph
-    group = action.group
     orbit = _edge_orbit_of(action, edge)
     model, swap_element = _local_model(action, orbit)
 
@@ -169,54 +176,49 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
 
     new_graph = build_graph(new_genera, new_he_vertex, new_edges, new_marks)
 
-    new_vertex_images = []
-    new_he_images = []
-    for gen_idx in group.generator_indices:
-        # the removed edges form one orbit, so each generator permutes the
-        # classes and one member's image names the class's image
-        vperm = action.vertex_perms[gen_idx]
-        new_vertex_images.append(tuple(vclass[vperm[vs[0]]] for vs in classes))
-        new_he_images.append(
-            tuple(he_map[action.half_edge_perms[gen_idx][h]] for h in surviving)
-        )
+    vertex_perms = _relabel(action.vertex_perms, [vs[0] for vs in classes], vclass)
+    half_edge_perms = _relabel(action.half_edge_perms, surviving, he_map)
+    edge_perms = _relabel(action.edge_perms, list(edge_map), edge_map)
 
-    tangent_seeds = {
+    tangent_chars = {
         (g, he_map[h]): val
         for (g, h), val in action.tangent_chars.items()
         if h in he_map
     }
-    smoothing_seeds = {
+    smoothing_chars = {
         (g, edge_map[n]): val
         for (g, n), val in action.smoothing_chars.items()
         if n in edge_map
     }
-    kernels = {
-        c: sorted(action.kernels[vs[0]]) if class_edges[c] == 0 else []
+    kernels = tuple(
+        action.kernels[vs[0]] if class_edges[c] == 0 else frozenset({0})
         for c, vs in enumerate(classes)
-    }
+    )
 
     ram = [
         RamificationOrbit(vclass[o.vertex], o.element, o.char, o.order)
         for o in action.ramification_orbits
     ]
     if model == "swap":
-        rep = orbit.representative
-        p0, _ = graph.edges[rep]
-        c = vclass[graph.half_edge_vertex[p0]]
         # |G| new fixed points of the swap involutions, in orbits of size
         # |G|/2: exactly two new orbits, both of order 2 with character -1.
-        for _ in range(2):
-            ram.append(RamificationOrbit(c, swap_element, Fraction(1, 2), 2))
+        c = vclass[graph.half_edge_vertex[graph.edges[orbit.representative][0]]]
+        ram += [RamificationOrbit(c, swap_element, Fraction(1, 2), 2)] * 2
+    ram.sort()
 
-    return validate_action(
-        group,
-        new_graph,
-        new_vertex_images,
-        new_he_images,
-        tangent_chars=tangent_seeds,
-        smoothing_chars=smoothing_seeds,
+    return CurveAction(
+        group=action.group,
+        graph=new_graph,
+        vertex_perms=vertex_perms,
+        half_edge_perms=half_edge_perms,
+        edge_perms=edge_perms,
+        tangent_chars=tangent_chars,
+        smoothing_chars=smoothing_chars,
         kernels=kernels,
-        ramification_orbits=ram,
+        ramification_orbits=tuple(ram),
+        vertex_orbits=tuple(orbits(vertex_perms, range(new_graph.n_vertices))),
+        half_edge_orbits=tuple(orbits(half_edge_perms, range(new_graph.n_half_edges))),
+        edge_orbits=tuple(orbits(edge_perms, range(new_graph.n_edges))),
     )
 
 

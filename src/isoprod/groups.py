@@ -422,7 +422,8 @@ def orbits(
             continue
         column = list(map(itemgetter(p), rows))
         members = set(column)
-        if not members.issubset(pos):
+        # O(|orbit|): issubset() would first copy every key of ``pos``
+        if members.difference(pos):
             q = next(q for q in column if q not in pos)
             raise GroupError(f"not a group action on the given points: {p!r} -> {q!r}")
         seen.update(members)

@@ -72,6 +72,7 @@ def test_criterion_1_golden_example(paper_action):
 def test_criterion_2_smoothed_fiber(paper_action, golden_doc, capsys, tmp_path):
     with criterion(2, "smoothed fiber and family constancy", budget=1.0):
         smoothed = smooth_node_orbit(paper_action, 0)
+        assert_revalidates(smoothed)
         assert smoothed.graph.genera == (3,)
         assert smoothed.graph.n_edges == 0
         assert len(smoothed.ramification_orbits) == 4
@@ -122,6 +123,7 @@ def test_criterion_5_constancy_suite():
             for orbit, obstruction in smoothable_edge_orbits(action):
                 if obstruction is None:
                     smoothed = smooth_node_orbit(action, orbit.representative)
+                    assert_revalidates(smoothed)
                     assert arithmetic_genus(smoothed.graph) == arithmetic_genus(
                         action.graph
                     )
@@ -146,6 +148,14 @@ def _rebuild_with_ram(action, ram):
         kernels={v: sorted(k) for v, k in enumerate(action.kernels)},
         ramification_orbits=ram,
     )
+
+
+def assert_revalidates(action):
+    """A derived stratum equals ``validate_action`` re-run on its own
+    generator images, full character tables, kernels and ramification
+    orbits: the relabeled tables, orbits and local data are the ones
+    validation would build from scratch."""
+    assert _rebuild_with_ram(action, action.ramification_orbits) == action
 
 
 def test_criterion_6_riemann_hurwitz_integrality():

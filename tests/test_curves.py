@@ -146,6 +146,7 @@ def test_genus_invariant_under_relabeling():
 def test_smoothing_one_node_preserves_genus_drops_delta():
     from isoprod.actions import trivial_action
     from isoprod.families import smooth_node_orbit
+    from test_acceptance import assert_revalidates
 
     rng = random.Random(13)
     seen = 0
@@ -156,6 +157,7 @@ def test_smoothing_one_node_preserves_genus_drops_delta():
         seen += 1
         action = trivial_action(g)
         smoothed = smooth_node_orbit(action, rng.randrange(g.n_edges))
+        assert_revalidates(smoothed)
         assert smoothed.graph.n_edges == g.n_edges - 1
         assert arithmetic_genus(smoothed.graph) == arithmetic_genus(g)
 

@@ -23,6 +23,9 @@ from isoprod.families import (
 from isoprod.groups import FiniteGroup, perm_from_cycles
 
 from randgen import catalog, random_action
+from test_acceptance import assert_revalidates
+from test_scaling import necklace
+from test_seed_differential import a5, s4
 
 
 def theta_graph():
@@ -34,6 +37,7 @@ def theta_graph():
 
 def test_smooth_paper_node(paper_action, smooth_fiber_action):
     smoothed = smooth_node_orbit(paper_action, 0)
+    assert_revalidates(smoothed)
     assert smoothed.graph.genera == (3,)
     assert smoothed.graph.n_edges == 0
     assert len(smoothed.ramification_orbits) == 4
@@ -58,6 +62,7 @@ def test_swap_bookkeeping_paper(paper_action):
 def test_smooth_connecting_edge_trivial_group():
     action = trivial_action(theta_graph())
     smoothed = smooth_node_orbit(action, 0)
+    assert_revalidates(smoothed)
     assert smoothed.graph.n_vertices == 1
     assert smoothed.graph.genera == (0,)
     assert smoothed.graph.n_edges == 2
@@ -76,6 +81,7 @@ def test_smooth_rotation_model(z2):
         tangent_chars={(1, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)},
     )
     smoothed = smooth_node_orbit(action, 0)
+    assert_revalidates(smoothed)
     assert smoothed.graph.genera == (3,)
     assert smoothed.ramification_orbits == ()
     assert t1_equivariant(action).total == t1_equivariant(smoothed).total == 3
@@ -96,6 +102,7 @@ def test_smooth_connecting_swap_edge(z2):
     before = t1_equivariant(action)
     assert (before.node_inv, before.branch_inv, before.minus_chi_inv) == (1, 1, 0)
     smoothed = smooth_node_orbit(action, 0)
+    assert_revalidates(smoothed)
     assert smoothed.graph.genera == (2,)
     assert len(smoothed.ramification_orbits) == 2
     assert all(o.order == 2 for o in smoothed.ramification_orbits)
@@ -120,10 +127,12 @@ def test_smooth_free_square_contracts_two_classes(z2):
     # smoothing {01, 23} merges {0, 1} and {2, 3}; vertex 0's class comes
     # first, and the surviving half-edges 2, 3, 6, 7 sit on 1, 2, 3, 0
     halved = smooth_node_orbit(action, 0)
+    assert_revalidates(halved)
     assert halved.graph.genera == (2, 2)
     assert halved.graph.half_edge_vertex == (0, 1, 1, 0)
     assert halved.vertex_perms[z2.generator_indices[0]] == (1, 0)
     smooth = smooth_node_orbit(halved, 0)
+    assert_revalidates(smooth)
     assert smooth.graph.genera == (5,)
     assert smooth.graph.n_edges == 0
     chain = smoothing_chain(action)
@@ -202,6 +211,8 @@ def test_chain_node_free(smooth_fiber_action):
 def test_chain_theta():
     chain = smoothing_chain(trivial_action(theta_graph()))
     assert len(chain.strata) == 4
+    for stratum in chain.strata[1:]:
+        assert_revalidates(stratum.action)
     deltas = [s.action.graph.n_edges for s in chain.strata]
     assert deltas == [3, 2, 1, 0]
     assert chain.strata[-1].action.graph.genera == (2,)
@@ -227,10 +238,67 @@ def test_chain_delta_decreases_genus_constant():
     for _ in range(40):
         action = random_action(rng.choice(catalog()), rng)
         chain = smoothing_chain(action)
+        for stratum in chain.strata[1:]:
+            assert_revalidates(stratum.action)
         deltas = [s.action.graph.n_edges for s in chain.strata]
         assert all(a > b for a, b in zip(deltas, deltas[1:]))
         genera = {arithmetic_genus(s.action.graph) for s in chain.strata}
         assert len(genera) == 1
+
+
+def cayley_action(group):
+    """``group`` acting freely by left multiplication on its Cayley graph:
+    genus-0 vertex g joined to g * s for each generator s by edge
+    e = g * ngens + k, with half-edges 2e at g and 2e + 1 at g * s."""
+    ngens = len(group.generators)
+    half_edge_vertex, edges = [], []
+    for g in range(group.order):
+        for k in range(ngens):
+            e = g * ngens + k
+            half_edge_vertex += [g, group.right[g][k]]
+            edges.append((2 * e, 2 * e + 1))
+    graph = build_graph([0] * group.order, half_edge_vertex, edges)
+    vertex_images = [
+        tuple(group.mul(s, g) for g in range(group.order)) for s in group.generator_indices
+    ]
+    half_edge_images = [
+        tuple(
+            2 * (group.mul(s, h // (2 * ngens)) * ngens + h // 2 % ngens) + h % 2
+            for h in range(len(half_edge_vertex))
+        )
+        for s in group.generator_indices
+    ]
+    return validate_action(group, graph, vertex_images, half_edge_images)
+
+
+@pytest.mark.parametrize("make", [s4, a5], ids=["S4", "A5"])
+def test_cayley_chain_strata_revalidate(make):
+    # one free edge orbit per generator: the first step merges the cycles
+    # of the first generator, the second leaves one component
+    action = cayley_action(make())
+    chain = smoothing_chain(action)
+    assert [s.action.graph.n_edges for s in chain.strata] == [
+        len(action.edge_perms[0]), action.group.order, 0,
+    ]
+    assert chain.obstructions == ()
+    for stratum in chain.strata[1:]:
+        assert_revalidates(stratum.action)
+    # free: the count is 3g' - 3 on the quotient, 2g - 2 = |G| (2g' - 2)
+    report = check_constancy(chain.strata)
+    assert report.verdict == "constant"
+    genus = arithmetic_genus(action.graph)
+    assert report.constant_value == 3 * (genus - 1) // action.group.order
+
+
+def test_necklace_chain_strata_revalidate():
+    group, graph, vertex_images, half_edge_images = necklace(60)
+    action = validate_action(group, graph, vertex_images, half_edge_images)
+    chain = smoothing_chain(action)
+    assert len(chain.strata) == 2
+    smooth = chain.strata[1].action
+    assert_revalidates(smooth)
+    assert smooth.graph.genera == (2 * 60 + 1,)
+    assert check_constancy(chain.strata).verdict == "constant"
 
 
 # -- constancy -------------------------------------------------------------------
@@ -260,6 +328,7 @@ def test_constancy_trivial_one_node_smoothing():
         found += 1
         action = trivial_action(g)
         smoothed = smooth_node_orbit(action, 0)
+        assert_revalidates(smoothed)
         report = check_constancy(
             [FamilyStratum("nodal", action), FamilyStratum("smoothed", smoothed)]
         )
@@ -367,6 +436,7 @@ def test_random_supported_smoothings_preserve_t1():
         for orbit, obstruction in smoothable_edge_orbits(action):
             if obstruction is None:
                 smoothed = smooth_node_orbit(action, orbit.representative)
+                assert_revalidates(smoothed)
                 assert (
                     smoothed.graph.n_edges
                     == action.graph.n_edges - len(orbit.members)

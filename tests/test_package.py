@@ -42,3 +42,26 @@ def test_runtime_imports_match_the_declared_dependencies():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.partition(".")[0])
     assert imported - set(sys.stdlib_module_names) - {"isoprod"} == declared
+
+
+def test_package_has_no_float_arithmetic():
+    # answers are exact: integers and Fractions only, so a float literal, a
+    # float() call or true division anywhere in the package is a defect
+    root = Path(__file__).resolve().parents[1] / "src" / "isoprod"
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                (isinstance(node, ast.Constant) and isinstance(node.value, float))
+                or (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "float"
+                )
+                or (
+                    isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.Div)
+                )
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

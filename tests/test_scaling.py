@@ -9,6 +9,7 @@ from isoprod.actions import (
     inert_action,
     t1_equivariant,
     t1_equivariant_oracle,
+    trivial_action,
     validate_action,
 )
 from isoprod.curves import arithmetic_genus, build_graph, t1_dimension
@@ -84,6 +85,24 @@ def test_necklace_z400_oracle():
     with criterion(104, "Z_400 necklace: validate, T1 == oracle", budget=5.0):
         action = validate_action(group, graph, vertex_images, half_edge_images)
         assert t1_equivariant(action) == t1_equivariant_oracle(action)
+
+
+def test_trivial_action_on_10000_component_cycle():
+    # one orbit per point: orbit bookkeeping must cost O(|orbit|) per orbit,
+    # not O(#points)
+    n = 10000
+    graph = build_graph(
+        [2] * n,
+        list(range(n)) + [(i + 1) % n for i in range(n)],
+        [(i, n + i) for i in range(n)],
+    )
+    with criterion(
+        107, "trivial group on a 10,000-component cycle: validate, T1 == oracle", budget=5.0
+    ):
+        action = trivial_action(graph)
+        t1 = t1_equivariant(action)
+        assert t1 == t1_equivariant_oracle(action)
+        assert t1.total == 3 * arithmetic_genus(graph) - 3
 
 
 def test_necklace_graph_20000_builds():
