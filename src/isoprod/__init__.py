@@ -3,6 +3,10 @@ actions, and stable degenerations of product-quotient surfaces.
 
 Everything is exact: permutations, integers, and rational rotation
 characters; no floating point anywhere.
+
+``Document``, ``emit_document`` and ``parse_document`` are resolved on first
+access, so a plain ``import isoprod`` loads neither the document layer nor
+``jsonschema``.
 """
 
 from .actions import (
@@ -27,7 +31,6 @@ from .curves import (
     build_graph,
     t1_dimension,
 )
-from .document import Document, emit_document, parse_document
 from .errors import (
     ActionError,
     CharacterError,
@@ -70,6 +73,18 @@ from .surfaces import (
 )
 
 __version__ = "0.1.0"
+
+_DOCUMENT_NAMES = frozenset({"Document", "emit_document", "parse_document"})
+
+
+def __getattr__(name: str):
+    # not cached in the package globals: a caller that rebinds an attribute
+    # of ``isoprod.document`` (a tracer, a mock) is seen on every access
+    if name in _DOCUMENT_NAMES:
+        from . import document
+
+        return getattr(document, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ActionError",

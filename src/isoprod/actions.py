@@ -706,7 +706,8 @@ def quotient_signature(action: CurveAction, vertex: int) -> QuotientSignature:
         o.order for o in action.ramification_orbits if o.vertex in orbit.members
     ]
     branches = map(action.half_edge_orbit_of.__getitem__, action.graph.vertex_half_edges[rep])
-    for branch in dict.fromkeys(branches):
+    # keyed by representative: hashing an Orbit hashes all its members
+    for branch in {b.representative: b for b in branches}.values():
         e = len(branch.stabilizer) // len(kernel)
         if e >= 2:
             branch_orders.append(e)

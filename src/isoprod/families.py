@@ -123,6 +123,18 @@ def _relabel(perms: tuple[Perm, ...], kept: list[int], new_index) -> tuple[Perm,
     return tuple(compose(new_index, compose(perm, kept)) for perm in perms)
 
 
+def _relabel_orbits(parent: tuple[Orbit, ...], new_index: dict[int, int]) -> tuple[Orbit, ...]:
+    """The orbits whose members all survive, renumbered by the increasing
+    ``new_index``: representatives, member order, orbit order and
+    stabilizers are those a recomputation on the restricted tables gives."""
+    renumber = new_index.__getitem__
+    return tuple(
+        Orbit(renumber(o.representative), tuple(map(renumber, o.members)), o.stabilizer)
+        for o in parent
+        if o.representative in new_index
+    )
+
+
 def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     """Smooth the whole orbit of the given edge, equivariantly.
 
@@ -135,10 +147,12 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
 
     The child is read off the parent's tables, not re-validated: per-element
     and character tables are restricted to the surviving objects and
-    renumbered (a merged class moves as its first vertex does), and orbits
-    are recomputed from the new tables.  A merged class gets the trivial
-    kernel: a kernel element at an orbit endpoint fixes the node and its
-    branch there, which each local model allows only for the identity.
+    renumbered (a merged class moves as its first vertex does).  Half-edge
+    and edge orbits other than the smoothed one survive whole and are
+    renumbered; vertex orbits are recomputed from the new table, since a
+    merged class can have a larger stabilizer.  A merged class gets the
+    trivial kernel: a kernel element at an orbit endpoint fixes the node and
+    its branch there, which each local model allows only for the identity.
     """
     graph = action.graph
     orbit = _edge_orbit_of(action, edge)
@@ -217,8 +231,8 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
         kernels=kernels,
         ramification_orbits=tuple(ram),
         vertex_orbits=tuple(orbits(vertex_perms, range(new_graph.n_vertices))),
-        half_edge_orbits=tuple(orbits(half_edge_perms, range(new_graph.n_half_edges))),
-        edge_orbits=tuple(orbits(edge_perms, range(new_graph.n_edges))),
+        half_edge_orbits=_relabel_orbits(action.half_edge_orbits, he_map),
+        edge_orbits=_relabel_orbits(action.edge_orbits, edge_map),
     )
 
 

@@ -338,6 +338,16 @@ def test_orbits_rejects_non_action(z2):
     assert [o.members for o in orbits(perms, [0, 1, 2])] == [(0,), (1, 2)]
 
 
+def test_orbits_rejects_out_of_range_subgroup_elements(z2):
+    perms = z2.extend_action([(1, 0)], 2)
+    with pytest.raises(GroupError, match="element index 5 out of range"):
+        orbits(perms, [0, 1], within=[5])
+    # a negative index would otherwise read the last table
+    with pytest.raises(GroupError, match="element index -1 out of range"):
+        orbits(perms, [0, 1], within=[0, -1])
+    assert [o.stabilizer for o in orbits(perms, [0, 1], within=[1, 0])] == [(0,)]
+
+
 def test_orbit_stabilizer_theorem():
     for group in catalog():
         for sub in all_subgroups(group):

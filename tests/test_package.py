@@ -1,5 +1,8 @@
 import ast
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -21,6 +24,60 @@ def test_export_list_matches_the_package_namespace():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert public <= set(isoprod.__all__), sorted(public - set(isoprod.__all__))
+
+
+_IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import isoprod
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+facts = {
+    "document_loaded": sorted(
+        name for name in ("jsonschema", "isoprod.document") if name in sys.modules
+    ),
+    "foreign": sorted(loaded - set(sys.stdlib_module_names) - {"isoprod"}),
+}
+import isoprod.document
+names = ("Document", "emit_document", "parse_document")
+facts["same_objects"] = [
+    getattr(isoprod, name) is getattr(isoprod.document, name) for name in names
+]
+facts["cached"] = sorted(name for name in names if name in vars(isoprod))
+star = {}
+exec("from isoprod import *", star)
+facts["star_missing"] = sorted(set(isoprod.__all__) - set(star))
+try:
+    isoprod.no_such_name
+    facts["missing_name"] = "no error"
+except AttributeError as exc:
+    facts["missing_name"] = str(exc)
+print(json.dumps(facts))
+"""
+
+
+def test_plain_import_leaves_the_document_layer_unloaded():
+    # a library caller never parses a document, so ``import isoprod`` must
+    # not pay for ``jsonschema``; the document names still resolve, to the
+    # document module's own objects, on first access
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    facts = json.loads(proc.stdout)
+    assert facts["document_loaded"] == []
+    assert facts["foreign"] == []
+    assert facts["same_objects"] == [True, True, True]
+    # resolved afresh on each access, never bound into the package
+    assert facts["cached"] == []
+    assert facts["star_missing"] == []
+    assert facts["missing_name"] == "module 'isoprod' has no attribute 'no_such_name'"
 
 
 def test_runtime_imports_match_the_declared_dependencies():
