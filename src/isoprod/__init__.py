@@ -5,8 +5,8 @@ Everything is exact: permutations, integers, and rational rotation
 characters; no floating point anywhere.
 
 ``Document``, ``emit_document`` and ``parse_document`` are resolved on first
-access, so a plain ``import isoprod`` loads neither the document layer nor
-``jsonschema``.
+access, so a plain ``import isoprod`` does not load the document layer.  The
+package imports nothing outside the standard library.
 """
 
 from .actions import (

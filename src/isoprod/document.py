@@ -9,7 +9,8 @@ the deterministic element table, and every rotation character is a reduced
 
 Parsing reports every problem it can find (schema violations with JSON
 paths, unresolved references, malformed characters, per-item consistency
-failures), not just the first.
+failures), not just the first.  A walk of its own checks the JSON Schema
+``SCHEMA``, worded as jsonschema 4 words it, but 2.0 is no "integer" here.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterator
-
-import jsonschema
 
 from .actions import CurveAction, RamificationOrbit, validate_action
 from .curves import DualGraph, build_graph
@@ -34,6 +33,12 @@ from .groups import (
 from .surfaces import SurfaceDescriptor, build_surface
 
 FORMAT_VERSION = "1"
+
+jsonschema = None  # perfbench/tracer.py reads this name to time the document stages
+
+# 50 times the largest degree any test or benchmark input uses (200): a group
+# builds tuples of ``degree`` letters before it can check anything else
+_MAX_DEGREE = 10_000
 
 _ID = {"type": "string", "minLength": 1}
 _CYCLES = {
@@ -53,7 +58,7 @@ SCHEMA: dict[str, Any] = {
             "required": ["degree", "generators"],
             "additionalProperties": False,
             "properties": {
-                "degree": {"type": "integer", "minimum": 1},
+                "degree": {"type": "integer", "minimum": 1, "maximum": _MAX_DEGREE},
                 "generators": {"type": "array", "items": _CYCLES},
             },
         },
@@ -233,22 +238,76 @@ def parse_document(text: str, cap: int = DEFAULT_GROUP_CAP) -> Document:
     return document_from_dict(data, cap=cap)
 
 
-def _json_path(error: jsonschema.ValidationError) -> str:
-    return ".".join(str(p) for p in error.absolute_path) or "<root>"
+# the Python kind of each type, and of what each keyword checks (others pass)
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "integer": int}
+_KEYWORD_KINDS = {
+    "required": dict, "properties": dict, "additionalProperties": dict,
+    "items": list, "minItems": list, "maxItems": list,
+    "minLength": str, "minimum": (int, float), "maximum": (int, float),
+}
 
 
-def _schema_problem(error: jsonschema.ValidationError) -> str:
+def _schema_problems(data: Any) -> list[str]:
+    """Every way ``data`` breaks ``SCHEMA``, as ``<path>: <message>`` lines
+    stable-sorted by path; raises ValueError on a keyword it cannot check."""
+    return [_schema_problem(*p) for p in sorted(_walk(data, SCHEMA, ()), key=lambda p: p[0])]
+
+
+def _walk(node: Any, schema: dict, path: tuple) -> Iterator[tuple[str, str, Any]]:
+    """(path, message, node) for each problem, in ``schema``'s keyword order."""
+    where = ".".join(map(str, path)) or "<root>"
+    for keyword, value in schema.items():
+        if keyword == "type":
+            kind = _TYPES[value]
+            if not isinstance(node, kind) or (isinstance(node, bool) and kind is not bool):
+                yield where, f"{node!r} is not of type {value!r}", node
+        elif keyword not in _KEYWORD_KINDS:
+            raise ValueError(f"schema keyword {keyword!r} is not checked")
+        elif not isinstance(node, _KEYWORD_KINDS[keyword]) or isinstance(node, bool):
+            continue
+        elif keyword == "required":
+            for key in value:
+                if key not in node:
+                    yield where, f"{key!r} is a required property", node
+        elif keyword == "properties":
+            for key, sub in value.items():
+                if key in node:
+                    yield from _walk(node[key], sub, path + (key,))
+        elif keyword == "additionalProperties":
+            extra = [key for key in node if key not in schema.get("properties", {})]
+            if value is not False:
+                for key in extra:
+                    yield from _walk(node[key], value, path + (key,))
+            elif extra:
+                names = ", ".join(map(repr, sorted(extra)))
+                verb = "was" if len(extra) == 1 else "were"
+                message = f"Additional properties are not allowed ({names} {verb} unexpected)"
+                yield where, message, node
+        elif keyword == "items":
+            for i, item in enumerate(node):
+                yield from _walk(item, value, path + (i,))
+        elif keyword == "maxItems" and len(node) > value:
+            yield where, f"{node!r} is too long", node
+        elif keyword in ("minItems", "minLength") and len(node) < value:
+            short = "should be non-empty" if value == 1 else "is too short"
+            yield where, f"{node!r} {short}", node
+        elif keyword == "minimum" and node < value:
+            yield where, f"{node!r} is less than the minimum of {value!r}", node
+        elif keyword == "maximum" and node > value:
+            yield where, f"{node!r} is greater than the maximum of {value!r}", node
+
+
+def _schema_problem(path: str, message: str, instance: Any) -> str:
     """``<path>: <message>`` in at most ``_MAX_PROBLEM`` characters.
 
     The path is cut in the middle with "..." to what the message leaves of
     the line, but never below half a line; the echoed value is then cut in
     the middle to what remains, so both ends of the path (and the failing
     field) survive a long value."""
-    path, message = _json_path(error), error.message
     path = _clip(path, max(_MAX_PROBLEM - 2 - len(message), _MAX_PROBLEM // 2))
     excess = len(path) + 2 + len(message) - _MAX_PROBLEM
     if excess > 0:
-        echoed = repr(error.instance)
+        echoed = repr(instance)
         at = message.find(echoed)
         if at < 0:
             # the value echoed is not the instance (unexpected keys)
@@ -258,30 +317,8 @@ def _schema_problem(error: jsonschema.ValidationError) -> str:
     return f"{path}: {message}"
 
 
-def _floats(node: Any, path: tuple) -> Iterator[tuple[str, float]]:
-    """(JSON path, value) of every float in decoded JSON data."""
-    if isinstance(node, float):
-        yield ".".join(map(str, path)) or "<root>", node
-    elif isinstance(node, dict):
-        for key, value in node.items():
-            yield from _floats(value, path + (key,))
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            yield from _floats(value, path + (i,))
-
-
 def document_from_dict(data: Any, cap: int = DEFAULT_GROUP_CAP) -> Document:
-    problems: list[str] = []
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    for error in sorted(validator.iter_errors(data), key=_json_path):
-        problems.append(_schema_problem(error))
-    if not problems:
-        # the schema has no number fields and accepts 2.0 as an integer, so
-        # every float still present is an integral value in an integer slot
-        problems = [
-            f"{path}: {value!r} is not of type 'integer'"
-            for path, value in sorted(_floats(data, ()))
-        ]
+    problems = _schema_problems(data)
     if problems:
         raise DocumentError(problems)
 

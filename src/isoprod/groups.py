@@ -408,15 +408,17 @@ def orbits(
     ``perms[g]`` is the permutation of element g, as returned by
     :meth:`FiniteGroup.extend_action`, which has already checked that the
     tables form an action; no callable and no further check.  ``within``
-    restricts to a subgroup (element indices; one out of range raises
-    GroupError), and ``points`` must be closed under it (or under the whole
-    group): an image outside ``points`` raises GroupError.  Each orbit reads
-    one column of the tables, O(|G|) lookups.
+    restricts to a subgroup (element indices; one out of range, or no
+    identity 0, raises GroupError), and ``points`` must be closed under it
+    (or under the whole group): an image outside ``points`` raises
+    GroupError.  Each orbit reads one column of the tables, O(|G|) lookups.
     """
     elems = range(len(perms)) if within is None else sorted(set(within))
     if elems and (elems[0] < 0 or elems[-1] >= len(perms)):
         bad = elems[0] if elems[0] < 0 else elems[-1]
         raise GroupError(f"element index {bad} out of range")
+    if not elems or elems[0] != 0:
+        raise GroupError("within is not a subgroup: it lacks the identity, element 0")
     rows = [perms[g] for g in elems]
     pos = {p: i for i, p in enumerate(points)}
     seen: set[int] = set()

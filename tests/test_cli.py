@@ -292,7 +292,8 @@ def test_validate_emit_roundtrip(capsys, golden_path, tmp_path):
 
 
 def test_exit_1_on_float_degree(capsys, tmp_path, bundled_document_text):
-    # 2.0 passes the schema's "integer"; it is reported, not a traceback
+    # 2.0 is not an "integer" to the document checker; it is reported, not a
+    # traceback
     data = json.loads(bundled_document_text)
     data["group"]["degree"] = 2.0
     path = tmp_path / "float_degree.json"
@@ -300,6 +301,18 @@ def test_exit_1_on_float_degree(capsys, tmp_path, bundled_document_text):
     code, _, err = run_cli(capsys, "validate", str(path))
     assert code == 1
     assert "group.degree" in err
+
+
+def test_exit_1_on_oversized_degree(capsys, tmp_path, bundled_document_text):
+    # rejected by the schema, before a group builds a degree-length tuple
+    data = json.loads(bundled_document_text)
+    data["group"]["degree"] = 10**12
+    path = tmp_path / "huge_degree.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: group.degree: 1000000000000 is greater than the maximum of 10000\n"
 
 
 

@@ -1,9 +1,21 @@
 import json
+import random
+import re
 
 import pytest
 
-from isoprod.document import emit_document, parse_document
+import isoprod.document
+from isoprod.document import (
+    SCHEMA,
+    CurveNames,
+    Document,
+    _schema_problem,
+    _schema_problems,
+    emit_document,
+    parse_document,
+)
 from isoprod.errors import DocumentError
+from randgen import catalog, random_action
 
 
 def minimal_doc(**extra):
@@ -194,8 +206,6 @@ def test_emit_roundtrip_is_identity(golden_doc, bundled_document_text):
 def test_emit_validates_against_schema(golden_doc):
     import jsonschema
 
-    from isoprod.document import SCHEMA
-
     jsonschema.validate(emit_document(golden_doc), SCHEMA)
 
 
@@ -229,8 +239,8 @@ def _float_tangent_element(doc):
     ids=["degree", "cycle-entry", "genus", "tangent-element"],
 )
 def test_integral_float_in_integer_slot_rejected(mutate, path):
-    # the schema's "integer" accepts 2.0; the document names it instead of
-    # passing a float on to the group and graph builders
+    # JSON Schema's "integer" accepts 2.0; the document checker names it
+    # instead of passing a float on to the group and graph builders
     data = minimal_doc(
         curves={"c": curve_block()},
         actions={
@@ -395,3 +405,109 @@ def test_integer_literal_past_the_digit_limit_is_a_document_error():
         parse_document(text)
     (problem,) = err.value.problems
     assert problem.startswith("<json>: Exceeds the limit")
+
+
+# -- the schema walk against jsonschema -------------------------------------------
+
+
+_POOL = [-1, -7, 0, 10**12, 0.0, 1.0, 2.0, -1.0, 0.5, -2.5, True, False, None, "", "x",
+         [], [0], [[0, 1]], ["p", "q", "r"], {}, {"x": "y"}]
+
+
+def _nodes(node, path=()):
+    """(path, node) of every value in decoded JSON data, the root included."""
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _json_path(path):
+    return ".".join(map(str, path)) or "<root>"
+
+
+def _pool_value(rng):
+    """A fresh copy of a value from ``_POOL``, never shared by two places."""
+    return json.loads(json.dumps(rng.choice(_POOL)))
+
+
+def _mutate(data, rng):
+    """``data`` with one value replaced from ``_POOL``, one or two keys
+    added (unexpected, in most places) or one key deleted."""
+    path, node = rng.choice(list(_nodes(data)))
+    kind = rng.randrange(3) if isinstance(node, dict) else 0
+    if kind == 1:
+        for key in rng.sample(["zz", "x", "id"], rng.randint(1, 2)):
+            node[key] = _pool_value(rng)
+        return data
+    if kind == 2 and node:
+        del node[rng.choice(sorted(node))]
+        return data
+    if not path:
+        return _pool_value(rng)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = _pool_value(rng)
+    return data
+
+
+def _emitted_documents(rng):
+    """Canonical forms of documents holding one random action per group."""
+    for group in catalog():
+        action = random_action(group, rng)
+        graph = action.graph
+        names = CurveNames(
+            tuple(f"v{i}" for i in range(graph.n_vertices)),
+            tuple(f"h{i}" for i in range(graph.n_half_edges)),
+            tuple(f"m{i}" for i in range(len(graph.marks))),
+        )
+        doc = Document("1", group, {"c": graph}, {"c": names}, {"a": action}, {"a": "c"},
+                       families={"f": ("a",)})
+        yield emit_document(doc)
+
+
+_INTEGRAL_FLOAT = re.compile(r"-?\d+\.0 is not of type 'integer'")
+
+
+def test_schema_walk_matches_jsonschema_on_mutated_documents(bundled_document_text):
+    # jsonschema is the reference: the walk accepts exactly what jsonschema
+    # plus the rule "no float anywhere" accepts, words every problem the same
+    # way, and adds one line for each integral float in an integer slot
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(SCHEMA)
+    rng = random.Random(20260418)
+    bases = [json.loads(bundled_document_text), *_emitted_documents(rng)]
+    for trial in range(1000):
+        data = json.loads(json.dumps(rng.choice(bases)))
+        for _ in range(rng.randint(1, 3)):
+            data = _mutate(data, rng)
+        errors = sorted(validator.iter_errors(data), key=lambda e: _json_path(e.absolute_path))
+        expected = [_schema_problem(_json_path(e.absolute_path), e.message, e.instance)
+                    for e in errors]
+        values = {_json_path(path): node for path, node in _nodes(data)}
+        has_float = any(isinstance(node, float) for node in values.values())
+        got = _schema_problems(data)
+        assert (not got) == (not expected and not has_float), (trial, got, expected)
+        if not has_float:
+            assert got == expected, trial
+        added = [p for p in got if _INTEGRAL_FLOAT.search(p) and p not in expected]
+        assert [p for p in got if p not in added] == expected, trial
+        for problem in added:
+            value = values[problem.partition(": ")[0]]
+            assert isinstance(value, float) and value.is_integer(), trial
+
+
+def test_unknown_schema_keyword_raises(monkeypatch):
+    # the walk checks only the keywords it knows; one added to the schema
+    # must fail loudly, whatever the value in the document
+    schema = {"type": "object", "properties": {"group": {"type": "object", "maxProperties": 1}}}
+    monkeypatch.setattr(isoprod.document, "SCHEMA", schema)
+    for group in ({"degree": 2}, "not an object"):
+        with pytest.raises(ValueError, match="'maxProperties' is not checked"):
+            _schema_problems({"group": group})

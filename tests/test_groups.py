@@ -345,6 +345,10 @@ def test_orbits_rejects_out_of_range_subgroup_elements(z2):
     # a negative index would otherwise read the last table
     with pytest.raises(GroupError, match="element index -1 out of range"):
         orbits(perms, [0, 1], within=[0, -1])
+    # every subgroup holds the identity: without it an orbit has no members
+    for within in ([], [1]):
+        with pytest.raises(GroupError, match="lacks the identity"):
+            orbits(perms, [0, 1], within=within)
     assert [o.stabilizer for o in orbits(perms, [0, 1], within=[1, 0])] == [(0,)]
 
 

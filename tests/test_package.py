@@ -55,22 +55,27 @@ print(json.dumps(facts))
 """
 
 
-def test_plain_import_leaves_the_document_layer_unloaded():
-    # a library caller never parses a document, so ``import isoprod`` must
-    # not pay for ``jsonschema``; the document names still resolve, to the
-    # document module's own objects, on first access
+def _probe(code: str):
+    """The JSON printed by ``code`` run in a fresh interpreter on ``src``."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env=env,
         check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    facts = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_plain_import_leaves_the_document_layer_unloaded():
+    # a library caller never parses a document, so ``import isoprod`` must
+    # not pay for it; the document names still resolve, to the document
+    # module's own objects, on first access
+    facts = _probe(_IMPORT_PROBE)
     assert facts["document_loaded"] == []
     assert facts["foreign"] == []
     assert facts["same_objects"] == [True, True, True]
@@ -78,6 +83,19 @@ def test_plain_import_leaves_the_document_layer_unloaded():
     assert facts["cached"] == []
     assert facts["star_missing"] == []
     assert facts["missing_name"] == "module 'isoprod' has no attribute 'no_such_name'"
+
+
+def test_cli_import_loads_only_the_standard_library():
+    # every CLI run pays for what ``isoprod.cli`` imports: the document
+    # checker is the package's own, so nothing outside the standard library
+    foreign = _probe(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import isoprod.cli\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(json.dumps(sorted(loaded - set(sys.stdlib_module_names) - {'isoprod'})))\n"
+    )
+    assert foreign == []
 
 
 def test_runtime_imports_match_the_declared_dependencies():
