@@ -123,6 +123,11 @@ class CurveAction:
     cached at construction.  Instances are immutable.  Build one from raw
     input through :func:`validate_action`; ``families.smooth_node_orbit``
     derives a smoothed child directly from its parent's tables.
+
+    Derived facts are computed on first use and kept on the instance, not as
+    fields: the ``*_orbit_of`` lookups, ``fixed_point_sets``,
+    ``quotient_signatures`` and ``t1_equivariant``.  A new instance starts
+    with none of them; :func:`t1_equivariant_oracle` reads none of them.
     """
 
     group: FiniteGroup
@@ -178,6 +183,22 @@ class CurveAction:
         for o in self.ramification_orbits:
             seeds |= group.subgroup_closure([o.element, *self.kernels[o.vertex]])
         return group.conjugacy_union(seeds), fixes_component
+
+    @cached_property
+    def quotient_signatures(self) -> tuple[QuotientSignature, ...]:
+        """Each vertex orbit's :func:`quotient_signature`, in orbit order."""
+        return tuple(quotient_signature(self, o.representative) for o in self.vertex_orbits)
+
+    @cached_property
+    def t1_equivariant(self) -> EquivariantT1:
+        """See :func:`t1_equivariant`; a precondition error raises on every read."""
+        _check_t1_preconditions(self)
+        node_inv = node_invariants(self)
+        branch_inv = branch_invariants(self)
+        minus_chi_inv = sum(sig.contribution for sig in self.quotient_signatures)
+        return EquivariantT1(
+            node_inv, branch_inv, minus_chi_inv, node_inv + branch_inv + minus_chi_inv
+        )
 
 
 def _transport_and_close(
@@ -718,7 +739,8 @@ def quotient_signature(action: CurveAction, vertex: int) -> QuotientSignature:
 
 
 def quotient_signatures(action: CurveAction) -> list[QuotientSignature]:
-    return [quotient_signature(action, o.representative) for o in action.vertex_orbits]
+    """The action's kept signatures, as a new list on each call."""
+    return list(action.quotient_signatures)
 
 
 def _check_t1_preconditions(action: CurveAction) -> None:
@@ -732,15 +754,9 @@ def t1_equivariant(action: CurveAction) -> EquivariantT1:
     """Invariant deformation dimension: node + branch + quotient pieces.
 
     With the trivial group this equals the non-equivariant count
-    (delta, 2*delta, 3*sum(g_i) - 3*nu) componentwise.
+    (delta, 2*delta, 3*sum(g_i) - 3*nu) componentwise.  Read from the action.
     """
-    _check_t1_preconditions(action)
-    node_inv = node_invariants(action)
-    branch_inv = branch_invariants(action)
-    minus_chi_inv = sum(sig.contribution for sig in quotient_signatures(action))
-    return EquivariantT1(
-        node_inv, branch_inv, minus_chi_inv, node_inv + branch_inv + minus_chi_inv
-    )
+    return action.t1_equivariant
 
 
 def t1_equivariant_oracle(action: CurveAction) -> EquivariantT1:

@@ -74,7 +74,7 @@ def _row(*keys: str) -> Callable[[str, dict], list[list[str]]]:
 
 @dataclass(frozen=True)
 class _Command:
-    """One subcommand, run over the items of document section ``section``.
+    """One subcommand (its ``--help`` line is ``help``) over document section ``section``.
 
     ``compute(doc, name)`` returns the item's machine dict.  A table command
     names its ``columns`` and ``render(name, d)`` returns the item's rows; a
@@ -84,6 +84,7 @@ class _Command:
     bound here, so patching a module global reaches every command.
     """
 
+    help: str
     section: str
     columns: tuple[str, ...]
     compute: Callable[[Document, str], dict]
@@ -162,21 +163,25 @@ def _certificate_lines(name: str, d: dict) -> list[str]:
 
 _SPECS = {
     "genus": _Command(
+        "arithmetic genus of each curve",
         "curves", ("curve", "genus"),
         lambda doc, n: {"arithmetic_genus": arithmetic_genus(doc.curves[n])},
         _row("arithmetic_genus"),
     ),
     "t1": _Command(
+        "deformation count per curve: node, branch and normalization pieces",
         "curves", ("curve", "delta", "branch", "-chi", "total"),
         lambda doc, n: _plain(t1_dimension(doc.curves[n])),
         _row("delta", "branch_term", "minus_chi", "total"),
     ),
     "t1-equivariant": _Command(
+        "invariant deformation count per action: node, branch and quotient pieces",
         "actions", ("action", "node", "branch", "quotient", "total"),
         lambda doc, n: _plain(t1_equivariant(doc.actions[n])),
         _row("node_inv", "branch_inv", "minus_chi_inv", "total"),
     ),
     "quotient": _Command(
+        "quotient genus and branch points of each component orbit, per action",
         "actions", ("action", "component", "g'", "b", "3g'-3+b"),
         _quotient,
         lambda name, d: [
@@ -185,11 +190,13 @@ _SPECS = {
         ],
     ),
     "surface-invariants": _Command(
+        "chi, K^2, e, q and p_g of each surface with a free action",
         "surfaces", ("surface", "chi", "K^2", "e", "q", "p_g"),
         lambda doc, n: _plain(surface_invariants(doc.surfaces[n])),
         _row("chi", "k_squared", "euler", "q", "p_g"),
     ),
     "kuranishi": _Command(
+        "invariant deformation count of each surface's two factors and their sum",
         "surfaces", ("surface", "factor1", "factor2", "total", ""),
         lambda doc, n: _plain(kuranishi_dimension(doc.surfaces[n])),
         lambda name, d: [
@@ -197,16 +204,21 @@ _SPECS = {
         ],
     ),
     "certify-degeneration": _Command(
+        "stable-degeneration certificate of each surface, condition by condition",
         "surfaces", (),
         lambda doc, n: _plain(certify_degeneration(doc.surfaces[n])),
         _certificate_lines,
         lambda d: 0 if d["passed"] else 2,
     ),
     "check-family": _Command(
+        "whether the invariant deformation count is constant over each family",
         "families", (), _check_family, _family_lines,
         lambda d: {"constant": 0, "violation": 2}.get(d["verdict"], 1),
     ),
-    "smooth": _Command("actions", (), _smooth, _smooth_lines),
+    "smooth": _Command(
+        "smooth each action's node orbits one at a time until smooth or stuck",
+        "actions", (), _smooth, _smooth_lines,
+    ),
 }
 
 COMMANDS = ("validate", *_SPECS)
@@ -287,8 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    validate_help = "check the document and list its group and items"
     for name in COMMANDS:
-        p = sub.add_parser(name, help=f"run {name} over a document")
+        p = sub.add_parser(name, help=_SPECS[name].help if name in _SPECS else validate_help)
         p.add_argument("document", help="path to a JSON input document")
         p.add_argument(
             "--json", action="store_true", help="emit the machine block only"

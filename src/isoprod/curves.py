@@ -28,7 +28,8 @@ class DualGraph:
     and kept on the instance (it is not a field, so equality, hashing and
     repr see the data only): ``components`` (the connected components, each
     a sorted vertex tuple), ``vertex_half_edges[v]`` and ``vertex_marks[v]``
-    (the half-edges and marks at ``v``, in index order).
+    (the half-edges and marks at ``v``, in index order), and
+    ``arithmetic_genus`` (raising ``GraphError`` on every read if disconnected).
     """
 
     genera: tuple[int, ...]
@@ -59,6 +60,11 @@ class DualGraph:
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         return _components(self.n_vertices, self.half_edge_vertex, self.edges)
+
+    @cached_property
+    def arithmetic_genus(self) -> int:
+        _require_connected(self)
+        return sum(self.genera) + self.n_edges - self.n_vertices + 1
 
 
 def _components(
@@ -187,9 +193,8 @@ def _require_connected(graph: DualGraph) -> None:
 
 
 def arithmetic_genus(graph: DualGraph) -> int:
-    """g = sum(g_i) + delta - nu + 1 for a connected nodal curve."""
-    _require_connected(graph)
-    return sum(graph.genera) + graph.n_edges - graph.n_vertices + 1
+    """g = sum(g_i) + delta - nu + 1 for a connected nodal curve, kept on the graph."""
+    return graph.arithmetic_genus
 
 
 def t1_dimension(graph: DualGraph) -> T1Breakdown:

@@ -13,13 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .actions import (
-    CurveAction,
-    EquivariantT1,
-    quotient_signature,
-    t1_equivariant,
-)
+from .actions import CurveAction, EquivariantT1, t1_equivariant
 from .curves import arithmetic_genus
 from .errors import SurfaceError
 from .groups import format_perm
@@ -32,11 +28,25 @@ class SurfaceDescriptor:
     ``declared_minimal`` records that the realization is the minimal one;
     minimality itself is not re-verified (it needs curve isomorphism data
     beyond the combinatorial model).
+
+    Its freeness checks ``free_action`` and ``free_codim1`` are kept on first use.
     """
 
     factor1: CurveAction
     factor2: CurveAction
     declared_minimal: bool = True
+
+    @cached_property
+    def free_action(self) -> FreenessCheck:
+        fp1, _ = self.factor1.fixed_point_sets
+        fp2, _ = self.factor2.fixed_point_sets
+        return _first_witness(self, fp1 & fp2)
+
+    @cached_property
+    def free_codim1(self) -> FreenessCheck:
+        fp1, fc1 = self.factor1.fixed_point_sets
+        fp2, fc2 = self.factor2.fixed_point_sets
+        return _first_witness(self, (fc1 & fp2) | (fc2 & fp1))
 
 
 @dataclass(frozen=True)
@@ -129,11 +139,9 @@ def _first_witness(surface: SurfaceDescriptor, offenders: frozenset[int]) -> Fre
 def check_free_action(surface: SurfaceDescriptor) -> FreenessCheck:
     """Free on the product: no g != e with fixed points on both factors.
 
-    Reads the two factors' fixed-point sets: one set intersection.
+    Reads the two factors' fixed-point sets: one set intersection, kept.
     """
-    fp1, _ = surface.factor1.fixed_point_sets
-    fp2, _ = surface.factor2.fixed_point_sets
-    return _first_witness(surface, fp1 & fp2)
+    return surface.free_action
 
 
 def check_free_codim1(surface: SurfaceDescriptor) -> FreenessCheck:
@@ -141,11 +149,9 @@ def check_free_codim1(surface: SurfaceDescriptor) -> FreenessCheck:
 
     A 1-dimensional fixed locus needs a pointwise-fixed component on one
     factor times a nonempty fixed set on the other, in either order.
-    Reads the two factors' fixed-point sets.
+    Reads the two factors' fixed-point sets, once per surface.
     """
-    fp1, fc1 = surface.factor1.fixed_point_sets
-    fp2, fc2 = surface.factor2.fixed_point_sets
-    return _first_witness(surface, (fc1 & fp2) | (fc2 & fp1))
+    return surface.free_codim1
 
 
 def surface_invariants(surface: SurfaceDescriptor) -> SurfaceInvariants:
@@ -173,8 +179,8 @@ def surface_invariants(surface: SurfaceDescriptor) -> SurfaceInvariants:
     q = None
     if surface.factor1.graph.n_edges == 0 and surface.factor2.graph.n_edges == 0:
         q = (
-            quotient_signature(surface.factor1, 0).g_prime
-            + quotient_signature(surface.factor2, 0).g_prime
+            surface.factor1.quotient_signatures[0].g_prime
+            + surface.factor2.quotient_signatures[0].g_prime
         )
     p_g = chi - 1 + q if q is not None else None
     return SurfaceInvariants(chi, 8 * chi, 4 * chi, q, p_g)

@@ -1,9 +1,10 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from isoprod.cli import main
+from isoprod.cli import COMMANDS, build_parser, main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -337,3 +338,14 @@ def test_golden_transcript(capsys, tmp_path, document, case):
     assert out == case["stdout"]
     assert err == case["stderr"]
     assert code == case["code"]
+
+
+def test_help_describes_each_command():
+    subcommands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    helps = {choice.dest: choice.help for choice in subcommands._choices_actions}
+    assert list(helps) == list(COMMANDS) and len(COMMANDS) == 10
+    assert len(set(helps.values())) == len(helps)
+    for name, text in helps.items():
+        assert text and not text.startswith("run ") and "over a document" not in text, name

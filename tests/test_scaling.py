@@ -1,10 +1,19 @@
 """Scaling regressions: validation and the queries built on it stay linear in
 |G| * (|V| + |H| + |E|) group products.  The budgets are generous (tens of
 times the expected time); they catch a return to quadratic or cubic work,
-not small slowdowns."""
+not small slowdowns.  Repeated work across queries is pinned by counting
+computations, which, unlike a time, does not depend on the host."""
 
+import dataclasses
+import random
+from collections import Counter
+
+from randgen import random_action
 from test_acceptance import criterion
 
+import isoprod.actions
+import isoprod.curves
+import isoprod.surfaces
 from isoprod.actions import (
     inert_action,
     t1_equivariant,
@@ -14,7 +23,13 @@ from isoprod.actions import (
 )
 from isoprod.curves import arithmetic_genus, build_graph, t1_dimension
 from isoprod.groups import FiniteGroup, perm_from_cycles
-from isoprod.surfaces import build_surface, check_free_codim1
+from isoprod.errors import SurfaceError
+from isoprod.surfaces import (
+    build_surface,
+    certify_degeneration,
+    check_free_codim1,
+    kuranishi_dimension,
+)
 
 
 def necklace(n: int):
@@ -115,3 +130,50 @@ def test_necklace_graph_20000_builds():
         )
         assert arithmetic_genus(graph) == 2 * n + 1
         assert t1_dimension(graph).total == 3 * (2 * n + 1) - 3
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that counts its calls per first
+    argument (by identity); returns the counter."""
+    calls = Counter()
+    original = getattr(module, name)
+
+    def counted(first, *args):
+        calls[id(first)] += 1
+        return original(first, *args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_kept_fact_is_computed_once_per_object(
+    monkeypatch, z2, paper_action, kernel_component_action
+):
+    # fresh copies: the session fixtures may already keep their facts
+    actions = [dataclasses.replace(a) for a in (kernel_component_action, paper_action)]
+    # with this seed every random action has a fixed point, so the kernel
+    # action (which fixes a component) is in no pair free in codimension 1
+    rng = random.Random(72)
+    actions += [random_action(z2, rng) for _ in range(4)]
+    t1_runs = counting(monkeypatch, isoprod.actions, "node_invariants")
+    freeness_runs = counting(monkeypatch, isoprod.surfaces, "_first_witness")
+    genus_runs = counting(monkeypatch, isoprod.curves, "_require_connected")
+    in_codim1_free_pair = set()
+    for a in actions:
+        for b in actions:
+            surface = build_surface(a, b)
+            certify_degeneration(surface)
+            try:
+                kuranishi_dimension(surface)
+            except SurfaceError:
+                continue
+            in_codim1_free_pair.update((id(a), id(b)))
+    assert t1_runs == Counter(dict.fromkeys(in_codim1_free_pair, 1))
+    assert id(actions[0]) not in t1_runs and len(t1_runs) == 5
+    assert sum(freeness_runs.values()) == len(actions) ** 2  # codim 1 only, once each
+    assert max(genus_runs.values()) == 1
+
+    # the oracle keeps nothing: each call runs both Burnside traces again
+    trace_runs = counting(monkeypatch, isoprod.actions, "invariant_dimension_trace")
+    assert t1_equivariant_oracle(actions[1]) == t1_equivariant_oracle(actions[1])
+    assert trace_runs == {id(z2): 4}

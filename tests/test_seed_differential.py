@@ -18,10 +18,12 @@ from isoprod.actions import (
     _solve_riemann_hurwitz,
     inert_action,
     quotient_signature,
+    quotient_signatures,
+    t1_equivariant,
     t1_equivariant_oracle,
     validate_action,
 )
-from isoprod.curves import build_graph
+from isoprod.curves import arithmetic_genus, build_graph
 from isoprod.errors import ActionError, CharacterError, IsoprodError, RamificationError
 from isoprod.groups import (
     FiniteGroup,
@@ -30,9 +32,11 @@ from isoprod.groups import (
     orbits,
     perm_from_cycles,
 )
+from isoprod.families import smooth_node_orbit, smoothable_edge_orbits
 from isoprod.surfaces import (
     FreenessCheck,
     SurfaceDescriptor,
+    build_surface,
     check_free_action,
     check_free_codim1,
     fixed_point_profile,
@@ -443,3 +447,57 @@ def test_quotient_signatures_read_the_stabilizer_suborbits_from_cached_orbits():
                     assert str(exc) == expected
                 suborbits_seen += len(subs)
     assert suborbits_seen > 100
+
+
+KEPT_ON_ACTION = {"t1_equivariant", "quotient_signatures"}
+
+
+def assert_kept_facts_sound(action):
+    """T1, the signatures and the genus read twice agree, and equal a fresh
+    computation on a new object; T1 equals the oracle run after it is kept;
+    mutating a returned signature list leaves the kept tuple alone."""
+    t1 = t1_equivariant(action)
+    assert KEPT_ON_ACTION <= vars(action).keys()
+    assert t1_equivariant(action) == t1 == t1_equivariant(dataclasses.replace(action))
+    assert t1_equivariant_oracle(action) == t1
+    signatures = quotient_signatures(action)
+    expected = list(signatures)
+    signatures.clear()
+    assert quotient_signatures(action) == expected
+    assert quotient_signatures(dataclasses.replace(action)) == expected
+    graph = action.graph
+    genus = arithmetic_genus(graph)
+    rebuilt = build_graph(graph.genera, graph.half_edge_vertex, graph.edges, graph.marks)
+    assert arithmetic_genus(graph) == genus == arithmetic_genus(rebuilt)
+
+
+def test_kept_facts_equal_fresh_computations():
+    rng = random.Random(67)
+    steps = pairs = 0
+    for group in randgen.catalog():
+        actions = []
+        for _ in range(2):
+            actions += [randgen.random_action(group, rng), randgen.random_free_action(group, rng)]
+        for action in actions:
+            # the chain smoothing_chain takes, each child made from a parent
+            # whose facts are already kept
+            current = action
+            while True:
+                assert_kept_facts_sound(current)
+                smoothable = [o for o, why in smoothable_edge_orbits(current) if why is None]
+                if not smoothable:
+                    break
+                current = smooth_node_orbit(current, smoothable[0].representative)
+                assert not KEPT_ON_ACTION & vars(current).keys()
+                assert "arithmetic_genus" not in vars(current.graph)
+                steps += 1
+        for f1 in actions:
+            for f2 in actions:
+                surface = build_surface(f1, f2)
+                fresh = build_surface(dataclasses.replace(f1), dataclasses.replace(f2))
+                for check in (check_free_action, check_free_codim1):
+                    first = check(surface)
+                    assert check(surface) == first == check(fresh)
+                assert {"free_action", "free_codim1"} <= vars(surface).keys()
+                pairs += 1
+    assert steps > 10 and pairs == 7 * 16

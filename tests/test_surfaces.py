@@ -277,3 +277,43 @@ def test_invariant_identities_random_free_instances():
         assert inv.k_squared == 8 * inv.chi
         assert inv.euler == 4 * inv.chi
         assert inv.chi.denominator == 1
+
+
+def _outcome(query, surface):
+    try:
+        return query(surface)
+    except SurfaceError as exc:
+        return str(exc)
+
+
+def test_surface_queries_symmetric_in_the_factors(
+    paper_action, smooth_fiber_action, free_involution_action, kernel_component_action
+):
+    # (C1 x C2)/G and (C2 x C1)/G are one surface: every verdict, witness and
+    # invariant must agree when the factors are swapped
+    rng = random.Random(59)
+    verdicts = set()
+    for group in catalog():
+        actions = [random_action(group, rng) for _ in range(3)]
+        actions += [random_free_action(group, rng) for _ in range(2)]
+        if group == paper_action.group:
+            actions += [
+                paper_action, smooth_fiber_action, free_involution_action, kernel_component_action
+            ]
+        for a in actions:
+            for b in actions:
+                ab, ba = build_surface(a, b), build_surface(b, a)
+                for check in (check_free_action, check_free_codim1):
+                    assert check(ab) == check(ba)
+                cert_ab, cert_ba = certify_degeneration(ab), certify_degeneration(ba)
+                assert cert_ab.passed == cert_ba.passed
+                assert cert_ab.first_failure == cert_ba.first_failure
+                assert [c.passed for c in cert_ab.conditions] == [
+                    c.passed for c in cert_ba.conditions
+                ]
+                totals = [_outcome(kuranishi_dimension, s) for s in (ab, ba)]
+                totals = [k if isinstance(k, str) else k.total for k in totals]
+                assert totals[0] == totals[1]
+                assert _outcome(surface_invariants, ab) == _outcome(surface_invariants, ba)
+                verdicts.add((check_free_action(ab).passed, cert_ab.passed))
+    assert {(True, True), (False, True), (False, False)} <= verdicts
