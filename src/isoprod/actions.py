@@ -8,40 +8,20 @@ node's smoothing parameter), a kernel subgroup per vertex (elements acting
 trivially on that whole component), and the orbits of ramified smooth
 points away from the nodes.
 
-Validation materializes the full character tables: user-supplied values are
-transported around orbits (char(g h g^-1, g.p) = char(h, p)), extended
-multiplicatively inside each stabilizer, checked for conflicts, and any
-value still missing is reported as a gap rather than guessed.  The
-identity's values are trivial by construction, so they are neither forced
-nor transported.  For an element fixing a node and both its branches the
-smoothing character is forced to be the product of the two tangent
-characters, read from the completed tangent table (g fixes both branches
-exactly when the table holds both entries); for a branch-swapping element
-it must be supplied (its square is checked against the derived value on
-the branch-preserving part).
-
-Every check runs by BFS over generators (of the group, of a stabilizer, or
-of the subgroup the seeds generate), so validation costs
-O(|G| * (|V| + |H| + |E|)) group products plus O(1) per supplied value:
-kernel equivariance and the edge action are checked on the group
-generators only (both are multiplicative), and a character table is built
-as a homomorphism on each orbit representative's stabilizer, then carried
-around the orbit by one transporter per member, read from the action's
-per-element permutations.
-Products by generators are read from the group's table and products with
-the identity are free, so a free action needs almost no group products.
-Group products and conjugations are taken in batches over element lists
-(``FiniteGroup.products`` / ``conjugates``): conjugation by a group
-generator is one list read, and any other element costs one C-level
-compose and one index lookup per entry.  Inside a table completion the
-characters are integers modulo D, the lcm of the denominators given for
-that orbit, so sums and comparisons are int operations; ``Fraction``
-values appear only in the returned tables (0 always as the shared
-``TRIVIAL_CHAR``) and in error messages.
-
-Orbits are computed once, at validation, from the permutation tables.
-Quotient signatures read the stabilizer orbits of branches from the cached
-half-edge orbits, one lookup per branch; the oracle recomputes them with
+A character table is stored per orbit (:class:`CharacterTable`): the value
+at (g, t.p) is the value at (t^-1 g t, p), so an orbit's values are its
+representative's stabilizer character, one column of integers modulo the
+lcm of the denominators supplied.  Validation builds each column at the
+representative from the values supplied, the zeros its component's kernel
+forces, and for a node the sum of its two branch characters where both
+branches are fixed (a branch swap's value must be supplied).  It extends
+them multiplicatively inside the stabilizer, checks for conflicts, and
+reports any value still missing rather than guessing it.  Every check runs
+by BFS over generators: O(|G| * (|V| + |H| + |E|)) group products for the
+permutation tables, and O(|stab| * gens) per column unless forced zeros
+cover the stabilizer.  ``Fraction`` values appear only when a table is read
+and in messages.  Quotient signatures read the stabilizer orbits of branches
+from the cached half-edge orbits; the oracle recomputes them with
 ``orbits(..., within=stabilizer)``, an independent route.
 """
 
@@ -49,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, repeat
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .curves import DualGraph
 from .errors import (
@@ -63,7 +43,7 @@ from .errors import (
     RamificationError,
 )
 from .groups import (
-    TRIVIAL_CHAR,
+    CharacterTable,
     FiniteGroup,
     Orbit,
     Perm,
@@ -72,7 +52,9 @@ from .groups import (
     orbits,
 )
 
-CharTable = dict[tuple[int, int], Fraction]
+CharTable = Mapping[tuple[int, int], Fraction]
+# forced values on a stabilizer subgroup F: |F|, all zero?, pairs at the rep
+Forced = tuple[int, bool, Iterable[tuple[int, int]]]
 
 
 @dataclass(frozen=True, order=True)
@@ -119,7 +101,9 @@ class CurveAction:
     """A validated action of a finite group on a stable dual graph.
 
     Character tables are complete: every (element, fixed half-edge) and
-    (element, fixed edge) pair has an entry.  Orbit decompositions are
+    (element, fixed edge) pair has an entry, read from one column per orbit
+    of half-edges or edges (:class:`CharacterTable`, whose orbits are
+    ``half_edge_orbits`` / ``edge_orbits``).  Orbit decompositions are
     cached at construction.  Instances are immutable.  Build one from raw
     input through :func:`validate_action`; ``families.smooth_node_orbit``
     derives a smoothed child directly from its parent's tables.
@@ -135,8 +119,8 @@ class CurveAction:
     vertex_perms: tuple[Perm, ...]
     half_edge_perms: tuple[Perm, ...]
     edge_perms: tuple[Perm, ...]
-    tangent_chars: CharTable
-    smoothing_chars: CharTable
+    tangent_chars: CharacterTable
+    smoothing_chars: CharacterTable
     kernels: tuple[frozenset[int], ...]
     ramification_orbits: tuple[RamificationOrbit, ...]
     vertex_orbits: tuple[Orbit, ...]
@@ -203,53 +187,34 @@ class CurveAction:
 
 def _transport_and_close(
     group: FiniteGroup,
-    perms: Sequence[Perm],
     orbit: Orbit,
-    values: Mapping[int, Sequence[tuple[int, Fraction]]],
+    transporters: Sequence[int],
+    given: list[tuple[int, Sequence[tuple[int, int]]]],
+    forced: Forced,
+    modulus: int,
     kind: str,
     obj_kind: str,
-) -> CharTable:
-    """Complete a character table on one orbit of objects.
+) -> tuple[int, ...]:
+    """The column of one orbit: its representative's stabilizer character.
 
-    ``values`` maps an object to its known (element, value) pairs: values
-    implied by other data (kernel triviality, tangent-product rule) and
-    user-supplied ones.  Four steps, in group products:
-
-    1. a transversal (per member, the first element in table order carrying
-       the representative there, read from ``perms`` in O(|G|) lookups)
-       moves each value to the representative: O(#values), and no product
-       at all for the identity's values;
-    2. the moved values are closed under conjugation by a reduced
-       generating set of the representative's stabilizer, values checked to
-       agree: O(|stab| * gens);
-    3. the character is built as a homomorphism by BFS from a reduced
-       generating set of the subgroup the values generate, every (element,
-       generator) product and every remaining value checked:
-       O(|stab| * gens);
-    4. the table is carried back around the orbit through the transversal:
-       O(|orbit| * |stab|) = O(|G|).
-
-    Characters are integers modulo D, the lcm of the denominators of the
-    given values; they become ``Fraction`` values only in the returned table
-    (one object per distinct value, 0 as ``TRIVIAL_CHAR``) and in messages.
-    Conflicts raise CharacterError naming the value's object and the
-    element transporting it to the representative; gaps raise
-    CharacterError naming the first missing (element, object) pair.
+    ``given`` lists the members with supplied residues, in orbit order.  If
+    the ``forced`` zeros cover the stabilizer and every supplied residue is
+    zero, the column is zero.  Otherwise the forced pairs and then the
+    supplied values are moved to the representative by their member's
+    transporter, closed under conjugation by the stabilizer's generators,
+    and extended by BFS to a homomorphism, every product and remaining value
+    checked: O(|F| + #values + |stab| * gens) group products.  Conflicts
+    raise CharacterError naming the value's object and the element
+    transporting it to the representative; gaps raise CharacterError naming
+    the first missing (element, object) pair.
     """
-    rep = orbit.representative
-    transporter: dict[int, int] = {}
-    for g, perm in enumerate(perms):
-        if perm[rep] not in transporter:
-            transporter[perm[rep]] = g
-            if len(transporter) == len(orbit.members):
-                break
+    rep, stab = orbit.representative, orbit.stabilizer
+    size, zero, forced_pairs = forced
+    if zero and size == len(stab) and not any(a for _, pairs in given for _, a in pairs):
+        return (0,) * len(stab)
+    given = [(rep, list(forced_pairs)), *given]
 
-    given = [(obj, values[obj]) for obj in orbit.members if obj in values]
-    denom = lcm(*(val.denominator for _, pairs in given for _, val in pairs))
-
-    def frac(a: int) -> Fraction:
-        return Fraction(a, denom) if a else TRIVIAL_CHAR
-
+    frac = partial(Fraction, denominator=modulus)  # for messages
     # known[h] is the character of h at the representative; origin[h] says
     # where it came from: (object, element there, transporter) for a moved
     # value, (element, conjugator) for a conjugate, None for the identity
@@ -284,12 +249,12 @@ def _transport_and_close(
         return False
 
     for obj, pairs in given:
-        t = transporter[obj]
+        t = transporters[obj]
         at_rep = group.conjugates(group.inverse(t), [h for h, _ in pairs])
         for (h, val), x in zip(pairs, at_rep):
-            learn(x, val.numerator * (denom // val.denominator) % denom, (obj, h, t))
+            learn(x, val, (obj, h, t))
 
-    conjugators = [(u, group.inverse(u)) for u in group.generating_set(orbit.stabilizer)]
+    conjugators = [(u, group.inverse(u)) for u in group.generating_set(stab)]
     frontier = [h for h in known if h != 0]
     while frontier:
         # u x u^-1 is x moved by the transporter composed with u^-1
@@ -314,7 +279,7 @@ def _transport_and_close(
             at_a = chi[a]
             for t, col, step in zip(ts, columns, steps):
                 c = col[i]
-                val = (at_a + step) % denom
+                val = (at_a + step) % modulus
                 if c not in chi:
                     chi[c] = val
                     new.append(c)
@@ -339,24 +304,12 @@ def _transport_and_close(
                 f"product rule gives {frac(chi[x])}"
             )
 
-    stab = orbit.stabilizer
     missing = [h for h in stab if h not in chi]
     if missing:
         raise CharacterError(
             f"missing {kind} character for element {missing[0]} at {obj_kind} {rep}"
         )
-
-    if len(stab) == 1:
-        # the identity alone, at every member: nothing to conjugate
-        return dict.fromkeys(zip(repeat(0), orbit.members), TRIVIAL_CHAR)
-    at_stab = [chi[h] for h in stab]
-    fracs = {a: frac(a) for a in set(at_stab)}
-    column = [fracs[a] for a in at_stab]
-    table: CharTable = {}
-    for obj in orbit.members:
-        keys = zip(group.conjugates(transporter[obj], stab), repeat(obj))
-        table.update(zip(keys, column))
-    return table
+    return tuple(chi[h] for h in stab)
 
 
 def _is_int(x: object) -> bool:
@@ -374,17 +327,18 @@ def _complete_chars(
     perms: Sequence[Perm],
     orbit_list: Sequence[Orbit],
     seeds: CharTable,
-    forced: CharTable,
+    forced: Callable[[Orbit], Forced],
+    modulus: int,
     kind: str,
     obj_kind: str,
-) -> CharTable:
+) -> CharacterTable:
     """The complete table of one kind of character (tangent or smoothing).
 
     Each seed is checked first: its element fixes the object, and the
-    character's order divides the element's order.  Every orbit is then
-    completed from the forced and seeded values; the completion writes each
-    seed's own value back, so the table agrees with every seed.
+    character's order divides the element's order.  Then every orbit's
+    column is completed; equal columns are one tuple.
     """
+    values: dict[int, list[tuple[int, int]]] = {}
     for (h, obj), val in seeds.items():
         if perms[h][obj] != obj:
             raise ActionError(
@@ -395,14 +349,25 @@ def _complete_chars(
                 f"{kind} character {val} at {obj_kind} {obj} has order "
                 f"{char_order(val)}, not a divisor of the order of element {h}"
             )
-    # object -> its known (element, value) pairs, forced ones first
-    values: dict[int, list[tuple[int, Fraction]]] = {}
-    for (h, obj), val in chain(forced.items(), seeds.items()):
-        values.setdefault(obj, []).append((h, val))
-    table: CharTable = {}
+        residue = val.numerator * (modulus // val.denominator) % modulus
+        values.setdefault(obj, []).append((h, residue))
+    transporters: dict[int, int] = {}
+    columns: list[tuple[int, ...]] = []
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     for orbit in orbit_list:
-        table.update(_transport_and_close(group, perms, orbit, values, kind, obj_kind))
-    return table
+        # per member, the first element in table order carrying rep there
+        found: dict[int, int] = {}
+        for g, perm in enumerate(perms):
+            found.setdefault(perm[orbit.representative], g)
+            if len(found) == len(orbit.members):
+                break
+        transporters.update(found)
+        given = [(x, values[x]) for x in orbit.members if x in values]
+        column = _transport_and_close(
+            group, orbit, transporters, given, forced(orbit), modulus, kind, obj_kind
+        )
+        columns.append(shared.setdefault(column, column))
+    return CharacterTable(group, perms, tuple(orbit_list), tuple(columns), modulus, transporters)
 
 
 def validate_action(
@@ -521,8 +486,10 @@ def validate_action(
     edge_perms = group.extend_action(edge_images, graph.n_edges)
 
     kernel_subs: list[frozenset[int]] = []
+    closures: dict[tuple[int, ...], frozenset[int]] = {}  # per distinct generator list
     for v in range(graph.n_vertices):
-        sub = group.subgroup_closure(kernels.get(v, ()))
+        ks = tuple(kernels.get(v, ()))
+        sub = closures.get(ks) or closures.setdefault(ks, group.subgroup_closure(ks))
         for k in sub:
             if vertex_perms[k][v] != v:
                 raise ActionError(f"kernel element {k} of vertex {v} moves the vertex")
@@ -545,37 +512,29 @@ def validate_action(
     half_edge_orbits = tuple(orbits(half_edge_perms, range(graph.n_half_edges)))
     edge_orbits = tuple(orbits(edge_perms, range(graph.n_edges)))
 
-    # the identity's values are trivial by construction: forcing them would
-    # only move values that say nothing
-    forced_tangent: CharTable = {}
-    for v in range(graph.n_vertices):
-        for k in kernel_subs[v]:
-            if k:
-                for h in graph.vertex_half_edges[v]:
-                    forced_tangent[(k, h)] = TRIVIAL_CHAR
+    modulus = lcm(*(c.denominator for c in chain(tangent_chars.values(), smoothing_chars.values())))
 
-    full_tangent = _complete_chars(
-        group, half_edge_perms, half_edge_orbits, tangent_chars, forced_tangent,
+    def kernel_zeros(orbit: Orbit) -> Forced:
+        kernel = kernel_subs[graph.half_edge_vertex[orbit.representative]]
+        return len(kernel), True, ((k, 0) for k in kernel if k)
+
+    tangent = _complete_chars(
+        group, half_edge_perms, half_edge_orbits, tangent_chars, kernel_zeros, modulus,
         "tangent", "half-edge",
     )
 
-    # g fixes both branches of node (p, q) exactly when the complete tangent
-    # table holds both (g, p) and (g, q): read from the table, O(#entries)
-    forced_smoothing: CharTable = {}
-    for (g, p), val in full_tangent.items():
-        n = edge_at[p]
-        first, q = graph.edges[n]
-        if g and p == first and (g, q) in full_tangent:
-            other = full_tangent[(g, q)]
-            # table values are reduced and share TRIVIAL_CHAR for 0, so a
-            # zero summand needs no Fraction arithmetic
-            if val is TRIVIAL_CHAR or other is TRIVIAL_CHAR:
-                forced_smoothing[(g, n)] = other if val is TRIVIAL_CHAR else val
-            else:
-                forced_smoothing[(g, n)] = (val + other) % 1
+    def branch_sums(orbit: Orbit) -> Forced:
+        # g fixes both branches (p, q) exactly when it fixes p; it then acts
+        # on the node by the sum of its tangent characters
+        p, q = graph.edges[orbit.representative]
+        i, j = tangent.orbit_at[p], tangent.orbit_at[q]
+        t, column = tangent.transporters[p], tangent.columns[i]
+        at_p = map(group.conjugate, repeat(t), tangent.orbits[i].stabilizer)
+        sums = ((g, (a + tangent.residue(g, q)) % modulus) for g, a in zip(at_p, column) if g)
+        return len(column), tangent.trivial[i] and tangent.trivial[j], sums
 
-    full_smoothing = _complete_chars(
-        group, edge_perms, edge_orbits, smoothing_chars, forced_smoothing,
+    smoothing = _complete_chars(
+        group, edge_perms, edge_orbits, smoothing_chars, branch_sums, modulus,
         "smoothing", "edge",
     )
 
@@ -615,8 +574,8 @@ def validate_action(
         vertex_perms=vertex_perms,
         half_edge_perms=half_edge_perms,
         edge_perms=edge_perms,
-        tangent_chars=full_tangent,
-        smoothing_chars=full_smoothing,
+        tangent_chars=tangent,
+        smoothing_chars=smoothing,
         kernels=tuple(kernel_subs),
         ramification_orbits=tuple(ram),
         vertex_orbits=vertex_orbits,
@@ -638,18 +597,8 @@ def inert_action(group: FiniteGroup, graph: DualGraph) -> CurveAction:
         graph,
         [tuple(range(graph.n_vertices))] * ngens,
         [tuple(range(graph.n_half_edges))] * ngens,
-        kernels={v: range(group.order) for v in range(graph.n_vertices)},
+        kernels=dict.fromkeys(range(graph.n_vertices), group.generator_indices),
     )
-
-
-def _trivial_orbits(chars: CharTable, orbit_list: Sequence[Orbit]) -> int:
-    """Number of orbits on whose representative every stabilizer element has
-    character 0 in ``chars``."""
-    total = 0
-    for orbit in orbit_list:
-        if all(chars[(g, orbit.representative)] == 0 for g in orbit.stabilizer):
-            total += 1
-    return total
 
 
 def node_invariants(action: CurveAction) -> int:
@@ -659,12 +608,12 @@ def node_invariants(action: CurveAction) -> int:
     node; an orbit contributes an invariant section exactly when every
     stabilizer element acts trivially on the stalk.
     """
-    return _trivial_orbits(action.smoothing_chars, action.edge_orbits)
+    return sum(action.smoothing_chars.trivial)
 
 
 def branch_invariants(action: CurveAction) -> int:
     """Number of half-edge orbits with trivial stabilizer tangent character."""
-    return _trivial_orbits(action.tangent_chars, action.half_edge_orbits)
+    return sum(action.tangent_chars.trivial)
 
 
 def _solve_riemann_hurwitz(

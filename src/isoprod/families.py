@@ -27,7 +27,7 @@ from fractions import Fraction
 from .actions import CurveAction, EquivariantT1, RamificationOrbit, t1_equivariant
 from .curves import _components, arithmetic_genus, build_graph
 from .errors import FamilyError, IsoprodError, SmoothingError
-from .groups import Orbit, Perm, compose, format_rotation_char, orbits
+from .groups import CharacterTable, Orbit, Perm, compose, format_rotation_char, orbits
 
 
 @dataclass(frozen=True)
@@ -90,21 +90,21 @@ def _local_model(action: CurveAction, orbit: Orbit) -> tuple[str, int | None]:
     or the stabilizer is not one of the three supported local models."""
     rep = orbit.representative
     stab = orbit.stabilizer
-    for g in stab:
-        chi = action.smoothing_chars[(g, rep)]
-        if chi != 0:
+    smoothing, tangent = action.smoothing_chars, action.tangent_chars
+    for g, a in zip(stab, smoothing.columns[smoothing.orbit_at[rep]]):
+        if a:
             raise SmoothingError(
                 "node orbit not equivariantly smoothable: element "
                 f"{g} acts on the smoothing parameter of edge {rep} by "
-                f"{format_rotation_char(chi)}"
+                f"{format_rotation_char(smoothing.fraction(a))}"
             )
     if len(stab) == 1:
         return "free", None
     p0, _ = action.graph.edges[rep]
     swaps = [g for g in stab if action.swaps_branches(g, rep)]
     if not swaps:
-        chars = {action.tangent_chars[(g, p0)] for g in stab}
-        if len(chars) == len(stab):
+        # the stabilizer is the branch's: its values are the branch column's
+        if len(set(tangent.columns[tangent.orbit_at[p0]])) == len(stab):
             return "rotation", None
         raise SmoothingError(
             "unsupported local model: branch-preserving stabilizer of order "
@@ -123,16 +123,22 @@ def _relabel(perms: tuple[Perm, ...], kept: list[int], new_index) -> tuple[Perm,
     return tuple(compose(new_index, compose(perm, kept)) for perm in perms)
 
 
-def _relabel_orbits(parent: tuple[Orbit, ...], new_index: dict[int, int]) -> tuple[Orbit, ...]:
-    """The orbits whose members all survive, renumbered by the increasing
-    ``new_index``: representatives, member order, orbit order and
-    stabilizers are those a recomputation on the restricted tables gives."""
+def _relabel_chars(
+    table: CharacterTable, perms: tuple[Perm, ...], new_index: dict[int, int]
+) -> CharacterTable:
+    """The table on the surviving objects, renumbered by the increasing
+    ``new_index``: the orbits whose members all survive keep their columns,
+    and each object its transporter.  Representatives, member order, orbit
+    order and stabilizers are those a recomputation would give."""
     renumber = new_index.__getitem__
-    return tuple(
+    alive = [i for i, o in enumerate(table.orbits) if o.representative in new_index]
+    relabeled = tuple(
         Orbit(renumber(o.representative), tuple(map(renumber, o.members)), o.stabilizer)
-        for o in parent
-        if o.representative in new_index
+        for o in map(table.orbits.__getitem__, alive)
     )
+    columns = tuple(map(table.columns.__getitem__, alive))
+    transporters = {renumber(x): t for x, t in table.transporters.items() if x in new_index}
+    return CharacterTable(table.group, perms, relabeled, columns, table.modulus, transporters)
 
 
 def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
@@ -146,13 +152,14 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     the stabilizer is not one of the three supported local models.
 
     The child is read off the parent's tables, not re-validated: per-element
-    and character tables are restricted to the surviving objects and
-    renumbered (a merged class moves as its first vertex does).  Half-edge
-    and edge orbits other than the smoothed one survive whole and are
-    renumbered; vertex orbits are recomputed from the new table, since a
-    merged class can have a larger stabilizer.  A merged class gets the
-    trivial kernel: a kernel element at an orbit endpoint fixes the node and
-    its branch there, which each local model allows only for the identity.
+    tables are restricted to the surviving objects and renumbered (a merged
+    class moves as its first vertex does).  Half-edge and edge orbits other
+    than the smoothed one survive whole and are renumbered, sharing their
+    character columns; vertex orbits are recomputed from the new table,
+    since a merged class can have a larger stabilizer.  A merged class gets
+    the trivial kernel: a kernel element at an orbit endpoint fixes the node
+    and its branch there, which each local model allows only for the
+    identity.
     """
     graph = action.graph
     orbit = _edge_orbit_of(action, edge)
@@ -194,16 +201,8 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     half_edge_perms = _relabel(action.half_edge_perms, surviving, he_map)
     edge_perms = _relabel(action.edge_perms, list(edge_map), edge_map)
 
-    tangent_chars = {
-        (g, he_map[h]): val
-        for (g, h), val in action.tangent_chars.items()
-        if h in he_map
-    }
-    smoothing_chars = {
-        (g, edge_map[n]): val
-        for (g, n), val in action.smoothing_chars.items()
-        if n in edge_map
-    }
+    tangent_chars = _relabel_chars(action.tangent_chars, half_edge_perms, he_map)
+    smoothing_chars = _relabel_chars(action.smoothing_chars, edge_perms, edge_map)
     kernels = tuple(
         action.kernels[vs[0]] if class_edges[c] == 0 else frozenset({0})
         for c, vs in enumerate(classes)
@@ -231,8 +230,8 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
         kernels=kernels,
         ramification_orbits=tuple(ram),
         vertex_orbits=tuple(orbits(vertex_perms, range(new_graph.n_vertices))),
-        half_edge_orbits=_relabel_orbits(action.half_edge_orbits, he_map),
-        edge_orbits=_relabel_orbits(action.edge_orbits, edge_map),
+        half_edge_orbits=tangent_chars.orbits,
+        edge_orbits=smoothing_chars.orbits,
     )
 
 

@@ -26,18 +26,21 @@ stabilizers (:func:`orbits`) are read from such tables, never from a callable.
 Rotation characters (the action of an element on a one-dimensional space)
 are plain ``Fraction`` values r in [0, 1), meaning the root of unity
 exp(2*pi*i*r); products of characters are sums of fractions mod 1, so all
-invariant dimensions stay exact integers.
+invariant dimensions stay exact integers.  A :class:`CharacterTable` holds
+one kind of them for a whole action, one integer column per orbit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
 from math import lcm
 from operator import eq, itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cyclotomic import root_of_unity_sum
 from .errors import CharacterError, GroupError
@@ -439,6 +442,70 @@ def orbits(
     return out
 
 
+class CharacterTable(Mapping):
+    """Rotation characters of one kind: (element, fixed object) -> Fraction.
+
+    ``columns[i]`` is the character of ``orbits[i]``'s representative on its
+    stabilizer, residues modulo ``modulus`` in stabilizer order (equal
+    columns are one tuple); ``trivial[i]`` says whether it is zero, and
+    ``orbit_at[x]`` is the index of x's orbit.  The value at (g, x) is the
+    column's at t^-1 g t, t = ``transporters[x]`` carrying the
+    representative to x; ``perms`` are the objects' permutations.  One
+    ``Fraction`` per residue, built when read.  Read-only.
+    """
+
+    def __init__(
+        self,
+        group: FiniteGroup,
+        perms: Sequence[Perm],
+        orbits: tuple[Orbit, ...],
+        columns: tuple[tuple[int, ...], ...],
+        modulus: int,
+        transporters: Mapping[int, int],
+    ):
+        self.group, self.perms, self.orbits = group, perms, orbits
+        self.columns, self.modulus, self.transporters = columns, modulus, transporters
+        self.trivial = tuple(not any(c) for c in columns)
+        self.orbit_at = {x: i for i, orbit in enumerate(orbits) for x in orbit.members}
+        self._fractions = {0: TRIVIAL_CHAR}
+
+    def fraction(self, a: int) -> Fraction:
+        """The character a / modulus."""
+        if a not in self._fractions:
+            self._fractions[a] = Fraction(a, self.modulus)
+        return self._fractions[a]
+
+    def residue(self, g: int, x: int) -> int:
+        """The residue at (g, x), for g fixing x."""
+        i = self.orbit_at[x]
+        if self.trivial[i]:
+            return 0
+        if t := self.transporters[x]:
+            g = self.group.conjugate(self.group.inverse(t), g)
+        return self.columns[i][bisect_left(self.orbits[i].stabilizer, g)]
+
+    def __getitem__(self, key: tuple[int, int]) -> Fraction:
+        try:
+            g, x = key
+            fixed = g >= 0 and x >= 0 and self.perms[g][x] == x
+        except (TypeError, ValueError, IndexError):
+            fixed = False
+        if not fixed:
+            raise KeyError(key)
+        if self.trivial[self.orbit_at[x]]:
+            return TRIVIAL_CHAR
+        return self.fraction(self.residue(g, x))
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for orbit in self.orbits:
+            for x in orbit.members:
+                keys = self.group.conjugates(self.transporters[x], orbit.stabilizer)
+                yield from zip(keys, repeat(x))
+
+    def __len__(self) -> int:
+        return sum(len(o.members) * len(o.stabilizer) for o in self.orbits)
+
+
 def invariant_dimension_trace(
     group: FiniteGroup,
     perms: Sequence[Perm],
@@ -455,8 +522,10 @@ def invariant_dimension_trace(
     Each element's fixed points are read by comparing its permutation with
     the identity, so an element fixing no point costs one tuple scan and
     only fixed pairs are looked up; the keys of ``chars`` are never
-    enumerated.  Raises CharacterError when the average is not a
-    nonnegative integer or a fixed pair has no character value.
+    enumerated.  A table sharing one object per value (as a
+    :class:`CharacterTable` does) has each value converted once.  Raises
+    CharacterError when the average is not a nonnegative integer or a fixed
+    pair has no character value.
     """
     if len(perms) != group.order:
         raise GroupError("one permutation required per group element")
@@ -477,9 +546,16 @@ def invariant_dimension_trace(
                 f"inconsistent character data: no character for element {g} "
                 f"at fixed point {p!r}"
             ) from None
-    total = root_of_unity_sum(Counter(values))
-    if total is None:
+    # counted per object, then by integer ratio: no Fraction is hashed, and
+    # an integer (exp(0) = 1 as a rotation) is counted as an integer
+    objects = dict(zip(map(id, values), values))
+    ratios: Counter[tuple[int, int]] = Counter()
+    for i, count in Counter(map(id, values)).items():
+        ratios[objects[i].as_integer_ratio()] += count
+    rest = root_of_unity_sum({Fraction(*r): c for r, c in ratios.items() if r[1] > 1})
+    if rest is None:
         raise CharacterError("inconsistent character data: trace sum is irrational")
+    total = rest + sum(c for (_, den), c in ratios.items() if den == 1)
     dim, rem = divmod(total, group.order)
     if rem != 0 or dim < 0:
         raise CharacterError(

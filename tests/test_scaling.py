@@ -7,6 +7,7 @@ computations, which, unlike a time, does not depend on the host."""
 import dataclasses
 import random
 from collections import Counter
+from fractions import Fraction
 
 from randgen import random_action
 from test_acceptance import criterion
@@ -177,3 +178,69 @@ def test_each_kept_fact_is_computed_once_per_object(
     trace_runs = counting(monkeypatch, isoprod.actions, "invariant_dimension_trace")
     assert t1_equivariant_oracle(actions[1]) == t1_equivariant_oracle(actions[1])
     assert trace_runs == {id(z2): 4}
+
+
+def test_inert_s7_on_ten_component_cycle():
+    # a cap-sized group on more than one component: every half-edge and
+    # edge orbit is a fixed point with stabilizer S7, so each table holds
+    # 5040 * |orbits| entries but one stored column
+    n = 10
+    s7 = FiniteGroup.from_generators(
+        [perm_from_cycles([list(range(7))], 7), perm_from_cycles([[0, 1]], 7)], 7
+    )
+    graph = build_graph(
+        [2] * n,
+        list(range(n)) + [(i + 1) % n for i in range(n)],
+        [(i, n + i) for i in range(n)],
+    )
+    with criterion(
+        108, "inert S7 (|G| = 5040) on a 10-component cycle: validate, T1, oracle", budget=5.0
+    ):
+        action = inert_action(s7, graph)
+        t1 = t1_equivariant(action)
+        assert t1 == t1_equivariant_oracle(action)
+        assert t1.total == 3 * arithmetic_genus(graph) - 3
+
+
+def symmetric_group(n: int) -> FiniteGroup:
+    return FiniteGroup.from_generators(
+        [perm_from_cycles([list(range(n))], n), perm_from_cycles([[0, 1]], n)], n
+    )
+
+
+def test_character_storage_does_not_grow_with_the_group(monkeypatch):
+    # inert actions store one zero column per table whatever |G| is, build
+    # no Fraction, and the oracle reads them without hashing a Fraction
+    built = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    graph = build_graph([2], [0, 0], [(0, 1)])
+    storage = []
+    for n in (4, 5, 6):
+        group = symmetric_group(n)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+        action = inert_action(group, graph)
+        monkeypatch.undo()
+        tables = (action.tangent_chars, action.smoothing_chars)
+        assert [len(t) for t in tables] == [2 * group.order, group.order]
+        columns = {id(c) for t in tables for c in t.columns}
+        storage.append((len(built), len(columns)))
+        built.clear()
+    assert storage[0] == storage[1] == storage[2]
+
+    hashed = []
+    fraction_hash = Fraction.__hash__
+
+    def counted_hash(self):
+        hashed.append(self)
+        return fraction_hash(self)
+
+    action = inert_action(symmetric_group(5), graph)
+    monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+    assert t1_equivariant_oracle(action).total == 3 * 3 - 3
+    monkeypatch.undo()
+    assert hashed == []

@@ -27,16 +27,19 @@ from isoprod.curves import arithmetic_genus, build_graph
 from isoprod.errors import ActionError, CharacterError, IsoprodError, RamificationError
 from isoprod.groups import (
     FiniteGroup,
+    compose,
     format_perm,
     invariant_dimension_trace,
+    invert,
     orbits,
     perm_from_cycles,
 )
-from isoprod.families import smooth_node_orbit, smoothable_edge_orbits
+from isoprod.families import smooth_node_orbit, smoothable_edge_orbits, smoothing_chain
 from isoprod.surfaces import (
     FreenessCheck,
     SurfaceDescriptor,
     build_surface,
+    certify_degeneration,
     check_free_action,
     check_free_codim1,
     fixed_point_profile,
@@ -501,3 +504,189 @@ def test_kept_facts_equal_fresh_computations():
                 assert {"free_action", "free_codim1"} <= vars(surface).keys()
                 pairs += 1
     assert steps > 10 and pairs == 7 * 16
+
+
+def relabeled_inputs(group, graph, args, rng):
+    """The same action with vertices, half-edges and edges renumbered by
+    random permutations and the group conjugated by a random permutation of
+    its letters.  Returns the new group, graph and inputs, and the maps of
+    elements, half-edges and edges (old index -> new index)."""
+    pi = tuple(rng.sample(range(group.degree), group.degree))
+
+    def conj(p):
+        return compose(compose(pi, p), invert(pi))
+
+    new_group = FiniteGroup.from_generators([conj(s) for s in group.generators], group.degree)
+    phi = [new_group.index_of(conj(p)) for p in group.elements]
+    sv, sh, se = (
+        rng.sample(range(n), n) for n in (graph.n_vertices, graph.n_half_edges, graph.n_edges)
+    )
+    genera, hev, edges = [0] * len(sv), [0] * len(sh), [None] * len(se)
+    for v, g in enumerate(graph.genera):
+        genera[sv[v]] = g
+    for h, v in enumerate(graph.half_edge_vertex):
+        hev[sh[h]] = sv[v]
+    for n, (p, q) in enumerate(graph.edges):
+        edges[se[n]] = (sh[q], sh[p]) if rng.random() < 0.5 else (sh[p], sh[q])
+    new_graph = build_graph(
+        genera, hev, edges, [sv[v] for v in graph.marks], allow_disconnected=True
+    )
+
+    def moved(images, s):
+        out = []
+        for image in images:
+            row = [0] * len(image)
+            for x, y in enumerate(image):
+                row[s[x]] = s[y]
+            out.append(tuple(row))
+        return out
+
+    kw = args["kwargs"]
+    new_kw = {
+        "tangent_chars": {(phi[g], sh[h]): c for (g, h), c in kw.get("tangent_chars", {}).items()},
+        "smoothing_chars": {
+            (phi[g], se[n]): c for (g, n), c in kw.get("smoothing_chars", {}).items()
+        },
+        "kernels": {sv[v]: [phi[k] for k in ks] for v, ks in kw.get("kernels", {}).items()},
+        "ramification_orbits": [
+            RamificationOrbit(sv[o.vertex], phi[o.element], o.char, o.order)
+            for o in kw.get("ramification_orbits", ())
+        ],
+    }
+    vertex_images, half_edge_images = args["images"]
+    new_args = {
+        "images": (moved(vertex_images, sv), moved(half_edge_images, sh)),
+        "kwargs": new_kw,
+    }
+    return new_group, new_graph, new_args, (phi, sh, se)
+
+
+def signature_multiset(action):
+    return sorted((s.g_prime, s.b, s.contribution) for s in quotient_signatures(action))
+
+
+def relabeling_invariants(action):
+    """What relabeling must not change: T1 and the oracle, the quotient
+    signatures, the smoothing chain's T1 totals, length, last T1 and
+    obstruction count, and the self-pair freeness and certificate verdicts
+    (an error counts by its type)."""
+
+    def value(f, *args):
+        try:
+            return f(*args)
+        except IsoprodError as exc:
+            return type(exc)
+
+    def self_pair(action):
+        surface = build_surface(action, action)
+        certificate = certify_degeneration(surface)
+        return (
+            check_free_action(surface).passed,
+            check_free_codim1(surface).passed,
+            certificate.passed,
+            [(c.key, c.passed) for c in certificate.conditions],
+        )
+
+    chain = smoothing_chain(action)
+    return (
+        value(t1_equivariant, action),
+        value(t1_equivariant_oracle, action),
+        value(signature_multiset, action),
+        [value(lambda a: t1_equivariant(a).total, s.action) for s in chain.strata],
+        value(t1_equivariant, chain.strata[-1].action),
+        len(chain.obstructions),
+        value(self_pair, action),
+    )
+
+
+def test_relabeling_and_conjugating_the_group_change_nothing():
+    # ROADMAP item 8: renumbered vertices, half-edges and edges and a group
+    # conjugated by a permutation of letters give the same invariants, and
+    # the character tables map onto each other entry by entry; the new
+    # representatives are reached by other transporters, so the tables are
+    # read through non-identity conjugations
+    rng = random.Random(808)
+    inputs = []
+    for i, group in enumerate(randgen.catalog()):
+        inputs += [(group, g, a) for g, a in captured_inputs(group, 800 + i, 4)]
+    for group in (s4(), a5()):
+        inputs += [(group, g, a) for g, a in captured_inputs(group, 890 + group.order, 1)]
+        v4 = group.subgroup_closure(
+            [element(group, c) for c in ([[0, 1], [2, 3]], [[0, 2], [1, 3]])]
+        )
+        stab = group.subgroup_closure(sorted(v4) + [element(group, [[0, 1, 2]])])
+        inputs.append((group, *kernel_action_inputs(group, stab, v4)))
+        two = build_graph([2, 3], [0, 1, 0, 1], [(0, 1), (2, 3)])
+        ngens = len(group.generators)
+        inert = {
+            "images": ([(0, 1)] * ngens, [(0, 1, 2, 3)] * ngens),
+            "kwargs": {"kernels": {0: range(group.order), 1: range(group.order)}},
+        }
+        inputs.append((group, two, inert))
+    moved_reads = 0
+    for group, graph, args in inputs:
+        action = validate_action(group, graph, *args["images"], **args["kwargs"])
+        expected = relabeling_invariants(action)
+        for _ in range(2):
+            new_group, new_graph, new_args, (phi, sh, se) = relabeled_inputs(
+                group, graph, args, rng
+            )
+            new = validate_action(new_group, new_graph, *new_args["images"], **new_args["kwargs"])
+            assert relabeling_invariants(new) == expected
+            for old_table, new_table, move in (
+                (action.tangent_chars, new.tangent_chars, sh),
+                (action.smoothing_chars, new.smoothing_chars, se),
+            ):
+                mapped = {(phi[g], move[x]): c for (g, x), c in old_table.items()}
+                assert dict(new_table.items()) == mapped
+                moved_reads += sum(
+                    len(o.stabilizer)
+                    for o, trivial in zip(new_table.orbits, new_table.trivial)
+                    if not trivial
+                    for x in o.members
+                    if new_table.transporters[x]
+                )
+    assert moved_reads > 50
+
+
+def test_forced_values_conflict_with_a_supplied_value():
+    # a supplied value on an element the kernel (or both branches' tangent
+    # characters) already fixes must conflict, named as before: at the
+    # representative the forced value comes first, from the representative
+    # itself; a value at another member names its transporter.  Element
+    # numbers are S4's table indices: 16 = (2 3), 5 = (0 2)(1 3), carried by
+    # element 4 from half-edge 4 to 15 at the representative half-edge 0
+    group = s4()
+    ngens = len(group.generators)
+    t = element(group, [[2, 3]])
+    k = element(group, [[0, 2], [1, 3]])
+    assert (t, k) == (16, 5)
+    inert = (build_graph([2], [0, 0], [(0, 1)]), [(0,)] * ngens, [(0, 1)] * ngens)
+    v4 = group.subgroup_closure([k, element(group, [[0, 1], [2, 3]])])
+    graph, args = kernel_action_inputs(group, frozenset(range(group.order)), v4)
+    kernel_inputs = (graph, *args["images"])
+    cases = [
+        (inert, {0: range(24)}, "tangent_chars", (t, 1), "tangent character at (element 16, "
+         "half-edge 1): value of element 16 at half-edge 1 gives 1/2, value of element 16 "
+         "at half-edge 1 gives 0"),
+        (inert, {0: range(24)}, "smoothing_chars", (t, 0), "smoothing character at (element "
+         "16, edge 0): value of element 16 at edge 0 gives 1/2, value of element 16 at edge "
+         "0 gives 0"),
+        (kernel_inputs, args["kwargs"]["kernels"], "tangent_chars", (k, 4), "tangent "
+         "character at (element 15, half-edge 0): value of element 5 at half-edge 4 "
+         "transported by element 4 gives 1/2, value of element 15 at half-edge 0 gives 0"),
+        (kernel_inputs, args["kwargs"]["kernels"], "smoothing_chars", (k, 4), "smoothing "
+         "character at (element 15, edge 0): value of element 5 at edge 4 transported by "
+         "element 4 gives 1/2, value of element 15 at edge 0 gives 0"),
+    ]
+    for (graph, vertex_images, half_edge_images), kernels, kind, key, message in cases:
+        with pytest.raises(CharacterError) as err:
+            validate_action(
+                group, graph, vertex_images, half_edge_images,
+                kernels=kernels, **{kind: {key: Fraction(1, 2)}},
+            )
+        assert str(err.value) == f"inconsistent {message}"
+        # the zero the same data forces is accepted
+        validate_action(
+            group, graph, vertex_images, half_edge_images, kernels=kernels, **{kind: {key: 0}}
+        )
