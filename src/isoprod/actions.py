@@ -21,8 +21,8 @@ by BFS over generators: O(|G| * (|V| + |H| + |E|)) group products for the
 permutation tables, and O(|stab| * gens) per column unless forced zeros
 cover the stabilizer.  ``Fraction`` values appear only when a table is read
 and in messages.  Quotient signatures read the stabilizer orbits of branches
-from the cached half-edge orbits; the oracle recomputes them with
-``orbits(..., within=stabilizer)``, an independent route.
+from the half-edge orbits, found through ``tangent_chars.orbit_at``; the
+oracle recomputes them with ``orbits(..., within=stabilizer)``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import chain, repeat
+from itertools import chain
 from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -103,15 +103,15 @@ class CurveAction:
     Character tables are complete: every (element, fixed half-edge) and
     (element, fixed edge) pair has an entry, read from one column per orbit
     of half-edges or edges (:class:`CharacterTable`, whose orbits are
-    ``half_edge_orbits`` / ``edge_orbits``).  Orbit decompositions are
-    cached at construction.  Instances are immutable.  Build one from raw
+    ``half_edge_orbits`` / ``edge_orbits``, found by ``orbit_at``).  Orbits
+    are cached at construction.  Instances are immutable.  Build one from raw
     input through :func:`validate_action`; ``families.smooth_node_orbit``
     derives a smoothed child directly from its parent's tables.
 
     Derived facts are computed on first use and kept on the instance, not as
-    fields: the ``*_orbit_of`` lookups, ``fixed_point_sets``,
-    ``quotient_signatures`` and ``t1_equivariant``.  A new instance starts
-    with none of them; :func:`t1_equivariant_oracle` reads none of them.
+    fields: ``fixed_point_sets``, ``quotient_signatures`` and
+    ``t1_equivariant``.  A new instance starts with none of them;
+    :func:`t1_equivariant_oracle` reads none of them.
     """
 
     group: FiniteGroup
@@ -130,21 +130,6 @@ class CurveAction:
     def swaps_branches(self, g: int, n: int) -> bool:
         p, q = self.graph.edges[n]
         return self.edge_perms[g][n] == n and self.half_edge_perms[g][p] == q
-
-    @cached_property
-    def vertex_orbit_of(self) -> dict[int, Orbit]:
-        """Vertex -> its orbit, built on first use."""
-        return {v: orbit for orbit in self.vertex_orbits for v in orbit.members}
-
-    @cached_property
-    def half_edge_orbit_of(self) -> dict[int, Orbit]:
-        """Half-edge -> its orbit, built on first use."""
-        return {h: orbit for orbit in self.half_edge_orbits for h in orbit.members}
-
-    @cached_property
-    def edge_orbit_of(self) -> dict[int, Orbit]:
-        """Edge -> its orbit, built on first use."""
-        return {n: orbit for orbit in self.edge_orbits for n in orbit.members}
 
     @cached_property
     def fixed_point_sets(self) -> tuple[frozenset[int], frozenset[int]]:
@@ -171,7 +156,7 @@ class CurveAction:
     @cached_property
     def quotient_signatures(self) -> tuple[QuotientSignature, ...]:
         """Each vertex orbit's :func:`quotient_signature`, in orbit order."""
-        return tuple(quotient_signature(self, o.representative) for o in self.vertex_orbits)
+        return tuple(_signature(self, o) for o in self.vertex_orbits)
 
     @cached_property
     def t1_equivariant(self) -> EquivariantT1:
@@ -528,10 +513,8 @@ def validate_action(
         # on the node by the sum of its tangent characters
         p, q = graph.edges[orbit.representative]
         i, j = tangent.orbit_at[p], tangent.orbit_at[q]
-        t, column = tangent.transporters[p], tangent.columns[i]
-        at_p = map(group.conjugate, repeat(t), tangent.orbits[i].stabilizer)
-        sums = ((g, (a + tangent.residue(g, q)) % modulus) for g, a in zip(at_p, column) if g)
-        return len(column), tangent.trivial[i] and tangent.trivial[j], sums
+        sums = ((g, (a + tangent.residue(g, q)) % modulus) for g, a in tangent.at(p) if g)
+        return len(tangent.orbits[i].stabilizer), tangent.trivial[i] and tangent.trivial[j], sums
 
     smoothing = _complete_chars(
         group, edge_perms, edge_orbits, smoothing_chars, branch_sums, modulus,
@@ -647,13 +630,6 @@ def _solve_riemann_hurwitz(
     return g_prime, len(branch_orders)
 
 
-def _vertex_orbit_of(action: CurveAction, vertex: int) -> Orbit:
-    try:
-        return action.vertex_orbit_of[vertex]
-    except KeyError:
-        raise ActionError(f"vertex {vertex} not found in any orbit") from None
-
-
 def quotient_signature(action: CurveAction, vertex: int) -> QuotientSignature:
     """Quotient genus and branch count for the component orbit of ``vertex``.
 
@@ -664,21 +640,26 @@ def quotient_signature(action: CurveAction, vertex: int) -> QuotientSignature:
     Those stabilizer orbits are read from the cached half-edge orbits: the
     orbits of Stab(rep) on the branches at rep are exactly the G-orbits of
     half-edges meeting the component orbit, with stabilizers of the same
-    order, so this costs one lookup per branch.  The quotient genus comes
-    from an exactly-divisible Riemann-Hurwitz computation and the
-    contribution is 3g' - 3 + b.
+    order, so this costs one ``tangent_chars.orbit_at`` lookup per branch.
+    The quotient genus comes from an exactly-divisible Riemann-Hurwitz
+    computation; the contribution is 3g' - 3 + b.  Scans ``vertex_orbits``.
     """
-    orbit = _vertex_orbit_of(action, vertex)
+    for orbit in action.vertex_orbits:
+        if vertex in orbit.members:
+            return _signature(action, orbit)
+    raise ActionError(f"vertex {vertex} not found in any orbit")
+
+
+def _signature(action: CurveAction, orbit: Orbit) -> QuotientSignature:
     rep = orbit.representative
     kernel = action.kernels[rep]
     hbar = len(orbit.stabilizer) // len(kernel)
     branch_orders = [
         o.order for o in action.ramification_orbits if o.vertex in orbit.members
     ]
-    branches = map(action.half_edge_orbit_of.__getitem__, action.graph.vertex_half_edges[rep])
-    # keyed by representative: hashing an Orbit hashes all its members
-    for branch in {b.representative: b for b in branches}.values():
-        e = len(branch.stabilizer) // len(kernel)
+    tangent = action.tangent_chars
+    for i in dict.fromkeys(map(tangent.orbit_at.__getitem__, action.graph.vertex_half_edges[rep])):
+        e = len(tangent.orbits[i].stabilizer) // len(kernel)
         if e >= 2:
             branch_orders.append(e)
     g_prime, b = _solve_riemann_hurwitz(

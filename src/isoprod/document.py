@@ -229,13 +229,23 @@ def parse_document(text: str, cap: int = DEFAULT_GROUP_CAP) -> Document:
     """Parse and validate a UTF-8 JSON document; raises DocumentError with
     every detected problem."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:
-        # JSONDecodeError, or an integer literal past Python's digit limit
+        # JSONDecodeError, a repeated key, or an integer past the digit limit
         raise DocumentError([f"<json>: {exc}"]) from exc
     except RecursionError:
         raise DocumentError(["<json>: nesting too deep"]) from None
     return document_from_dict(data, cap=cap)
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A decoded JSON object; a repeated key raises ValueError."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 # the Python kind of each type, and of what each keyword checks (others pass)
@@ -462,12 +472,10 @@ def _resolve(index: dict[str, int], key: str, path: str, what: str) -> int:
     return index[key]
 
 
-def _parse_image_maps(
-    maps: list[dict], index: dict[str, int], ids: list[str], path: str
-) -> list[tuple[int, ...]]:
+def _parse_image_maps(maps: list[dict], index: dict[str, int], path: str) -> list[tuple[int, ...]]:
     out = []
     for k, mapping in enumerate(maps):
-        img = list(range(len(ids)))
+        img = list(range(len(index)))
         for src, dst in mapping.items():
             img[_resolve(index, src, f"{path}[{k}]", "object")] = _resolve(
                 index, dst, f"{path}[{k}].{src}", "object"
@@ -494,12 +502,8 @@ def _parse_action(
                 f"{path}.{key}: expected {ngens} image maps (one per generator), "
                 f"got {len(block[key])}"
             )
-    vertex_images = _parse_image_maps(
-        block["vertex_images"], vidx, list(names.vertices), f"{path}.vertex_images"
-    )
-    he_images = _parse_image_maps(
-        block["half_edge_images"], hidx, list(names.half_edges), f"{path}.half_edge_images"
-    )
+    vertex_images = _parse_image_maps(block["vertex_images"], vidx, f"{path}.vertex_images")
+    he_images = _parse_image_maps(block["half_edge_images"], hidx, f"{path}.half_edge_images")
 
     def _element(e: int, where: str) -> int:
         if not 0 <= e < group.order:
@@ -513,6 +517,8 @@ def _parse_action(
             _element(entry["element"], where),
             _resolve(hidx, entry["half_edge"], where, "half-edge"),
         )
+        if key in tangent:
+            raise _RefError(f"{where}: duplicate (element, half-edge) pair")
         tangent[key] = parse_rotation_char(entry["char"])
 
     smoothing = {}
@@ -524,6 +530,8 @@ def _parse_action(
         if pair not in edge_index:
             raise _RefError(f"{where}: half-edge pair is not an edge of the curve")
         key = (_element(entry["element"], where), edge_index[pair])
+        if key in smoothing:
+            raise _RefError(f"{where}: duplicate (element, edge) pair")
         smoothing[key] = parse_rotation_char(entry["char"])
 
     kernels = {}
@@ -594,7 +602,7 @@ def emit_document(doc: Document) -> dict:
 
 
 def _emit_curve(graph: DualGraph, names: CurveNames) -> dict:
-    return {
+    block = {
         "vertices": [
             {"id": names.vertices[v], "genus": graph.genera[v]}
             for v in range(graph.n_vertices)
@@ -611,6 +619,9 @@ def _emit_curve(graph: DualGraph, names: CurveNames) -> dict:
             for m, v in enumerate(graph.marks)
         ],
     }
+    if len(graph.components) > 1:
+        block["allow_disconnected"] = True
+    return block
 
 
 def _emit_action(action: CurveAction, curve_name: str, names: CurveNames) -> dict:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .actions import CurveAction, EquivariantT1, RamificationOrbit, t1_equivariant
 from .curves import _components, arithmetic_genus, build_graph
 from .errors import FamilyError, IsoprodError, SmoothingError
-from .groups import CharacterTable, Orbit, Perm, compose, format_rotation_char, orbits
+from .groups import Orbit, Perm, compose, format_rotation_char, orbits
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,6 @@ class SmoothingChain:
     obstructions: tuple[str, ...]
 
 
-def _edge_orbit_of(action: CurveAction, edge: int) -> Orbit:
-    try:
-        return action.edge_orbit_of[edge]
-    except KeyError:
-        raise SmoothingError(f"edge {edge} not found in any orbit") from None
-
-
 def _local_model(action: CurveAction, orbit: Orbit) -> tuple[str, int | None]:
     """("free" | "rotation" | "swap", swap element or None) for a node orbit;
     SmoothingError when a stabilizer element moves the smoothing parameter
@@ -91,7 +84,7 @@ def _local_model(action: CurveAction, orbit: Orbit) -> tuple[str, int | None]:
     rep = orbit.representative
     stab = orbit.stabilizer
     smoothing, tangent = action.smoothing_chars, action.tangent_chars
-    for g, a in zip(stab, smoothing.columns[smoothing.orbit_at[rep]]):
+    for g, a in smoothing.at(rep):
         if a:
             raise SmoothingError(
                 "node orbit not equivariantly smoothable: element "
@@ -103,8 +96,8 @@ def _local_model(action: CurveAction, orbit: Orbit) -> tuple[str, int | None]:
     p0, _ = action.graph.edges[rep]
     swaps = [g for g in stab if action.swaps_branches(g, rep)]
     if not swaps:
-        # the stabilizer is the branch's: its values are the branch column's
-        if len(set(tangent.columns[tangent.orbit_at[p0]])) == len(stab):
+        # the stabilizer is the branch's: its values are the branch's
+        if len({a for _, a in tangent.at(p0)}) == len(stab):
             return "rotation", None
         raise SmoothingError(
             "unsupported local model: branch-preserving stabilizer of order "
@@ -123,24 +116,6 @@ def _relabel(perms: tuple[Perm, ...], kept: list[int], new_index) -> tuple[Perm,
     return tuple(compose(new_index, compose(perm, kept)) for perm in perms)
 
 
-def _relabel_chars(
-    table: CharacterTable, perms: tuple[Perm, ...], new_index: dict[int, int]
-) -> CharacterTable:
-    """The table on the surviving objects, renumbered by the increasing
-    ``new_index``: the orbits whose members all survive keep their columns,
-    and each object its transporter.  Representatives, member order, orbit
-    order and stabilizers are those a recomputation would give."""
-    renumber = new_index.__getitem__
-    alive = [i for i, o in enumerate(table.orbits) if o.representative in new_index]
-    relabeled = tuple(
-        Orbit(renumber(o.representative), tuple(map(renumber, o.members)), o.stabilizer)
-        for o in map(table.orbits.__getitem__, alive)
-    )
-    columns = tuple(map(table.columns.__getitem__, alive))
-    transporters = {renumber(x): t for x, t in table.transporters.items() if x in new_index}
-    return CharacterTable(table.group, perms, relabeled, columns, table.modulus, transporters)
-
-
 def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     """Smooth the whole orbit of the given edge, equivariantly.
 
@@ -154,15 +129,17 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     The child is read off the parent's tables, not re-validated: per-element
     tables are restricted to the surviving objects and renumbered (a merged
     class moves as its first vertex does).  Half-edge and edge orbits other
-    than the smoothed one survive whole and are renumbered, sharing their
-    character columns; vertex orbits are recomputed from the new table,
-    since a merged class can have a larger stabilizer.  A merged class gets
-    the trivial kernel: a kernel element at an orbit endpoint fixes the node
-    and its branch there, which each local model allows only for the
-    identity.
+    than the smoothed one survive whole with their columns, renumbered
+    (``CharacterTable.restrict``); vertex orbits are recomputed, since a
+    merged class can have a larger stabilizer.  A merged class gets the
+    trivial kernel: a kernel element at an orbit endpoint fixes the node and
+    its branch there, which each local model allows only for the identity.
     """
     graph = action.graph
-    orbit = _edge_orbit_of(action, edge)
+    try:
+        orbit = action.edge_orbits[action.smoothing_chars.orbit_at[edge]]
+    except KeyError:
+        raise SmoothingError(f"edge {edge} not found in any orbit") from None
     model, swap_element = _local_model(action, orbit)
 
     removed = set(orbit.members)
@@ -201,8 +178,8 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     half_edge_perms = _relabel(action.half_edge_perms, surviving, he_map)
     edge_perms = _relabel(action.edge_perms, list(edge_map), edge_map)
 
-    tangent_chars = _relabel_chars(action.tangent_chars, half_edge_perms, he_map)
-    smoothing_chars = _relabel_chars(action.smoothing_chars, edge_perms, edge_map)
+    tangent_chars = action.tangent_chars.restrict(half_edge_perms, he_map)
+    smoothing_chars = action.smoothing_chars.restrict(edge_perms, edge_map)
     kernels = tuple(
         action.kernels[vs[0]] if class_edges[c] == 0 else frozenset({0})
         for c, vs in enumerate(classes)

@@ -414,7 +414,8 @@ def orbits(
     restricts to a subgroup (element indices; one out of range, or no
     identity 0, raises GroupError), and ``points`` must be closed under it
     (or under the whole group): an image outside ``points`` raises
-    GroupError.  Each orbit reads one column of the tables, O(|G|) lookups.
+    GroupError.  Each orbit reads one column of the tables, O(|G|) lookups;
+    orbits with equal stabilizers share one tuple.
     """
     elems = range(len(perms)) if within is None else sorted(set(within))
     if elems and (elems[0] < 0 or elems[-1] >= len(perms)):
@@ -425,6 +426,7 @@ def orbits(
     rows = [perms[g] for g in elems]
     pos = {p: i for i, p in enumerate(points)}
     seen: set[int] = set()
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per stabilizer
     out: list[Orbit] = []
     for p in points:
         if p in seen:
@@ -438,7 +440,7 @@ def orbits(
         seen.update(members)
         ordered = tuple(sorted(members, key=pos.__getitem__))
         stab = tuple(compress(elems, map(eq, column, repeat(p))))
-        out.append(Orbit(p, ordered, stab))
+        out.append(Orbit(p, ordered, shared.setdefault(stab, stab)))
     return out
 
 
@@ -450,7 +452,8 @@ class CharacterTable(Mapping):
     columns are one tuple); ``trivial[i]`` says whether it is zero, and
     ``orbit_at[x]`` is the index of x's orbit.  The value at (g, x) is the
     column's at t^-1 g t, t = ``transporters[x]`` carrying the
-    representative to x; ``perms`` are the objects' permutations.  One
+    representative to x; ``perms`` are the objects' permutations.  Other
+    modules read columns only through :meth:`at` and :meth:`restrict`.  One
     ``Fraction`` per residue, built when read.  Read-only.
     """
 
@@ -484,6 +487,29 @@ class CharacterTable(Mapping):
             g = self.group.conjugate(self.group.inverse(t), g)
         return self.columns[i][bisect_left(self.orbits[i].stabilizer, g)]
 
+    def at(self, x: int) -> Iterator[tuple[int, int]]:
+        """(element, residue) pairs on the stabilizer of object x; lazy."""
+        i = self.orbit_at[x]
+        stab = self.orbits[i].stabilizer
+        if t := self.transporters[x]:
+            stab = self.group.conjugates(t, stab)
+        yield from zip(stab, self.columns[i])
+
+    def restrict(self, perms: Sequence[Perm], new_index: dict[int, int]) -> "CharacterTable":
+        """The table on the surviving objects, with permutations ``perms``
+        and renumbered by the increasing ``new_index``: orbits that survive
+        whole keep their columns, stabilizers and order as a recomputation
+        would, and each object its transporter."""
+        renumber = new_index.__getitem__
+        alive = [i for i, o in enumerate(self.orbits) if o.representative in new_index]
+        relabeled = tuple(
+            Orbit(renumber(o.representative), tuple(map(renumber, o.members)), o.stabilizer)
+            for o in map(self.orbits.__getitem__, alive)
+        )
+        columns = tuple(map(self.columns.__getitem__, alive))
+        transporters = {renumber(x): t for x, t in self.transporters.items() if x in new_index}
+        return CharacterTable(self.group, perms, relabeled, columns, self.modulus, transporters)
+
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         try:
             g, x = key
@@ -497,10 +523,8 @@ class CharacterTable(Mapping):
         return self.fraction(self.residue(g, x))
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        for orbit in self.orbits:
-            for x in orbit.members:
-                keys = self.group.conjugates(self.transporters[x], orbit.stabilizer)
-                yield from zip(keys, repeat(x))
+        for x in self.orbit_at:
+            yield from ((g, x) for g, _ in self.at(x))
 
     def __len__(self) -> int:
         return sum(len(o.members) * len(o.stabilizer) for o in self.orbits)

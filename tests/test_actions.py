@@ -240,8 +240,8 @@ def test_malformed_seed_rejected(z2, nodal_quartic_graph, seeds, message):
 
 
 def test_orbit_lookup(paper_action):
-    assert paper_action.vertex_orbit_of == {0: paper_action.vertex_orbits[0]}
-    assert paper_action.edge_orbit_of == {0: paper_action.edge_orbits[0]}
+    assert [o.members for o in paper_action.vertex_orbits] == [(0,)]
+    assert paper_action.smoothing_chars.orbit_at == {0: 0}
     with pytest.raises(ActionError, match="vertex 1 not found in any orbit"):
         quotient_signature(paper_action, 1)
 

@@ -187,6 +187,46 @@ def test_duplicate_ids_rejected():
         parse_document(json.dumps(minimal_doc(curves={"c": block})))
 
 
+@pytest.mark.parametrize(
+    "kind, entries, problem",
+    [
+        ("tangent", [{"element": 1, "half_edge": "p", "char": "1/2"},
+                     {"element": 1, "half_edge": "p", "char": "0/1"}],
+         "actions.a.tangent_chars[1]: duplicate (element, half-edge) pair"),
+        ("smoothing", [{"element": 1, "edge": ["p", "q"], "char": "0/1"},
+                       {"element": 1, "edge": ["q", "p"], "char": "1/2"}],
+         "actions.a.smoothing_chars[1]: duplicate (element, edge) pair"),
+    ],
+    ids=["tangent", "smoothing"],
+)
+def test_repeated_character_entry_rejected(kind, entries, problem):
+    # before, the last entry won: the smoothing pair gave T1 total 3 or 4
+    # depending on its order
+    action = {"curve": "c", "vertex_images": [{}], "half_edge_images": [{}]}
+    action[f"{kind}_chars"] = entries
+    data = minimal_doc(curves={"c": curve_block()}, actions={"a": action})
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(data))
+    assert err.value.problems == [problem]
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ('"actions": {', '"actions": {"node_swap": {}, ', "node_swap"),
+        ('"version": "1",', '"version": "1", "version": "1",', "version"),
+        ('"char": "0/1"', '"char": "0/1", "char": "1/2"', "char"),
+    ],
+    ids=["actions", "version", "char"],
+)
+def test_repeated_json_key_rejected(bundled_document_text, old, new, key):
+    # json.loads alone keeps the last value of a repeated key
+    assert bundled_document_text.count(old) == 1
+    with pytest.raises(DocumentError) as err:
+        parse_document(bundled_document_text.replace(old, new))
+    assert err.value.problems == [f"<json>: duplicate key {key!r}"]
+
+
 def test_group_cap_applies():
     data = {"version": "1", "group": {"degree": 5, "generators": [[[0, 1, 2, 3, 4]]]}}
     with pytest.raises(DocumentError, match="group too large"):
@@ -200,6 +240,23 @@ def test_emit_roundtrip_is_identity(golden_doc, bundled_document_text):
     emitted = emit_document(golden_doc)
     reparsed = parse_document(json.dumps(emitted))
     assert reparsed == golden_doc
+    assert emit_document(reparsed) == emitted
+
+
+def test_emit_roundtrip_keeps_a_disconnected_curve():
+    split = {
+        "vertices": [{"id": "a", "genus": 2}, {"id": "b", "genus": 2}],
+        "allow_disconnected": True,
+    }
+    swap = {"curve": "split", "vertex_images": [{"a": "b", "b": "a"}], "half_edge_images": [{}]}
+    doc = parse_document(
+        json.dumps(minimal_doc(curves={"split": split, "c": curve_block()}, actions={"s": swap}))
+    )
+    emitted = emit_document(doc)
+    assert emitted["curves"]["split"]["allow_disconnected"] is True
+    assert "allow_disconnected" not in emitted["curves"]["c"]
+    reparsed = parse_document(json.dumps(emitted))
+    assert reparsed == doc
     assert emit_document(reparsed) == emitted
 
 

@@ -123,7 +123,7 @@ def test_smooth_free_square_contracts_two_classes(z2):
         vertex_images=[(2, 3, 0, 1)],
         half_edge_images=[(4, 5, 6, 7, 0, 1, 2, 3)],
     )
-    assert action.edge_orbit_of[0].members == (0, 2)
+    assert action.edge_orbits[action.smoothing_chars.orbit_at[0]].members == (0, 2)
     # smoothing {01, 23} merges {0, 1} and {2, 3}; vertex 0's class comes
     # first, and the surviving half-edges 2, 3, 6, 7 sit on 1, 2, 3, 0
     halved = smooth_node_orbit(action, 0)

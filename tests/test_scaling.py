@@ -208,6 +208,22 @@ def symmetric_group(n: int) -> FiniteGroup:
     )
 
 
+def test_equal_stabilizers_are_one_tuple():
+    # inert S4 on a 10-component cycle: every orbit of each kind is fixed by
+    # the whole group, and one orbits() call keeps one stabilizer tuple
+    n = 10
+    graph = build_graph(
+        [2] * n, list(range(n)) + [(i + 1) % n for i in range(n)], [(i, n + i) for i in range(n)]
+    )
+    action = inert_action(symmetric_group(4), graph)
+    for kind, count in (
+        (action.vertex_orbits, n), (action.half_edge_orbits, 2 * n), (action.edge_orbits, n)
+    ):
+        assert len(kind) == count
+        assert len({id(o.stabilizer) for o in kind}) == 1
+        assert kind[0].stabilizer == tuple(range(24))
+
+
 def test_character_storage_does_not_grow_with_the_group(monkeypatch):
     # inert actions store one zero column per table whatever |G| is, build
     # no Fraction, and the oracle reads them without hashing a Fraction

@@ -423,7 +423,8 @@ def test_quotient_signatures_read_the_stabilizer_suborbits_from_cached_orbits():
             for orb in action.vertex_orbits:
                 rep = orb.representative
                 branches = action.graph.vertex_half_edges[rep]
-                cached = list(dict.fromkeys(action.half_edge_orbit_of[h] for h in branches))
+                met = dict.fromkeys(action.tangent_chars.orbit_at[h] for h in branches)
+                cached = [action.half_edge_orbits[i] for i in met]
                 subs = orbits(action.half_edge_perms, branches, within=orb.stabilizer)
                 assert [len(o.stabilizer) for o in cached] == [
                     len(sub.stabilizer) for sub in subs
@@ -450,6 +451,30 @@ def test_quotient_signatures_read_the_stabilizer_suborbits_from_cached_orbits():
                     assert str(exc) == expected
                 suborbits_seen += len(subs)
     assert suborbits_seen > 100
+
+
+def test_table_at_reads_the_mapping_on_every_object():
+    # CharacterTable.at(x) pairs each element fixing x with the residue the
+    # Mapping reads at (element, x); most objects here are not their orbit's
+    # representative, so at() conjugates the column's stabilizer
+    groups = randgen.catalog() + [s4(), a5()]
+    moved = 0
+    for i, group in enumerate(groups):
+        actions = [
+            validate_action(group, graph, *args["images"], **args["kwargs"])
+            for graph, args in captured_inputs(group, 950 + i, 4 if group.order < 24 else 1)
+        ]
+        if group.order >= 24:
+            actions += s4_a5_actions(group)
+        for action in actions:
+            for table in (action.tangent_chars, action.smoothing_chars):
+                for x in range(len(table.perms[0])):
+                    fixing = [g for g, perm in enumerate(table.perms) if perm[x] == x]
+                    read = {g: table[g, x] * table.modulus for g in fixing}
+                    assert dict(table.at(x)) == read
+                    rep = table.orbits[table.orbit_at[x]].representative
+                    moved += x != rep and len(fixing) > 1
+    assert moved > 200
 
 
 KEPT_ON_ACTION = {"t1_equivariant", "quotient_signatures"}
