@@ -104,9 +104,9 @@ class CurveAction:
     (element, fixed edge) pair has an entry, read from one column per orbit
     of half-edges or edges (:class:`CharacterTable`, whose orbits are
     ``half_edge_orbits`` / ``edge_orbits``, found by ``orbit_at``).  Orbits
-    are cached at construction.  Instances are immutable.  Build one from raw
-    input through :func:`validate_action`; ``families.smooth_node_orbit``
-    derives a smoothed child directly from its parent's tables.
+    are cached at construction.  Instances are immutable; elements acting alike
+    may share one permutation tuple.  Build one through :func:`validate_action`;
+    ``families.smooth_node_orbit`` derives a child from its parent's tables.
 
     Derived facts are computed on first use and kept on the instance, not as
     fields: ``fixed_point_sets``, ``quotient_signatures`` and
@@ -470,24 +470,32 @@ def validate_action(
         edge_images.append(tuple(row))
     edge_perms = group.extend_action(edge_images, graph.n_edges)
 
-    kernel_subs: list[frozenset[int]] = []
-    closures: dict[tuple[int, ...], frozenset[int]] = {}  # per distinct generator list
+    # one closure walk per distinct generator list; a subgroup fixes v and its
+    # half-edges when its generators do, and a failure rescans it to name one
+    closures: dict[tuple[int, ...], tuple[frozenset[int], list[int]]] = {}
+    kernel_pairs = []
     for v in range(graph.n_vertices):
         ks = tuple(kernels.get(v, ()))
-        sub = closures.get(ks) or closures.setdefault(ks, group.subgroup_closure(ks))
-        for k in sub:
-            if vertex_perms[k][v] != v:
-                raise ActionError(f"kernel element {k} of vertex {v} moves the vertex")
-            for h in graph.vertex_half_edges[v]:
-                if half_edge_perms[k][h] != h:
-                    raise ActionError(
-                        f"kernel element {k} of vertex {v} moves half-edge {h}"
-                    )
-        kernel_subs.append(sub)
-    # g K_v g^-1 = K_{g.v} is multiplicative in g, so generators suffice
+        sub, gens = closures.get(ks) or closures.setdefault(ks, group._close(ks))
+        hes = graph.vertex_half_edges[v]
+        if any(vertex_perms[k][v] != v or any(half_edge_perms[k][h] != h for h in hes)
+               for k in gens):
+            for k in sub:
+                if vertex_perms[k][v] != v:
+                    raise ActionError(f"kernel element {k} of vertex {v} moves the vertex")
+                for h in hes:
+                    if half_edge_perms[k][h] != h:
+                        raise ActionError(
+                            f"kernel element {k} of vertex {v} moves half-edge {h}"
+                        )
+        kernel_pairs.append((sub, gens))
+    kernel_subs = [sub for sub, _ in kernel_pairs]
+    # g K_v g^-1 = K_{g.v} is multiplicative in g, so generators suffice; for
+    # one g, equal orders and K_v's generators conjugated into K_{g.v} suffice
     for g in group.generator_indices:
-        for v in range(graph.n_vertices):
-            if group.conjugate_subgroup(kernel_subs[v], g) != kernel_subs[vertex_perms[g][v]]:
+        for v, (sub, gens) in enumerate(kernel_pairs):
+            target = kernel_subs[vertex_perms[g][v]]
+            if len(sub) != len(target) or not target.issuperset(group.conjugates(g, gens)):
                 raise ActionError(
                     f"kernels not equivariant: element {g} maps vertex {v} to "
                     f"{vertex_perms[g][v]} but does not conjugate the kernels"

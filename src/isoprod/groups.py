@@ -20,8 +20,9 @@ compose and one index lookup; a conjugation by any other element costs two
 composes and one lookup.
 
 A group action is a table of per-element permutations built by
-:meth:`FiniteGroup.extend_action`, which proves the homomorphism; orbits and
-stabilizers (:func:`orbits`) are read from such tables, never from a callable.
+:meth:`FiniteGroup.extend_action`, which proves the homomorphism (the trivial
+map is not walked) and lets elements acting alike share one tuple, so tables
+are never mutated; orbits and stabilizers (:func:`orbits`) read them.
 
 Rotation characters (the action of an element on a one-dimensional space)
 are plain ``Fraction`` values r in [0, 1), meaning the root of unity
@@ -288,7 +289,7 @@ class FiniteGroup:
             self._conjugation[k] = table
         return table
 
-    def _close(self, seeds: Iterable[int]) -> tuple[set[int], list[int]]:
+    def _close(self, seeds: Iterable[int]) -> tuple[frozenset[int], list[int]]:
         """Closure of the seeds with a reduced generating set of it.
 
         Each seed not already in the closure of the earlier ones becomes a
@@ -319,7 +320,7 @@ class FiniteGroup:
                             known.add(c)
                             nxt.append(c)
                 frontier = nxt
-        return known, gens
+        return frozenset(known), gens
 
     def subgroup_closure(self, seeds: Iterable[int]) -> frozenset[int]:
         """Subgroup generated by the given element indices.
@@ -327,7 +328,7 @@ class FiniteGroup:
         BFS from a reduced generating set (seeds already in the closure are
         skipped): O(|H| * gens) group products.
         """
-        return frozenset(self._close(seeds)[0])
+        return self._close(seeds)[0]
 
     def generating_set(self, elements: Iterable[int]) -> tuple[int, ...]:
         """A reduced generating set of the subgroup generated by ``elements``:
@@ -364,25 +365,30 @@ class FiniteGroup:
 
     def extend_action(self, generator_perms: Sequence[Perm], n: int) -> tuple[Perm, ...]:
         """Per-element permutations of {0..n-1} induced by generator images
-        along BFS words; the trivial group gets the identity alone.
+        along BFS words; the trivial map is one identity tuple, not walked.
 
         One walk of ``right`` row by row: the first (element, generator)
         product that reaches an element sets its permutation, and every
         later one is a relation check.  Raises GroupError if an image is not
         a permutation of n letters or the images do not define a group
         homomorphism (every (element, generator) product is checked, which
-        suffices by induction on word length).
+        suffices by induction on word length).  Identity images pass a row's
+        tuple on, so elements acting alike may share one: never mutate a table.
         """
         if len(generator_perms) != len(self.generators):
             raise GroupError("one image required per generator")
-        images = [check_perm(p, n) for p in generator_perms]
-        table: list[Perm | None] = [identity_perm(n)] + [None] * (self.order - 1)
+        ident = identity_perm(n)
+        images = [None if q == ident else q for q in (check_perm(p, n) for p in generator_perms)]
+        if not any(images):
+            return (ident,) * self.order
+        table: list[Perm | None] = [ident] + [None] * (self.order - 1)
         for i, row in enumerate(self.right):
             for k, prod in enumerate(row):
-                image = compose(table[i], images[k])
-                if table[prod] is None:
+                image = table[i] if images[k] is None else compose(table[i], images[k])
+                known = table[prod]
+                if known is None:
                     table[prod] = image
-                elif table[prod] != image:
+                elif known is not image and known != image:
                     raise GroupError(
                         "generator images do not extend to a group homomorphism "
                         f"(relation fails at element {i}, generator {k})"

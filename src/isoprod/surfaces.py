@@ -120,10 +120,12 @@ def fixed_point_profile(action: CurveAction) -> dict[int, ElementFixedPoints]:
 
     A fixed point arises from membership in a conjugate of a ramification
     orbit's point stabilizer, a fixed half-edge, a fixed node, or a kernel.
+    Each value is one of the four possible records, built once per call.
     """
     has_fixed_point, fixes_component = action.fixed_point_sets
+    records = {(a, b): ElementFixedPoints(a, b) for a in (False, True) for b in (False, True)}
     return {
-        g: ElementFixedPoints(g in has_fixed_point, g in fixes_component)
+        g: records[g in has_fixed_point, g in fixes_component]
         for g in range(1, action.group.order)
     }
 

@@ -14,6 +14,7 @@ from test_acceptance import criterion
 
 import isoprod.actions
 import isoprod.curves
+import isoprod.groups
 import isoprod.surfaces
 from isoprod.actions import (
     inert_action,
@@ -29,6 +30,7 @@ from isoprod.surfaces import (
     build_surface,
     certify_degeneration,
     check_free_codim1,
+    fixed_point_profile,
     kuranishi_dimension,
 )
 
@@ -260,3 +262,37 @@ def test_character_storage_does_not_grow_with_the_group(monkeypatch):
     assert t1_equivariant_oracle(action).total == 3 * 3 - 3
     monkeypatch.undo()
     assert hashed == []
+
+
+def test_inert_actions_compose_no_permutation(monkeypatch):
+    # every generator acts as the identity, so extend_action walks nothing:
+    # each table is one identity tuple whatever |G| is
+    z101_z99 = FiniteGroup.from_generators(
+        [
+            perm_from_cycles([list(range(101))], 200),
+            perm_from_cycles([list(range(101, 200))], 200),
+        ],
+        200,
+    )
+    n = 10
+    cycle = build_graph(
+        [2] * n, list(range(n)) + [(i + 1) % n for i in range(n)], [(i, n + i) for i in range(n)]
+    )
+    one_node = build_graph([2], [0, 0], [(0, 1)])
+    for group, graph in ((z101_z99, one_node), (symmetric_group(7), cycle)):
+        composed = counting(monkeypatch, isoprod.groups, "compose")
+        action = inert_action(group, graph)
+        monkeypatch.undo()
+        assert sum(composed.values()) == 0
+        for table in (action.vertex_perms, action.half_edge_perms, action.edge_perms):
+            assert len(table) == group.order
+            assert len({id(p) for p in table}) == 1
+
+
+def test_fixed_point_profile_shares_its_records():
+    # four possible answers, so at most four record objects for 119 elements
+    graph = build_graph([2], [0, 0], [(0, 1)])
+    profile = fixed_point_profile(inert_action(symmetric_group(5), graph))
+    assert len(profile) == 119
+    assert all(p.has_fixed_point and p.fixes_component for p in profile.values())
+    assert len({id(p) for p in profile.values()}) <= 4

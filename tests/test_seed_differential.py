@@ -6,6 +6,7 @@ and on corrupted inputs."""
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,13 @@ from isoprod.actions import (
     validate_action,
 )
 from isoprod.curves import arithmetic_genus, build_graph
-from isoprod.errors import ActionError, CharacterError, IsoprodError, RamificationError
+from isoprod.errors import (
+    ActionError,
+    CharacterError,
+    GroupError,
+    IsoprodError,
+    RamificationError,
+)
 from isoprod.groups import (
     FiniteGroup,
     compose,
@@ -715,3 +722,146 @@ def test_forced_values_conflict_with_a_supplied_value():
         validate_action(
             group, graph, vertex_images, half_edge_images, kernels=kernels, **{kind: {key: 0}}
         )
+
+
+def walked_extension(group, images, n):
+    """``extend_action`` as first shipped: every (element, generator) product
+    composed and compared by value, identity images included."""
+    table = [tuple(range(n))] + [None] * (group.order - 1)
+    for i, row in enumerate(group.right):
+        for k, prod in enumerate(row):
+            image = compose(table[i], images[k])
+            if table[prod] is None:
+                table[prod] = image
+            elif table[prod] != image:
+                raise GroupError(
+                    "generator images do not extend to a group homomorphism "
+                    f"(relation fails at element {i}, generator {k})"
+                )
+    return tuple(table)
+
+
+def extension_outcome(extend, group, images, n):
+    try:
+        return extend(group, images, n)
+    except GroupError as exc:
+        return str(exc)
+
+
+def test_identity_images_fail_relations_where_the_full_walk_does():
+    # one generator acting as the identity: the walk skips its composes,
+    # but names the same first failing (element, generator) product
+    s3 = FiniteGroup.from_generators(
+        [perm_from_cycles([[0, 1]], 3), perm_from_cycles([[0, 1, 2]], 3)], 3
+    )
+    v4 = randgen.catalog()[4]
+    ident, cycle = (0, 1, 2), perm_from_cycles([[0, 1, 2]], 3)
+    targets = [perm_from_cycles(c, 3) for c in ([], [[0, 1]], [[1, 2]], [[0, 1, 2]], [[0, 2, 1]])]
+    cases = [(s3, [ident, cycle]), (v4, [ident, cycle]), (v4, [cycle, ident])]
+    for group in (s3, v4, s4(), a5()):
+        for k in range(2):
+            for p in targets:
+                images = [p, p]
+                images[k] = ident
+                cases.append((group, images))
+    failed = set()
+    for group, images in cases:
+        expected = extension_outcome(walked_extension, group, images, 3)
+        got = extension_outcome(FiniteGroup.extend_action, group, images, 3)
+        assert got == expected
+        if isinstance(got, str):
+            failed.add(group.order)
+    assert failed == {4, 6, 24, 60}
+    assert extension_outcome(FiniteGroup.extend_action, s3, [ident, cycle], 3) == (
+        "generator images do not extend to a group homomorphism "
+        "(relation fails at element 3, generator 0)"
+    )
+
+
+def in_index_order(group):
+    """The group with its generators listed in element-index order; the
+    element table is unchanged."""
+    return FiniteGroup.from_generators(sorted(group.generators), group.degree)
+
+
+def kernel_mutations(group, graph, action):
+    """Kernel lists that may break the action at vertex v: v's kernel also
+    generated by an element moving v, or by one fixing v outside its kernel
+    (it moves a branch there); v's kernel dropped; every kernel shrunk to the
+    cyclic group of its least nonidentity element."""
+    kernels = {v: sorted(k) for v, k in enumerate(action.kernels)}
+    for v, kernel in kernels.items():
+        moves = [g for g in range(group.order) if action.vertex_perms[g][v] != v]
+        fixes = [
+            g for g in range(group.order)
+            if action.vertex_perms[g][v] == v and g not in action.kernels[v]
+        ]
+        for extra in (moves[:1] + fixes[:1]):
+            yield {**kernels, v: kernel + [extra]}
+        if len(kernel) > 1 and graph.n_vertices > 1:
+            yield {**kernels, v: []}
+    if graph.n_vertices > 1:
+        yield {v: k[1:2] for v, k in kernels.items()}
+
+
+def scans_alike(group, seeds):
+    """Whether the library's and the seed's closures of ``seeds`` iterate in
+    the same order, the order both scan a kernel in for an offender."""
+    return list(group.subgroup_closure(seeds)) == list(
+        reference_seed.subgroup_closure(group, seeds)
+    )
+
+
+def test_kernel_messages_match_seed():
+    # both validations raise the same ActionError text.  The seed scans
+    # every element in index order for equivariance and the library only
+    # the generators, in their listed order, so the groups list theirs in
+    # index order.  Both name the first kernel element, in their closure
+    # set's order, that moves the vertex or a branch; where the two sets
+    # iterate differently, the library's must still name a true offender
+    # at the same vertex
+    kinds = set()
+    for group in map(in_index_order, randgen.catalog()[1:] + [s4(), a5()]):
+        assert list(group.generator_indices) == sorted(group.generator_indices)
+        subs = randgen.all_subgroups(group)
+        pairs = [
+            (stab, kernel)
+            for stab in subs
+            for kernel in subs
+            if 1 < len(kernel) and kernel <= stab
+            and all(group.conjugate_subgroup(kernel, g) == kernel for g in stab)
+            and group.order // len(stab) <= 5 and len(stab) // len(kernel) <= 3
+        ]
+        for stab, kernel in pairs[:4]:
+            graph, args = kernel_action_inputs(group, stab, kernel)
+            action = assert_same(group, graph, args)
+            for kernels in kernel_mutations(group, graph, action):
+                messages = []
+                for validate in (validate_action, reference_seed.validate_action):
+                    try:
+                        validate(group, graph, *args["images"], kernels=kernels)
+                        messages.append(None)
+                    except IsoprodError as exc:
+                        messages.append(f"{type(exc).__name__}: {exc}")
+                new, ref = messages
+                offender = re.fullmatch(
+                    r"ActionError: kernel element (\d+) of vertex (\d+) moves "
+                    r"(the vertex|half-edge (\d+))",
+                    new or "",
+                )
+                if new is not None and new.startswith("ActionError"):
+                    kinds.add((group.order, new.startswith("ActionError: kernels not")))
+                if offender is None or scans_alike(group, kernels[int(offender[2])]):
+                    assert new == ref
+                    continue
+                k, v = int(offender[1]), int(offender[2])
+                assert ref.startswith("ActionError: kernel element ")
+                assert f" of vertex {v} " in ref
+                assert k in group.subgroup_closure(kernels[v])
+                if offender[4] is None:
+                    assert action.vertex_perms[k][v] != v
+                else:
+                    h = int(offender[4])
+                    assert action.half_edge_perms[k][h] != h
+    assert {equivariance for _, equivariance in kinds} == {False, True}
+    assert {order for order, _ in kinds} == {4, 6, 24, 60}
