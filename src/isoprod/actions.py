@@ -473,10 +473,13 @@ def validate_action(
     # one closure walk per distinct generator list; a subgroup fixes v and its
     # half-edges when its generators do, and a failure rescans it to name one
     closures: dict[tuple[int, ...], tuple[frozenset[int], list[int]]] = {}
-    kernel_pairs = []
+    kernel_subs: list[frozenset[int]] = []
+    kernel_gens: list[list[int]] = []
     for v in range(graph.n_vertices):
         ks = tuple(kernels.get(v, ()))
-        sub, gens = closures.get(ks) or closures.setdefault(ks, group._close(ks))
+        if ks not in closures:
+            closures[ks] = group.closure_and_generators(ks)
+        sub, gens = closures[ks]
         hes = graph.vertex_half_edges[v]
         if any(vertex_perms[k][v] != v or any(half_edge_perms[k][h] != h for h in hes)
                for k in gens):
@@ -488,12 +491,12 @@ def validate_action(
                         raise ActionError(
                             f"kernel element {k} of vertex {v} moves half-edge {h}"
                         )
-        kernel_pairs.append((sub, gens))
-    kernel_subs = [sub for sub, _ in kernel_pairs]
+        kernel_subs.append(sub)
+        kernel_gens.append(gens)
     # g K_v g^-1 = K_{g.v} is multiplicative in g, so generators suffice; for
     # one g, equal orders and K_v's generators conjugated into K_{g.v} suffice
     for g in group.generator_indices:
-        for v, (sub, gens) in enumerate(kernel_pairs):
+        for v, (sub, gens) in enumerate(zip(kernel_subs, kernel_gens)):
             target = kernel_subs[vertex_perms[g][v]]
             if len(sub) != len(target) or not target.issuperset(group.conjugates(g, gens)):
                 raise ActionError(

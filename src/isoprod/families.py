@@ -112,12 +112,8 @@ def _local_model(action: CurveAction, orbit: Orbit) -> tuple[str, int | None]:
 
 
 def _relabel(perms: tuple[Perm, ...], kept: list[int], new_index) -> tuple[Perm, ...]:
-    """Each permutation read at ``kept``, renumbered by ``new_index``; once per distinct object."""
-    distinct = dict(zip(map(id, perms), perms))
-    relabeled = [compose(new_index, compose(perm, kept)) for perm in distinct.values()]
-    if len(relabeled) < len(perms):  # shared objects: one lookup per element
-        relabeled = list(map(dict(zip(distinct, relabeled)).__getitem__, map(id, perms)))
-    return tuple(relabeled)
+    """Each permutation read at ``kept``, renumbered by a list or dict ``new_index``."""
+    return tuple(compose(new_index, compose(perm, kept)) for perm in perms)
 
 
 def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:

@@ -21,8 +21,8 @@ composes and one lookup.
 
 A group action is a table of per-element permutations built by
 :meth:`FiniteGroup.extend_action`, which proves the homomorphism (the trivial
-map is not walked) and lets elements acting alike share one tuple, so tables
-are never mutated; orbits and stabilizers (:func:`orbits`) read them.
+map composes nothing) and lets elements acting alike share one tuple, so
+tables are never mutated; orbits and stabilizers (:func:`orbits`) read them.
 
 Rotation characters (the action of an element on a one-dimensional space)
 are plain ``Fraction`` values r in [0, 1), meaning the root of unity
@@ -289,7 +289,7 @@ class FiniteGroup:
             self._conjugation[k] = table
         return table
 
-    def _close(self, seeds: Iterable[int]) -> tuple[frozenset[int], list[int]]:
+    def closure_and_generators(self, seeds: Iterable[int]) -> tuple[frozenset[int], list[int]]:
         """Closure of the seeds with a reduced generating set of it.
 
         Each seed not already in the closure of the earlier ones becomes a
@@ -328,13 +328,13 @@ class FiniteGroup:
         BFS from a reduced generating set (seeds already in the closure are
         skipped): O(|H| * gens) group products.
         """
-        return self._close(seeds)[0]
+        return self.closure_and_generators(seeds)[0]
 
     def generating_set(self, elements: Iterable[int]) -> tuple[int, ...]:
         """A reduced generating set of the subgroup generated by ``elements``:
         those elements, in the given order, outside the subgroup generated by
         the earlier ones (at most log2 |H| of them)."""
-        return tuple(self._close(elements)[1])
+        return tuple(self.closure_and_generators(elements)[1])
 
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
@@ -365,7 +365,7 @@ class FiniteGroup:
 
     def extend_action(self, generator_perms: Sequence[Perm], n: int) -> tuple[Perm, ...]:
         """Per-element permutations of {0..n-1} induced by generator images
-        along BFS words; the trivial map is one identity tuple, not walked.
+        along BFS words; the trivial map composes nothing.
 
         One walk of ``right`` row by row: the first (element, generator)
         product that reaches an element sets its permutation, and every
@@ -379,8 +379,6 @@ class FiniteGroup:
             raise GroupError("one image required per generator")
         ident = identity_perm(n)
         images = [None if q == ident else q for q in (check_perm(p, n) for p in generator_perms)]
-        if not any(images):
-            return (ident,) * self.order
         table: list[Perm | None] = [ident] + [None] * (self.order - 1)
         for i, row in enumerate(self.right):
             for k, prod in enumerate(row):

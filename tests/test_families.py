@@ -202,17 +202,6 @@ def test_chain_paper(paper_action):
     assert chain.strata[-1].action.graph.n_edges == 0
 
 
-def test_chain_keeps_a_shared_table_shared(paper_action):
-    # the involution fixes the only vertex, so its vertex table is one
-    # identity tuple, and each smoothed stratum relabels that tuple once
-    chain = smoothing_chain(paper_action)
-    assert len(chain.strata) == 2
-    for stratum in chain.strata:
-        assert len(stratum.action.vertex_perms) == 2
-        assert len({id(p) for p in stratum.action.vertex_perms}) == 1
-        assert_revalidates(stratum.action)
-
-
 def test_chain_node_free(smooth_fiber_action):
     chain = smoothing_chain(smooth_fiber_action)
     assert len(chain.strata) == 1
