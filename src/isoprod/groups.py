@@ -21,8 +21,10 @@ composes and one lookup.
 
 A group action is a table of per-element permutations built by
 :meth:`FiniteGroup.extend_action`, which proves the homomorphism (the trivial
-map composes nothing) and lets elements acting alike share one tuple, so
-tables are never mutated; orbits and stabilizers (:func:`orbits`) read them.
+map is not walked: every element gets the one identity tuple) and lets
+elements acting alike share one tuple, so tables are never mutated; orbits
+and stabilizers (:func:`orbits`) read them, and the Burnside trace reads a
+run of elements sharing one tuple once.
 
 Rotation characters (the action of an element on a one-dimensional space)
 are plain ``Fraction`` values r in [0, 1), meaning the root of unity
@@ -365,7 +367,7 @@ class FiniteGroup:
 
     def extend_action(self, generator_perms: Sequence[Perm], n: int) -> tuple[Perm, ...]:
         """Per-element permutations of {0..n-1} induced by generator images
-        along BFS words; the trivial map composes nothing.
+        along BFS words; the trivial map is not walked.
 
         One walk of ``right`` row by row: the first (element, generator)
         product that reaches an element sets its permutation, and every
@@ -373,12 +375,16 @@ class FiniteGroup:
         a permutation of n letters or the images do not define a group
         homomorphism (every (element, generator) product is checked, which
         suffices by induction on word length).  Identity images pass a row's
-        tuple on, so elements acting alike may share one: never mutate a table.
+        tuple on, so elements acting alike may share one: never mutate a
+        table.  When every image is the identity (each checked first) the
+        table is one identity tuple repeated, with no walk.
         """
         if len(generator_perms) != len(self.generators):
             raise GroupError("one image required per generator")
         ident = identity_perm(n)
         images = [None if q == ident else q for q in (check_perm(p, n) for p in generator_perms)]
+        if not any(images):
+            return (ident,) * self.order
         table: list[Perm | None] = [ident] + [None] * (self.order - 1)
         for i, row in enumerate(self.right):
             for k, prod in enumerate(row):
@@ -547,39 +553,72 @@ def invariant_dimension_trace(
     (1/|G|) sum_g tr(g), where tr(g) sums the character values of g over its
     fixed points; evaluated exactly as a sum of roots of unity.
 
-    Each element's fixed points are read by comparing its permutation with
-    the identity, so an element fixing no point costs one tuple scan and
-    only fixed pairs are looked up; the keys of ``chars`` are never
-    enumerated.  A table sharing one object per value (as a
-    :class:`CharacterTable` does) has each value converted once.  Raises
-    CharacterError when the average is not a nonnegative integer or a fixed
-    pair has no character value.
+    Fixed points are read by comparing a permutation with the identity,
+    once per run of consecutive elements sharing one tuple (an inert table
+    is one run); the keys of ``chars`` are never enumerated.  A plain
+    mapping is read per fixed (element, point) pair, its values counted per
+    object.  A :class:`CharacterTable` over these very ``perms`` is not
+    read by key: fixed points in zero columns are counted per run, each
+    other object's (element, residue) pairs are read once per call, and
+    each distinct residue makes one ``Fraction``.  Raises CharacterError
+    when the average is not a nonnegative integer or a fixed pair has no
+    character value (the first in element order).
     """
     if len(perms) != group.order:
         raise GroupError("one permutation required per group element")
     ident = identity_perm(len(perms[0]))
+    table = chars if isinstance(chars, CharacterTable) and chars.perms is perms else None
+    rows: list[dict[int, int] | None] = []  # per object: element -> residue; None if zero
+    for x in ident if table is not None else ():
+        try:
+            rows.append(None if table.trivial[table.orbit_at[x]] else dict(table.at(x)))
+        except KeyError:  # an object the table does not cover has no value
+            rows.append({})
     values: list[Fraction] = []
+    residues: list[int] = []
+    zeros = 0
+    last = None
     for g, perm in enumerate(perms):
-        if perm == ident:
-            fixed: Sequence[int] = ident
-        elif any(map(eq, perm, ident)):
-            fixed = list(compress(ident, map(eq, perm, ident)))
-        else:
+        if perm is not last:
+            last = perm
+            if perm == ident:
+                fixed: Sequence[int] = ident
+            elif any(map(eq, perm, ident)):
+                fixed = list(compress(ident, map(eq, perm, ident)))
+            else:
+                fixed = ()
+            if table is not None and fixed:
+                reads = [rows[p] for p in fixed if rows[p] is not None]
+                run_zeros = len(fixed) - len(reads)
+        if not fixed:
             continue
         try:
-            values.extend([chars[g, p] for p in fixed])
+            if table is None:
+                values.extend([chars[g, p] for p in fixed])
+            else:
+                zeros += run_zeros
+                residues.extend([row[g] for row in reads])
         except KeyError:
-            p = next(p for p in fixed if (g, p) not in chars)
+            if table is None:
+                p = next(p for p in fixed if (g, p) not in chars)
+            else:
+                p = next(p for p in fixed if rows[p] is not None and g not in rows[p])
             raise CharacterError(
                 f"inconsistent character data: no character for element {g} "
                 f"at fixed point {p!r}"
             ) from None
-    # counted per object, then by integer ratio: no Fraction is hashed, and
-    # an integer (exp(0) = 1 as a rotation) is counted as an integer
-    objects = dict(zip(map(id, values), values))
+    # counted per object or residue, then by integer ratio: no Fraction is
+    # hashed, and an integer (exp(0) = 1 as a rotation) is counted as one
+    if table is not None:
+        counts = Counter(residues)
+        counts[0] += zeros
+        pairs = [(table.fraction(a), c) for a, c in counts.items()]
+    else:
+        objects = dict(zip(map(id, values), values))
+        pairs = [(objects[i], c) for i, c in Counter(map(id, values)).items()]
     ratios: Counter[tuple[int, int]] = Counter()
-    for i, count in Counter(map(id, values)).items():
-        ratios[objects[i].as_integer_ratio()] += count
+    for value, count in pairs:
+        ratios[value.as_integer_ratio()] += count
     rest = root_of_unity_sum({Fraction(*r): c for r, c in ratios.items() if r[1] > 1})
     if rest is None:
         raise CharacterError("inconsistent character data: trace sum is irrational")

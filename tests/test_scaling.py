@@ -24,7 +24,7 @@ from isoprod.actions import (
     validate_action,
 )
 from isoprod.curves import arithmetic_genus, build_graph, t1_dimension
-from isoprod.groups import FiniteGroup, perm_from_cycles
+from isoprod.groups import FiniteGroup, invariant_dimension_trace, perm_from_cycles
 from isoprod.errors import SurfaceError
 from isoprod.surfaces import (
     build_surface,
@@ -296,3 +296,21 @@ def test_fixed_point_profile_shares_its_records():
     assert len(profile) == 119
     assert all(p.has_fixed_point and p.fixes_component for p in profile.values())
     assert len({id(p) for p in profile.values()}) <= 4
+
+
+def test_oracle_reads_no_table_entry_by_key(monkeypatch):
+    # inert S7 on a 10-component cycle: every element shares one identity
+    # tuple and both tables hold one zero column, so the oracle counts fixed
+    # points per run and reads no (element, object) key (151,200 reads when
+    # it looked up each fixed pair); a copy of the permutations is read by key
+    n = 10
+    graph = build_graph(
+        [2] * n, list(range(n)) + [(i + 1) % n for i in range(n)], [(i, n + i) for i in range(n)]
+    )
+    action = inert_action(symmetric_group(7), graph)
+    reads = counting(monkeypatch, isoprod.groups.CharacterTable, "__getitem__")
+    assert t1_equivariant_oracle(action) == t1_equivariant(action)
+    assert sum(reads.values()) == 0
+    copy = list(action.edge_perms)
+    assert invariant_dimension_trace(action.group, copy, action.smoothing_chars) == n
+    assert reads == {id(action.smoothing_chars): 5040 * n}

@@ -33,6 +33,7 @@ from isoprod.errors import (
     RamificationError,
 )
 from isoprod.groups import (
+    CharacterTable,
     FiniteGroup,
     compose,
     format_perm,
@@ -66,6 +67,12 @@ def a5():
     )
 
 
+def s5():
+    return FiniteGroup.from_generators(
+        [perm_from_cycles([[0, 1, 2, 3, 4]], 5), perm_from_cycles([[0, 1]], 5)], 5
+    )
+
+
 def element(group, cycles):
     return group.index_of(perm_from_cycles(cycles, group.degree))
 
@@ -79,7 +86,9 @@ def outcome(validate, group, graph, args):
 
 def assert_same_traces(action):
     """The table-driven node and branch Burnside counts equal the callable
-    trace's, which evaluates every (element, point) pair."""
+    trace's, which evaluates every (element, point) pair; so do the generic
+    path's, reading the table as a plain dict or over an equal copy of its
+    permutations."""
     group = action.group
     for perms, chars in (
         (action.edge_perms, action.smoothing_chars),
@@ -91,7 +100,9 @@ def assert_same_traces(action):
             range(len(perms[0])),
             lambda g, p: chars[(g, p)],
         )
-        assert invariant_dimension_trace(group, perms, chars) == expected
+        assert chars.perms is perms
+        for inputs in ((perms, chars), (perms, dict(chars)), (list(perms), chars)):
+            assert invariant_dimension_trace(group, *inputs) == expected
 
 
 def assert_same(group, graph, args):
@@ -241,6 +252,75 @@ def test_necklaces_match_seed(n):
     group, graph, vertex_images, half_edge_images = necklace(n)
     args = {"images": (vertex_images, half_edge_images), "kwargs": {}}
     assert assert_same(group, graph, args) is not None
+
+
+def self_node_inputs(group, c):
+    """One component fixed by the group with a self-node orbit G/<c> (the
+    graph of ``kernel_action_inputs`` with no kernel); c rotates the two
+    branches of the base node by inverse faithful characters, so the
+    tangent column is nonzero."""
+    sub = group.subgroup_closure([c])
+    graph, args = kernel_action_inputs(group, frozenset(range(group.order)), sub)
+    m, nb = len(sub), graph.n_edges
+    args["kwargs"] = {"tangent_chars": {(c, 0): Fraction(1, m), (c, nb): Fraction(m - 1, m)}}
+    return graph, args
+
+
+@pytest.mark.parametrize("make", [s4, a5, s5])
+def test_table_traces_on_inert_kernel_ramified_and_free_actions(make):
+    # assert_same runs the Burnside trace on the table, on dict(table) and on
+    # a copy of the permutations: on inert and kernel-carrying actions, whose
+    # elements share tuples, and on ramified and free ones, whose elements
+    # do not
+    group = make()
+    full = frozenset(range(group.order))
+    alternating = group.subgroup_closure(
+        [element(group, [[i, i + 1, i + 2]]) for i in range(group.degree - 2)]
+    )
+    two_vertices = build_graph([2, 3], [0, 1, 0, 1], [(0, 1), (2, 3)])
+    ngens = len(group.generators)
+    inert = {
+        "images": ([(0, 1)] * ngens, [(0, 1, 2, 3)] * ngens),
+        "kwargs": {"kernels": {0: full, 1: full}},
+    }
+    rotation = {24: [[0, 1, 2, 3]], 60: [[0, 1, 2, 3, 4]], 120: [[0, 1, 2], [3, 4]]}
+    ramified = assert_same(group, *self_node_inputs(group, element(group, rotation[group.order])))
+    assert not all(ramified.tangent_chars.trivial)
+    assert len(set(ramified.half_edge_perms)) == group.order
+    for graph, args in ((two_vertices, inert), kernel_action_inputs(group, full, alternating)):
+        action = assert_same(group, graph, args)
+        assert len(set(action.half_edge_perms)) <= 2
+    rng = random.Random(group.order)
+    for _ in range(2):
+        assert_same_traces(randgen.random_free_action(group, rng))
+
+
+def test_table_trace_names_the_first_pair_a_wrong_transporter_drops():
+    # hand-built tables whose transporter for one branch x carries the
+    # representative elsewhere, or is missing: x's pairs lack elements fixing
+    # it, and the first missing pair in element order is named; the generic
+    # path names the same pair on a dict of the wrong table's pairs
+    group = s4()
+    action = assert_same(group, *self_node_inputs(group, element(group, [[0, 1, 2, 3]])))
+    table = action.tangent_chars
+    orbit = next(o for o, zero in zip(table.orbits, table.trivial) if not zero)
+    perms = table.perms
+    stab = set(orbit.stabilizer)
+    fixing = {x: {g for g, p in enumerate(perms) if p[x] == x} for x in orbit.members}
+    x = next(x for x in orbit.members if fixing[x] != stab)
+    wrong, missing = dict(table.transporters), dict(table.transporters)
+    wrong[x] = 0
+    del missing[x]
+    bad, unknown = (
+        CharacterTable(group, perms, table.orbits, table.columns, table.modulus, t)
+        for t in (wrong, missing)
+    )
+    pairs = {(h, y): bad.fraction(a) for y in range(len(perms[0])) for h, a in bad.at(y)}
+    first = min(fixing[x] - stab)
+    for chars, g in ((bad, first), (pairs, first), (unknown, 0)):
+        message = f"no character for element {g} at fixed point {x}$"
+        with pytest.raises(CharacterError, match=message):
+            invariant_dimension_trace(group, perms, chars)
 
 
 @pytest.mark.parametrize("table", ["tangent_chars", "smoothing_chars"])
