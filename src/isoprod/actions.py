@@ -104,9 +104,13 @@ class CurveAction:
     (element, fixed edge) pair has an entry, read from one column per orbit
     of half-edges or edges (:class:`CharacterTable`, whose orbits are
     ``half_edge_orbits`` / ``edge_orbits``, found by ``orbit_at``).  Orbits
-    are cached at construction.  Instances are immutable; elements acting alike
-    may share one permutation tuple.  Build one through :func:`validate_action`;
-    ``families.smooth_node_orbit`` derives a child from its parent's tables.
+    are cached at construction.  Instances are immutable.  The per-element
+    tables of a validated action are tuples, in which elements acting alike
+    may share one permutation tuple; build one through
+    :func:`validate_action`.  ``families.smooth_node_orbit`` derives a child
+    whose tables are :class:`~isoprod.groups.RestrictedTable` views of its
+    parent's, each row built on first read; they compare equal to the tuples
+    validation would build.
 
     Derived facts are computed on first use and kept on the instance, not as
     fields: ``fixed_point_sets``, ``quotient_signatures`` and
@@ -116,9 +120,9 @@ class CurveAction:
 
     group: FiniteGroup
     graph: DualGraph
-    vertex_perms: tuple[Perm, ...]
-    half_edge_perms: tuple[Perm, ...]
-    edge_perms: tuple[Perm, ...]
+    vertex_perms: Sequence[Perm]
+    half_edge_perms: Sequence[Perm]
+    edge_perms: Sequence[Perm]
     tangent_chars: CharacterTable
     smoothing_chars: CharacterTable
     kernels: tuple[frozenset[int], ...]

@@ -122,7 +122,9 @@ def _family_lines(name: str, d: dict) -> list[str]:
     columns = ["stratum", "delta", "genus", "node", "branch", "quotient", "total"]
     rows = []
     for s in d["strata"]:
-        known = [s["label"], str(s["delta"]), str(s["genus"])]
+        known = [s["label"], str(s["delta"])]
+        if s["genus"] is not None:  # None: a disconnected stratum, which fails T1
+            known.append(str(s["genus"]))
         if "error" in s:
             rows.append(_error_row(known, s["error"], len(columns)))
         else:

@@ -2,10 +2,11 @@
 
 Smoothing a node orbit contracts the orbit's edges in the dual graph,
 merging the incident components equivariantly.  The smoothed action is the
-parent's, restricted to the surviving objects and renumbered; it is never
-re-validated.  The invariant deformation dimension is locally constant
-across such smoothings, and :func:`check_constancy` verifies that on an
-explicit list of strata, computing each stratum's count from scratch.
+parent's, restricted to the surviving objects and renumbered, each table row
+built when first read; it is never re-validated.  The invariant deformation
+dimension is locally constant across such smoothings, and
+:func:`check_constancy` verifies that on an explicit list of strata,
+computing each stratum's count from scratch.
 
 Only three local models around a node are smoothed automatically:
 a trivial edge stabilizer, a cyclic branch-preserving stabilizer acting
@@ -27,7 +28,7 @@ from fractions import Fraction
 from .actions import CurveAction, EquivariantT1, RamificationOrbit, t1_equivariant
 from .curves import _components, arithmetic_genus, build_graph
 from .errors import FamilyError, IsoprodError, SmoothingError
-from .groups import Orbit, Perm, compose, format_rotation_char, orbits
+from .groups import Orbit, RestrictedTable, format_rotation_char, orbits
 
 
 @dataclass(frozen=True)
@@ -38,11 +39,12 @@ class FamilyStratum:
 
 @dataclass(frozen=True)
 class StratumValue:
-    """Computed invariants of one stratum; ``error`` set if computation failed."""
+    """Computed invariants of one stratum; ``error`` set if computation
+    failed; ``genus`` None for a disconnected curve."""
 
     label: str
     delta: int
-    genus: int
+    genus: int | None
     t1: EquivariantT1 | None
     error: str | None
 
@@ -111,11 +113,6 @@ def _local_model(action: CurveAction, orbit: Orbit) -> tuple[str, int | None]:
     )
 
 
-def _relabel(perms: tuple[Perm, ...], kept: list[int], new_index) -> tuple[Perm, ...]:
-    """Each permutation read at ``kept``, renumbered by a list or dict ``new_index``."""
-    return tuple(compose(new_index, compose(perm, kept)) for perm in perms)
-
-
 def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     """Smooth the whole orbit of the given edge, equivariantly.
 
@@ -126,10 +123,14 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     SmoothingError when the orbit's smoothing character is nontrivial or
     the stabilizer is not one of the three supported local models.
 
-    The child is read off the parent's tables, not re-validated: per-element
-    tables are restricted to the surviving objects and renumbered (a merged
-    class moves as its first vertex does).  Half-edge and edge orbits other
-    than the smoothed one survive whole with their columns, renumbered
+    The child is read off the parent's tables, not re-validated: its
+    per-element tables are :class:`RestrictedTable` views of the parent's on
+    the surviving objects, renumbered (a merged class moves as its first
+    vertex does).  A row is gathered from the validated ancestor's row when
+    first read, so a step builds only the rows it reads (every vertex row,
+    for the orbits).  A curve with more than one component smooths to one
+    with as many, built with the same allowance.  Half-edge and edge orbits
+    other than the smoothed one survive whole with their columns, renumbered
     (``CharacterTable.restrict``); vertex orbits are recomputed, since a
     merged class can have a larger stabilizer.  A merged class gets the
     trivial kernel: a kernel element at an orbit endpoint fixes the node and
@@ -172,11 +173,18 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
             new_edges.append((he_map[p], he_map[q]))
     new_marks = [vclass[v] for v in graph.marks]
 
-    new_graph = build_graph(new_genera, new_he_vertex, new_edges, new_marks)
+    # contraction keeps connectivity: the child is disconnected exactly when
+    # its parent is, and was built with the parent's allowance
+    new_graph = build_graph(
+        new_genera, new_he_vertex, new_edges, new_marks,
+        allow_disconnected=len(graph.components) > 1,
+    )
 
-    vertex_perms = _relabel(action.vertex_perms, [vs[0] for vs in classes], vclass)
-    half_edge_perms = _relabel(action.half_edge_perms, surviving, he_map)
-    edge_perms = _relabel(action.edge_perms, list(edge_map), edge_map)
+    vertex_perms = RestrictedTable(
+        action.vertex_perms, [vs[0] for vs in classes], dict(enumerate(vclass))
+    )
+    half_edge_perms = RestrictedTable(action.half_edge_perms, surviving, he_map)
+    edge_perms = RestrictedTable(action.edge_perms, list(edge_map), edge_map)
 
     tangent_chars = action.tangent_chars.restrict(half_edge_perms, he_map)
     smoothing_chars = action.smoothing_chars.restrict(edge_perms, edge_map)
@@ -234,20 +242,27 @@ def smoothing_chain(action: CurveAction) -> SmoothingChain:
     strata = [FamilyStratum("step0", action)]
     current = action
     while True:
-        classified = smoothable_edge_orbits(current)
-        smoothable = [orbit for orbit, obstruction in classified if obstruction is None]
-        if not smoothable:
-            remaining = tuple(obstruction for _, obstruction in classified)
-            return SmoothingChain(tuple(strata), remaining)
-        current = smooth_node_orbit(current, smoothable[0].representative)
+        # orbits are tried in order up to the first smoothable one, so only
+        # the final stratum has every orbit classified
+        obstructions = []
+        for orbit in current.edge_orbits:
+            try:
+                _local_model(current, orbit)
+                break
+            except SmoothingError as exc:
+                obstructions.append(str(exc))
+        else:
+            return SmoothingChain(tuple(strata), tuple(obstructions))
+        current = smooth_node_orbit(current, orbit.representative)
         strata.append(FamilyStratum(f"step{len(strata)}", current))
 
 
 def check_constancy(strata) -> ConstancyReport:
     """Compute the invariant deformation count per stratum and compare.
 
-    Strata must share one group; per-stratum computation errors are
-    reported under the stratum's label without aborting the batch.
+    Strata must share one group; per-stratum computation errors, a
+    disconnected curve's among them, are reported under the stratum's label
+    without aborting the batch.
     """
     strata = list(strata)
     if len(strata) < 2:
@@ -261,8 +276,9 @@ def check_constancy(strata) -> ConstancyReport:
 
     values: list[StratumValue] = []
     for s in strata:
-        delta = s.action.graph.n_edges
-        genus = arithmetic_genus(s.action.graph)
+        graph = s.action.graph
+        delta = graph.n_edges
+        genus = arithmetic_genus(graph) if len(graph.components) == 1 else None
         try:
             t1 = t1_equivariant(s.action)
             values.append(StratumValue(s.label, delta, genus, t1, None))

@@ -24,7 +24,9 @@ A group action is a table of per-element permutations built by
 map is not walked: every element gets the one identity tuple) and lets
 elements acting alike share one tuple, so tables are never mutated; orbits
 and stabilizers (:func:`orbits`) read them, and the Burnside trace reads a
-run of elements sharing one tuple once.
+run of elements sharing one tuple once.  A :class:`RestrictedTable` is the
+same table on a subset of the objects, renumbered, whose rows are gathered
+from its source's when first read and then kept: never mutated either.
 
 Rotation characters (the action of an element on a one-dimensional space)
 are plain ``Fraction`` values r in [0, 1), meaning the root of unity
@@ -433,7 +435,8 @@ def orbits(
         raise GroupError(f"element index {bad} out of range")
     if not elems or elems[0] != 0:
         raise GroupError("within is not a subgroup: it lacks the identity, element 0")
-    rows = [perms[g] for g in elems]
+    # iterating a RestrictedTable builds its missing rows in one pass
+    rows = list(perms) if within is None else [perms[g] for g in elems]
     pos = {p: i for i, p in enumerate(points)}
     seen: set[int] = set()
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per stabilizer
@@ -452,6 +455,70 @@ def orbits(
         stab = tuple(compress(elems, map(eq, column, repeat(p))))
         out.append(Orbit(p, ordered, shared.setdefault(stab, stab)))
     return out
+
+
+class RestrictedTable(Sequence):
+    """Per-element permutations of the objects ``kept`` of a table ``perms``,
+    renumbered by the mapping ``new_index``: row g is
+    ``new_index[perms[g][k]] for k in kept``, built on first read and kept.
+    Iterating builds every missing row in one pass, a column per kept object.
+
+    Reads as the tuple of rows it stands for: equal to it in either operand
+    order, same ``len``, iteration, hash and repr, negative indices and
+    slices, ``IndexError`` past the end.  Over another restricted table,
+    ``kept`` and ``new_index`` are composed onto that table's source, so a
+    row costs one gather from a materialized row however long the chain of
+    restrictions, and a table keeps only its source alive.  ``new_index``
+    must be defined on every image of a kept object.  Read-only, like every
+    table.
+    """
+
+    __slots__ = ("_source", "_kept", "_new_index", "_rows")
+
+    def __init__(self, perms: Sequence[Perm], kept: Sequence[int], new_index: Mapping[int, int]):
+        if isinstance(perms, RestrictedTable):
+            kept = [perms._kept[k] for k in kept]
+            new_index = {x: new_index[i] for x, i in perms._new_index.items() if i in new_index}
+            perms = perms._source
+        self._source, self._kept, self._new_index = perms, tuple(kept), new_index
+        self._rows: list[Perm | None] = [None] * len(perms)
+
+    def _row(self, g: int) -> Perm:
+        return compose(self._new_index, compose(self._source[g], self._kept))
+
+    def __getitem__(self, g):
+        if isinstance(g, slice):
+            return tuple(map(self.__getitem__, range(len(self))[g]))
+        row = self._rows[g]
+        if row is None:
+            row = self._rows[g] = self._row(g)
+        return row
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def _fill(self) -> None:
+        """Build every missing row at once, a column per kept object."""
+        renumber = self._new_index.__getitem__
+        columns = [map(renumber, map(itemgetter(k), self._source)) for k in self._kept]
+        built = zip(*columns) if columns else repeat((), len(self._rows))
+        self._rows = [new if old is None else old for old, new in zip(self._rows, built)]
+
+    def __iter__(self) -> Iterator[Perm]:
+        if None in self._rows:
+            self._fill()
+        return iter(self._rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, RestrictedTable)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 class CharacterTable(Mapping):
@@ -509,7 +576,10 @@ class CharacterTable(Mapping):
         """The table on the surviving objects, with permutations ``perms``
         and renumbered by the increasing ``new_index``: orbits that survive
         whole keep their columns, stabilizers and order as a recomputation
-        would, and each object its transporter."""
+        would, and each object its transporter.  ``perms`` is kept as given,
+        so a :class:`RestrictedTable` stays a view whose rows are built on
+        first read, and the Burnside trace still recognizes it as this
+        table's own."""
         renumber = new_index.__getitem__
         alive = [i for i, o in enumerate(self.orbits) if o.representative in new_index]
         relabeled = tuple(

@@ -182,6 +182,40 @@ def test_exit_2_on_constancy_violation(capsys, tmp_path, bundled_document_text):
     assert items["node_smoothing"]["verdict"] == "constant"
 
 
+def test_check_family_reports_a_disconnected_stratum_in_band(
+    capsys, tmp_path, bundled_document_text
+):
+    # two genus-1 components with a node each, swapped by the involution
+    data = json.loads(bundled_document_text)
+    data["curves"]["split"] = {
+        "vertices": [{"id": "a", "genus": 1}, {"id": "b", "genus": 1}],
+        "half_edges": [{"id": h, "vertex": v} for h, v in zip("pqrs", "aabb")],
+        "edges": [["p", "q"], ["r", "s"]],
+        "allow_disconnected": True,
+    }
+    data["actions"]["split_swap"] = {
+        "curve": "split",
+        "vertex_images": [{"a": "b", "b": "a"}],
+        "half_edge_images": [{"p": "r", "q": "s", "r": "p", "s": "q"}],
+    }
+    data["families"]["apart"] = ["split_swap", "node_swap"]
+    path = tmp_path / "apart.json"
+    path.write_text(json.dumps(data))
+    # the chain smooths both nodes; the genus of its strata is undefined
+    code, out, _ = run_cli(capsys, "smooth", str(path), "--json")
+    assert json.loads(out)["items"]["split_swap"] == {
+        "error": "operation requires a connected graph"
+    }
+    code, out, _ = run_cli(capsys, "check-family", str(path))
+    assert code == 1
+    assert "apart: error in some stratum" in out
+    row = next(line.split() for line in out.splitlines() if line.split()[:1] == ["split_swap"])
+    assert row == "split_swap 2 - - - - equivariant T1 requires a connected curve".split()
+    stratum = machine_block(out)["items"]["apart"]["strata"][0]
+    assert stratum["genus"] is None
+    assert stratum["error"] == "equivariant T1 requires a connected curve"
+
+
 def test_exit_1_on_invalid_document(capsys, tmp_path):
     path = tmp_path / "invalid.json"
     path.write_text(json.dumps({"version": "1"}))

@@ -8,6 +8,7 @@ from isoprod.actions import (
     inert_action,
     quotient_signatures,
     t1_equivariant,
+    t1_equivariant_oracle,
     trivial_action,
     validate_action,
 )
@@ -20,11 +21,11 @@ from isoprod.families import (
     smoothable_edge_orbits,
     smoothing_chain,
 )
-from isoprod.groups import FiniteGroup, perm_from_cycles
+from isoprod.groups import CharacterTable, FiniteGroup, RestrictedTable, perm_from_cycles
 
 from randgen import catalog, random_action
-from test_acceptance import assert_revalidates
-from test_scaling import necklace
+from test_acceptance import _rebuild_with_ram, assert_revalidates
+from test_scaling import counting, necklace
 from test_seed_differential import a5, s4
 
 
@@ -299,6 +300,81 @@ def test_necklace_chain_strata_revalidate():
     assert_revalidates(smooth)
     assert smooth.graph.genera == (2 * 60 + 1,)
     assert check_constancy(chain.strata).verdict == "constant"
+
+
+def classify_all_chain(action):
+    """The chain as a walk classifying every edge orbit of every stratum and
+    smoothing the first smoothable one: (strata actions, obstructions)."""
+    strata = [action]
+    while True:
+        classified = smoothable_edge_orbits(strata[-1])
+        smoothable = [orbit for orbit, why in classified if why is None]
+        if not smoothable:
+            return strata, tuple(why for _, why in classified)
+        strata.append(smooth_node_orbit(strata[-1], smoothable[0].representative))
+
+
+def assert_reads_as_tuple(view, table):
+    """``view`` reads as the tuple ``table``, row by row before it is
+    complete and as a whole after."""
+    n = len(table)
+    assert isinstance(view, RestrictedTable) and len(view) == n
+    assert view[-1] == table[-1] and view[n // 2] == table[n // 2]
+    for past in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[past]
+    assert view[1:3] == table[1:3]
+    assert list(view) == list(table)
+    assert view == table and table == view and not view != table
+    assert hash(view) == hash(table) and repr(view) == repr(table)
+    assert view != list(table)
+
+
+def test_smoothed_tables_read_as_the_validated_tuples(monkeypatch):
+    # every child table equals, under each tuple operation, the tuple that
+    # validating the child from scratch builds; the oracle recognizes a
+    # child's tables as its character tables' own and reads no entry by key
+    rng = random.Random(71)
+    actions = [random_action(rng.choice(catalog()), rng) for _ in range(40)]
+    actions += [cayley_action(s4()), cayley_action(a5())]
+    children = deep = 0
+    for action in actions:
+        chain = smoothing_chain(action)
+        strata, obstructions = classify_all_chain(action)
+        assert [s.action for s in chain.strata] == strata
+        assert chain.obstructions == obstructions
+        fresh = smoothing_chain(action)
+        for stratum, child in zip(chain.strata[1:], fresh.strata[1:]):
+            child = child.action
+            reference = _rebuild_with_ram(stratum.action, stratum.action.ramification_orbits)
+            for kind in ("vertex_perms", "half_edge_perms", "edge_perms"):
+                table = getattr(reference, kind)
+                assert type(table) is tuple
+                assert_reads_as_tuple(getattr(child, kind), table)
+            reads = counting(monkeypatch, CharacterTable, "__getitem__")
+            assert t1_equivariant_oracle(child) == t1_equivariant(child)
+            monkeypatch.undo()
+            assert sum(reads.values()) == 0
+            children += 1
+        deep += len(chain.strata) > 2
+    assert children > 80 and deep > 25
+
+
+def test_chain_of_a_disconnected_curve_reports_in_band():
+    # contracting edges joins no two components, so each child is built with
+    # its parent's allowance, and T1's precondition fails in each stratum
+    graph = build_graph([1, 1, 2], [0, 1, 2, 2], [[0, 1], [2, 3]], allow_disconnected=True)
+    chain = smoothing_chain(trivial_action(graph))
+    assert [s.action.graph.genera for s in chain.strata] == [(1, 1, 2), (2, 2), (2, 3)]
+    assert chain.obstructions == ()
+    for stratum in chain.strata[1:]:
+        assert_revalidates(stratum.action)
+        assert len(stratum.action.graph.components) == 2
+    report = check_constancy(chain.strata)
+    assert report.verdict == "error"
+    assert [(v.delta, v.genus, v.error) for v in report.strata] == [
+        (d, None, "equivariant T1 requires a connected curve") for d in (2, 1, 0)
+    ]
 
 
 # -- constancy -------------------------------------------------------------------

@@ -6,6 +6,7 @@ computations, which, unlike a time, does not depend on the host."""
 
 import dataclasses
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from isoprod.actions import (
 from isoprod.curves import arithmetic_genus, build_graph, t1_dimension
 from isoprod.groups import FiniteGroup, invariant_dimension_trace, perm_from_cycles
 from isoprod.errors import SurfaceError
+from isoprod.families import check_constancy, smoothing_chain
 from isoprod.surfaces import (
     build_surface,
     certify_degeneration,
@@ -314,3 +316,59 @@ def test_oracle_reads_no_table_entry_by_key(monkeypatch):
     copy = list(action.edge_perms)
     assert invariant_dimension_trace(action.group, copy, action.smoothing_chars) == n
     assert reads == {id(action.smoothing_chars): 5040 * n}
+
+
+def test_smoothing_builds_no_half_edge_or_edge_row(monkeypatch):
+    # Z_n turning n genus-0 components joined to their next and their
+    # next-but-one neighbour: two free edge orbits, smoothed in two steps.
+    # Free local models and the constancy check read no half-edge or edge
+    # permutation of a child, so none of those rows is built; the vertex
+    # rows are, for the child's orbits.  Edge e = k * n + i (k = 0, 1) joins
+    # half-edge 2e at component i to half-edge 2e + 1 at component i + k + 1
+    n = 12
+    group = FiniteGroup.from_generators([perm_from_cycles([list(range(n))], n)], n)
+    half_edge_vertex = []
+    for k in (1, 2):
+        for i in range(n):
+            half_edge_vertex += [i, (i + k) % n]
+    graph = build_graph([0] * n, half_edge_vertex, [(2 * e, 2 * e + 1) for e in range(2 * n)])
+
+    def turned(e):
+        return e - e % n + (e + 1) % n
+
+    shift = [tuple((i + 1) % n for i in range(n))]
+    turn = [tuple(2 * turned(h // 2) + h % 2 for h in range(4 * n))]
+    action = validate_action(group, graph, shift, turn)
+    # a table builds one row in _row and all missing rows in _fill
+    built = counting(monkeypatch, isoprod.groups.RestrictedTable, "_row")
+    filled = counting(monkeypatch, isoprod.groups.RestrictedTable, "_fill")
+    chain = smoothing_chain(action)
+    report = check_constancy(chain.strata)
+    assert len(chain.strata) == 3 and report.verdict == "constant"
+    children = [s.action for s in chain.strata[1:]]
+    unread = {id(t) for c in children for t in (c.half_edge_perms, c.edge_perms)}
+    assert not (built.keys() | filled.keys()) & unread
+    assert {id(c.vertex_perms) for c in children} <= filled.keys()
+
+
+def test_deep_stratum_row_is_one_gather(monkeypatch):
+    # the trivial group on a 200-cycle smooths one edge per step; a row of
+    # a stratum 199 restrictions deep is one gather from the validated
+    # action's row, built alone and with no recursion through its ancestors
+    n = 200
+    graph = build_graph(
+        [2] * n, list(range(n)) + [(i + 1) % n for i in range(n)], [(i, n + i) for i in range(n)]
+    )
+    chain = smoothing_chain(trivial_action(graph))
+    assert len(chain.strata) == n + 1
+    built = counting(monkeypatch, isoprod.groups.RestrictedTable, "_row")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        loop = chain.strata[-2].action
+        assert loop.half_edge_perms[0] == (0, 1)
+        assert sum(built.values()) == 1
+        assert chain.strata[-1].action.edge_perms[-1] == ()
+        assert sum(built.values()) == 2
+    finally:
+        sys.setrecursionlimit(limit)
