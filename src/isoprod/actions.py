@@ -709,8 +709,9 @@ def t1_equivariant_oracle(action: CurveAction) -> EquivariantT1:
 
     Node and branch invariants come from the exact Burnside trace average
     over the node-stalk and branch-tangent representations, with fixed
-    points read from the per-element permutations rather than from the
-    orbits or the table keys; the quotient pieces are recomputed from
+    points read from the per-element permutations (once per cyclic
+    subgroup, which needs only that they form an action) rather than from
+    the orbits or the table keys; the quotient pieces are recomputed from
     scratch, the branch suborbits as orbits of each stabilizer rather than
     from the cached half-edge orbits.
     """

@@ -24,9 +24,11 @@ A group action is a table of per-element permutations built by
 map is not walked: every element gets the one identity tuple) and lets
 elements acting alike share one tuple, so tables are never mutated; orbits
 and stabilizers (:func:`orbits`) read them, and the Burnside trace reads a
-run of elements sharing one tuple once.  A :class:`RestrictedTable` is the
-same table on a subset of the objects, renumbered, whose rows are gathered
-from its source's when first read and then kept: never mutated either.
+run of elements sharing one tuple once and the fixed points of a cyclic
+subgroup once (its generators act as powers of each other).  A
+:class:`RestrictedTable` is the same table on a subset of the objects,
+renumbered, whose rows are gathered from its source's when first read and
+then kept: never mutated either.
 
 Rotation characters (the action of an element on a one-dimensional space)
 are plain ``Fraction`` values r in [0, 1), meaning the root of unity
@@ -43,7 +45,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -81,7 +83,12 @@ def invert(p: Perm) -> Perm:
 
 def check_perm(p: Sequence[int], degree: int) -> Perm:
     p = tuple(p)
-    if len(p) != degree or sorted(p) != list(range(degree)):
+    # bools and floats sort like ints, so their type is checked first
+    if (
+        len(p) != degree
+        or not {int}.issuperset(map(type, p))
+        or sorted(p) != list(range(degree))
+    ):
         raise GroupError(f"not a permutation of {degree} letters: {p!r}")
     return p
 
@@ -134,7 +141,10 @@ class FiniteGroup:
     Index 0 is always the identity.  ``right[i][k]`` is the index of
     ``elements[i] * generators[k]``, recorded during enumeration (|G| * gens
     ints).  Instances are immutable and safe to share; construct through
-    :meth:`from_generators`.
+    :meth:`from_generators`, which builds nothing else.  Lookup tables
+    derived later (inverses, conjugation by a generator, the least generator
+    of each element's cyclic subgroup) are kept on the instance when first
+    asked for.
     """
 
     degree: int
@@ -144,13 +154,15 @@ class FiniteGroup:
 
     def __post_init__(self):
         # lookup caches; not fields, so they stay out of eq/repr.  The
-        # inverse memo and the generator conjugation tables are filled
-        # lazily, by :meth:`inverse` and :meth:`_generator_conjugation`.
+        # inverse memo, the generator conjugation tables and the cyclic
+        # representatives are filled lazily, by :meth:`inverse`,
+        # :meth:`_generator_conjugation` and :meth:`cyclic_representatives`.
         object.__setattr__(
             self, "_index", {p: i for i, p in enumerate(self.elements)}
         )
         object.__setattr__(self, "_inverse", {0: 0})
         object.__setattr__(self, "_conjugation", {})
+        object.__setattr__(self, "_cyclic", None)
         object.__setattr__(
             self, "_generator_position", {j: k for k, j in enumerate(self.right[0])}
         )
@@ -233,6 +245,36 @@ class FiniteGroup:
     def element_order(self, i: int) -> int:
         """The lcm of the cycle lengths of element i's permutation."""
         return lcm(*map(len, perm_to_cycles(self.elements[i])))
+
+    def cyclic_representatives(self) -> list[int]:
+        """``reps[g]``: the least element index generating the same cyclic
+        subgroup as g, so g and reps[g] are powers of each other.
+
+        One power walk per cyclic subgroup C, in index order: the first
+        element not yet assigned is the least generator of its subgroup,
+        and g^j generates it when j is prime to |C|.  Sum of |C| composes
+        and index lookups, built on first use and kept; a concurrent first
+        use only computes the same list twice.
+        """
+        reps = self._cyclic
+        if reps is None:
+            reps = [0] * self.order
+            index, elements = self._index, self.elements
+            for g in range(1, self.order):
+                if reps[g]:
+                    continue
+                by_g = itemgetter(*elements[g])  # degree >= 2 for g != 0
+                powers = [g]
+                p = by_g(elements[g])
+                while i := index[p]:
+                    powers.append(i)
+                    p = by_g(p)
+                m = len(powers) + 1
+                for j, i in enumerate(powers, 1):
+                    if gcd(j, m) == 1:
+                        reps[i] = g
+            object.__setattr__(self, "_cyclic", reps)
+        return reps
 
     def products(self, xs: Iterable[int], t: int) -> list[int]:
         """``[mul(x, t) for x in xs]``: a column read of ``right`` when t is
@@ -623,14 +665,22 @@ def invariant_dimension_trace(
     (1/|G|) sum_g tr(g), where tr(g) sums the character values of g over its
     fixed points; evaluated exactly as a sum of roots of unity.
 
-    Fixed points are read by comparing a permutation with the identity,
-    once per run of consecutive elements sharing one tuple (an inert table
-    is one run); the keys of ``chars`` are never enumerated.  A plain
-    mapping is read per fixed (element, point) pair, its values counted per
-    object.  A :class:`CharacterTable` over these very ``perms`` is not
-    read by key: fixed points in zero columns are counted per run, each
-    other object's (element, residue) pairs are read once per call, and
-    each distinct residue makes one ``Fraction``.  Raises CharacterError
+    The one premise on ``perms`` beyond their number is that they form an
+    action, which :meth:`FiniteGroup.extend_action` has proved: elements
+    generating one cyclic subgroup then act as powers of each other and
+    fix the same points.  So a permutation is compared with the identity
+    once per cyclic subgroup, at the first run of consecutive elements
+    sharing one tuple that belongs to it, and every later run of that
+    subgroup reuses its fixed points
+    (:meth:`FiniteGroup.cyclic_representatives`, asked for only when a
+    second row object appears: an inert table is one run and never builds
+    it).  Neither orbits nor the keys of ``chars`` are read.  Character
+    values stay per element, as chi(g^j) = j chi(g): a plain mapping is
+    read per fixed (element, point) pair, its values counted per object.
+    A :class:`CharacterTable` over these very ``perms`` is not read by
+    key: fixed points in zero columns are counted per run, each other
+    object's (element, residue) pairs are read once per call, and each
+    distinct residue makes one ``Fraction``.  Raises CharacterError
     when the average is not a nonnegative integer or a fixed pair has no
     character value (the first in element order).
     """
@@ -648,18 +698,24 @@ def invariant_dimension_trace(
     residues: list[int] = []
     zeros = 0
     last = None
+    reps: list[int] | None = None  # built when a second row object appears
+    scanned: dict[int, tuple] = {}  # cyclic representative -> its fixed points
     for g, perm in enumerate(perms):
         if perm is not last:
+            if reps is None and last is not None:
+                reps = group.cyclic_representatives()
             last = perm
-            if perm == ident:
-                fixed: Sequence[int] = ident
-            elif any(map(eq, perm, ident)):
-                fixed = list(compress(ident, map(eq, perm, ident)))
-            else:
-                fixed = ()
-            if table is not None and fixed:
-                reads = [rows[p] for p in fixed if rows[p] is not None]
-                run_zeros = len(fixed) - len(reads)
+            r = g if reps is None else reps[g]
+            if r not in scanned:
+                if perm == ident:
+                    fixed: Sequence[int] = ident
+                elif any(map(eq, perm, ident)):
+                    fixed = list(compress(ident, map(eq, perm, ident)))
+                else:
+                    fixed = ()
+                reads = [] if table is None else [rows[p] for p in fixed if rows[p] is not None]
+                scanned[r] = fixed, reads, len(fixed) - len(reads)
+            fixed, reads, run_zeros = scanned[r]
         if not fixed:
             continue
         try:
@@ -710,8 +766,9 @@ def char_order(c: Fraction) -> int:
 def parse_rotation_char(text: str) -> Fraction:
     """Strict "a/e" rotation-character parser: reduced, 0 <= a < e.
 
-    Unreduced strings such as "2/4" are rejected rather than normalized, so
-    documents have a single spelling per character.
+    Unreduced strings such as "2/4", and any other spelling than the
+    canonical ``f"{a}/{e}"`` (" 1/2", "+1/2", "01/2"), are rejected rather
+    than normalized, so documents have a single spelling per character.
     """
     parts = text.split("/")
     if len(parts) != 2:
@@ -728,6 +785,10 @@ def parse_rotation_char(text: str) -> Fraction:
             f"malformed character string {text!r}: not reduced (expected "
             f"\"{frac.numerator}/{frac.denominator}\")"
         )
+    # int() also takes signs, spaces, leading zeros, underscores and
+    # non-ASCII digits
+    if text != f"{a}/{e}":
+        raise GroupError(f"malformed character string {text!r}: expected \"{a}/{e}\"")
     return frac
 
 

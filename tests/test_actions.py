@@ -104,6 +104,14 @@ def test_wrong_length_generator_image_rejected(z2, nodal_quartic_graph, images, 
         validate_action(z2, nodal_quartic_graph, *images)
 
 
+@pytest.mark.parametrize("image", [(1.0, 0), (True, False)])
+def test_non_integer_image_entries_rejected(z2, nodal_quartic_graph, image):
+    # reported as the image error it is, not a TypeError from composing it
+    with pytest.raises(ActionError) as err:
+        validate_action(z2, nodal_quartic_graph, [(0,)], [image])
+    assert str(err.value) == f"not a permutation of 2 letters: {image!r}"
+
+
 def test_trivial_group_acts_by_identity_tables():
     graph = build_graph([2, 2], [0, 1, 0, 1], [(0, 1), (2, 3)])
     action = trivial_action(graph)

@@ -65,20 +65,35 @@ def test_unknown_version():
         parse_document(json.dumps({"version": "2", "group": {"degree": 1, "generators": []}}))
 
 
-def test_unreduced_character_rejected():
-    data = minimal_doc(
+def swap_with_smoothing_char(char):
+    """The branch swap on a one-node curve, with one smoothing character."""
+    return minimal_doc(
         curves={"c": curve_block()},
         actions={
             "a": {
                 "curve": "c",
                 "vertex_images": [{}],
                 "half_edge_images": [{"p": "q", "q": "p"}],
-                "smoothing_chars": [{"element": 1, "edge": ["p", "q"], "char": "2/4"}],
+                "smoothing_chars": [{"element": 1, "edge": ["p", "q"], "char": char}],
             }
         },
     )
+
+
+def test_unreduced_character_rejected():
+    data = swap_with_smoothing_char("2/4")
     with pytest.raises(DocumentError, match=r'not reduced \(expected "1/2"\)'):
         parse_document(json.dumps(data))
+
+
+@pytest.mark.parametrize("char", ["+1/2", "01/2", " 1/2", "\uff11/\uff12"])
+def test_non_canonical_character_rejected(char):
+    # int() reads each as 1 and 2; the item error names the one spelling
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(swap_with_smoothing_char(char)))
+    assert err.value.problems == [
+        f'actions.a: malformed character string {char!r}: expected "1/2"'
+    ]
 
 
 def test_schema_errors_have_paths():

@@ -23,7 +23,7 @@ from isoprod.groups import (
 
 import reference_seed
 from randgen import all_subgroups, catalog, left_cosets
-from test_seed_differential import a5, s4
+from test_seed_differential import a5, s4, s5
 
 
 # -- enumeration ---------------------------------------------------------
@@ -72,6 +72,20 @@ def test_group_cap():
 def test_bad_permutation_rejected():
     with pytest.raises(GroupError, match="not a permutation"):
         FiniteGroup.from_generators([(0, 0)], 2)
+
+
+@pytest.mark.parametrize("entries", [(1.0, 0), (True, False), (1, False), (0.0, 1)])
+def test_non_integer_permutation_entries_rejected(entries):
+    # floats and bools sort like the letters they equal; as generators they
+    # would be composed (1.0 is no index) or kept as a group of bools
+    message = f"not a permutation of 2 letters: {entries!r}"
+    with pytest.raises(GroupError) as err:
+        FiniteGroup.from_generators([entries], 2)
+    assert str(err.value) == message
+    z2 = FiniteGroup.from_generators([(1, 0)], 2)
+    with pytest.raises(GroupError) as err:
+        z2.extend_action([entries], 2)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("group", catalog(), ids=lambda g: f"order{g.order}")
@@ -162,6 +176,23 @@ def test_lazy_conjugation_tables_race_to_the_same_values():
         sys.setswitchinterval(interval)
 
 
+def test_lazy_cyclic_representatives_race_to_the_same_list():
+    # threads racing on the first use each store a finished list, never a
+    # partial one
+    expected = s5().cyclic_representatives()
+    group = s5()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(group.cyclic_representatives) for _ in range(12)]
+            for future in futures:
+                assert future.result(timeout=30) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert group.cyclic_representatives() == expected
+
+
 @pytest.mark.parametrize("group", BATCHED, ids=batched_id)
 def test_conjugacy_union_matches_seed(group):
     for x in range(group.order):
@@ -209,6 +240,23 @@ def test_element_order_is_the_lcm_of_the_cycle_lengths():
     # Z6 generated by (0 1)(2 3 4): the generator has cycles of lengths 2, 3
     z6 = FiniteGroup.from_generators([perm_from_cycles([[0, 1], [2, 3, 4]], 5)], 5)
     assert sorted(map(z6.element_order, range(z6.order))) == [1, 2, 3, 3, 6, 6]
+
+
+CYCLIC = [
+    FiniteGroup.from_generators([perm_from_cycles([list(range(n))], n)], n) for n in range(1, 61)
+]
+
+
+@pytest.mark.parametrize("group", BATCHED + [s5()] + CYCLIC, ids=batched_id)
+def test_cyclic_representatives_match_brute_force(group):
+    # reps[g] is the least h with <h> = <g>, the closures compared whole
+    cyclic = [group.subgroup_closure([g]) for g in range(group.order)]
+    least: dict[frozenset[int], int] = {}
+    for h, sub in enumerate(cyclic):
+        least.setdefault(sub, h)
+    reps = group.cyclic_representatives()
+    assert reps == [least[sub] for sub in cyclic]
+    assert group.cyclic_representatives() is reps
 
 
 CYCLE3, SWAP = perm_from_cycles([[0, 1, 2]], 3), perm_from_cycles([[0, 1]], 3)
@@ -516,7 +564,31 @@ def test_parse_rotation_char():
     assert parse_rotation_char("2/3") == Fraction(2, 3)
 
 
-@pytest.mark.parametrize("bad", ["2/4", "0/2", "3/2", "1/0", "-1/2", "x/2", "1", "1/2/3"])
+NON_CANONICAL_CHARS = [
+    "+1/2", " 1/2", "1/2 ", "1/ 2", "01/2", "1/02", "0_1/2", "-0/1", "\uff11/\uff12", "1/\u0662"
+]
+
+
+@pytest.mark.parametrize(
+    "bad", ["2/4", "0/2", "3/2", "1/0", "-1/2", "x/2", "1", "1/2/3"] + NON_CANONICAL_CHARS
+)
 def test_parse_rotation_char_rejects(bad):
     with pytest.raises(GroupError, match="malformed character"):
         parse_rotation_char(bad)
+
+
+@pytest.mark.parametrize(
+    "bad, canonical",
+    [
+        ("+1/2", "1/2"),
+        ("01/2", "1/2"),
+        ("0_1/2", "1/2"),
+        ("-0/1", "0/1"),
+        ("\uff11/\uff12", "1/2"),
+    ],
+)
+def test_parse_rotation_char_names_the_canonical_spelling(bad, canonical):
+    # int() reads each of these as the integers of a valid character
+    with pytest.raises(GroupError) as err:
+        parse_rotation_char(bad)
+    assert str(err.value) == f'malformed character string {bad!r}: expected "{canonical}"'

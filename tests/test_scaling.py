@@ -25,7 +25,12 @@ from isoprod.actions import (
     validate_action,
 )
 from isoprod.curves import arithmetic_genus, build_graph, t1_dimension
-from isoprod.groups import FiniteGroup, invariant_dimension_trace, perm_from_cycles
+from isoprod.groups import (
+    CharacterTable,
+    FiniteGroup,
+    invariant_dimension_trace,
+    perm_from_cycles,
+)
 from isoprod.errors import SurfaceError
 from isoprod.families import check_constancy, smoothing_chain
 from isoprod.surfaces import (
@@ -266,9 +271,9 @@ def test_character_storage_does_not_grow_with_the_group(monkeypatch):
     assert hashed == []
 
 
-def test_inert_actions_compose_no_permutation(monkeypatch):
-    # every generator acts as the identity, so extend_action walks nothing:
-    # each table is one identity tuple whatever |G| is
+def inert_cap_sized_cases():
+    """Z101 x Z99 (|G| = 9999) on a one-node curve and S7 on a 10-component
+    cycle, as groups with the graphs they act on inertly."""
     z101_z99 = FiniteGroup.from_generators(
         [
             perm_from_cycles([list(range(101))], 200),
@@ -281,7 +286,13 @@ def test_inert_actions_compose_no_permutation(monkeypatch):
         [2] * n, list(range(n)) + [(i + 1) % n for i in range(n)], [(i, n + i) for i in range(n)]
     )
     one_node = build_graph([2], [0, 0], [(0, 1)])
-    for group, graph in ((z101_z99, one_node), (symmetric_group(7), cycle)):
+    return [(z101_z99, one_node), (symmetric_group(7), cycle)]
+
+
+def test_inert_actions_compose_no_permutation(monkeypatch):
+    # every generator acts as the identity, so extend_action walks nothing:
+    # each table is one identity tuple whatever |G| is
+    for group, graph in inert_cap_sized_cases():
         composed = counting(monkeypatch, isoprod.groups, "compose")
         action = inert_action(group, graph)
         monkeypatch.undo()
@@ -289,6 +300,48 @@ def test_inert_actions_compose_no_permutation(monkeypatch):
         for table in (action.vertex_perms, action.half_edge_perms, action.edge_perms):
             assert len(table) == group.order
             assert len({id(p) for p in table}) == 1
+
+
+def test_inert_traces_build_no_cyclic_table(monkeypatch):
+    # an inert table is one run of a shared tuple, so the oracle never asks
+    # which elements generate the same cyclic subgroup
+    for group, graph in inert_cap_sized_cases():
+        action = inert_action(group, graph)
+        built = counting(monkeypatch, isoprod.groups.FiniteGroup, "cyclic_representatives")
+        assert t1_equivariant_oracle(action) == t1_equivariant(action)
+        monkeypatch.undo()
+        assert not built and group._cyclic is None
+
+
+def test_free_necklace_trace_scans_one_row_per_cyclic_subgroup():
+    # Z_200 acts freely on the half-edges and edges of a 200-necklace, each
+    # element with its own row: a row is compared with the identity once per
+    # cyclic subgroup, d(200) = 12 rows per table, not once per element
+    group, graph, vertex_images, half_edge_images = necklace(200)
+    action = validate_action(group, graph, vertex_images, half_edge_images)
+    scanned = set()
+
+    class Row(tuple):
+        __hash__ = tuple.__hash__
+
+        def __eq__(self, other):
+            scanned.add(id(self))
+            return tuple.__eq__(self, other)
+
+        def __iter__(self):
+            scanned.add(id(self))
+            return tuple.__iter__(self)
+
+    for table in (action.tangent_chars, action.smoothing_chars):
+        expected = invariant_dimension_trace(group, table.perms, table)
+        rows = [Row(p) for p in table.perms]
+        own = CharacterTable(
+            group, rows, table.orbits, table.columns, table.modulus, table.transporters
+        )
+        for chars in (table, own):  # read by key, and as the rows' own table
+            scanned.clear()
+            assert invariant_dimension_trace(group, rows, chars) == expected
+            assert 1 <= len(scanned) <= 12
 
 
 def test_fixed_point_profile_shares_its_records():

@@ -295,6 +295,28 @@ def test_table_traces_on_inert_kernel_ramified_and_free_actions(make):
         assert_same_traces(randgen.random_free_action(group, rng))
 
 
+@pytest.mark.parametrize("n", [12, 30])
+def test_co_generators_of_a_cyclic_subgroup_keep_their_own_characters(n):
+    # Z_n = <g> swapping the branches of a one-node curve: the even powers
+    # fix both branches with the faithful tangent character g^2k -> 2k/n,
+    # and every element fixes the node with g^k -> 2k/n.  Co-generators of
+    # one cyclic subgroup (g^2 and g^-2) share their fixed points, not their
+    # values; the trace may reuse only the former
+    group = FiniteGroup.from_generators([perm_from_cycles([list(range(n))], n)], n)
+    graph = build_graph([2], [0, 0], [(0, 1)])
+    args = {
+        "images": ([(0,)], [(1, 0)]),
+        "kwargs": {
+            "tangent_chars": {(2, 0): Fraction(2, n)},
+            "smoothing_chars": {(1, 0): Fraction(2, n)},
+        },
+    }
+    action = assert_same(group, graph, args)
+    reps = group.cyclic_representatives()
+    assert reps[n - 2] == 2 and action.tangent_chars[n - 2, 0] != action.tangent_chars[2, 0]
+    assert len({id(p) for p in action.half_edge_perms}) == n
+
+
 def test_table_trace_names_the_first_pair_a_wrong_transporter_drops():
     # hand-built tables whose transporter for one branch x carries the
     # representative elsewhere, or is missing: x's pairs lack elements fixing
