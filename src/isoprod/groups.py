@@ -100,6 +100,9 @@ def perm_from_cycles(cycles: Iterable[Iterable[int]], degree: int) -> Perm:
     for cycle in cycles:
         cycle = list(cycle)
         for x in cycle:
+            # bools and floats compare like ints, so their type is checked first
+            if type(x) is not int:
+                raise GroupError(f"not a permutation of {degree} letters: cycle entry {x!r}")
             if not (0 <= x < degree):
                 raise GroupError(f"cycle entry {x} out of range for degree {degree}")
             if x in seen:

@@ -88,6 +88,15 @@ def test_non_integer_permutation_entries_rejected(entries):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("letter", [1.0, True])
+def test_non_integer_cycle_letters_rejected(letter):
+    # both pass 0 <= x < 2: 1.0 then failed as a list index with a bare
+    # TypeError, and True was kept as a letter, giving (True, 0)
+    with pytest.raises(GroupError) as err:
+        perm_from_cycles([[0, letter]], 2)
+    assert str(err.value) == f"not a permutation of 2 letters: cycle entry {letter!r}"
+
+
 @pytest.mark.parametrize("group", catalog(), ids=lambda g: f"order{g.order}")
 def test_group_axioms_exhaustive(group):
     n = group.order

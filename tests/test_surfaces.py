@@ -10,6 +10,7 @@ from isoprod.actions import (
 )
 from isoprod.curves import build_graph
 from isoprod.errors import SurfaceError
+from isoprod.groups import FiniteGroup, perm_from_cycles
 from isoprod.surfaces import (
     build_surface,
     certify_degeneration,
@@ -317,3 +318,55 @@ def test_surface_queries_symmetric_in_the_factors(
                 assert _outcome(surface_invariants, ab) == _outcome(surface_invariants, ba)
                 verdicts.add((check_free_action(ab).passed, cert_ab.passed))
     assert {(True, True), (False, True), (False, False)} <= verdicts
+
+
+# -- known answers ------------------------------------------------------------------
+
+
+def beauville_factor(group, vector):
+    """A smooth curve with the Z_5^2 action of one generating vector: one
+    ramification orbit per entry (i, j), the element a^i b^j, each with
+    tangent character 1/5 of order 5.  The genus is the one Riemann-Hurwitz
+    gives for the signature (0; 5, 5, 5):
+    2g - 2 = |G| (-2 + sum (1 - 1/e))."""
+    a, b = (group.index_of(s) for s in group.generators)
+    orders = [5] * len(vector)
+    twice_g_minus_2 = group.order * (-2 + sum(Fraction(e - 1, e) for e in orders))
+    genus = int(twice_g_minus_2) // 2 + 1
+    ram = []
+    for i, j in vector:
+        element = 0
+        for _ in range(i):
+            element = group.mul(element, a)
+        for _ in range(j):
+            element = group.mul(element, b)
+        ram.append(RamificationOrbit(0, element, Fraction(1, 5), 5))
+    graph = build_graph([genus], [], [])
+    action = validate_action(group, graph, [(0,)] * 2, [()] * 2, ramification_orbits=ram)
+    return action, genus, len(orders)
+
+
+def test_beauville_surface_known_answer():
+    # Beauville's surface: (C1 x C2)/Z_5^2 with the generating vectors
+    # ((1,0),(0,1),(4,4)) and ((1,2),(3,4),(1,4)); both quotients are P^1
+    # with three branch points, and the six stabilizers are the six
+    # subgroups of order 5, disjoint, so the action is free
+    group = FiniteGroup.from_generators(
+        [perm_from_cycles([[0, 1, 2, 3, 4]], 10), perm_from_cycles([[5, 6, 7, 8, 9]], 10)], 10
+    )
+    f1, g1, r1 = beauville_factor(group, [(1, 0), (0, 1), (4, 4)])
+    f2, g2, r2 = beauville_factor(group, [(1, 2), (3, 4), (1, 4)])
+    assert (g1, g2) == (6, 6)
+    surface = build_surface(f1, f2)
+    assert check_free_action(surface).passed
+    chi = Fraction((g1 - 1) * (g2 - 1), group.order)
+    q = 0 + 0  # both quotient curves have genus 0
+    inv = surface_invariants(surface)
+    assert (inv.chi, inv.k_squared, inv.euler) == (chi, 8 * chi, 4 * chi) == (1, 8, 4)
+    assert inv.q == q == 0
+    assert inv.p_g == chi - 1 + q == 0
+    # a P^1 quotient with r branch points moves in a family of dimension r - 3
+    assert kuranishi_dimension(surface).total == (r1 - 3) + (r2 - 3) == 0
+    certificate = certify_degeneration(surface)
+    assert certificate.passed and certificate.first_failure is None
+    assert all(c.passed for c in certificate.conditions)
