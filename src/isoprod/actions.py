@@ -17,12 +17,12 @@ forces, and for a node the sum of its two branch characters where both
 branches are fixed (a branch swap's value must be supplied).  It extends
 them multiplicatively inside the stabilizer, checks for conflicts, and
 reports any value still missing rather than guessing it.  Every check runs
-by BFS over generators: O(|G| * (|V| + |H| + |E|)) group products for the
-permutation tables, and O(|stab| * gens) per column unless forced zeros
-cover the stabilizer.  ``Fraction`` values appear only when a table is read
-and in messages.  Quotient signatures read the stabilizer orbits of branches
-from the half-edge orbits, found through ``tangent_chars.orbit_at``; the
-oracle recomputes them with ``orbits(..., within=stabilizer)``.
+by BFS over generators: one walk of the half-edge table, O(|G| * |H|) group
+products (the vertex and edge tables are read off it), and O(|stab| * gens)
+per column unless forced zeros cover the stabilizer.  ``Fraction`` values
+appear only when a table is read and in messages.  Quotient signatures read
+branch suborbits from the half-edge orbits (``tangent_chars.orbit_at``);
+the oracle recomputes them with ``orbits(..., within=stabilizer)``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,11 @@ from .groups import (
     FiniteGroup,
     Orbit,
     Perm,
+    RestrictedTable,
     char_order,
+    check_perm,
+    column,
+    identity_perm,
     invariant_dimension_trace,
     orbits,
 )
@@ -104,13 +108,13 @@ class CurveAction:
     (element, fixed edge) pair has an entry, read from one column per orbit
     of half-edges or edges (:class:`CharacterTable`, whose orbits are
     ``half_edge_orbits`` / ``edge_orbits``, found by ``orbit_at``).  Orbits
-    are cached at construction.  Instances are immutable.  The per-element
-    tables of a validated action are tuples, in which elements acting alike
-    may share one permutation tuple; build one through
+    are cached at construction.  Instances are immutable.  A validated
+    action's half-edge table is a tuple (elements acting alike may share a
+    row) and its vertex and edge tables are usually
+    :class:`~isoprod.groups.RestrictedTable` views of it; build one through
     :func:`validate_action`.  ``families.smooth_node_orbit`` derives a child
-    whose tables are :class:`~isoprod.groups.RestrictedTable` views of its
-    parent's, each row built on first read; they compare equal to the tuples
-    validation would build.
+    whose tables are views of its parent's, each row built on first read;
+    a view compares equal to the tuple of its rows.
 
     Derived facts are computed on first use and kept on the instance, not as
     fields: ``fixed_point_sets``, ``quotient_signatures`` and
@@ -133,7 +137,7 @@ class CurveAction:
 
     def swaps_branches(self, g: int, n: int) -> bool:
         p, q = self.graph.edges[n]
-        return self.edge_perms[g][n] == n and self.half_edge_perms[g][p] == q
+        return self.half_edge_perms[g][p] == q
 
     @cached_property
     def fixed_point_sets(self) -> tuple[frozenset[int], frozenset[int]]:
@@ -346,16 +350,16 @@ def _complete_chars(
     for orbit in orbit_list:
         # per member, the first element in table order carrying rep there
         found: dict[int, int] = {}
-        for g, perm in enumerate(perms):
-            found.setdefault(perm[orbit.representative], g)
+        for g, x in enumerate(column(perms, orbit.representative)):
+            found.setdefault(x, g)
             if len(found) == len(orbit.members):
                 break
         transporters.update(found)
         given = [(x, values[x]) for x in orbit.members if x in values]
-        column = _transport_and_close(
+        residues = _transport_and_close(
             group, orbit, transporters, given, forced(orbit), modulus, kind, obj_kind
         )
-        columns.append(shared.setdefault(column, column))
+        columns.append(shared.setdefault(residues, residues))
     return CharacterTable(group, perms, tuple(orbit_list), tuple(columns), modulus, transporters)
 
 
@@ -375,6 +379,20 @@ def validate_action(
     induced permutation of vertices / half-edges.  Character mappings are
     seeds keyed by (element index, object index); kernels map a vertex to
     generators of the subgroup acting trivially on its component.
+
+    Only the half-edge images H are walked.  Where every vertex carries a
+    half-edge, the vertex table is H read at each vertex's first half-edge,
+    and soundly: the cover check gives vertex(H(s) h) = V_s(vertex(h)) at
+    each generator s, so by induction on word length, as H(g s) = H(g) H(s),
+    vertex(H(g) h) = V(g)(vertex(h)) for every element g with V the
+    homomorphism extending the images V_s: the table a vertex walk builds.
+    The generator check that nodes go to nodes extends the same way, so the
+    edge table is H read at one branch per node.  A table whose images are
+    all the identity is one shared identity tuple; a vertex with no
+    half-edge (a smooth component) makes the vertex images walked.  Errors
+    keep the order of separate walks: a bad vertex image first, and a
+    failure of the half-edge walk or the cover check replays the vertex
+    walk, whose error wins.
     """
     tangent_chars = dict(tangent_chars or {})
     smoothing_chars = dict(smoothing_chars or {})
@@ -436,26 +454,40 @@ def validate_action(
         raise ActionError("vertex images must permute the graph's vertices")
     if any(len(img) != graph.n_half_edges for img in half_edge_images):
         raise ActionError("half-edge images must permute the graph's half-edges")
+
+    def induced(images: list[Perm], kept: list[int], owner: Sequence[int]) -> Sequence[Perm]:
+        ident = identity_perm(len(kept))
+        if all(map(ident.__eq__, images)):
+            return (ident,) * group.order
+        return RestrictedTable(half_edge_perms, kept, owner)
+
     try:
-        vertex_perms = group.extend_action(vertex_images, graph.n_vertices)
-        half_edge_perms = group.extend_action(half_edge_images, graph.n_half_edges)
+        vertex_images = [check_perm(p, graph.n_vertices) for p in vertex_images]
+        try:
+            half_edge_perms = group.extend_action(half_edge_images, graph.n_half_edges)
+            for k in range(ngens):
+                for h in range(graph.n_half_edges):
+                    if (
+                        graph.half_edge_vertex[half_edge_images[k][h]]
+                        != vertex_images[k][graph.half_edge_vertex[h]]
+                    ):
+                        raise ActionError(
+                            f"half-edge action does not cover the vertex action "
+                            f"(generator {k}, half-edge {h})"
+                        )
+        except (GroupError, ActionError):
+            group.extend_action(vertex_images, graph.n_vertices)  # its error comes first
+            raise
+        firsts = [hes[0] for hes in graph.vertex_half_edges if hes]
+        if len(firsts) == graph.n_vertices:
+            vertex_perms = induced(vertex_images, firsts, graph.half_edge_vertex)
+        else:  # a smooth component
+            vertex_perms = group.extend_action(vertex_images, graph.n_vertices)
     except GroupError as exc:
         raise ActionError(str(exc)) from exc
 
-    for k in range(ngens):
-        for h in range(graph.n_half_edges):
-            if (
-                graph.half_edge_vertex[half_edge_images[k][h]]
-                != vertex_images[k][graph.half_edge_vertex[h]]
-            ):
-                raise ActionError(
-                    f"half-edge action does not cover the vertex action "
-                    f"(generator {k}, half-edge {h})"
-                )
-
     # an element sends a node to edge m when both its branches land on m;
-    # composites keep nodes on nodes, so the generators are checked and
-    # their edge permutations extended like the other two
+    # composites keep nodes on nodes, so the generators are checked
     edge_at = [-1] * graph.n_half_edges
     for n, (p, q) in enumerate(graph.edges):
         edge_at[p] = edge_at[q] = n
@@ -472,7 +504,7 @@ def validate_action(
                 )
             row.append(m)
         edge_images.append(tuple(row))
-    edge_perms = group.extend_action(edge_images, graph.n_edges)
+    edge_perms = induced(edge_images, [p for p, _ in graph.edges], edge_at)
 
     # one closure walk per distinct generator list; a subgroup fixes v and its
     # half-edges when its generators do, and a failure rescans it to name one
@@ -709,11 +741,13 @@ def t1_equivariant_oracle(action: CurveAction) -> EquivariantT1:
 
     Node and branch invariants come from the exact Burnside trace average
     over the node-stalk and branch-tangent representations, with fixed
-    points read from the per-element permutations (once per cyclic
-    subgroup, which needs only that they form an action) rather than from
-    the orbits or the table keys; the quotient pieces are recomputed from
-    scratch, the branch suborbits as orbits of each stabilizer rather than
-    from the cached half-edge orbits.
+    points read from the per-element permutations (one row per cyclic
+    subgroup, which needs only that they form an action; a node's row is
+    gathered from a branch row) rather than from the orbits or the table
+    keys; the quotient pieces are recomputed from scratch, the vertex
+    orbits from the columns of the vertex table and the branch suborbits
+    as orbits of each stabilizer rather than from the cached half-edge
+    orbits.
     """
     _check_t1_preconditions(action)
     group = action.group

@@ -8,6 +8,7 @@ self-loop keeps both half-edges on one vertex), and marks are marked points.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -185,6 +186,41 @@ def build_graph(
     if not allow_disconnected and len(graph.components) > 1:
         raise GraphError("graph is disconnected (pass allow_disconnected to permit)")
     return graph
+
+
+def contract(
+    graph: DualGraph, removed: Iterable[int]
+) -> tuple[DualGraph, tuple[tuple[int, ...], ...], dict[int, int], dict[int, int]]:
+    """The graph with the edges ``removed`` contracted, with its vertices'
+    merge classes of parent vertices and the renumbering of the surviving
+    half-edges and edges.  Genera add, plus one per contracted cycle.  It
+    keeps every vertex stable and joins no two components, so it is not
+    re-validated: its components are the parent's, mapped to the classes.
+    """
+    removed = set(removed)
+    classes = _components(
+        graph.n_vertices, graph.half_edge_vertex, [graph.edges[n] for n in removed]
+    )
+    vclass = {v: c for c, vs in enumerate(classes) for v in vs}
+    class_edges = Counter(vclass[graph.half_edge_vertex[graph.edges[n][0]]] for n in removed)
+    genera = tuple(
+        sum(graph.genera[v] for v in vs) + class_edges[c] - len(vs) + 1
+        for c, vs in enumerate(classes)
+    )
+    removed_hes = {h for n in removed for h in graph.edges[n]}
+    surviving = [h for h in range(graph.n_half_edges) if h not in removed_hes]
+    he_map = {h: i for i, h in enumerate(surviving)}
+    kept = [n for n in range(graph.n_edges) if n not in removed]
+    child = DualGraph(
+        genera,
+        tuple(vclass[graph.half_edge_vertex[h]] for h in surviving),
+        tuple((he_map[p], he_map[q]) for p, q in map(graph.edges.__getitem__, kept)),
+        tuple(vclass[v] for v in graph.marks),
+    )
+    child.__dict__["components"] = tuple(
+        tuple(sorted({vclass[v] for v in comp})) for comp in graph.components
+    )
+    return child, classes, he_map, {n: i for i, n in enumerate(kept)}
 
 
 def _require_connected(graph: DualGraph) -> None:

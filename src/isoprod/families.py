@@ -2,11 +2,11 @@
 
 Smoothing a node orbit contracts the orbit's edges in the dual graph,
 merging the incident components equivariantly.  The smoothed action is the
-parent's, restricted to the surviving objects and renumbered, each table row
-built when first read; it is never re-validated.  The invariant deformation
-dimension is locally constant across such smoothings, and
-:func:`check_constancy` verifies that on an explicit list of strata,
-computing each stratum's count from scratch.
+parent's on the contracted graph, restricted to the surviving objects and
+renumbered, each table row built when first read; it is never re-validated.
+The invariant deformation dimension is locally constant across such
+smoothings, and :func:`check_constancy` verifies that on an explicit list
+of strata, computing each stratum's count from scratch.
 
 Only three local models around a node are smoothed automatically:
 a trivial edge stabilizer, a cyclic branch-preserving stabilizer acting
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .actions import CurveAction, EquivariantT1, RamificationOrbit, t1_equivariant
-from .curves import _components, arithmetic_genus, build_graph
+from .curves import arithmetic_genus, contract
 from .errors import FamilyError, IsoprodError, SmoothingError
 from .groups import Orbit, RestrictedTable, format_rotation_char, orbits
 
@@ -123,13 +123,12 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     SmoothingError when the orbit's smoothing character is nontrivial or
     the stabilizer is not one of the three supported local models.
 
-    The child is read off the parent's tables, not re-validated: its
-    per-element tables are :class:`RestrictedTable` views of the parent's on
-    the surviving objects, renumbered (a merged class moves as its first
-    vertex does).  A row is gathered from the validated ancestor's row when
-    first read, so a step builds only the rows it reads (every vertex row,
-    for the orbits).  A curve with more than one component smooths to one
-    with as many, built with the same allowance.  Half-edge and edge orbits
+    The child is read off the parent, not re-validated: its graph is the
+    parent's contracted (:func:`~isoprod.curves.contract`), and its tables
+    are :class:`RestrictedTable` views of the parent's on the surviving
+    objects, renumbered (a merged class moves as its first vertex does),
+    each row gathered from the validated ancestor's when first read (the
+    vertex orbits read columns and build none).  Half-edge and edge orbits
     other than the smoothed one survive whole with their columns, renumbered
     (``CharacterTable.restrict``); vertex orbits are recomputed, since a
     merged class can have a larger stabilizer.  A merged class gets the
@@ -143,53 +142,18 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
         raise SmoothingError(f"edge {edge} not found in any orbit") from None
     model, swap_element = _local_model(action, orbit)
 
-    removed = set(orbit.members)
-    classes = _components(
-        graph.n_vertices, graph.half_edge_vertex, [graph.edges[n] for n in removed]
-    )
-    vclass = [0] * graph.n_vertices
-    for c, vs in enumerate(classes):
-        for v in vs:
-            vclass[v] = c
-    class_edges = [0] * len(classes)
-    for n in removed:
-        p, _ = graph.edges[n]
-        class_edges[vclass[graph.half_edge_vertex[p]]] += 1
+    new_graph, classes, he_map, edge_map = contract(graph, orbit.members)
+    vclass = {v: c for c, vs in enumerate(classes) for v in vs}
+    merged = {vclass[graph.half_edge_vertex[graph.edges[n][0]]] for n in orbit.members}
 
-    new_genera = [
-        sum(graph.genera[v] for v in vs) + (class_edges[c] - len(vs) + 1)
-        for c, vs in enumerate(classes)
-    ]
-
-    removed_hes = {h for n in removed for h in graph.edges[n]}
-    surviving = [h for h in range(graph.n_half_edges) if h not in removed_hes]
-    he_map = {h: i for i, h in enumerate(surviving)}
-    new_he_vertex = [vclass[graph.half_edge_vertex[h]] for h in surviving]
-    new_edges = []
-    edge_map = {}
-    for n, (p, q) in enumerate(graph.edges):
-        if n not in removed:
-            edge_map[n] = len(new_edges)
-            new_edges.append((he_map[p], he_map[q]))
-    new_marks = [vclass[v] for v in graph.marks]
-
-    # contraction keeps connectivity: the child is disconnected exactly when
-    # its parent is, and was built with the parent's allowance
-    new_graph = build_graph(
-        new_genera, new_he_vertex, new_edges, new_marks,
-        allow_disconnected=len(graph.components) > 1,
-    )
-
-    vertex_perms = RestrictedTable(
-        action.vertex_perms, [vs[0] for vs in classes], dict(enumerate(vclass))
-    )
-    half_edge_perms = RestrictedTable(action.half_edge_perms, surviving, he_map)
+    vertex_perms = RestrictedTable(action.vertex_perms, [vs[0] for vs in classes], vclass)
+    half_edge_perms = RestrictedTable(action.half_edge_perms, list(he_map), he_map)
     edge_perms = RestrictedTable(action.edge_perms, list(edge_map), edge_map)
 
     tangent_chars = action.tangent_chars.restrict(half_edge_perms, he_map)
     smoothing_chars = action.smoothing_chars.restrict(edge_perms, edge_map)
     kernels = tuple(
-        action.kernels[vs[0]] if class_edges[c] == 0 else frozenset({0})
+        frozenset({0}) if c in merged else action.kernels[vs[0]]
         for c, vs in enumerate(classes)
     )
 

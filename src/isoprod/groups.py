@@ -22,13 +22,12 @@ composes and one lookup.
 A group action is a table of per-element permutations built by
 :meth:`FiniteGroup.extend_action`, which proves the homomorphism (the trivial
 map is not walked: every element gets the one identity tuple) and lets
-elements acting alike share one tuple, so tables are never mutated; orbits
-and stabilizers (:func:`orbits`) read them, and the Burnside trace reads a
-run of elements sharing one tuple once and the fixed points of a cyclic
-subgroup once (its generators act as powers of each other).  A
-:class:`RestrictedTable` is the same table on a subset of the objects,
-renumbered, whose rows are gathered from its source's when first read and
-then kept: never mutated either.
+elements acting alike share one tuple, so tables are never mutated.  A
+:class:`RestrictedTable` reads a table at some of its objects, renumbered
+(an induced action, or the surviving objects), building a row when first
+read.  Orbits and stabilizers (:func:`orbits`) read columns, and the
+Burnside trace one row per cyclic subgroup (its generators act as powers of
+each other), so neither builds every row of a view.
 
 Rotation characters (the action of an element on a one-dimensional space)
 are plain ``Fraction`` values r in [0, 1), meaning the root of unity
@@ -145,9 +144,8 @@ class FiniteGroup:
     ``elements[i] * generators[k]``, recorded during enumeration (|G| * gens
     ints).  Instances are immutable and safe to share; construct through
     :meth:`from_generators`, which builds nothing else.  Lookup tables
-    derived later (inverses, conjugation by a generator, the least generator
-    of each element's cyclic subgroup) are kept on the instance when first
-    asked for.
+    derived later (inverses, conjugation by a generator, the cyclic
+    subgroups) are kept on the instance when first asked for.
     """
 
     degree: int
@@ -156,10 +154,9 @@ class FiniteGroup:
     right: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def __post_init__(self):
-        # lookup caches; not fields, so they stay out of eq/repr.  The
-        # inverse memo, the generator conjugation tables and the cyclic
-        # representatives are filled lazily, by :meth:`inverse`,
-        # :meth:`_generator_conjugation` and :meth:`cyclic_representatives`.
+        # lookup caches; not fields, so they stay out of eq/repr; filled
+        # lazily by :meth:`inverse`, :meth:`_generator_conjugation` and
+        # :meth:`cyclic_representatives`.
         object.__setattr__(
             self, "_index", {p: i for i, p in enumerate(self.elements)}
         )
@@ -256,12 +253,12 @@ class FiniteGroup:
         One power walk per cyclic subgroup C, in index order: the first
         element not yet assigned is the least generator of its subgroup,
         and g^j generates it when j is prime to |C|.  Sum of |C| composes
-        and index lookups, built on first use and kept; a concurrent first
-        use only computes the same list twice.
+        and index lookups, built on first use with :meth:`cyclic_classes`
+        and kept; a concurrent first use only computes the same lists twice.
         """
         reps = self._cyclic
         if reps is None:
-            reps = [0] * self.order
+            reps, classes = [0] * self.order, {0: [0]}
             index, elements = self._index, self.elements
             for g in range(1, self.order):
                 if reps[g]:
@@ -273,11 +270,17 @@ class FiniteGroup:
                     powers.append(i)
                     p = by_g(p)
                 m = len(powers) + 1
-                for j, i in enumerate(powers, 1):
-                    if gcd(j, m) == 1:
-                        reps[i] = g
+                classes[g] = [i for j, i in enumerate(powers, 1) if gcd(j, m) == 1]
+                for i in classes[g]:
+                    reps[i] = g
+            object.__setattr__(self, "_cyclic_classes", classes)
             object.__setattr__(self, "_cyclic", reps)
         return reps
+
+    def cyclic_classes(self) -> dict[int, list[int]]:
+        """:meth:`cyclic_representatives` grouped: representative -> elements."""
+        self.cyclic_representatives()
+        return self._cyclic_classes
 
     def products(self, xs: Iterable[int], t: int) -> list[int]:
         """``[mul(x, t) for x in xs]``: a column read of ``right`` when t is
@@ -471,8 +474,8 @@ def orbits(
     restricts to a subgroup (element indices; one out of range, or no
     identity 0, raises GroupError), and ``points`` must be closed under it
     (or under the whole group): an image outside ``points`` raises
-    GroupError.  Each orbit reads one column of the tables, O(|G|) lookups;
-    orbits with equal stabilizers share one tuple.
+    GroupError.  Each orbit reads one :func:`column` of the tables, O(|G|)
+    lookups in C; orbits with equal stabilizers share one tuple.
     """
     elems = range(len(perms)) if within is None else sorted(set(within))
     if elems and (elems[0] < 0 or elems[-1] >= len(perms)):
@@ -480,8 +483,7 @@ def orbits(
         raise GroupError(f"element index {bad} out of range")
     if not elems or elems[0] != 0:
         raise GroupError("within is not a subgroup: it lacks the identity, element 0")
-    # iterating a RestrictedTable builds its missing rows in one pass
-    rows = list(perms) if within is None else [perms[g] for g in elems]
+    rows = perms if within is None else [perms[g] for g in elems]
     pos = {p: i for i, p in enumerate(points)}
     seen: set[int] = set()
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per stabilizer
@@ -489,70 +491,77 @@ def orbits(
     for p in points:
         if p in seen:
             continue
-        column = list(map(itemgetter(p), rows))
-        members = set(column)
+        images = list(column(rows, p))
+        members = set(images)
         # O(|orbit|): issubset() would first copy every key of ``pos``
         if members.difference(pos):
-            q = next(q for q in column if q not in pos)
+            q = next(q for q in images if q not in pos)
             raise GroupError(f"not a group action on the given points: {p!r} -> {q!r}")
         seen.update(members)
         ordered = tuple(sorted(members, key=pos.__getitem__))
-        stab = tuple(compress(elems, map(eq, column, repeat(p))))
+        stab = tuple(compress(elems, map(eq, images, repeat(p))))
         out.append(Orbit(p, ordered, shared.setdefault(stab, stab)))
     return out
 
 
 class RestrictedTable(Sequence):
     """Per-element permutations of the objects ``kept`` of a table ``perms``,
-    renumbered by the mapping ``new_index``: row g is
-    ``new_index[perms[g][k]] for k in kept``, built on first read and kept.
-    Iterating builds every missing row in one pass, a column per kept object.
+    renumbered by ``new_index`` (a mapping, or a sequence over all objects):
+    row g is ``new_index[perms[g][k]] for k in kept``, built on first read
+    and kept, one per distinct row object of ``perms``.  Iterating builds
+    every missing row in one pass, a column per kept object; :func:`column`
+    builds none.  Also an induced table (vertices or nodes by their branches).
 
     Reads as the tuple of rows it stands for: equal to it in either operand
     order, same ``len``, iteration, hash and repr, negative indices and
     slices, ``IndexError`` past the end.  Over another restricted table,
-    ``kept`` and ``new_index`` are composed onto that table's source, so a
-    row costs one gather from a materialized row however long the chain of
-    restrictions, and a table keeps only its source alive.  ``new_index``
-    must be defined on every image of a kept object.  Read-only, like every
-    table.
+    ``kept`` and ``new_index`` (then a mapping) are composed onto that
+    table's source, so a row costs one gather from a materialized row
+    however long the chain of restrictions, and a table keeps only its
+    source alive.  ``new_index`` must be defined on every image of a kept
+    object.  Read-only, like every table.
     """
 
-    __slots__ = ("_source", "_kept", "_new_index", "_rows")
+    __slots__ = ("_source", "_kept", "_new_index", "_made")
 
-    def __init__(self, perms: Sequence[Perm], kept: Sequence[int], new_index: Mapping[int, int]):
+    def __init__(self, perms: Sequence[Perm], kept: Sequence[int], new_index):
         if isinstance(perms, RestrictedTable):
+            old = perms._new_index
+            pairs = old.items() if isinstance(old, Mapping) else enumerate(old)
             kept = [perms._kept[k] for k in kept]
-            new_index = {x: new_index[i] for x, i in perms._new_index.items() if i in new_index}
+            new_index = {x: new_index[i] for x, i in pairs if i in new_index}
             perms = perms._source
         self._source, self._kept, self._new_index = perms, tuple(kept), new_index
-        self._rows: list[Perm | None] = [None] * len(perms)
+        self._made: dict[int, Perm] = {}  # id of a source row -> the row here
 
-    def _row(self, g: int) -> Perm:
-        return compose(self._new_index, compose(self._source[g], self._kept))
+    def _row(self, source_row: Perm) -> Perm:
+        return compose(self._new_index, compose(source_row, self._kept))
 
     def __getitem__(self, g):
         if isinstance(g, slice):
             return tuple(map(self.__getitem__, range(len(self))[g]))
-        row = self._rows[g]
+        source_row = self._source[g]
+        row = self._made.get(id(source_row))
         if row is None:
-            row = self._rows[g] = self._row(g)
+            row = self._made[id(source_row)] = self._row(source_row)
         return row
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._source)
 
     def _fill(self) -> None:
         """Build every missing row at once, a column per kept object."""
+        source, made = self._source, self._made
+        distinct = dict(zip(map(id, source), source))
+        missing = list(distinct.keys() - made.keys())
+        todo = list(map(distinct.__getitem__, missing))
         renumber = self._new_index.__getitem__
-        columns = [map(renumber, map(itemgetter(k), self._source)) for k in self._kept]
-        built = zip(*columns) if columns else repeat((), len(self._rows))
-        self._rows = [new if old is None else old for old, new in zip(self._rows, built)]
+        columns = [map(renumber, map(itemgetter(k), todo)) for k in self._kept]
+        made.update(zip(missing, zip(*columns) if columns else repeat(())))
 
     def __iter__(self) -> Iterator[Perm]:
-        if None in self._rows:
-            self._fill()
-        return iter(self._rows)
+        self._fill()
+        return map(self._made.__getitem__, map(id, self._source))
 
     def __eq__(self, other):
         if not isinstance(other, (tuple, RestrictedTable)):
@@ -564,6 +573,14 @@ class RestrictedTable(Sequence):
 
     def __repr__(self) -> str:
         return repr(tuple(self))
+
+
+def column(perms: Sequence[Perm], p: int) -> Iterator[int]:
+    """``perms[g][p]`` for each element g in turn, lazily, in C loops; a
+    :class:`RestrictedTable` renumbers its source's column, building no row."""
+    if isinstance(perms, RestrictedTable):
+        return map(perms._new_index.__getitem__, map(itemgetter(perms._kept[p]), perms._source))
+    return map(itemgetter(p), perms)
 
 
 class CharacterTable(Mapping):
@@ -670,22 +687,19 @@ def invariant_dimension_trace(
 
     The one premise on ``perms`` beyond their number is that they form an
     action, which :meth:`FiniteGroup.extend_action` has proved: elements
-    generating one cyclic subgroup then act as powers of each other and
-    fix the same points.  So a permutation is compared with the identity
-    once per cyclic subgroup, at the first run of consecutive elements
-    sharing one tuple that belongs to it, and every later run of that
-    subgroup reuses its fixed points
-    (:meth:`FiniteGroup.cyclic_representatives`, asked for only when a
-    second row object appears: an inert table is one run and never builds
-    it).  Neither orbits nor the keys of ``chars`` are read.  Character
+    generating one cyclic subgroup act as powers of each other and fix the
+    same points, and identity generators make every element the identity.
+    So only the generators' rows and one row per cyclic subgroup
+    (:meth:`FiniteGroup.cyclic_classes`) are read, never the whole table,
+    nor orbits or the keys of ``chars``.  Character
     values stay per element, as chi(g^j) = j chi(g): a plain mapping is
     read per fixed (element, point) pair, its values counted per object.
     A :class:`CharacterTable` over these very ``perms`` is not read by
-    key: fixed points in zero columns are counted per run, each other
-    object's (element, residue) pairs are read once per call, and each
-    distinct residue makes one ``Fraction``.  Raises CharacterError
-    when the average is not a nonnegative integer or a fixed pair has no
-    character value (the first in element order).
+    key: fixed points in zero columns are counted per cyclic subgroup,
+    each other object's (element, residue) pairs are read once per call,
+    and each distinct residue makes one ``Fraction``.  Raises
+    CharacterError when the average is not a nonnegative integer or a
+    fixed pair has no character value (the first in element order).
     """
     if len(perms) != group.order:
         raise GroupError("one permutation required per group element")
@@ -697,45 +711,34 @@ def invariant_dimension_trace(
             rows.append(None if table.trivial[table.orbit_at[x]] else dict(table.at(x)))
         except KeyError:  # an object the table does not cover has no value
             rows.append({})
+    trivial = all(perms[k] == ident for k in group.generator_indices)
+    classes = {0: range(group.order)} if trivial else group.cyclic_classes()
+    fixed_at: dict[int, Sequence[int]] = {}  # class representative -> fixed points
+    for r in classes:
+        perm = perms[r]
+        fixed_at[r] = ident if perm == ident else list(compress(ident, map(eq, perm, ident)))
     values: list[Fraction] = []
     residues: list[int] = []
     zeros = 0
-    last = None
-    reps: list[int] | None = None  # built when a second row object appears
-    scanned: dict[int, tuple] = {}  # cyclic representative -> its fixed points
-    for g, perm in enumerate(perms):
-        if perm is not last:
-            if reps is None and last is not None:
-                reps = group.cyclic_representatives()
-            last = perm
-            r = g if reps is None else reps[g]
-            if r not in scanned:
-                if perm == ident:
-                    fixed: Sequence[int] = ident
-                elif any(map(eq, perm, ident)):
-                    fixed = list(compress(ident, map(eq, perm, ident)))
-                else:
-                    fixed = ()
-                reads = [] if table is None else [rows[p] for p in fixed if rows[p] is not None]
-                scanned[r] = fixed, reads, len(fixed) - len(reads)
-            fixed, reads, run_zeros = scanned[r]
-        if not fixed:
-            continue
-        try:
+    try:
+        for r, members in classes.items():
+            fixed = fixed_at[r]
+            if not fixed:
+                continue
             if table is None:
-                values.extend([chars[g, p] for p in fixed])
+                values.extend([chars[g, p] for g in members for p in fixed])
             else:
-                zeros += run_zeros
-                residues.extend([row[g] for row in reads])
-        except KeyError:
-            if table is None:
-                p = next(p for p in fixed if (g, p) not in chars)
-            else:
-                p = next(p for p in fixed if rows[p] is not None and g not in rows[p])
-            raise CharacterError(
-                f"inconsistent character data: no character for element {g} "
-                f"at fixed point {p!r}"
-            ) from None
+                reads = [rows[p] for p in fixed if rows[p] is not None]
+                zeros += (len(fixed) - len(reads)) * len(members)
+                residues.extend([row[g] for g in members for row in reads])
+    except KeyError:  # the first missing pair in element order
+        g, p = min(
+            (g, p) for r, members in classes.items() for g in members for p in fixed_at[r]
+            if ((g, p) not in chars if table is None else rows[p] is not None and g not in rows[p])
+        )
+        raise CharacterError(
+            f"inconsistent character data: no character for element {g} at fixed point {p!r}"
+        ) from None
     # counted per object or residue, then by integer ratio: no Fraction is
     # hashed, and an integer (exp(0) = 1 as a rotation) is counted as one
     if table is not None:

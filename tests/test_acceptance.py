@@ -154,7 +154,18 @@ def assert_revalidates(action):
     """A derived stratum equals ``validate_action`` re-run on its own
     generator images, full character tables, kernels and ramification
     orbits: the relabeled tables, orbits and local data are the ones
-    validation would build from scratch."""
+    validation would build from scratch.  Its contracted graph equals the
+    one ``build_graph`` validates from the same data, with the same
+    components and incidence."""
+    graph = action.graph
+    rebuilt = build_graph(
+        graph.genera, graph.half_edge_vertex, graph.edges, graph.marks,
+        allow_disconnected=True,
+    )
+    assert rebuilt == graph
+    assert rebuilt.components == graph.components
+    assert rebuilt.vertex_half_edges == graph.vertex_half_edges
+    assert rebuilt.vertex_marks == graph.vertex_marks
     assert _rebuild_with_ram(action, action.ramification_orbits) == action
 
 

@@ -6,6 +6,7 @@ from isoprod.curves import (
     DualGraph,
     arithmetic_genus,
     build_graph,
+    contract,
     t1_dimension,
 )
 from isoprod.errors import GraphError
@@ -222,3 +223,32 @@ def test_cached_structure_leaves_equality_and_hash_alone():
     assert filled == fresh and fresh == build_graph(*data)
     assert hash(filled) == hash(fresh)
     assert repr(filled) == repr(fresh)
+
+
+def test_contract_matches_the_graph_built_from_scratch():
+    # vertex 0 (genus 0, two marks) -e0- vertex 1 (genus 1) -e1- vertex 2
+    # (genus 2, one mark), which also carries the self-loop e2, and a
+    # second edge e3 from vertex 1 to vertex 2
+    graph = build_graph(
+        [0, 1, 2], [0, 1, 1, 2, 2, 2, 1, 2], [(0, 1), (2, 3), (4, 5), (6, 7)], marks=[0, 2, 0]
+    )
+    cases = {
+        # merging 1 and 2: genera add, the self-loop and e3 survive as loops
+        (1,): ([0, 3], [0, 1, 1, 1, 1, 1], [(0, 1), (2, 3), (4, 5)], [0, 1, 0]),
+        # the self-loop adds one to its vertex's genus
+        (2,): ([0, 1, 3], [0, 1, 1, 2, 1, 2], [(0, 1), (2, 3), (4, 5)], [0, 2, 0]),
+        # e1 and e3 form a cycle: one more genus on the merged vertex
+        (1, 3): ([0, 4], [0, 1, 1, 1], [(0, 1), (2, 3)], [0, 1, 0]),
+        (0, 1, 2, 3): ([5], [], [], [0, 0, 0]),
+    }
+    for removed, (genera, half_edge_vertex, edges, marks) in cases.items():
+        child, classes, he_map, edge_map = contract(graph, removed)
+        expected = build_graph(genera, half_edge_vertex, edges, marks)
+        assert child == expected
+        assert child.components == expected.components
+        assert child.vertex_half_edges == expected.vertex_half_edges
+        assert arithmetic_genus(child) == arithmetic_genus(graph)
+        assert sorted(v for vs in classes for v in vs) == [0, 1, 2]
+        kept = [n for n in range(4) if n not in removed]
+        assert edge_map == {n: i for i, n in enumerate(kept)}
+        assert list(he_map) == [h for n in kept for h in graph.edges[n]]

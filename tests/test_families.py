@@ -26,7 +26,7 @@ from isoprod.groups import CharacterTable, FiniteGroup, RestrictedTable, perm_fr
 from randgen import catalog, random_action
 from test_acceptance import _rebuild_with_ram, assert_revalidates
 from test_scaling import counting, necklace
-from test_seed_differential import a5, s4
+from test_seed_differential import a5, cayley_inputs, s4
 
 
 def theta_graph():
@@ -248,28 +248,10 @@ def test_chain_delta_decreases_genus_constant():
 
 
 def cayley_action(group):
-    """``group`` acting freely by left multiplication on its Cayley graph:
-    genus-0 vertex g joined to g * s for each generator s by edge
-    e = g * ngens + k, with half-edges 2e at g and 2e + 1 at g * s."""
-    ngens = len(group.generators)
-    half_edge_vertex, edges = [], []
-    for g in range(group.order):
-        for k in range(ngens):
-            e = g * ngens + k
-            half_edge_vertex += [g, group.right[g][k]]
-            edges.append((2 * e, 2 * e + 1))
-    graph = build_graph([0] * group.order, half_edge_vertex, edges)
-    vertex_images = [
-        tuple(group.mul(s, g) for g in range(group.order)) for s in group.generator_indices
-    ]
-    half_edge_images = [
-        tuple(
-            2 * (group.mul(s, h // (2 * ngens)) * ngens + h // 2 % ngens) + h % 2
-            for h in range(len(half_edge_vertex))
-        )
-        for s in group.generator_indices
-    ]
-    return validate_action(group, graph, vertex_images, half_edge_images)
+    """``group`` acting freely by left multiplication on its Cayley graph
+    (``cayley_inputs``)."""
+    graph, args = cayley_inputs(group)
+    return validate_action(group, graph, *args["images"])
 
 
 @pytest.mark.parametrize("make", [s4, a5], ids=["S4", "A5"])
@@ -348,8 +330,7 @@ def test_smoothed_tables_read_as_the_validated_tuples(monkeypatch):
             child = child.action
             reference = _rebuild_with_ram(stratum.action, stratum.action.ramification_orbits)
             for kind in ("vertex_perms", "half_edge_perms", "edge_perms"):
-                table = getattr(reference, kind)
-                assert type(table) is tuple
+                table = tuple(getattr(reference, kind))
                 assert_reads_as_tuple(getattr(child, kind), table)
             reads = counting(monkeypatch, CharacterTable, "__getitem__")
             assert t1_equivariant_oracle(child) == t1_equivariant(child)

@@ -11,6 +11,8 @@ from isoprod.cyclotomic import cyclotomic_polynomial, root_of_unity_sum
 from isoprod.errors import CharacterError, GroupError
 from isoprod.groups import (
     FiniteGroup,
+    RestrictedTable,
+    column,
     compose,
     format_perm,
     invariant_dimension_trace,
@@ -601,3 +603,24 @@ def test_parse_rotation_char_names_the_canonical_spelling(bad, canonical):
     with pytest.raises(GroupError) as err:
         parse_rotation_char(bad)
     assert str(err.value) == f'malformed character string {bad!r}: expected "{canonical}"'
+
+
+def test_restricted_rows_are_shared_like_their_source():
+    # one row per distinct source row object, whether rows are read one by
+    # one, all at once, or both; a column is read without building a row
+    a, b = (1, 0, 2, 3), (0, 1, 3, 2)
+    source = (a, tuple(list(a)), b, a)
+    assert source[1] is not a
+    ways = []
+    for first in ([], [3], [0, 2]):
+        view = RestrictedTable(source, [2, 3, 0], (5, 6, 7, 8))
+        assert list(column(view, 0)) == [7, 7, 8, 7]
+        assert not view._made
+        for g in first:
+            view[g]
+        ways.append(list(view))
+        assert [view[g] for g in range(4)] == ways[-1]
+        assert view[0] is view[3] is ways[-1][0] and view[0] is not view[1]
+    for rows in ways:
+        assert rows == [(7, 8, 6), (7, 8, 6), (8, 7, 5), (7, 8, 6)]
+        assert rows[0] is rows[3] and rows[0] is not rows[1]

@@ -374,9 +374,9 @@ def test_oracle_reads_no_table_entry_by_key(monkeypatch):
 def test_smoothing_builds_no_half_edge_or_edge_row(monkeypatch):
     # Z_n turning n genus-0 components joined to their next and their
     # next-but-one neighbour: two free edge orbits, smoothed in two steps.
-    # Free local models and the constancy check read no half-edge or edge
-    # permutation of a child, so none of those rows is built; the vertex
-    # rows are, for the child's orbits.  Edge e = k * n + i (k = 0, 1) joins
+    # Free local models and the constancy check read no permutation of a
+    # child, and the child's vertex orbits read columns, so no row of any
+    # child table is built.  Edge e = k * n + i (k = 0, 1) joins
     # half-edge 2e at component i to half-edge 2e + 1 at component i + k + 1
     n = 12
     group = FiniteGroup.from_generators([perm_from_cycles([list(range(n))], n)], n)
@@ -399,9 +399,10 @@ def test_smoothing_builds_no_half_edge_or_edge_row(monkeypatch):
     report = check_constancy(chain.strata)
     assert len(chain.strata) == 3 and report.verdict == "constant"
     children = [s.action for s in chain.strata[1:]]
-    unread = {id(t) for c in children for t in (c.half_edge_perms, c.edge_perms)}
+    unread = {
+        id(t) for c in children for t in (c.vertex_perms, c.half_edge_perms, c.edge_perms)
+    }
     assert not (built.keys() | filled.keys()) & unread
-    assert {id(c.vertex_perms) for c in children} <= filled.keys()
 
 
 def test_deep_stratum_row_is_one_gather(monkeypatch):
@@ -425,3 +426,49 @@ def test_deep_stratum_row_is_one_gather(monkeypatch):
         assert sum(built.values()) == 2
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_necklace_validation_walks_only_the_half_edge_table(monkeypatch):
+    # the vertex and edge tables are read off the half-edge table: every
+    # half-edge row is built by the walk, and of the two views at most the
+    # generators' rows, for the kernel and equivariance checks
+    group, graph, vertex_images, half_edge_images = necklace(60)
+    built = counting(monkeypatch, isoprod.groups.RestrictedTable, "_row")
+    filled = counting(monkeypatch, isoprod.groups.RestrictedTable, "_fill")
+    action = validate_action(group, graph, vertex_images, half_edge_images)
+    monkeypatch.undo()
+    assert type(action.half_edge_perms) is tuple
+    assert len(set(action.half_edge_perms)) == group.order
+    views = (action.vertex_perms, action.edge_perms)
+    assert all(isinstance(t, isoprod.groups.RestrictedTable) for t in views)
+    for table in views:
+        assert built[id(table)] <= len(group.generators)
+    assert not filled
+
+
+def test_necklace_smoothing_builds_no_row_of_a_child(monkeypatch):
+    group, graph, vertex_images, half_edge_images = necklace(60)
+    action = validate_action(group, graph, vertex_images, half_edge_images)
+    built = counting(monkeypatch, isoprod.groups.RestrictedTable, "_row")
+    filled = counting(monkeypatch, isoprod.groups.RestrictedTable, "_fill")
+    chain = smoothing_chain(action)
+    assert check_constancy(chain.strata).verdict == "constant"
+    monkeypatch.undo()
+    assert len(chain.strata) == 2
+    child = chain.strata[1].action
+    tables = {id(t) for t in (child.vertex_perms, child.half_edge_perms, child.edge_perms)}
+    assert not (built.keys() | filled.keys()) & tables
+
+
+def test_trace_reads_one_edge_row_per_cyclic_subgroup_through_the_view(monkeypatch):
+    # the edge table of a free Z_200 necklace is a view of the half-edge
+    # table; the Burnside trace gathers at most d(200) = 12 of its rows
+    group, graph, vertex_images, half_edge_images = necklace(200)
+    action = validate_action(group, graph, vertex_images, half_edge_images)
+    assert isinstance(action.edge_perms, isoprod.groups.RestrictedTable)
+    built = counting(monkeypatch, isoprod.groups.RestrictedTable, "_row")
+    filled = counting(monkeypatch, isoprod.groups.RestrictedTable, "_fill")
+    assert invariant_dimension_trace(group, action.edge_perms, action.smoothing_chars) == 1
+    monkeypatch.undo()
+    assert 1 <= built[id(action.edge_perms)] <= 12
+    assert not filled

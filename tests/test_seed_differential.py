@@ -1,5 +1,6 @@
 """Differential tests: the BFS character-table completion, subgroup and
-conjugacy closures, edge permutations, fixed-point sets, freeness verdicts
+conjugacy closures, the vertex and edge permutations read off the half-edge
+table, fixed-point sets, freeness verdicts
 and Burnside counts against the algorithms they replaced (``reference_seed``), on the random
 catalog, on inert, kernel and ramified actions of S4 and A5, on necklaces,
 and on corrupted inputs."""
@@ -35,6 +36,7 @@ from isoprod.errors import (
 from isoprod.groups import (
     CharacterTable,
     FiniteGroup,
+    RestrictedTable,
     compose,
     format_perm,
     invariant_dimension_trace,
@@ -189,6 +191,137 @@ def ramified_inputs(group, vector, genus):
     graph = build_graph([genus], [], [])
     args = {"images": ([(0,)] * ngens, [()] * ngens), "kwargs": {"ramification_orbits": ram}}
     return graph, args
+
+
+def cayley_inputs(group):
+    """``group`` acting freely by left multiplication on its Cayley graph:
+    genus-0 vertex g joined to g * s for each generator s by edge
+    e = g * ngens + k, with half-edges 2e at g and 2e + 1 at g * s."""
+    ngens = len(group.generators)
+    half_edge_vertex, edges = [], []
+    for g in range(group.order):
+        for k in range(ngens):
+            e = g * ngens + k
+            half_edge_vertex += [g, group.right[g][k]]
+            edges.append((2 * e, 2 * e + 1))
+    graph = build_graph([0] * group.order, half_edge_vertex, edges)
+    vertex_images = [
+        tuple(group.mul(s, g) for g in range(group.order)) for s in group.generator_indices
+    ]
+    half_edge_images = [
+        tuple(
+            2 * (group.mul(s, h // (2 * ngens)) * ngens + h // 2 % ngens) + h % 2
+            for h in range(len(half_edge_vertex))
+        )
+        for s in group.generator_indices
+    ]
+    return graph, {"images": (vertex_images, half_edge_images), "kwargs": {}}
+
+
+TABLES = ("vertex_perms", "half_edge_perms", "edge_perms")
+
+
+def assert_tables_match_seed(group, graph, args):
+    """Both validations accept, and every permutation table reads as the
+    seed's, whose edge table is walked element by element."""
+    new = validate_action(group, graph, *args["images"], **args["kwargs"])
+    ref = reference_seed.validate_action(group, graph, *args["images"], **args["kwargs"])
+    for kind in TABLES:
+        assert tuple(getattr(new, kind)) == tuple(getattr(ref, kind))
+    assert new.vertex_orbits == ref.vertex_orbits
+    assert new.edge_orbits == ref.edge_orbits
+    return new
+
+
+def test_induced_tables_match_the_seed_walk():
+    # the vertex and edge tables read off the half-edge table equal the
+    # walked ones wherever validation derives them, and the walked path
+    # (a vertex with no branch) still runs: a smooth curve, and two smooth
+    # components swapped by an involution
+    derived = walked = 0
+    cases = []
+    for i, group in enumerate(randgen.catalog() + [s4(), a5()]):
+        cases += [(group, *c) for c in captured_inputs(group, 300 + i, 3)]
+    for make in (s4, a5, s5):
+        group = make()
+        cases.append((group, *cayley_inputs(group)))
+        full = frozenset(range(group.order))
+        alternating = group.subgroup_closure(
+            [element(group, [[i, i + 1, i + 2]]) for i in range(group.degree - 2)]
+        )
+        cases.append((group, *kernel_action_inputs(group, full, alternating)))
+    for n in (3, 8, 25):
+        group, graph, vertex_images, half_edge_images = necklace(n)
+        cases.append((group, graph, {"images": (vertex_images, half_edge_images), "kwargs": {}}))
+    z2 = randgen.catalog()[1]
+    assert z2.order == 2
+    pair = build_graph([2, 2], [], [], allow_disconnected=True)
+    cases.append((z2, pair, {"images": ([(1, 0)], [()]), "kwargs": {}}))
+    cases.append((z2, build_graph([3], [], []), {"images": ([(0,)], [()]), "kwargs": {}}))
+    for group, graph, args in cases:
+        action = assert_tables_match_seed(group, graph, args)
+        for kind in ("vertex_perms", "edge_perms"):
+            if isinstance(getattr(action, kind), RestrictedTable):
+                derived += 1
+            elif kind == "vertex_perms" and not all(graph.vertex_half_edges):
+                walked += len(set(getattr(action, kind))) > 1
+    assert derived >= 100 and walked >= 1
+
+
+def image_error(validate, group, graph, images):
+    try:
+        validate(group, graph, *images)
+    except IsoprodError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_bad_vertex_images_raise_the_vertex_walks_message():
+    # the vertex walk no longer runs first where the vertex table is read
+    # off the half-edge table; an error of the half-edge walk or the cover
+    # check replays it, so a vertex relation failure is still the message
+    z2 = randgen.catalog()[1]
+    triangle = build_graph([1, 1, 1], [0, 1, 1, 2, 2, 0], [(0, 1), (2, 3), (4, 5)])
+    images = ([(1, 2, 0)], [tuple(range(6))])
+    expected = (
+        ActionError,
+        "generator images do not extend to a group homomorphism "
+        "(relation fails at element 1, generator 0)",
+    )
+    assert image_error(validate_action, z2, triangle, images) == expected
+    assert image_error(reference_seed.validate_action, z2, triangle, images) == expected
+    # the same with half-edge images that fail their own walk as well, and
+    # on three smooth components, whose vertex images are walked last
+    images = ([(1, 2, 0)], [(2, 3, 4, 5, 0, 1)])
+    assert image_error(validate_action, z2, triangle, images) == expected
+    smooth = build_graph([2, 2, 2], [], [], allow_disconnected=True)
+    assert image_error(validate_action, z2, smooth, ([(1, 2, 0)], [()])) == expected
+
+
+def test_mutated_images_give_the_seeds_messages():
+    # one generator's vertex or half-edge image replaced by another
+    # permutation: the library names the same first failure as the seed,
+    # which walks the vertex images first, then the half-edge images, then
+    # checks the cover
+    rng = random.Random(17)
+    errors = 0
+    for i, group in enumerate(randgen.catalog()[1:] + [s4()]):
+        for graph, args in captured_inputs(group, 400 + i, 3):
+            vertex_images, half_edge_images = map(list, args["images"])
+            for which, n in (
+                (vertex_images, graph.n_vertices), (half_edge_images, graph.n_half_edges)
+            ):
+                if n < 2:
+                    continue
+                k = rng.randrange(len(which))
+                saved = which[k]
+                which[k] = tuple(rng.sample(range(n), n))
+                images = (vertex_images, half_edge_images)
+                got = image_error(validate_action, group, graph, images)
+                assert got == image_error(reference_seed.validate_action, group, graph, images)
+                errors += got is not None
+                which[k] = saved
+    assert errors > 40
 
 
 def test_catalog_matches_seed():
