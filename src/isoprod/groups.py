@@ -524,7 +524,7 @@ class RestrictedTable(Sequence):
 
     __slots__ = ("_source", "_kept", "_new_index", "_made")
 
-    def __init__(self, perms: Sequence[Perm], kept: Sequence[int], new_index):
+    def __init__(self, perms: Sequence[Perm], kept: Sequence[int], new_index: Mapping | Sequence):
         if isinstance(perms, RestrictedTable):
             old = perms._new_index
             pairs = old.items() if isinstance(old, Mapping) else enumerate(old)
@@ -578,7 +578,7 @@ class RestrictedTable(Sequence):
 def column(perms: Sequence[Perm], p: int) -> Iterator[int]:
     """``perms[g][p]`` for each element g in turn, lazily, in C loops; a
     :class:`RestrictedTable` renumbers its source's column, building no row."""
-    if isinstance(perms, RestrictedTable):
+    if type(perms) is RestrictedTable:  # an ABC's isinstance costs more than the read
         return map(perms._new_index.__getitem__, map(itemgetter(perms._kept[p]), perms._source))
     return map(itemgetter(p), perms)
 
