@@ -4,10 +4,12 @@ actions, and stable degenerations of product-quotient surfaces.
 Everything is exact: permutations, integers, and rational rotation
 characters; no floating point anywhere.
 
-``Document``, ``emit_document`` and ``parse_document`` are resolved on first
-access, so a plain ``import isoprod`` does not load the document layer.  The
-package imports nothing outside the standard library.
+The names of ``isoprod.document`` and ``isoprod.families`` (``_LAZY``) are
+resolved on first access, so a plain ``import isoprod`` loads neither
+module.  The package imports nothing outside the standard library.
 """
+
+import importlib
 
 from .actions import (
     CurveAction,
@@ -43,14 +45,6 @@ from .errors import (
     SmoothingError,
     SurfaceError,
 )
-from .families import (
-    ConstancyReport,
-    FamilyStratum,
-    SmoothingChain,
-    check_constancy,
-    smooth_node_orbit,
-    smoothing_chain,
-)
 from .groups import (
     DEFAULT_GROUP_CAP,
     FiniteGroup,
@@ -74,16 +68,19 @@ from .surfaces import (
 
 __version__ = "0.1.0"
 
-_DOCUMENT_NAMES = frozenset({"Document", "emit_document", "parse_document"})
+# public name -> the submodule defining it, imported on the name's first access
+_LAZY = {
+    **dict.fromkeys(("Document", "emit_document", "parse_document"), "document"),
+    **dict.fromkeys(("ConstancyReport", "FamilyStratum", "SmoothingChain"), "families"),
+    **dict.fromkeys(("check_constancy", "smooth_node_orbit", "smoothing_chain"), "families"),
+}
 
 
 def __getattr__(name: str):
     # not cached in the package globals: a caller that rebinds an attribute
-    # of ``isoprod.document`` (a tracer, a mock) is seen on every access
-    if name in _DOCUMENT_NAMES:
-        from . import document
-
-        return getattr(document, name)
+    # of the module (a tracer, a mock) is seen on every access
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
 from math import lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .curves import DualGraph
 from .errors import (
@@ -61,8 +61,7 @@ CharTable = Mapping[tuple[int, int], Fraction]
 Forced = tuple[int, bool, Iterable[tuple[int, int]]]
 
 
-@dataclass(frozen=True, order=True)
-class RamificationOrbit:
+class RamificationOrbit(NamedTuple):
     """One orbit of smooth non-node points with nontrivial cyclic stabilizer.
 
     ``element`` generates the stabilizer of a point of the orbit on the
@@ -78,8 +77,7 @@ class RamificationOrbit:
     order: int
 
 
-@dataclass(frozen=True)
-class QuotientSignature:
+class QuotientSignature(NamedTuple):
     """Per component orbit: quotient genus, branch point count, and the
     contribution 3*g' - 3 + b to the invariant deformation count."""
 
@@ -89,8 +87,7 @@ class QuotientSignature:
     contribution: int
 
 
-@dataclass(frozen=True)
-class EquivariantT1:
+class EquivariantT1(NamedTuple):
     """Invariant first-order deformations, by source: node smoothings,
     branch adjustments on the normalization, and quotient moduli."""
 
@@ -698,12 +695,10 @@ def quotient_signature(action: CurveAction, vertex: int) -> QuotientSignature:
 
 
 def _signature(action: CurveAction, orbit: Orbit) -> QuotientSignature:
-    rep = orbit.representative
+    rep, members, stabilizer = orbit
     kernel = action.kernels[rep]
-    hbar = len(orbit.stabilizer) // len(kernel)
-    branch_orders = [
-        o.order for o in action.ramification_orbits if o.vertex in orbit.members
-    ]
+    hbar = len(stabilizer) // len(kernel)
+    branch_orders = [o.order for o in action.ramification_orbits if o.vertex in members]
     tangent = action.tangent_chars
     for i in dict.fromkeys(map(tangent.orbit_at.__getitem__, action.graph.vertex_half_edges[rep])):
         e = len(tangent.orbits[i].stabilizer) // len(kernel)

@@ -13,6 +13,9 @@ emits the machine block ``{command, items[, note]}`` only; the default
 prints the human block, a blank line and the machine block.
 
 The environment variable ISOPROD_GROUP_CAP overrides the group-order cap.
+
+``check-family`` and ``smooth`` import ``isoprod.families`` when they run,
+so the other commands never load it.
 """
 
 from __future__ import annotations
@@ -21,25 +24,23 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import __version__
 from .actions import quotient_signatures, t1_equivariant
 from .curves import arithmetic_genus, t1_dimension
 from .document import Document, emit_document, parse_document
 from .errors import DocumentError, IsoprodError
-from .families import FamilyStratum, check_constancy, smoothing_chain
 from .groups import DEFAULT_GROUP_CAP, format_perm
 from .surfaces import certify_degeneration, kuranishi_dimension, surface_invariants
 
 
 def _plain(x: Any) -> Any:
-    """JSON-able form of a result: a dataclass becomes a dict field by field,
-    a tuple a list, a Fraction an int or "a/b"."""
-    if is_dataclass(x):
-        return {f.name: _plain(getattr(x, f.name)) for f in fields(x)}
+    """JSON-able form of a result: a record (a named tuple) becomes a dict
+    field by field, any other tuple a list, a Fraction an int or "a/b"."""
+    if hasattr(x, "_fields"):  # before the tuple test: a record is a tuple
+        return {k: _plain(v) for k, v in zip(x._fields, x)}
     if isinstance(x, tuple):
         return [_plain(v) for v in x]
     if isinstance(x, Fraction):
@@ -72,8 +73,7 @@ def _row(*keys: str) -> Callable[[str, dict], list[list[str]]]:
     ]
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     """One subcommand (its ``--help`` line is ``help``) over document section ``section``.
 
     ``compute(doc, name)`` returns the item's machine dict.  A table command
@@ -103,6 +103,8 @@ def _quotient(doc: Document, name: str) -> dict:
 
 
 def _check_family(doc: Document, name: str) -> dict:
+    from .families import FamilyStratum, check_constancy
+
     strata = [FamilyStratum(label, doc.actions[label]) for label in doc.families[name]]
     report = _plain(check_constancy(strata))
     for s in report["strata"]:
@@ -135,13 +137,20 @@ def _family_lines(name: str, d: dict) -> list[str]:
 
 
 def _smooth(doc: Document, name: str) -> dict:
+    from .families import smoothing_chain
+
     chain = smoothing_chain(doc.actions[name])
     return {
         "strata": [
             {
                 "label": s.label,
                 "delta": s.action.graph.n_edges,
-                "genus": arithmetic_genus(s.action.graph),
+                # None: a disconnected stratum, as check-family reports it
+                "genus": (
+                    arithmetic_genus(s.action.graph)
+                    if len(s.action.graph.components) == 1
+                    else None
+                ),
                 "ramification_orbits": len(s.action.ramification_orbits),
             }
             for s in chain.strata
@@ -280,11 +289,12 @@ def _group_cap() -> int:
     if raw is None:
         return DEFAULT_GROUP_CAP
     try:
-        cap = int(raw)
-        if cap < 1:
+        # ASCII digits without a leading zero: int() also takes signs,
+        # spaces, underscores, leading zeros and non-ASCII digits
+        if not (raw.isascii() and raw.isdigit()) or raw[0] == "0":
             raise ValueError
-        return cap
-    except ValueError:
+        return int(raw)
+    except ValueError:  # also a cap with more digits than int() converts
         raise DocumentError(
             [f"ISOPROD_GROUP_CAP: not a positive integer: {raw!r}"]
         ) from None

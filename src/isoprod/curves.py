@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GraphError
 
@@ -104,8 +104,7 @@ def _incidence(owner: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, at))
 
 
-@dataclass(frozen=True)
-class T1Breakdown:
+class T1Breakdown(NamedTuple):
     """First-order deformation dimension of a stable curve, by source:
     ``delta`` from the nodes, ``branch_term`` = 2*delta from the branch
     points on the normalization, ``minus_chi`` = 3*sum(g_i) - 3*nu from the

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from .actions import CurveAction, RamificationOrbit, validate_action
 from .curves import DualGraph, build_graph
@@ -200,8 +200,7 @@ SCHEMA: dict[str, Any] = {
 }
 
 
-@dataclass(frozen=True)
-class CurveNames:
+class CurveNames(NamedTuple):
     vertices: tuple[str, ...]
     half_edges: tuple[str, ...]
     marks: tuple[str, ...]

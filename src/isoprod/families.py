@@ -22,8 +22,8 @@ stratum explicitly and verify it with :func:`check_constancy`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .actions import CurveAction, EquivariantT1, RamificationOrbit, t1_equivariant
 from .curves import arithmetic_genus, contract
@@ -31,14 +31,12 @@ from .errors import FamilyError, IsoprodError, SmoothingError
 from .groups import Orbit, RestrictedTable, format_rotation_char, orbits
 
 
-@dataclass(frozen=True)
-class FamilyStratum:
+class FamilyStratum(NamedTuple):
     label: str
     action: CurveAction
 
 
-@dataclass(frozen=True)
-class StratumValue:
+class StratumValue(NamedTuple):
     """Computed invariants of one stratum; ``error`` set if computation
     failed; ``genus`` None for a disconnected curve."""
 
@@ -49,8 +47,7 @@ class StratumValue:
     error: str | None
 
 
-@dataclass(frozen=True)
-class ConstancyReport:
+class ConstancyReport(NamedTuple):
     """Verdict over an ordered list of strata.
 
     ``verdict`` is "constant", "violation" (with the offending label pair),
@@ -67,8 +64,7 @@ class ConstancyReport:
     bound_violations: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class SmoothingChain:
+class SmoothingChain(NamedTuple):
     """A maximal chain of strata, each smoothing one node orbit of the last.
 
     ``obstructions`` describes the edge orbits of the final stratum that

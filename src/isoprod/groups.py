@@ -46,7 +46,7 @@ from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, lcm
 from operator import eq, itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cyclotomic import root_of_unity_sum
 from .errors import CharacterError, GroupError
@@ -450,8 +450,7 @@ class FiniteGroup:
         return tuple(table)
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     """One orbit of a group action: canonical representative (the member
     appearing first in the input point sequence), all members in input
     order, and the representative's stabilizer as sorted element indices."""

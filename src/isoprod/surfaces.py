@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .actions import CurveAction, EquivariantT1, t1_equivariant
 from .curves import arithmetic_genus
@@ -49,21 +50,18 @@ class SurfaceDescriptor:
         return _first_witness(self, (fc1 & fp2) | (fc2 & fp1))
 
 
-@dataclass(frozen=True)
-class ElementFixedPoints:
+class ElementFixedPoints(NamedTuple):
     has_fixed_point: bool
     fixes_component: bool
 
 
-@dataclass(frozen=True)
-class FreenessCheck:
+class FreenessCheck(NamedTuple):
     passed: bool
     witness: int | None
     witness_cycles: str | None
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(NamedTuple):
     """chi = (g1-1)(g2-1)/|G|, K^2 = 8 chi, e = 4 chi; q and p_g only for
     smooth factors (None means "not computed" for nodal central fibers)."""
 
@@ -74,15 +72,13 @@ class SurfaceInvariants:
     p_g: Fraction | None
 
 
-@dataclass(frozen=True)
-class KuranishiDimension:
+class KuranishiDimension(NamedTuple):
     factor1: EquivariantT1
     factor2: EquivariantT1
     total: int
 
 
-@dataclass(frozen=True)
-class CertificateCondition:
+class CertificateCondition(NamedTuple):
     key: str
     description: str
     citation: str
@@ -90,8 +86,7 @@ class CertificateCondition:
     detail: str
 
 
-@dataclass(frozen=True)
-class DegenerationCertificate:
+class DegenerationCertificate(NamedTuple):
     conditions: tuple[CertificateCondition, ...]
     passed: bool
     first_failure: str | None

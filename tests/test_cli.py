@@ -201,10 +201,16 @@ def test_check_family_reports_a_disconnected_stratum_in_band(
     data["families"]["apart"] = ["split_swap", "node_swap"]
     path = tmp_path / "apart.json"
     path.write_text(json.dumps(data))
-    # the chain smooths both nodes; the genus of its strata is undefined
+    # the chain smooths both nodes; the genus of its strata is undefined, so
+    # it is null, and the chain is still reported
     code, out, _ = run_cli(capsys, "smooth", str(path), "--json")
+    assert code == 0
     assert json.loads(out)["items"]["split_swap"] == {
-        "error": "operation requires a connected graph"
+        "strata": [
+            {"label": "step0", "delta": 2, "genus": None, "ramification_orbits": 0},
+            {"label": "step1", "delta": 0, "genus": None, "ramification_orbits": 0},
+        ],
+        "obstructions": [],
     }
     code, out, _ = run_cli(capsys, "check-family", str(path))
     assert code == 1
@@ -296,6 +302,25 @@ def test_group_cap_env_invalid(capsys, golden_path, monkeypatch):
     code, _, err = run_cli(capsys, "validate", golden_path)
     assert code == 1
     assert "ISOPROD_GROUP_CAP" in err
+
+
+@pytest.mark.parametrize("raw", ["7", "2", "1000"])
+def test_group_cap_env_accepts_plain_digits(capsys, golden_path, monkeypatch, raw):
+    monkeypatch.setenv("ISOPROD_GROUP_CAP", raw)
+    code, _, err = run_cli(capsys, "validate", golden_path)
+    assert (code, err) == (0, "")
+
+
+# int() reads each of these, so each set a cap before: only ASCII
+# [1-9][0-9]* is a cap
+@pytest.mark.parametrize(
+    "raw", [" 7 ", "+7", "1_000", "07", "\u0667", "0", "-1", "", "7.0", "\u00b2"]
+)
+def test_group_cap_env_rejects_other_spellings(capsys, golden_path, monkeypatch, raw):
+    monkeypatch.setenv("ISOPROD_GROUP_CAP", raw)
+    code, out, err = run_cli(capsys, "validate", golden_path)
+    assert (code, out) == (1, "")
+    assert err == f"error: ISOPROD_GROUP_CAP: not a positive integer: {raw!r}\n"
 
 
 def test_nothing_to_do(capsys, tmp_path):

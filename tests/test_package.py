@@ -35,6 +35,7 @@ facts = {
     "document_loaded": sorted(
         name for name in ("jsonschema", "isoprod.document") if name in sys.modules
     ),
+    "families_loaded": "isoprod.families" in sys.modules,
     "foreign": sorted(loaded - set(sys.stdlib_module_names) - {"isoprod"}),
 }
 import isoprod.document
@@ -42,7 +43,18 @@ names = ("Document", "emit_document", "parse_document")
 facts["same_objects"] = [
     getattr(isoprod, name) is getattr(isoprod.document, name) for name in names
 ]
-facts["cached"] = sorted(name for name in names if name in vars(isoprod))
+family_names = (
+    "ConstancyReport", "FamilyStratum", "SmoothingChain",
+    "check_constancy", "smooth_node_orbit", "smoothing_chain",
+)
+# the left getattr loads isoprod.families before the right one reads it
+facts["family_same_objects"] = [
+    getattr(isoprod, name) is getattr(sys.modules["isoprod.families"], name)
+    for name in family_names
+]
+facts["cached"] = sorted(
+    name for name in names + family_names if name in vars(isoprod)
+)
 star = {}
 exec("from isoprod import *", star)
 facts["star_missing"] = sorted(set(isoprod.__all__) - set(star))
@@ -55,13 +67,15 @@ print(json.dumps(facts))
 """
 
 
-def _probe(code: str):
-    """The JSON printed by ``code`` run in a fresh interpreter on ``src``."""
-    src = Path(__file__).resolve().parents[1] / "src"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _probe(*args: str):
+    """The JSON printed by ``python *args`` run in a fresh interpreter on ``src``."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -74,11 +88,13 @@ def _probe(code: str):
 def test_plain_import_leaves_the_document_layer_unloaded():
     # a library caller never parses a document, so ``import isoprod`` must
     # not pay for it; the document names still resolve, to the document
-    # module's own objects, on first access
-    facts = _probe(_IMPORT_PROBE)
+    # module's own objects, on first access, and the families names likewise
+    facts = _probe("-c", _IMPORT_PROBE)
     assert facts["document_loaded"] == []
+    assert facts["families_loaded"] is False
     assert facts["foreign"] == []
     assert facts["same_objects"] == [True, True, True]
+    assert facts["family_same_objects"] == [True] * 6
     # resolved afresh on each access, never bound into the package
     assert facts["cached"] == []
     assert facts["star_missing"] == []
@@ -87,15 +103,30 @@ def test_plain_import_leaves_the_document_layer_unloaded():
 
 def test_cli_import_loads_only_the_standard_library():
     # every CLI run pays for what ``isoprod.cli`` imports: the document
-    # checker is the package's own, so nothing outside the standard library
-    foreign = _probe(
+    # checker is the package's own, so nothing outside the standard library;
+    # and only check-family and smooth use isoprod.families, which they
+    # import when they run
+    foreign, families_loaded = _probe(
+        "-c",
         "import json, sys\n"
         "before = set(sys.modules)\n"
         "import isoprod.cli\n"
         "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
-        "print(json.dumps(sorted(loaded - set(sys.stdlib_module_names) - {'isoprod'})))\n"
+        "print(json.dumps([sorted(loaded - set(sys.stdlib_module_names) - {'isoprod'}),\n"
+        "                  'isoprod.families' in sys.modules]))\n"
     )
     assert foreign == []
+    assert families_loaded is False
+
+
+@pytest.mark.parametrize("command", ["check-family", "smooth"])
+def test_family_commands_run_in_a_fresh_process(command):
+    document = SRC / "isoprod" / "data" / "quartic_node.json"
+    items = _probe("-m", "isoprod.cli", command, "--json", str(document))["items"]
+    if command == "check-family":
+        assert items["node_smoothing"]["verdict"] == "constant"
+    else:
+        assert [s["label"] for s in items["node_swap"]["strata"]] == ["step0", "step1"]
 
 
 def test_runtime_imports_match_the_declared_dependencies():
