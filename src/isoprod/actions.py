@@ -529,12 +529,13 @@ def validate_action(
     # g K_v g^-1 = K_{g.v} is multiplicative in g, so generators suffice; for
     # one g, equal orders and K_v's generators conjugated into K_{g.v} suffice
     for g in group.generator_indices:
+        images = vertex_perms[g]
         for v, (sub, gens) in enumerate(zip(kernel_subs, kernel_gens)):
-            target = kernel_subs[vertex_perms[g][v]]
-            if len(sub) != len(target) or not target.issuperset(group.conjugates(g, gens)):
+            target = kernel_subs[images[v]]
+            if len(sub) != len(target) or gens and not target.issuperset(group.conjugates(g, gens)):
                 raise ActionError(
                     f"kernels not equivariant: element {g} maps vertex {v} to "
-                    f"{vertex_perms[g][v]} but does not conjugate the kernels"
+                    f"{images[v]} but does not conjugate the kernels"
                 )
 
     vertex_orbits = tuple(orbits(vertex_perms, range(graph.n_vertices)))
@@ -736,9 +737,9 @@ def t1_equivariant_oracle(action: CurveAction) -> EquivariantT1:
 
     Node and branch invariants come from the exact Burnside trace average
     over the node-stalk and branch-tangent representations, with fixed
-    points read from the per-element permutations (one row per cyclic
-    subgroup, which needs only that they form an action; a node's row is
-    gathered from a branch row) rather than from the orbits or the table
+    points read from the per-element permutations (one row per conjugacy
+    class of cyclic subgroups, which needs only that they form an action;
+    a node's row is gathered from a branch row) rather than orbits or table
     keys; the quotient pieces are recomputed from scratch, the vertex
     orbits from the columns of the vertex table and the branch suborbits
     as orbits of each stabilizer rather than from the cached half-edge

@@ -26,8 +26,8 @@ elements acting alike share one tuple, so tables are never mutated.  A
 :class:`RestrictedTable` reads a table at some of its objects, renumbered
 (an induced action, or the surviving objects), building a row when first
 read.  Orbits and stabilizers (:func:`orbits`) read columns, and the
-Burnside trace one row per cyclic subgroup (its generators act as powers of
-each other), so neither builds every row of a view.
+Burnside trace one row per conjugacy class of cyclic subgroups (a
+character sum is a class function), so neither builds every row of a view.
 
 Rotation characters (the action of an element on a one-dimensional space)
 are plain ``Fraction`` values r in [0, 1), meaning the root of unity
@@ -155,14 +155,15 @@ class FiniteGroup:
 
     def __post_init__(self):
         # lookup caches; not fields, so they stay out of eq/repr; filled
-        # lazily by :meth:`inverse`, :meth:`_generator_conjugation` and
-        # :meth:`cyclic_representatives`.
+        # lazily by :meth:`inverse`, :meth:`_generator_conjugation`,
+        # :meth:`cyclic_representatives` and :meth:`cyclic_subgroup_classes`.
         object.__setattr__(
             self, "_index", {p: i for i, p in enumerate(self.elements)}
         )
         object.__setattr__(self, "_inverse", {0: 0})
         object.__setattr__(self, "_conjugation", {})
         object.__setattr__(self, "_cyclic", None)
+        object.__setattr__(self, "_subgroup_classes", None)
         object.__setattr__(
             self, "_generator_position", {j: k for k, j in enumerate(self.right[0])}
         )
@@ -281,6 +282,28 @@ class FiniteGroup:
         """:meth:`cyclic_representatives` grouped: representative -> elements."""
         self.cyclic_representatives()
         return self._cyclic_classes
+
+    def cyclic_subgroup_classes(self) -> dict[int, list[int]]:
+        """Conjugacy classes of cyclic subgroups, each named by its
+        :meth:`cyclic_representatives` entry: least member -> members, sorted.
+        Each class is the closure of its least member under the generators'
+        conjugation tables, which generate every conjugation; built once, kept."""
+        classes = self._subgroup_classes
+        if classes is None:
+            reps, classes, seen = self.cyclic_representatives(), {}, set()
+            tables = list(map(self._generator_conjugation, range(len(self.generators))))
+            for r in self.cyclic_classes():  # in index order
+                if r not in seen:
+                    seen.add(r)
+                    classes[r] = members = [r]
+                    for c in members:  # grows by each new conjugate
+                        for d in [reps[t[c]] for t in tables]:
+                            if d not in seen:
+                                seen.add(d)
+                                members.append(d)
+                    members.sort()
+            object.__setattr__(self, "_subgroup_classes", classes)
+        return classes
 
     def products(self, xs: Iterable[int], t: int) -> list[int]:
         """``[mul(x, t) for x in xs]``: a column read of ``right`` when t is
@@ -687,53 +710,65 @@ def invariant_dimension_trace(
     The one premise on ``perms`` beyond their number is that they form an
     action, which :meth:`FiniteGroup.extend_action` has proved: elements
     generating one cyclic subgroup act as powers of each other and fix the
-    same points, and identity generators make every element the identity.
-    So only the generators' rows and one row per cyclic subgroup
-    (:meth:`FiniteGroup.cyclic_classes`) are read, never the whole table,
-    nor orbits or the keys of ``chars``.  Character
-    values stay per element, as chi(g^j) = j chi(g): a plain mapping is
-    read per fixed (element, point) pair, its values counted per object.
-    A :class:`CharacterTable` over these very ``perms`` is not read by
-    key: fixed points in zero columns are counted per cyclic subgroup,
-    each other object's (element, residue) pairs are read once per call,
-    and each distinct residue makes one ``Fraction``.  Raises
-    CharacterError when the average is not a nonnegative integer or a
-    fixed pair has no character value (the first in element order).
+    same points, Fix(h g h^-1) = h Fix(g), and identity generators make
+    every element the identity.  So the generators' rows and one row per
+    conjugacy class of cyclic subgroups (:meth:`FiniteGroup.cyclic_subgroup_classes`)
+    are read, never the whole table, nor orbits or the keys of ``chars``.
+    A class whose representative fixes only points in zero columns of a
+    :class:`CharacterTable` over these very ``perms`` is counted at once;
+    any other class reads one row per member subgroup, as character values
+    stay per element (chi(g^j) = j chi(g)).  A plain mapping is read per
+    fixed (element, point) pair, a table's object's (element, residue)
+    pairs when first needed, once per call.  Raises CharacterError when the
+    average is not a nonnegative integer or a fixed pair has no character
+    value (the first in element order).
     """
     if len(perms) != group.order:
         raise GroupError("one permutation required per group element")
     ident = identity_perm(len(perms[0]))
     table = chars if isinstance(chars, CharacterTable) and chars.perms is perms else None
-    rows: list[dict[int, int] | None] = []  # per object: element -> residue; None if zero
-    for x in ident if table is not None else ():
-        try:
-            rows.append(None if table.trivial[table.orbit_at[x]] else dict(table.at(x)))
-        except KeyError:  # an object the table does not cover has no value
-            rows.append({})
+    if table is not None:  # objects in zero columns; the others' values are read
+        zero_column = table.trivial
+        zero = {x for x, i in table.orbit_at.items() if zero_column[i]}
+    rows: dict[int, dict[int, int]] = {}  # per object read: element -> residue
+
+    def residues_at(p: int) -> dict[int, int]:
+        if p not in rows:
+            try:
+                rows[p] = dict(table.at(p))
+            except KeyError:  # an object the table does not cover has no value
+                rows[p] = {}
+        return rows[p]
+
+    def fixed_points(g: int) -> Sequence[int]:
+        perm = perms[g]
+        return ident if perm == ident else list(compress(ident, map(eq, perm, ident)))
+
     trivial = all(perms[k] == ident for k in group.generator_indices)
-    classes = {0: range(group.order)} if trivial else group.cyclic_classes()
-    fixed_at: dict[int, Sequence[int]] = {}  # class representative -> fixed points
-    for r in classes:
-        perm = perms[r]
-        fixed_at[r] = ident if perm == ident else list(compress(ident, map(eq, perm, ident)))
+    gens = {0: range(group.order)} if trivial else group.cyclic_classes()
+    classes = {0: [0]} if trivial else group.cyclic_subgroup_classes()
     values: list[Fraction] = []
     residues: list[int] = []
     zeros = 0
     try:
-        for r, members in classes.items():
-            fixed = fixed_at[r]
-            if not fixed:
+        for r, subgroups in classes.items():
+            fixed = fixed_points(r)
+            # conjugate subgroups: as many generators, fixed points and zeros
+            if not fixed or table is not None and zero.issuperset(fixed):
+                zeros += len(subgroups) * len(gens[r]) * len(fixed)
                 continue
-            if table is None:
-                values.extend([chars[g, p] for g in members for p in fixed])
-            else:
-                reads = [rows[p] for p in fixed if rows[p] is not None]
-                zeros += (len(fixed) - len(reads)) * len(members)
-                residues.extend([row[g] for g in members for row in reads])
+            for c in subgroups:
+                fixed = fixed_points(c) if c != r else fixed
+                if table is None:
+                    values.extend([chars[g, p] for g in gens[c] for p in fixed])
+                else:
+                    reads = [residues_at(p) for p in fixed if p not in zero]
+                    zeros += (len(fixed) - len(reads)) * len(gens[c])
+                    residues.extend([row[g] for g in gens[c] for row in reads])
     except KeyError:  # the first missing pair in element order
         g, p = min(
-            (g, p) for r, members in classes.items() for g in members for p in fixed_at[r]
-            if ((g, p) not in chars if table is None else rows[p] is not None and g not in rows[p])
+            (g, p) for c, members in gens.items() for p in fixed_points(c) for g in members
+            if ((g, p) not in chars if table is None else p not in zero and g not in residues_at(p))
         )
         raise CharacterError(
             f"inconsistent character data: no character for element {g} at fixed point {p!r}"

@@ -25,6 +25,7 @@ from isoprod.groups import (
 
 import reference_seed
 from randgen import all_subgroups, catalog, left_cosets
+from test_scaling import symmetric_group
 from test_seed_differential import a5, s4, s5
 
 
@@ -268,6 +269,56 @@ def test_cyclic_representatives_match_brute_force(group):
     reps = group.cyclic_representatives()
     assert reps == [least[sub] for sub in cyclic]
     assert group.cyclic_representatives() is reps
+
+
+SUBGROUP_CLASS_COUNTS = {24: (17, 5), 60: (32, 4), 120: (67, 7), 720: (362, 11)}
+
+
+@pytest.mark.parametrize(
+    "group", catalog() + [s4(), a5(), s5(), symmetric_group(6)], ids=batched_id
+)
+def test_cyclic_subgroup_classes_match_brute_force(group):
+    # each class is the set of subgroups conjugate to its key, computed from
+    # every element's conjugation, and the classes partition the subgroups
+    reps = group.cyclic_representatives()
+    classes = group.cyclic_subgroup_classes()
+    subgroups = sorted(group.cyclic_classes())
+    assert sorted(r for members in classes.values() for r in members) == subgroups
+    everything = range(group.order)
+    for key, members in classes.items():
+        assert members == sorted(members) and key == members[0]
+        conjugates = {reps[x] for h in everything for x in group.conjugates(h, [key])}
+        assert conjugates == set(members)
+        for h in everything:
+            assert {reps[x] for x in group.conjugates(h, members)} == set(members)
+    if group.order in SUBGROUP_CLASS_COUNTS:
+        assert (len(subgroups), len(classes)) == SUBGROUP_CLASS_COUNTS[group.order]
+    assert group.cyclic_subgroup_classes() is classes
+
+
+@pytest.mark.parametrize("group", CYCLIC, ids=batched_id)
+def test_cyclic_group_has_one_subgroup_class_per_divisor(group):
+    n = group.order
+    classes = group.cyclic_subgroup_classes()
+    assert len(classes) == sum(n % d == 0 for d in range(1, n + 1))
+    assert all(members == [key] for key, members in classes.items())
+
+
+def test_lazy_cyclic_subgroup_classes_race_to_the_same_dict():
+    # threads racing on the first use each store a finished dict, built over
+    # finished representatives and conjugation tables, never a partial one
+    expected = s5().cyclic_subgroup_classes()
+    group = s5()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(group.cyclic_subgroup_classes) for _ in range(12)]
+            for future in futures:
+                assert future.result(timeout=30) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert group.cyclic_subgroup_classes() == expected
 
 
 CYCLE3, SWAP = perm_from_cycles([[0, 1, 2]], 3), perm_from_cycles([[0, 1]], 3)

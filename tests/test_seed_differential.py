@@ -54,7 +54,7 @@ from isoprod.surfaces import (
     check_free_codim1,
     fixed_point_profile,
 )
-from test_scaling import necklace
+from test_scaling import assert_trace_scans_at_most, necklace, symmetric_group
 
 
 def s4():
@@ -476,6 +476,63 @@ def test_table_trace_names_the_first_pair_a_wrong_transporter_drops():
         message = f"no character for element {g} at fixed point {x}$"
         with pytest.raises(CharacterError, match=message):
             invariant_dimension_trace(group, perms, chars)
+
+
+@pytest.mark.parametrize("group, classes", [(s5(), 7), (symmetric_group(6), 11)])
+def test_free_cayley_traces_scan_one_row_per_class_of_cyclic_subgroups(group, classes):
+    # S5 and S6 act freely on their Cayley graphs: only the identity fixes a
+    # branch or a node, and conjugate subgroups fix as many points, so each
+    # table's trace compares one row per conjugacy class of cyclic subgroups
+    # with the identity (7 and 11 rows, not 67 and 362)
+    assert len(group.cyclic_subgroup_classes()) == classes
+    graph, args = cayley_inputs(group)
+    assert_trace_scans_at_most(validate_action(group, graph, *args["images"]), classes)
+
+
+def mixed_s4_table():
+    """S4 on the six cosets of the Klein four-group V (points 0-5, where V
+    acts by the character (01)(23), (02)(13) -> 1/2) and the two cosets of
+    A4 (points 6, 7, character 0), with a table over its own permutations.
+    The class of the three <(01)(23)> fixes nonzero points; the class of
+    the four <(012)> fixes only points 6 and 7, in a zero column."""
+    group = s4()
+    klein = {0} | {element(group, c) for c in ([[0, 1], [2, 3]], [[0, 2], [1, 3]], [[0, 3], [1, 2]])}
+    alternating = group.subgroup_closure([element(group, [[0, 1, 2]]), element(group, [[1, 2, 3]])])
+    cosets = list(dict.fromkeys(
+        frozenset(group.mul(g, h) for h in sub) for sub in (klein, alternating)
+        for g in range(group.order)
+    ))
+    at = {c: i for i, c in enumerate(cosets)}
+    images = [
+        tuple(at[frozenset(group.mul(s, x) for x in c)] for c in cosets)
+        for s in group.generator_indices
+    ]
+    perms = group.extend_action(images, len(cosets))
+    found = orbits(perms, range(len(cosets)))
+    half = {element(group, [[0, 1], [2, 3]]), element(group, [[0, 2], [1, 3]])}
+    columns = tuple(tuple(int(g in half) if o.representative == 0 else 0 for g in o.stabilizer)
+                    for o in found)
+    transporters = {x: min(g for g in range(group.order) if perms[g][o.representative] == x)
+                    for o in found for x in o.members}
+    return group, CharacterTable(group, perms, tuple(found), columns, 2, transporters)
+
+
+def test_table_trace_mixes_classes_counted_at_once_and_read_per_subgroup():
+    # a class whose representative fixes only zero-column points is counted
+    # at once, |class| x |generators| x |Fix|; another reads each member
+    # subgroup's row; the sum is the reference trace over every pair
+    group, table = mixed_s4_table()
+    perms = table.perms
+    classes = group.cyclic_subgroup_classes()
+    zero = set().union(*(o.members for o, z in zip(table.orbits, table.trivial) if z))
+    fixed = {r: {p for p in range(len(perms[0])) if perms[r][p] == p} for r in classes}
+    assert {len(classes[r]) for r in classes if fixed[r] and fixed[r] <= zero} == {4}
+    assert {len(classes[r]) for r in classes if r and fixed[r] - zero} == {3}
+    expected = reference_seed.invariant_dimension_trace(
+        group, lambda g, p: perms[g][p], range(len(perms[0])), lambda g, p: table[g, p]
+    )
+    for inputs in ((perms, table), (perms, dict(table)), (list(perms), table)):
+        assert invariant_dimension_trace(group, *inputs) == expected
 
 
 @pytest.mark.parametrize("table", ["tangent_chars", "smoothing_chars"])
