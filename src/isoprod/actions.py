@@ -393,7 +393,7 @@ def validate_action(
     """
     tangent_chars = dict(tangent_chars or {})
     smoothing_chars = dict(smoothing_chars or {})
-    kernels = {v: list(ks) for v, ks in (kernels or {}).items()}
+    kernels = dict(kernels or {})
 
     ngens = len(group.generators)
     if len(vertex_images) != ngens or len(half_edge_images) != ngens:
@@ -421,6 +421,9 @@ def validate_action(
     for v, ks in kernels.items():
         if not _is_int(v) or not 0 <= v < graph.n_vertices:
             raise ActionError(f"kernel at unknown vertex {v!r}")
+        if not isinstance(ks, Iterable):
+            raise ActionError(f"kernel of vertex {v} is not a list of elements: {ks!r}")
+        kernels[v] = ks = list(ks)
         for k in ks:
             if not _is_int(k):
                 raise ActionError(f"kernel of vertex {v} names non-integer element {k!r}")

@@ -134,21 +134,27 @@ def build_graph(
     nv = len(genera)
     if nv < 1:
         raise GraphError("graph needs at least one vertex")
+    # bools and floats compare like ints, so each type is checked before its range
     for v, g in enumerate(genera):
-        if not isinstance(g, int) or g < 0:
+        if type(g) is not int or g < 0:
             problems.append(f"vertex {v}: genus must be a nonnegative integer, got {g!r}")
     nh = len(half_edge_vertices)
     for h, v in enumerate(half_edge_vertices):
-        if not 0 <= v < nv:
+        if type(v) is not int:
+            problems.append(f"half-edge {h}: vertex {v!r} is not an integer")
+        elif not 0 <= v < nv:
             problems.append(f"half-edge {h}: vertex {v} out of range")
     edge_list: list[tuple[int, int]] = []
     use_count = [0] * nh
     for n, pair in enumerate(edges):
-        pair = tuple(pair)
-        if len(pair) != 2 or pair[0] == pair[1]:
+        pair = tuple(pair) if isinstance(pair, Iterable) else pair
+        if type(pair) is not tuple or len(pair) != 2 or pair[0] == pair[1]:
             problems.append(f"edge {n}: must pair two distinct half-edges, got {pair!r}")
             continue
         for h in pair:
+            if type(h) is not int:
+                problems.append(f"edge {n}: half-edge {h!r} is not an integer")
+                break
             if not 0 <= h < nh:
                 problems.append(f"edge {n}: half-edge {h} out of range")
                 break
@@ -162,7 +168,9 @@ def build_graph(
         elif c > 1:
             problems.append(f"half-edge {h}: belongs to {c} edges")
     for m, v in enumerate(marks):
-        if not 0 <= v < nv:
+        if type(v) is not int:
+            problems.append(f"mark {m}: vertex {v!r} is not an integer")
+        elif not 0 <= v < nv:
             problems.append(f"mark {m}: vertex {v} out of range")
     if problems:
         raise GraphError("invalid graph structure:\n" + "\n".join(problems))

@@ -11,13 +11,15 @@ Parsing reports every problem it can find (schema violations with JSON
 paths, unresolved references, malformed characters, per-item consistency
 failures), not just the first.  A walk of its own checks the JSON Schema
 ``SCHEMA``, worded as jsonschema 4 words it, but 2.0 is no "integer" here.
+In ``SCHEMA`` every closed record comes from ``_record``, every list (and
+its bounds) from ``_array`` and every map keyed by user names from ``_named``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .actions import CurveAction, RamificationOrbit, validate_action
 from .curves import DualGraph, build_graph
@@ -41,163 +43,83 @@ jsonschema = None  # perfbench/tracer.py reads this name to time the document st
 _MAX_DEGREE = 10_000
 
 _ID = {"type": "string", "minLength": 1}
-_CYCLES = {
-    "type": "array",
-    "items": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 2},
-}
-_IMAGE_MAP = {"type": "object", "additionalProperties": _ID}
+_NAT = {"type": "integer", "minimum": 0}
+_CHAR = {"type": "string"}
+_BOOL = {"type": "boolean"}
 
-SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "required": ["version", "group"],
-    "additionalProperties": False,
-    "properties": {
-        "version": {"type": "string"},
-        "group": {
-            "type": "object",
-            "required": ["degree", "generators"],
-            "additionalProperties": False,
-            "properties": {
-                "degree": {"type": "integer", "minimum": 1, "maximum": _MAX_DEGREE},
-                "generators": {"type": "array", "items": _CYCLES},
-            },
-        },
-        "curves": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["vertices"],
-                "additionalProperties": False,
-                "properties": {
-                    "vertices": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {
-                            "type": "object",
-                            "required": ["id", "genus"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "id": _ID,
-                                "genus": {"type": "integer", "minimum": 0},
-                            },
-                        },
-                    },
-                    "half_edges": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["id", "vertex"],
-                            "additionalProperties": False,
-                            "properties": {"id": _ID, "vertex": _ID},
-                        },
-                    },
-                    "edges": {
-                        "type": "array",
-                        "items": {
-                            "type": "array",
-                            "items": _ID,
-                            "minItems": 2,
-                            "maxItems": 2,
-                        },
-                    },
-                    "marks": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["id", "vertex"],
-                            "additionalProperties": False,
-                            "properties": {"id": _ID, "vertex": _ID},
-                        },
-                    },
-                    "allow_disconnected": {"type": "boolean"},
-                },
-            },
-        },
-        "actions": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["curve", "vertex_images", "half_edge_images"],
-                "additionalProperties": False,
-                "properties": {
-                    "curve": _ID,
-                    "vertex_images": {"type": "array", "items": _IMAGE_MAP},
-                    "half_edge_images": {"type": "array", "items": _IMAGE_MAP},
-                    "tangent_chars": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["element", "half_edge", "char"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "element": {"type": "integer", "minimum": 0},
-                                "half_edge": _ID,
-                                "char": {"type": "string"},
-                            },
-                        },
-                    },
-                    "smoothing_chars": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["element", "edge", "char"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "element": {"type": "integer", "minimum": 0},
-                                "edge": {
-                                    "type": "array",
-                                    "items": _ID,
-                                    "minItems": 2,
-                                    "maxItems": 2,
-                                },
-                                "char": {"type": "string"},
-                            },
-                        },
-                    },
-                    "kernels": {
-                        "type": "object",
-                        "additionalProperties": {
-                            "type": "array",
-                            "items": {"type": "integer", "minimum": 0},
-                        },
-                    },
-                    "ramification_orbits": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["vertex", "element", "char", "order"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "vertex": _ID,
-                                "element": {"type": "integer", "minimum": 0},
-                                "char": {"type": "string"},
-                                "order": {"type": "integer", "minimum": 2},
-                            },
-                        },
-                    },
-                },
-            },
-        },
-        "surfaces": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["factor1", "factor2"],
-                "additionalProperties": False,
-                "properties": {
-                    "factor1": _ID,
-                    "factor2": _ID,
-                    "declared_minimal": {"type": "boolean"},
-                    "mixed_type": {"type": "boolean"},
-                },
-            },
-        },
-        "families": {
-            "type": "object",
-            "additionalProperties": {"type": "array", "items": _ID, "minItems": 1},
-        },
-    },
-}
+
+def _record(*required: str, **properties: dict) -> dict:
+    """A closed object: every key in ``required`` present, none outside
+    ``properties``.  The walk reports a missing key before an unexpected one."""
+    return {
+        "type": "object",
+        "required": list(required),
+        "additionalProperties": False,
+        "properties": properties,
+    }
+
+
+def _array(items: dict, **bounds: int) -> dict:
+    """A list of ``items``; ``bounds`` are its ``minItems`` / ``maxItems``."""
+    return {"type": "array", "items": items, **bounds}
+
+
+def _named(item: dict) -> dict:
+    """An object mapping user-chosen names to ``item``s."""
+    return {"type": "object", "additionalProperties": item}
+
+
+_PAIR = _array(_ID, minItems=2, maxItems=2)
+_IMAGE_MAPS = _array(_named(_ID))
+_AT_VERTEX = _record("id", "vertex", id=_ID, vertex=_ID)
+
+SCHEMA: dict[str, Any] = _record(
+    "version", "group",
+    version={"type": "string"},
+    group=_record(
+        "degree", "generators",
+        degree={"type": "integer", "minimum": 1, "maximum": _MAX_DEGREE},
+        generators=_array(_array(_array(_NAT, minItems=2))),
+    ),
+    curves=_named(
+        _record(
+            "vertices",
+            vertices=_array(_record("id", "genus", id=_ID, genus=_NAT), minItems=1),
+            half_edges=_array(_AT_VERTEX),
+            edges=_array(_PAIR),
+            marks=_array(_AT_VERTEX),
+            allow_disconnected=_BOOL,
+        )
+    ),
+    actions=_named(
+        _record(
+            "curve", "vertex_images", "half_edge_images",
+            curve=_ID,
+            vertex_images=_IMAGE_MAPS,
+            half_edge_images=_IMAGE_MAPS,
+            tangent_chars=_array(
+                _record("element", "half_edge", "char", element=_NAT, half_edge=_ID, char=_CHAR)
+            ),
+            smoothing_chars=_array(
+                _record("element", "edge", "char", element=_NAT, edge=_PAIR, char=_CHAR)
+            ),
+            kernels=_named(_array(_NAT)),
+            ramification_orbits=_array(
+                _record(
+                    "vertex", "element", "char", "order",
+                    vertex=_ID, element=_NAT, char=_CHAR, order={"type": "integer", "minimum": 2},
+                )
+            ),
+        )
+    ),
+    surfaces=_named(
+        _record(
+            "factor1", "factor2",
+            factor1=_ID, factor2=_ID, declared_minimal=_BOOL, mixed_type=_BOOL,
+        )
+    ),
+    families=_named(_array(_ID, minItems=1)),
+)
 
 
 class CurveNames(NamedTuple):
@@ -347,30 +269,25 @@ def document_from_dict(data: Any, cap: int = DEFAULT_GROUP_CAP) -> Document:
 
     doc = Document(version=FORMAT_VERSION, group=group)
 
-    for name, block in sorted(data.get("curves", {}).items()):
+    curves, actions = data.get("curves", {}), data.get("actions", {})
+    for name, block in sorted(curves.items()):
         path = f"curves.{name}"
         try:
-            graph, names = _parse_curve(block, path)
-            doc.curves[name] = graph
-            doc.curve_names[name] = names
+            doc.curves[name], doc.curve_names[name] = _parse_curve(block, path)
         except IsoprodError as exc:
             problems.append(f"{path}: {exc}")
         except _RefError as exc:
             problems.append(str(exc))
 
-    for name, block in sorted(data.get("actions", {}).items()):
-        path = f"actions.{name}"
-        curve_name = block["curve"]
-        if curve_name not in doc.curves:
-            if curve_name not in data.get("curves", {}):
-                problems.append(f"{path}.curve: unresolved curve reference {curve_name!r}")
+    for name, block in sorted(actions.items()):
+        path, curve = f"actions.{name}", block["curve"]
+        if not _refs_built([(f"{path}.curve", curve)], doc.curves, curves, "curve", problems):
             continue
         try:
-            action = _parse_action(
-                group, doc.curves[curve_name], doc.curve_names[curve_name], block, path
+            doc.actions[name] = _parse_action(
+                group, doc.curves[curve], doc.curve_names[curve], block, path
             )
-            doc.actions[name] = action
-            doc.action_curve[name] = curve_name
+            doc.action_curve[name] = curve
         except IsoprodError as exc:
             problems.append(f"{path}: {exc}")
         except _RefError as exc:
@@ -384,37 +301,39 @@ def document_from_dict(data: Any, cap: int = DEFAULT_GROUP_CAP) -> Document:
                 "factors are not supported"
             )
             continue
-        missing = [f for f in ("factor1", "factor2") if block[f] not in doc.actions]
-        if missing:
-            for f in missing:
-                if block[f] not in data.get("actions", {}):
-                    problems.append(
-                        f"{path}.{f}: unresolved action reference {block[f]!r}"
-                    )
+        factors = (block["factor1"], block["factor2"])
+        refs = [(f"{path}.factor{i}", a) for i, a in enumerate(factors, 1)]
+        if not _refs_built(refs, doc.actions, actions, "action", problems):
             continue
         try:
             doc.surfaces[name] = build_surface(
-                doc.actions[block["factor1"]],
-                doc.actions[block["factor2"]],
+                *map(doc.actions.__getitem__, factors),
                 declared_minimal=block.get("declared_minimal", True),
             )
-            doc.surface_factors[name] = (block["factor1"], block["factor2"])
+            doc.surface_factors[name] = factors
         except IsoprodError as exc:
             problems.append(f"{path}: {exc}")
 
     for name, labels in sorted(data.get("families", {}).items()):
-        path = f"families.{name}"
-        bad = [a for a in labels if a not in doc.actions]
-        if bad:
-            for a in bad:
-                if a not in data.get("actions", {}):
-                    problems.append(f"{path}: unresolved action reference {a!r}")
-            continue
-        doc.families[name] = tuple(labels)
+        refs = [(f"families.{name}", a) for a in labels]
+        if _refs_built(refs, doc.actions, actions, "action", problems):
+            doc.families[name] = tuple(labels)
 
     if problems:
         raise DocumentError(problems)
     return doc
+
+
+def _refs_built(
+    refs: list[tuple[str, str]], built: dict, declared: dict, what: str, problems: list[str]
+) -> bool:
+    """Whether every ``(path, name)`` in ``refs`` names an item in ``built``.
+    A name not even ``declared`` adds an unresolved-reference problem; one
+    declared but not built has had its own problems reported already."""
+    for path, name in refs:
+        if name not in built and name not in declared:
+            problems.append(f"{path}: unresolved {what} reference {name!r}")
+    return all(name in built for _, name in refs)
 
 
 class _RefError(Exception):
@@ -422,47 +341,37 @@ class _RefError(Exception):
 
 
 def _parse_curve(block: dict, path: str) -> tuple[DualGraph, CurveNames]:
-    vertex_ids = [v["id"] for v in block["vertices"]]
-    _require_unique(vertex_ids, f"{path}.vertices", "vertex id")
-    vidx = {vid: i for i, vid in enumerate(vertex_ids)}
+    vidx = _index(block["vertices"], f"{path}.vertices", "vertex id")
     genera = [v["genus"] for v in block["vertices"]]
 
-    he_ids = [h["id"] for h in block.get("half_edges", [])]
-    _require_unique(he_ids, f"{path}.half_edges", "half-edge id")
-    hidx = {hid: i for i, hid in enumerate(he_ids)}
+    hidx = _index(block.get("half_edges", []), f"{path}.half_edges", "half-edge id")
     he_vertices = [
         _resolve(vidx, h["vertex"], f"{path}.half_edges[{i}].vertex", "vertex")
         for i, h in enumerate(block.get("half_edges", []))
     ]
 
     edges = [
-        tuple(
-            _resolve(hidx, h, f"{path}.edges[{i}]", "half-edge") for h in pair
-        )
+        tuple(_resolve(hidx, h, f"{path}.edges[{i}]", "half-edge") for h in pair)
         for i, pair in enumerate(block.get("edges", []))
     ]
-    mark_ids = [m["id"] for m in block.get("marks", [])]
-    _require_unique(mark_ids, f"{path}.marks", "mark id")
+    midx = _index(block.get("marks", []), f"{path}.marks", "mark id")
     marks = [
         _resolve(vidx, m["vertex"], f"{path}.marks[{i}].vertex", "vertex")
         for i, m in enumerate(block.get("marks", []))
     ]
-    graph = build_graph(
-        genera,
-        he_vertices,
-        edges,
-        marks,
-        allow_disconnected=block.get("allow_disconnected", False),
-    )
-    return graph, CurveNames(tuple(vertex_ids), tuple(he_ids), tuple(mark_ids))
+    disconnected = block.get("allow_disconnected", False)
+    graph = build_graph(genera, he_vertices, edges, marks, allow_disconnected=disconnected)
+    return graph, CurveNames(tuple(vidx), tuple(hidx), tuple(midx))
 
 
-def _require_unique(ids: list[str], path: str, what: str) -> None:
-    seen = set()
-    for x in ids:
-        if x in seen:
-            raise _RefError(f"{path}: duplicate {what} {x!r}")
-        seen.add(x)
+def _index(items: list[dict], path: str, what: str) -> dict[str, int]:
+    """The position of each item by its ``id``; a repeated id raises _RefError."""
+    index: dict[str, int] = {}
+    for i, item in enumerate(items):
+        if item["id"] in index:
+            raise _RefError(f"{path}: duplicate {what} {item['id']!r}")
+        index[item["id"]] = i
+    return index
 
 
 def _resolve(index: dict[str, int], key: str, path: str, what: str) -> int:
@@ -580,9 +489,7 @@ def emit_document(doc: Document) -> dict:
     if doc.actions:
         data["actions"] = {
             name: _emit_action(
-                doc.actions[name],
-                doc.action_curve[name],
-                doc.curve_names[doc.action_curve[name]],
+                doc.actions[name], doc.action_curve[name], doc.names_for_action(name)
             )
             for name in sorted(doc.actions)
         }
@@ -610,9 +517,7 @@ def _emit_curve(graph: DualGraph, names: CurveNames) -> dict:
             {"id": names.half_edges[h], "vertex": names.vertices[graph.half_edge_vertex[h]]}
             for h in range(graph.n_half_edges)
         ],
-        "edges": [
-            [names.half_edges[p], names.half_edges[q]] for p, q in graph.edges
-        ],
+        "edges": [[names.half_edges[h] for h in edge] for edge in graph.edges],
         "marks": [
             {"id": names.marks[m], "vertex": names.vertices[v]}
             for m, v in enumerate(graph.marks)
@@ -623,27 +528,20 @@ def _emit_curve(graph: DualGraph, names: CurveNames) -> dict:
     return block
 
 
+def _emit_image_maps(
+    perms: Sequence[tuple[int, ...]], ids: tuple[str, ...], generators: Iterable[int]
+) -> list[dict[str, str]]:
+    """Per generator's element index, ``{id: image id}`` for each object its
+    permutation moves; the inverse of :func:`_parse_image_maps`."""
+    return [{ids[x]: ids[y] for x, y in enumerate(perms[k]) if x != y} for k in generators]
+
+
 def _emit_action(action: CurveAction, curve_name: str, names: CurveNames) -> dict:
-    group = action.group
-    gen_indices = group.generator_indices
+    gens = action.group.generator_indices
     block: dict[str, Any] = {
         "curve": curve_name,
-        "vertex_images": [
-            {
-                names.vertices[v]: names.vertices[action.vertex_perms[k][v]]
-                for v in range(action.graph.n_vertices)
-                if action.vertex_perms[k][v] != v
-            }
-            for k in gen_indices
-        ],
-        "half_edge_images": [
-            {
-                names.half_edges[h]: names.half_edges[action.half_edge_perms[k][h]]
-                for h in range(action.graph.n_half_edges)
-                if action.half_edge_perms[k][h] != h
-            }
-            for k in gen_indices
-        ],
+        "vertex_images": _emit_image_maps(action.vertex_perms, names.vertices, gens),
+        "half_edge_images": _emit_image_maps(action.half_edge_perms, names.half_edges, gens),
     }
     tangent = [
         {"element": g, "half_edge": names.half_edges[h], "char": format_rotation_char(c)}
@@ -655,10 +553,7 @@ def _emit_action(action: CurveAction, curve_name: str, names: CurveNames) -> dic
     smoothing = [
         {
             "element": g,
-            "edge": [
-                names.half_edges[action.graph.edges[n][0]],
-                names.half_edges[action.graph.edges[n][1]],
-            ],
+            "edge": [names.half_edges[h] for h in action.graph.edges[n]],
             "char": format_rotation_char(c),
         }
         for (g, n), c in sorted(action.smoothing_chars.items())

@@ -373,9 +373,12 @@ class FiniteGroup:
         elements all generators.  Every (element, generator) product is
         taken once: O(|H| * gens) group products for the subgroup H.
         """
-        seeds = list(dict.fromkeys(seeds))
+        seeds = list(seeds)
         order = self.order
         for s in seeds:
+            # bools and floats compare like ints, so the type is checked first
+            if type(s) is not int:
+                raise GroupError(f"element index {s!r} is not an integer")
             if not (0 <= s < order):
                 raise GroupError(f"element index {s} out of range")
         known = {0}

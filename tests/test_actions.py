@@ -219,6 +219,7 @@ def test_out_of_range_kernel_element_rejected(z2, nodal_quartic_graph, k):
         ({"kernels": {0: ["1"]}}, "kernel of vertex 0 names non-integer element '1'"),
         ({"kernels": {0: [1.0]}}, "kernel of vertex 0 names non-integer element 1.0"),
         ({"kernels": {"0": [1]}}, "kernel at unknown vertex '0'"),
+        ({"kernels": {0: 5}}, "kernel of vertex 0 is not a list of elements: 5"),
         (
             {"ramification_orbits": [(0, 1, Fraction(1, 2))]},
             r"ramification orbit \(0, 1, Fraction\(1, 2\)\) is not",
@@ -235,6 +236,7 @@ def test_out_of_range_kernel_element_rejected(z2, nodal_quartic_graph, k):
     ids=[
         "tangent-key-short", "smoothing-key-long", "key-float", "key-bool",
         "value-float", "value-str", "kernel-str", "kernel-float", "kernel-vertex-str",
+        "kernel-not-a-list",
         "ramification-arity",
         "ramification-char-float", "ramification-order-float",
     ],

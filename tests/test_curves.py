@@ -59,6 +59,50 @@ def test_error_lists_all_offenders():
     assert "0" in str(err.value) and "1" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "args, marks, problem",
+    [
+        (([True], [0, 0], [(0, 1)]), [], "vertex 0: genus must be a nonnegative integer, got True"),
+        (([2, 2], [0, True], [(0, 1)]), [], "half-edge 1: vertex True is not an integer"),
+        (([2], [0.0, 0], [(0, 1)]), [], "half-edge 0: vertex 0.0 is not an integer"),
+        (([2], [0, 3], [(0, 1)]), [], "half-edge 1: vertex 3 out of range"),
+        (([2], [0, 0], [(0, True)]), [], "edge 0: half-edge True is not an integer"),
+        (([2], [0, 0], [(0, 1.0)]), [], "edge 0: half-edge 1.0 is not an integer"),
+        (([2], [0, 0], [5]), [], "edge 0: must pair two distinct half-edges, got 5"),
+        (([2], [0, 0], [(0, 2)]), [], "edge 0: half-edge 2 out of range"),
+        (([2], [], []), [True], "mark 0: vertex True is not an integer"),
+        (([2], [], []), [0.0], "mark 0: vertex 0.0 is not an integer"),
+        (([2], [], []), [1], "mark 0: vertex 1 out of range"),
+    ],
+    ids=[
+        "genus-bool", "half-edge-vertex-bool", "half-edge-vertex-float", "half-edge-vertex-range",
+        "edge-entry-bool", "edge-entry-float", "edge-not-a-pair", "edge-entry-range",
+        "mark-bool", "mark-float", "mark-range",
+    ],
+)
+def test_malformed_graph_entry_is_a_problem_line(args, marks, problem):
+    # bools and floats compare like ints: each is named by its type, not
+    # stored (True as genus 1 or half-edge 1) nor left to fail as a TypeError
+    with pytest.raises(GraphError) as err:
+        build_graph(*args, marks=marks)
+    assert problem in str(err.value).splitlines()[1:]
+
+
+def test_every_malformed_graph_entry_is_one_more_line():
+    with pytest.raises(GraphError) as err:
+        build_graph([True], [0.0, 0], [5, (0, 1.0)], marks=[2])
+    assert str(err.value).splitlines() == [
+        "invalid graph structure:",
+        "vertex 0: genus must be a nonnegative integer, got True",
+        "half-edge 0: vertex 0.0 is not an integer",
+        "edge 0: must pair two distinct half-edges, got 5",
+        "edge 1: half-edge 1.0 is not an integer",
+        "half-edge 0: dangling (belongs to no edge)",
+        "half-edge 1: dangling (belongs to no edge)",
+        "mark 0: vertex 2 out of range",
+    ]
+
+
 def test_disconnected_rejected_unless_flagged():
     with pytest.raises(GraphError, match="disconnected"):
         build_graph([2, 2], [], [])

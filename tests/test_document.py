@@ -153,6 +153,22 @@ def test_mixed_type_surface_rejected():
         parse_document(json.dumps(data))
 
 
+def test_surface_with_a_genus_one_factor_reports_the_factor():
+    elliptic = {"vertices": [{"id": "v", "genus": 1}], "marks": [{"id": "m", "vertex": "v"}]}
+    trivial = {"vertex_images": [{}], "half_edge_images": [{}]}
+    data = minimal_doc(
+        curves={"e": elliptic, "c": {"vertices": [{"id": "v", "genus": 2}]}},
+        actions={"a": {"curve": "e", **trivial}, "b": {"curve": "c", **trivial}},
+        surfaces={"s": {"factor1": "a", "factor2": "b"}},
+    )
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(data))
+    assert err.value.problems == [
+        "surfaces.s: factor1: arithmetic genus 1 < 2; "
+        "factors must be curves of genus two or higher"
+    ]
+
+
 def test_kernels_close_to_subgroup():
     data = minimal_doc(
         curves={
@@ -344,6 +360,35 @@ def test_integral_floats_all_reported_in_path_order():
         "curves.c.vertices.0.genus: 2.0 is not of type 'integer'",
         "group.degree: 2.0 is not of type 'integer'",
     ]
+
+
+@pytest.mark.parametrize(
+    "group, problems",
+    [
+        (
+            {"degree": 2, "zz": 1},
+            [
+                "group: 'generators' is a required property",
+                "group: Additional properties are not allowed ('zz' was unexpected)",
+            ],
+        ),
+        (
+            {"degree": 0.5, "generators": []},
+            [
+                "group.degree: 0.5 is not of type 'integer'",
+                "group.degree: 0.5 is less than the minimum of 1",
+            ],
+        ),
+    ],
+    ids=["required-then-unexpected", "type-then-minimum"],
+)
+def test_problems_at_one_path_keep_the_schema_keyword_order(group, problems):
+    # the sort by path is stable, so lines at one path come in the order of
+    # the keywords in SCHEMA; jsonschema follows the same order, so the
+    # differential test cannot see a reordered keyword
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps({"version": "1", "group": group}))
+    assert err.value.problems == problems
 
 
 def test_schema_problem_shortens_a_long_echoed_value():

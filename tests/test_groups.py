@@ -100,6 +100,41 @@ def test_non_integer_cycle_letters_rejected(letter):
     assert str(err.value) == f"not a permutation of 2 letters: cycle entry {letter!r}"
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (True, "element index True is not an integer"),
+        (1.0, "element index 1.0 is not an integer"),
+        (1.5, "element index 1.5 is not an integer"),
+        ("a", "element index 'a' is not an integer"),
+        (2, "element index 2 out of range"),
+    ],
+)
+def test_malformed_closure_seeds_rejected(z2, seed, message):
+    # True == 1 and 1.0 == 1 would pass the range check (True was kept as an
+    # element); 1.5 and 'a' raised a bare TypeError
+    with pytest.raises(GroupError) as err:
+        z2.subgroup_closure([seed])
+    assert str(err.value) == message
+
+
+def test_index_of_a_non_element_is_a_group_error(z2):
+    assert z2.index_of((1, 0)) == 1
+    for perm in [(0, 0), (0, 1, 2)]:
+        with pytest.raises(GroupError, match="is not a group element"):
+            z2.index_of(perm)
+
+
+def test_character_table_rejects_malformed_keys(paper_action):
+    table = paper_action.tangent_chars
+    n = paper_action.graph.n_half_edges
+    assert table[(0, 0)] == 0
+    for key in ["x", (1,), (-1, 0), (0, n)]:
+        with pytest.raises(KeyError):
+            table[key]
+        assert table.get(key) is None
+
+
 @pytest.mark.parametrize("group", catalog(), ids=lambda g: f"order{g.order}")
 def test_group_axioms_exhaustive(group):
     n = group.order
