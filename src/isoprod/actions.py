@@ -27,13 +27,13 @@ the oracle recomputes them with ``orbits(..., within=stabilizer)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
 from math import lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
+from ._value import _Frozen
 from .curves import DualGraph
 from .errors import (
     ActionError,
@@ -97,8 +97,7 @@ class EquivariantT1(NamedTuple):
     total: int
 
 
-@dataclass(frozen=True, eq=True)
-class CurveAction:
+class CurveAction(_Frozen):
     """A validated action of a finite group on a stable dual graph.
 
     Character tables are complete: every (element, fixed half-edge) and
@@ -113,9 +112,10 @@ class CurveAction:
     whose tables are views of its parent's, each row built on first read;
     a view compares equal to the tuple of its rows.
 
-    Derived facts are computed on first use and kept on the instance, not as
-    fields: ``fixed_point_sets``, ``quotient_signatures`` and
-    ``t1_equivariant``.  A new instance starts with none of them;
+    Equality, hashing and repr read the twelve fields below.  Derived facts
+    are computed on first use and kept on the instance, outside them:
+    ``fixed_point_sets``, ``quotient_signatures`` and ``t1_equivariant``.
+    A new instance, such as a ``_replace()`` copy, starts with none of them;
     :func:`t1_equivariant_oracle` reads none of them.
     """
 
@@ -131,6 +131,24 @@ class CurveAction:
     vertex_orbits: tuple[Orbit, ...]
     half_edge_orbits: tuple[Orbit, ...]
     edge_orbits: tuple[Orbit, ...]
+    _compared = (
+        "group", "graph", "vertex_perms", "half_edge_perms", "edge_perms", "tangent_chars",
+        "smoothing_chars", "kernels", "ramification_orbits", "vertex_orbits",
+        "half_edge_orbits", "edge_orbits",
+    )
+
+    def __init__(
+        self, group, graph, vertex_perms, half_edge_perms, edge_perms, tangent_chars,
+        smoothing_chars, kernels, ramification_orbits, vertex_orbits, half_edge_orbits,
+        edge_orbits,
+    ):
+        self.__dict__.update(
+            group=group, graph=graph, vertex_perms=vertex_perms,
+            half_edge_perms=half_edge_perms, edge_perms=edge_perms,
+            tangent_chars=tangent_chars, smoothing_chars=smoothing_chars, kernels=kernels,
+            ramification_orbits=ramification_orbits, vertex_orbits=vertex_orbits,
+            half_edge_orbits=half_edge_orbits, edge_orbits=edge_orbits,
+        )
 
     def swaps_branches(self, g: int, n: int) -> bool:
         p, q = self.graph.edges[n]
@@ -302,6 +320,22 @@ def _transport_and_close(
     return tuple(chi[h] for h in stab)
 
 
+def _as_dict(mapping: Mapping | None, what: str) -> dict:
+    """A copy of an optional mapping argument; anything else is an ActionError."""
+    try:
+        return dict(mapping or {})
+    except (TypeError, ValueError):  # not a mapping, nor a list of pairs
+        raise ActionError(f"{what} must be a mapping, got {mapping!r}") from None
+
+
+def _length(x: object) -> int:
+    """``len(x)``, or -1 for an object without one, which matches no count."""
+    try:
+        return len(x)
+    except TypeError:
+        return -1
+
+
 def _is_int(x: object) -> bool:
     """An index: an int that is not a bool (True would pass for element 1)."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -391,12 +425,12 @@ def validate_action(
     failure of the half-edge walk or the cover check replays the vertex
     walk, whose error wins.
     """
-    tangent_chars = dict(tangent_chars or {})
-    smoothing_chars = dict(smoothing_chars or {})
-    kernels = dict(kernels or {})
+    tangent_chars = _as_dict(tangent_chars, "tangent characters")
+    smoothing_chars = _as_dict(smoothing_chars, "smoothing characters")
+    kernels = _as_dict(kernels, "kernels")
 
     ngens = len(group.generators)
-    if len(vertex_images) != ngens or len(half_edge_images) != ngens:
+    if _length(vertex_images) != ngens or _length(half_edge_images) != ngens:
         raise ActionError("need one vertex image and one half-edge image per generator")
     for kind, seeds, n_objects, obj_kind in (
         ("tangent", tangent_chars, graph.n_half_edges, "half-edge"),
@@ -421,7 +455,7 @@ def validate_action(
     for v, ks in kernels.items():
         if not _is_int(v) or not 0 <= v < graph.n_vertices:
             raise ActionError(f"kernel at unknown vertex {v!r}")
-        if not isinstance(ks, Iterable):
+        if type(ks) is not list and not isinstance(ks, Iterable):
             raise ActionError(f"kernel of vertex {v} is not a list of elements: {ks!r}")
         kernels[v] = ks = list(ks)
         for k in ks:
@@ -429,6 +463,8 @@ def validate_action(
                 raise ActionError(f"kernel of vertex {v} names non-integer element {k!r}")
             if not 0 <= k < group.order:
                 raise ActionError(f"kernel of vertex {v} names unknown element {k}")
+    if not isinstance(ramification_orbits, Iterable):
+        raise ActionError(f"ramification orbits must be a list, got {ramification_orbits!r}")
     ram_entries: list[RamificationOrbit] = []
     for entry in ramification_orbits:
         if not isinstance(entry, RamificationOrbit):
@@ -450,9 +486,9 @@ def validate_action(
             )
         ram_entries.append(entry)
 
-    if any(len(img) != graph.n_vertices for img in vertex_images):
+    if any(_length(img) != graph.n_vertices for img in vertex_images):
         raise ActionError("vertex images must permute the graph's vertices")
-    if any(len(img) != graph.n_half_edges for img in half_edge_images):
+    if any(_length(img) != graph.n_half_edges for img in half_edge_images):
         raise ActionError("half-edge images must permute the graph's half-edges")
 
     def induced(images: list[Perm], kept: list[int], owner: Sequence[int]) -> Sequence[Perm]:

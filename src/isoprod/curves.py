@@ -9,15 +9,14 @@ self-loop keeps both half-edges on one vertex), and marks are marked points.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
+from ._value import _Frozen
 from .errors import GraphError
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(_Frozen):
     """Validated dual graph; build through :func:`build_graph`.
 
     ``genera[v]`` is the normalization genus of vertex ``v``,
@@ -26,8 +25,8 @@ class DualGraph:
     ``marks[m]`` the vertex carrying mark ``m``.
 
     Derived structure is built on first use, in one pass over the graph each,
-    and kept on the instance (it is not a field, so equality, hashing and
-    repr see the data only): ``components`` (the connected components, each
+    and kept on the instance, outside the four fields that equality, hashing
+    and repr read: ``components`` (the connected components, each
     a sorted vertex tuple), ``vertex_half_edges[v]`` and ``vertex_marks[v]``
     (the half-edges and marks at ``v``, in index order), and
     ``arithmetic_genus`` (raising ``GraphError`` on every read if disconnected).
@@ -36,7 +35,13 @@ class DualGraph:
     genera: tuple[int, ...]
     half_edge_vertex: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    marks: tuple[int, ...] = ()
+    marks: tuple[int, ...]
+    _compared = ("genera", "half_edge_vertex", "edges", "marks")
+
+    def __init__(self, genera, half_edge_vertex, edges, marks=()):
+        self.__dict__.update(
+            genera=genera, half_edge_vertex=half_edge_vertex, edges=edges, marks=marks
+        )
 
     @property
     def n_vertices(self) -> int:
@@ -130,6 +135,13 @@ def build_graph(
     connectivity unless ``allow_disconnected``.  Raises GraphError listing
     every offending item.
     """
+    # the containers first: len() and iteration would fail with a bare TypeError
+    for what, items in (("genera", genera), ("half-edge vertices", half_edge_vertices),
+                        ("marks", marks)):
+        if not isinstance(items, Sequence):
+            raise GraphError(f"{what} must be a sequence, got {items!r}")
+    if not isinstance(edges, Iterable):
+        raise GraphError(f"edges must be an iterable of pairs, got {edges!r}")
     problems: list[str] = []
     nv = len(genera)
     if nv < 1:
@@ -147,7 +159,8 @@ def build_graph(
     edge_list: list[tuple[int, int]] = []
     use_count = [0] * nh
     for n, pair in enumerate(edges):
-        pair = tuple(pair) if isinstance(pair, Iterable) else pair
+        if type(pair) is not tuple:  # exact types first: typing.Iterable's isinstance is slow
+            pair = tuple(pair) if type(pair) is list or isinstance(pair, Iterable) else pair
         if type(pair) is not tuple or len(pair) != 2 or pair[0] == pair[1]:
             problems.append(f"edge {n}: must pair two distinct half-edges, got {pair!r}")
             continue

@@ -18,9 +18,9 @@ its bounds) from ``_array`` and every map keyed by user names from ``_named``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
+from ._value import _Value
 from .actions import CurveAction, RamificationOrbit, validate_action
 from .curves import DualGraph, build_graph
 from .errors import _MAX_PROBLEM, DocumentError, IsoprodError, _clip
@@ -128,19 +128,38 @@ class CurveNames(NamedTuple):
     marks: tuple[str, ...]
 
 
-@dataclass(eq=True)
-class Document:
-    """A fully validated input document."""
+class Document(_Value):
+    """A fully validated input document: its version, its group and seven
+    name-keyed dicts, each a new empty dict unless given.  Equality and repr
+    read all nine fields; it is mutable, so it has no hash."""
 
     version: str
     group: FiniteGroup
-    curves: dict[str, DualGraph] = field(default_factory=dict)
-    curve_names: dict[str, CurveNames] = field(default_factory=dict)
-    actions: dict[str, CurveAction] = field(default_factory=dict)
-    action_curve: dict[str, str] = field(default_factory=dict)
-    surfaces: dict[str, SurfaceDescriptor] = field(default_factory=dict)
-    surface_factors: dict[str, tuple[str, str]] = field(default_factory=dict)
-    families: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    curves: dict[str, DualGraph]
+    curve_names: dict[str, CurveNames]
+    actions: dict[str, CurveAction]
+    action_curve: dict[str, str]
+    surfaces: dict[str, SurfaceDescriptor]
+    surface_factors: dict[str, tuple[str, str]]
+    families: dict[str, tuple[str, ...]]
+    _compared = (
+        "version", "group", "curves", "curve_names", "actions", "action_curve", "surfaces",
+        "surface_factors", "families",
+    )
+    __hash__ = None
+
+    def __init__(
+        self, version, group, curves=None, curve_names=None, actions=None, action_curve=None,
+        surfaces=None, surface_factors=None, families=None,
+    ):
+        self.version, self.group = version, group
+        self.curves = {} if curves is None else curves
+        self.curve_names = {} if curve_names is None else curve_names
+        self.actions = {} if actions is None else actions
+        self.action_curve = {} if action_curve is None else action_curve
+        self.surfaces = {} if surfaces is None else surfaces
+        self.surface_factors = {} if surface_factors is None else surface_factors
+        self.families = {} if families is None else families
 
     def names_for_action(self, name: str) -> CurveNames:
         return self.curve_names[self.action_curve[name]]

@@ -41,13 +41,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, lcm
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from ._value import _Frozen
 from .cyclotomic import root_of_unity_sum
 from .errors import CharacterError, GroupError
 
@@ -136,8 +136,7 @@ def format_perm(p: Perm) -> str:
     return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(_Frozen):
     """A finite permutation group with a fixed element table.
 
     Index 0 is always the identity.  ``right[i][k]`` is the index of
@@ -145,28 +144,30 @@ class FiniteGroup:
     ints).  Instances are immutable and safe to share; construct through
     :meth:`from_generators`, which builds nothing else.  Lookup tables
     derived later (inverses, conjugation by a generator, the cyclic
-    subgroups) are kept on the instance when first asked for.
+    subgroups) are kept on the instance when first asked for.  Equality,
+    hashing and repr read ``degree``, ``generators`` and ``elements`` only.
     """
 
     degree: int
     generators: tuple[Perm, ...]
     elements: tuple[Perm, ...]
-    right: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    right: tuple[tuple[int, ...], ...]
+    _compared = ("degree", "generators", "elements")
 
-    def __post_init__(self):
-        # lookup caches; not fields, so they stay out of eq/repr; filled
-        # lazily by :meth:`inverse`, :meth:`_generator_conjugation`,
-        # :meth:`cyclic_representatives` and :meth:`cyclic_subgroup_classes`.
-        object.__setattr__(
-            self, "_index", {p: i for i, p in enumerate(self.elements)}
+    def __init__(self, degree, generators, elements, right):
+        # the lookup caches are filled lazily by :meth:`inverse`,
+        # :meth:`_generator_conjugation`, :meth:`cyclic_representatives`
+        # and :meth:`cyclic_subgroup_classes`
+        self.__dict__.update(
+            degree=degree, generators=generators, elements=elements, right=right,
+            _index={p: i for i, p in enumerate(elements)}, _inverse={0: 0}, _conjugation={},
+            _cyclic=None, _subgroup_classes=None,
+            _generator_position={j: k for k, j in enumerate(right[0])},
         )
-        object.__setattr__(self, "_inverse", {0: 0})
-        object.__setattr__(self, "_conjugation", {})
-        object.__setattr__(self, "_cyclic", None)
-        object.__setattr__(self, "_subgroup_classes", None)
-        object.__setattr__(
-            self, "_generator_position", {j: k for k, j in enumerate(self.right[0])}
-        )
+
+    def _replace(self, **changes) -> "FiniteGroup":
+        changes.setdefault("right", self.right)  # a constructor argument, not compared
+        return super()._replace(**changes)
 
     @classmethod
     def from_generators(
@@ -217,7 +218,7 @@ class FiniteGroup:
     def index_of(self, perm: Perm) -> int:
         try:
             return self._index[perm]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable perm, such as a list
             raise GroupError(f"permutation {perm!r} is not a group element") from None
 
     def mul(self, i: int, j: int) -> int:
@@ -274,8 +275,7 @@ class FiniteGroup:
                 classes[g] = [i for j, i in enumerate(powers, 1) if gcd(j, m) == 1]
                 for i in classes[g]:
                     reps[i] = g
-            object.__setattr__(self, "_cyclic_classes", classes)
-            object.__setattr__(self, "_cyclic", reps)
+            self.__dict__.update(_cyclic_classes=classes, _cyclic=reps)
         return reps
 
     def cyclic_classes(self) -> dict[int, list[int]]:
@@ -302,7 +302,7 @@ class FiniteGroup:
                                 seen.add(d)
                                 members.append(d)
                     members.sort()
-            object.__setattr__(self, "_subgroup_classes", classes)
+            self.__dict__["_subgroup_classes"] = classes
         return classes
 
     def products(self, xs: Iterable[int], t: int) -> list[int]:
@@ -373,6 +373,10 @@ class FiniteGroup:
         elements all generators.  Every (element, generator) product is
         taken once: O(|H| * gens) group products for the subgroup H.
         """
+        try:
+            seeds = iter(seeds)
+        except TypeError:
+            raise GroupError(f"element indices must be iterable, got {seeds!r}") from None
         seeds = list(seeds)
         order = self.order
         for s in seeds:

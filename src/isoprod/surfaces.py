@@ -11,19 +11,18 @@ condition carrying its citation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
+from ._value import _Frozen
 from .actions import CurveAction, EquivariantT1, t1_equivariant
 from .curves import arithmetic_genus
 from .errors import SurfaceError
 from .groups import format_perm
 
 
-@dataclass(frozen=True)
-class SurfaceDescriptor:
+class SurfaceDescriptor(_Frozen):
     """A product-quotient surface (C1 x C2)/G given by its two factors.
 
     ``declared_minimal`` records that the realization is the minimal one;
@@ -35,7 +34,13 @@ class SurfaceDescriptor:
 
     factor1: CurveAction
     factor2: CurveAction
-    declared_minimal: bool = True
+    declared_minimal: bool
+    _compared = ("factor1", "factor2", "declared_minimal")
+
+    def __init__(self, factor1, factor2, declared_minimal=True):
+        self.__dict__.update(
+            factor1=factor1, factor2=factor2, declared_minimal=declared_minimal
+        )
 
     @cached_property
     def free_action(self) -> FreenessCheck:

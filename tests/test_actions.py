@@ -220,6 +220,10 @@ def test_out_of_range_kernel_element_rejected(z2, nodal_quartic_graph, k):
         ({"kernels": {0: [1.0]}}, "kernel of vertex 0 names non-integer element 1.0"),
         ({"kernels": {"0": [1]}}, "kernel at unknown vertex '0'"),
         ({"kernels": {0: 5}}, "kernel of vertex 0 is not a list of elements: 5"),
+        ({"tangent_chars": 5}, "tangent characters must be a mapping, got 5"),
+        ({"smoothing_chars": 5}, "smoothing characters must be a mapping, got 5"),
+        ({"kernels": 5}, "kernels must be a mapping, got 5"),
+        ({"ramification_orbits": 5}, "ramification orbits must be a list, got 5"),
         (
             {"ramification_orbits": [(0, 1, Fraction(1, 2))]},
             r"ramification orbit \(0, 1, Fraction\(1, 2\)\) is not",
@@ -236,7 +240,8 @@ def test_out_of_range_kernel_element_rejected(z2, nodal_quartic_graph, k):
     ids=[
         "tangent-key-short", "smoothing-key-long", "key-float", "key-bool",
         "value-float", "value-str", "kernel-str", "kernel-float", "kernel-vertex-str",
-        "kernel-not-a-list",
+        "kernel-not-a-list", "tangent-not-a-mapping", "smoothing-not-a-mapping",
+        "kernels-not-a-mapping", "ramification-not-a-list",
         "ramification-arity",
         "ramification-char-float", "ramification-order-float",
     ],
@@ -247,6 +252,23 @@ def test_malformed_seed_rejected(z2, nodal_quartic_graph, seeds, message):
         validate_action(
             z2, nodal_quartic_graph, vertex_images=[(0,)], half_edge_images=[(0, 1)], **seeds
         )
+
+
+@pytest.mark.parametrize(
+    "images, message",
+    [
+        ({"vertex_images": [5], "half_edge_images": [(0, 1)]}, "must permute the graph's vertices"),
+        ({"vertex_images": [(0,)], "half_edge_images": [5]}, "must permute the graph's half-edges"),
+        ({"vertex_images": 5, "half_edge_images": [(0, 1)]}, "need one vertex image"),
+    ],
+    ids=["vertex-image-int", "half-edge-image-int", "vertex-images-int"],
+)
+def test_malformed_images_rejected(z2, nodal_quartic_graph, images, message):
+    with pytest.raises(ActionError, match=message):
+        validate_action(z2, nodal_quartic_graph, **images)
+    # the container checks come first, in argument order
+    with pytest.raises(ActionError, match="tangent characters must be a mapping"):
+        validate_action(z2, nodal_quartic_graph, **images, tangent_chars=5, kernels=5)
 
 
 def test_orbit_lookup(paper_action):

@@ -88,6 +88,22 @@ def test_malformed_graph_entry_is_a_problem_line(args, marks, problem):
     assert problem in str(err.value).splitlines()[1:]
 
 
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((5, [], []), {}, "genera must be a sequence, got 5"),
+        (([2], 5, []), {}, "half-edge vertices must be a sequence, got 5"),
+        (([2], [], 5), {}, "edges must be an iterable of pairs, got 5"),
+        (([2], [], []), {"marks": 5}, "marks must be a sequence, got 5"),
+    ],
+    ids=["genera", "half-edge-vertices", "edges", "marks"],
+)
+def test_malformed_graph_container_is_one_line(args, kwargs, message):
+    with pytest.raises(GraphError) as err:
+        build_graph(*args, **kwargs)
+    assert str(err.value) == message
+
+
 def test_every_malformed_graph_entry_is_one_more_line():
     with pytest.raises(GraphError) as err:
         build_graph([True], [0.0, 0], [5, (0, 1.0)], marks=[2])

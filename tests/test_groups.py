@@ -118,9 +118,16 @@ def test_malformed_closure_seeds_rejected(z2, seed, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("method", ["subgroup_closure", "generating_set"])
+def test_closure_of_a_non_iterable_is_a_group_error(z2, method):
+    with pytest.raises(GroupError) as err:
+        getattr(z2, method)(5)
+    assert str(err.value) == "element indices must be iterable, got 5"
+
+
 def test_index_of_a_non_element_is_a_group_error(z2):
     assert z2.index_of((1, 0)) == 1
-    for perm in [(0, 0), (0, 1, 2)]:
+    for perm in [(0, 0), (0, 1, 2), [1, 0]]:
         with pytest.raises(GroupError, match="is not a group element"):
             z2.index_of(perm)
 

@@ -26,6 +26,9 @@ def test_export_list_matches_the_package_namespace():
     assert public <= set(isoprod.__all__), sorted(public - set(isoprod.__all__))
 
 
+# the dataclasses module and what it loads: no import of the package pays for them
+HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
 _IMPORT_PROBE = """
 import json, sys
 before = set(sys.modules)
@@ -37,6 +40,7 @@ facts = {
     ),
     "families_loaded": "isoprod.families" in sys.modules,
     "foreign": sorted(loaded - set(sys.stdlib_module_names) - {"isoprod"}),
+    "loaded": sorted(loaded),
 }
 import isoprod.document
 names = ("Document", "emit_document", "parse_document")
@@ -93,6 +97,7 @@ def test_plain_import_leaves_the_document_layer_unloaded():
     assert facts["document_loaded"] == []
     assert facts["families_loaded"] is False
     assert facts["foreign"] == []
+    assert HEAVY.isdisjoint(facts["loaded"])
     assert facts["same_objects"] == [True, True, True]
     assert facts["family_same_objects"] == [True] * 6
     # resolved afresh on each access, never bound into the package
@@ -106,16 +111,17 @@ def test_cli_import_loads_only_the_standard_library():
     # checker is the package's own, so nothing outside the standard library;
     # and only check-family and smooth use isoprod.families, which they
     # import when they run
-    foreign, families_loaded = _probe(
+    foreign, loaded, families_loaded = _probe(
         "-c",
         "import json, sys\n"
         "before = set(sys.modules)\n"
         "import isoprod.cli\n"
         "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(json.dumps([sorted(loaded - set(sys.stdlib_module_names) - {'isoprod'}),\n"
-        "                  'isoprod.families' in sys.modules]))\n"
+        "                  sorted(loaded), 'isoprod.families' in sys.modules]))\n"
     )
     assert foreign == []
+    assert HEAVY.isdisjoint(loaded)
     assert families_loaded is False
 
 

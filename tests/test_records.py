@@ -1,7 +1,9 @@
 """Result records are named tuples: their fields, immutability, rendering
-and repr, and which classes of the package stay dataclasses."""
+and repr.  The five stateful classes are plain classes that compare, hash
+and print as the dataclasses they were."""
 
 import dataclasses
+import functools
 import importlib
 import inspect
 import json
@@ -16,9 +18,13 @@ from isoprod.cli import _Command, _plain
 from isoprod.curves import T1Breakdown
 from isoprod.document import CurveNames
 from isoprod.families import ConstancyReport, FamilyStratum, SmoothingChain, StratumValue
-from isoprod.groups import Orbit
+from isoprod.actions import CurveAction
+from isoprod.curves import DualGraph
+from isoprod.document import Document
+from isoprod.groups import FiniteGroup, Orbit
 from isoprod.surfaces import (
     CertificateCondition,
+    SurfaceDescriptor,
     DegenerationCertificate,
     ElementFixedPoints,
     FreenessCheck,
@@ -238,13 +244,166 @@ def test_ramification_orbits_sort_by_their_fields():
     ]
 
 
-def test_only_the_stateful_classes_are_dataclasses():
-    # a dataclass is kept only where a record needs what a named tuple lacks:
-    # cached_property, __post_init__, field(compare=False), default_factory
+def test_no_class_in_the_package_is_a_dataclass():
+    # every import of the package would pay for the dataclasses module and
+    # the inspect, ast and dis modules it loads
     found = set()
     for info in pkgutil.iter_modules(isoprod.__path__, "isoprod."):
         module = importlib.import_module(info.name)
         for _, cls in inspect.getmembers(module, inspect.isclass):
             if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls):
                 found.add(cls.__name__)
-    assert found == {"CurveAction", "DualGraph", "FiniteGroup", "SurfaceDescriptor", "Document"}
+    assert found == set()
+
+
+# each stateful class as the dataclass it was: its fields in order, then
+# any field left out of equality, hashing and repr, and whether it was frozen
+DATACLASS_FORMS = {
+    FiniteGroup: (("degree", "generators", "elements"), ("right",), True),
+    DualGraph: (("genera", "half_edge_vertex", "edges", "marks"), (), True),
+    CurveAction: (
+        (
+            "group", "graph", "vertex_perms", "half_edge_perms", "edge_perms", "tangent_chars",
+            "smoothing_chars", "kernels", "ramification_orbits", "vertex_orbits",
+            "half_edge_orbits", "edge_orbits",
+        ),
+        (),
+        True,
+    ),
+    SurfaceDescriptor: (("factor1", "factor2", "declared_minimal"), (), True),
+    Document: (
+        (
+            "version", "group", "curves", "curve_names", "actions", "action_curve", "surfaces",
+            "surface_factors", "families",
+        ),
+        (),
+        False,
+    ),
+}
+STATEFUL_IDS = [cls.__name__ for cls in DATACLASS_FORMS]
+
+
+@functools.cache
+def _dataclass_form(cls):
+    """A dataclass of ``cls``'s name in its former form."""
+    compared, hidden, frozen = DATACLASS_FORMS[cls]
+    fields = [(name, object) for name in compared]
+    fields += [(name, object, dataclasses.field(compare=False, repr=False)) for name in hidden]
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=frozen)
+
+
+def _as_dataclass(obj):
+    """``obj``'s field values in its class's former dataclass form."""
+    compared, hidden, _ = DATACLASS_FORMS[type(obj)]
+    return _dataclass_form(type(obj))(*(getattr(obj, name) for name in compared + hidden))
+
+
+def _hash(obj):
+    """``hash(obj)``, or the error it raises (a field may be unhashable)."""
+    try:
+        return hash(obj)
+    except TypeError as exc:
+        return str(exc)
+
+
+def _samples(doc, cls):
+    """At least two unequal instances of ``cls`` from the bundled document."""
+    if cls is FiniteGroup:
+        z3 = FiniteGroup.from_generators([[1, 2, 0]], 3)
+        # the same group with another ``right`` table: equal, as before
+        return [doc.group, z3, z3._replace(right=((0,), (0,), (0,)))]
+    if cls is Document:
+        return [doc, doc._replace(families={})]
+    table = {DualGraph: doc.curves, CurveAction: doc.actions, SurfaceDescriptor: doc.surfaces}
+    samples = list(table[cls].values())
+    if cls is SurfaceDescriptor:
+        samples.append(samples[0]._replace(declared_minimal=False))
+    return samples
+
+
+@pytest.mark.parametrize("cls", DATACLASS_FORMS, ids=STATEFUL_IDS)
+def test_stateful_class_compares_hashes_and_prints_as_its_dataclass(golden_doc, cls):
+    samples = _samples(golden_doc, cls)
+    samples += [obj._replace() for obj in samples]
+    forms = list(map(_as_dataclass, samples))
+    for obj, form in zip(samples, forms):
+        assert repr(obj) == repr(form)
+        assert _hash(obj) == _hash(form)
+        for other, other_form in zip(samples, forms):
+            assert (obj == other) is (form == other_form)
+            assert (obj != other) is (form != other_form)
+        assert obj.__eq__(form) is NotImplemented and obj != form
+        assert obj != 5
+
+
+def test_small_group_and_graph_reprs(z2, nodal_quartic_graph):
+    assert repr(z2) == "FiniteGroup(degree=2, generators=((1, 0),), elements=((0, 1), (1, 0)))"
+    assert repr(nodal_quartic_graph) == (
+        "DualGraph(genera=(2,), half_edge_vertex=(0, 0), edges=((0, 1),), marks=())"
+    )
+
+
+FROZEN = [cls for cls, (_, _, frozen) in DATACLASS_FORMS.items() if frozen]
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=[cls.__name__ for cls in FROZEN])
+def test_frozen_stateful_class_rejects_assignment(golden_doc, cls):
+    obj = _samples(golden_doc, cls)[0]
+    compared, hidden, _ = DATACLASS_FORMS[cls]
+    before = dict(vars(obj))
+    for name in compared + hidden + ("no_such_field",):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(obj, name)
+    assert vars(obj) == before
+
+
+def test_document_stays_mutable(golden_doc):
+    doc = golden_doc._replace()
+    doc.version = "2"
+    assert doc.version == "2" and golden_doc.version == "1" and doc != golden_doc
+    assert Document("1", golden_doc.group).curves == {}
+    # each default is a new dict
+    assert Document("1", golden_doc.group).curves is not Document("1", golden_doc.group).curves
+
+
+# the cached_property values each class keeps once computed
+KEPT = {
+    FiniteGroup: (),
+    DualGraph: ("components", "vertex_half_edges", "vertex_marks", "arithmetic_genus"),
+    CurveAction: ("fixed_point_sets", "quotient_signatures", "t1_equivariant"),
+    SurfaceDescriptor: ("free_action", "free_codim1"),
+    Document: (),
+}
+# a group's lookup caches, each with its value when nothing is kept
+GROUP_CACHES = {"_inverse": {0: 0}, "_conjugation": {}, "_cyclic": None, "_subgroup_classes": None}
+
+
+@pytest.mark.parametrize("cls", DATACLASS_FORMS, ids=STATEFUL_IDS)
+def test_kept_values_stay_out_of_equality_hash_and_repr(golden_doc, cls):
+    for obj in _samples(golden_doc, cls)[:2]:  # a real group's caches, not a made-up table's
+        fresh = obj._replace()
+        assert fresh is not obj and type(fresh) is cls
+        for name in KEPT[cls]:
+            getattr(obj, name)
+            assert name in vars(obj) and name not in vars(fresh)
+        if cls is FiniteGroup:
+            obj.inverse(obj.order - 1)
+            obj.cyclic_subgroup_classes()
+            for name, empty in GROUP_CACHES.items():
+                assert vars(obj)[name] != empty and vars(fresh)[name] == empty
+        assert fresh == obj and obj == fresh
+        assert repr(fresh) == repr(obj) == repr(_as_dataclass(obj))
+        assert _hash(fresh) == _hash(obj) == _hash(_as_dataclass(obj))
+
+
+def test_replace_changes_only_the_given_fields(golden_doc):
+    surface = golden_doc.surfaces["central_fiber"]
+    changed = surface._replace(declared_minimal=False)
+    assert (changed.factor1, changed.factor2) == (surface.factor1, surface.factor2)
+    assert changed.declared_minimal is False and changed != surface
+    group = golden_doc.group
+    assert group._replace().right is group.right
+    with pytest.raises(TypeError):
+        surface._replace(no_such_field=1)

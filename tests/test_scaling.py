@@ -4,7 +4,6 @@ times the expected time); they catch a return to quadratic or cubic work,
 not small slowdowns.  Repeated work across queries is pinned by counting
 computations, which, unlike a time, does not depend on the host."""
 
-import dataclasses
 import random
 import sys
 from collections import Counter
@@ -160,7 +159,7 @@ def test_each_kept_fact_is_computed_once_per_object(
     monkeypatch, z2, paper_action, kernel_component_action
 ):
     # fresh copies: the session fixtures may already keep their facts
-    actions = [dataclasses.replace(a) for a in (kernel_component_action, paper_action)]
+    actions = [a._replace() for a in (kernel_component_action, paper_action)]
     # with this seed every random action has a fixed point, so the kernel
     # action (which fixes a component) is in no pair free in codimension 1
     rng = random.Random(72)

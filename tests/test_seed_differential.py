@@ -5,7 +5,6 @@ and Burnside counts against the algorithms they replaced (``reference_seed``), o
 catalog, on inert, kernel and ramified actions of S4 and A5, on necklaces,
 and on corrupted inputs."""
 
-import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -546,7 +545,7 @@ def test_oracle_reads_fixed_points_from_the_permutations(table):
     g = element(group, [[0, 1]])
     chars = dict(getattr(action, table))
     del chars[(g, 1)]
-    damaged = dataclasses.replace(action, **{table: chars})
+    damaged = action._replace(**{table: chars})
     with pytest.raises(CharacterError, match=f"no character for element {g} at fixed point 1"):
         t1_equivariant_oracle(damaged)
 
@@ -785,13 +784,13 @@ def assert_kept_facts_sound(action):
     mutating a returned signature list leaves the kept tuple alone."""
     t1 = t1_equivariant(action)
     assert KEPT_ON_ACTION <= vars(action).keys()
-    assert t1_equivariant(action) == t1 == t1_equivariant(dataclasses.replace(action))
+    assert t1_equivariant(action) == t1 == t1_equivariant(action._replace())
     assert t1_equivariant_oracle(action) == t1
     signatures = quotient_signatures(action)
     expected = list(signatures)
     signatures.clear()
     assert quotient_signatures(action) == expected
-    assert quotient_signatures(dataclasses.replace(action)) == expected
+    assert quotient_signatures(action._replace()) == expected
     graph = action.graph
     genus = arithmetic_genus(graph)
     rebuilt = build_graph(graph.genera, graph.half_edge_vertex, graph.edges, graph.marks)
@@ -821,7 +820,7 @@ def test_kept_facts_equal_fresh_computations():
         for f1 in actions:
             for f2 in actions:
                 surface = build_surface(f1, f2)
-                fresh = build_surface(dataclasses.replace(f1), dataclasses.replace(f2))
+                fresh = build_surface(f1._replace(), f2._replace())
                 for check in (check_free_action, check_free_codim1):
                     first = check(surface)
                     assert check(surface) == first == check(fresh)
