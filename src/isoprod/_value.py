@@ -1,11 +1,12 @@
 """Equality, hashing, repr and ``_replace`` for the package's stateful classes.
 
-A subclass names the fields it compares, in constructor order, in the class
-attribute ``_compared`` (two or more names; not ``_fields``, which
-``cli._plain`` reads as the mark of a record).  Instances are equal when
-they are one object, or of one class with equal compared fields; the hash
-and the repr read the same fields.  Anything else kept in an instance's
-``__dict__``, such as a ``cached_property`` value, is left out of all three.
+A subclass compares the parameters of its own ``__init__``, in order (two or
+more), or the fields it names in the class attribute ``_compared`` (not
+``_fields``, which ``cli._plain`` reads as the mark of a record).  Instances
+are equal when they are one object, or of one class with equal compared
+fields; the hash and the repr read the same fields.  Anything else kept in
+an instance's ``__dict__``, such as a ``cached_property`` value, is left out
+of all three.
 """
 
 from operator import attrgetter
@@ -17,6 +18,9 @@ class _Value:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        if "_compared" not in vars(cls) and "__init__" in vars(cls):
+            code = cls.__init__.__code__
+            cls._compared = code.co_varnames[1:code.co_argcount]
         if cls._compared:
             cls._key = attrgetter(*cls._compared)  # the fields as one tuple, in C
 

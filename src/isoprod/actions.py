@@ -22,7 +22,7 @@ products (the vertex and edge tables are read off it), and O(|stab| * gens)
 per column unless forced zeros cover the stabilizer.  ``Fraction`` values
 appear only when a table is read and in messages.  Quotient signatures read
 branch suborbits from the half-edge orbits (``tangent_chars.orbit_at``);
-the oracle recomputes them with ``orbits(..., within=stabilizer)``.
+the oracle recomputes them as orbits of the stabilizer's half-edge rows.
 """
 
 from __future__ import annotations
@@ -131,11 +131,6 @@ class CurveAction(_Frozen):
     vertex_orbits: tuple[Orbit, ...]
     half_edge_orbits: tuple[Orbit, ...]
     edge_orbits: tuple[Orbit, ...]
-    _compared = (
-        "group", "graph", "vertex_perms", "half_edge_perms", "edge_perms", "tangent_chars",
-        "smoothing_chars", "kernels", "ramification_orbits", "vertex_orbits",
-        "half_edge_orbits", "edge_orbits",
-    )
 
     def __init__(
         self, group, graph, vertex_perms, half_edge_perms, edge_perms, tangent_chars,
@@ -775,21 +770,19 @@ def t1_equivariant_oracle(action: CurveAction) -> EquivariantT1:
     """Same contract as :func:`t1_equivariant` by an independent route.
 
     Node and branch invariants come from the exact Burnside trace average
-    over the node-stalk and branch-tangent representations, with fixed
-    points read from the per-element permutations (one row per conjugacy
-    class of cyclic subgroups, which needs only that they form an action;
-    a node's row is gathered from a branch row) rather than orbits or table
-    keys; the quotient pieces are recomputed from scratch, the vertex
-    orbits from the columns of the vertex table and the branch suborbits
-    as orbits of each stabilizer rather than from the cached half-edge
-    orbits.
+    over the node-stalk and branch-tangent representations, each read from
+    its own character table: fixed points come from the table's
+    per-element permutations (one row per conjugacy class of cyclic
+    subgroups, which needs only that they form an action; a node's row is
+    gathered from a branch row) rather than orbits or table keys.  The
+    quotient pieces are recomputed from scratch: the vertex orbits from the
+    columns of the vertex table, and the branch suborbits as orbits of the
+    stabilizer's rows of the half-edge table rather than from the cached
+    half-edge orbits.
     """
     _check_t1_preconditions(action)
-    group = action.group
-    node_inv = invariant_dimension_trace(group, action.edge_perms, action.smoothing_chars)
-    branch_inv = invariant_dimension_trace(
-        group, action.half_edge_perms, action.tangent_chars
-    )
+    node_inv = invariant_dimension_trace(action.smoothing_chars)
+    branch_inv = invariant_dimension_trace(action.tangent_chars)
     minus_chi_inv = 0
     for orb in orbits(action.vertex_perms, range(action.graph.n_vertices)):
         rep = orb.representative
@@ -798,10 +791,8 @@ def t1_equivariant_oracle(action: CurveAction) -> EquivariantT1:
         branch_orders = [
             o.order for o in action.ramification_orbits if o.vertex in orb.members
         ]
-        suborbits = orbits(
-            action.half_edge_perms, action.graph.vertex_half_edges[rep], within=orb.stabilizer
-        )
-        for sub in suborbits:
+        rows = [action.half_edge_perms[g] for g in orb.stabilizer]
+        for sub in orbits(rows, action.graph.vertex_half_edges[rep]):
             e = len(sub.stabilizer) // len(kernel)
             if e >= 2:
                 branch_orders.append(e)

@@ -36,7 +36,6 @@ class DualGraph(_Frozen):
     half_edge_vertex: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     marks: tuple[int, ...]
-    _compared = ("genera", "half_edge_vertex", "edges", "marks")
 
     def __init__(self, genera, half_edge_vertex, edges, marks=()):
         self.__dict__.update(

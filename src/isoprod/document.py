@@ -142,10 +142,6 @@ class Document(_Value):
     surfaces: dict[str, SurfaceDescriptor]
     surface_factors: dict[str, tuple[str, str]]
     families: dict[str, tuple[str, ...]]
-    _compared = (
-        "version", "group", "curves", "curve_names", "actions", "action_curve", "surfaces",
-        "surface_factors", "families",
-    )
     __hash__ = None
 
     def __init__(

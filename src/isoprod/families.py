@@ -224,7 +224,14 @@ def check_constancy(strata) -> ConstancyReport:
     disconnected curve's among them, are reported under the stratum's label
     without aborting the batch.
     """
+    try:
+        strata = iter(strata)
+    except TypeError:
+        raise FamilyError(f"strata must be iterable, got {strata!r}") from None
     strata = list(strata)
+    for s in strata:
+        if not (isinstance(s, FamilyStratum) and isinstance(s.action, CurveAction)):
+            raise FamilyError(f"not a FamilyStratum of a CurveAction: {type(s).__name__}")
     if len(strata) < 2:
         raise FamilyError("constancy check needs at least 2 strata")
     first_group = strata[0].action.group

@@ -80,8 +80,17 @@ def invert(p: Perm) -> Perm:
     return tuple(out)
 
 
+def _listed(items: Iterable, what: str) -> list:
+    """``list(items)``; GroupError naming ``what`` when items is not iterable."""
+    try:
+        items = iter(items)
+    except TypeError:
+        raise GroupError(f"{what} must be iterable, got {items!r}") from None
+    return list(items)
+
+
 def check_perm(p: Sequence[int], degree: int) -> Perm:
-    p = tuple(p)
+    p = tuple(_listed(p, f"a permutation of {degree} letters"))
     # bools and floats sort like ints, so their type is checked first
     if (
         len(p) != degree
@@ -96,8 +105,8 @@ def perm_from_cycles(cycles: Iterable[Iterable[int]], degree: int) -> Perm:
     """Permutation from disjoint cycles of 0-based letters; [] is the identity."""
     out = list(range(degree))
     seen: set[int] = set()
-    for cycle in cycles:
-        cycle = list(cycle)
+    for cycle in _listed(cycles, "cycles"):
+        cycle = _listed(cycle, "a cycle")
         for x in cycle:
             # bools and floats compare like ints, so their type is checked first
             if type(x) is not int:
@@ -176,9 +185,11 @@ class FiniteGroup(_Frozen):
         degree: int,
         cap: int = DEFAULT_GROUP_CAP,
     ) -> "FiniteGroup":
+        if type(degree) is not int:
+            raise GroupError(f"degree must be an integer, got {degree!r}")
         if degree < 1:
             raise GroupError("degree must be at least 1")
-        gens = tuple(check_perm(g, degree) for g in generators)
+        gens = tuple(check_perm(g, degree) for g in _listed(generators, "generators"))
         ident = identity_perm(degree)
         elements = [ident]
         index = {ident: 0}
@@ -255,12 +266,12 @@ class FiniteGroup(_Frozen):
         One power walk per cyclic subgroup C, in index order: the first
         element not yet assigned is the least generator of its subgroup,
         and g^j generates it when j is prime to |C|.  Sum of |C| composes
-        and index lookups, built on first use with :meth:`cyclic_classes`
-        and kept; a concurrent first use only computes the same lists twice.
+        and index lookups, built on first use and kept; a concurrent first
+        use only computes the same list twice.
         """
         reps = self._cyclic
         if reps is None:
-            reps, classes = [0] * self.order, {0: [0]}
+            reps = [0] * self.order
             index, elements = self._index, self.elements
             for g in range(1, self.order):
                 if reps[g]:
@@ -272,36 +283,34 @@ class FiniteGroup(_Frozen):
                     powers.append(i)
                     p = by_g(p)
                 m = len(powers) + 1
-                classes[g] = [i for j, i in enumerate(powers, 1) if gcd(j, m) == 1]
-                for i in classes[g]:
+                for i in compress(powers, [gcd(j, m) == 1 for j in range(1, m)]):
                     reps[i] = g
-            self.__dict__.update(_cyclic_classes=classes, _cyclic=reps)
+            self.__dict__["_cyclic"] = reps
         return reps
 
-    def cyclic_classes(self) -> dict[int, list[int]]:
-        """:meth:`cyclic_representatives` grouped: representative -> elements."""
-        self.cyclic_representatives()
-        return self._cyclic_classes
-
-    def cyclic_subgroup_classes(self) -> dict[int, list[int]]:
-        """Conjugacy classes of cyclic subgroups, each named by its
-        :meth:`cyclic_representatives` entry: least member -> members, sorted.
+    def cyclic_subgroup_classes(self) -> dict[int, dict[int, list[int]]]:
+        """Conjugacy classes of cyclic subgroups, each subgroup named by its
+        :meth:`cyclic_representatives` entry: a class's least member ->
+        {member: the member's generators}, members and generators ascending.
         Each class is the closure of its least member under the generators'
         conjugation tables, which generate every conjugation; built once, kept."""
         classes = self._subgroup_classes
         if classes is None:
             reps, classes, seen = self.cyclic_representatives(), {}, set()
+            gens: dict[int, list[int]] = {}
+            for g, r in enumerate(reps):
+                gens.setdefault(r, []).append(g)
             tables = list(map(self._generator_conjugation, range(len(self.generators))))
-            for r in self.cyclic_classes():  # in index order
+            for r in gens:  # in index order
                 if r not in seen:
                     seen.add(r)
-                    classes[r] = members = [r]
+                    members = [r]
                     for c in members:  # grows by each new conjugate
                         for d in [reps[t[c]] for t in tables]:
                             if d not in seen:
                                 seen.add(d)
                                 members.append(d)
-                    members.sort()
+                    classes[r] = {c: gens[c] for c in sorted(members)}
             self.__dict__["_subgroup_classes"] = classes
         return classes
 
@@ -373,11 +382,7 @@ class FiniteGroup(_Frozen):
         elements all generators.  Every (element, generator) product is
         taken once: O(|H| * gens) group products for the subgroup H.
         """
-        try:
-            seeds = iter(seeds)
-        except TypeError:
-            raise GroupError(f"element indices must be iterable, got {seeds!r}") from None
-        seeds = list(seeds)
+        seeds = _listed(seeds, "element indices")
         order = self.order
         for s in seeds:
             # bools and floats compare like ints, so the type is checked first
@@ -424,9 +429,6 @@ class FiniteGroup(_Frozen):
             return x
         return self.mul(self.mul(g, x), self.inverse(g))
 
-    def conjugate_subgroup(self, sub: Iterable[int], g: int) -> frozenset[int]:
-        return frozenset(self.conjugates(g, sub))
-
     def conjugacy_union(self, sub: Iterable[int]) -> frozenset[int]:
         """Union of all conjugates of a subgroup (or of any set of elements).
 
@@ -459,6 +461,7 @@ class FiniteGroup(_Frozen):
         table.  When every image is the identity (each checked first) the
         table is one identity tuple repeated, with no walk.
         """
+        generator_perms = _listed(generator_perms, "generator images")
         if len(generator_perms) != len(self.generators):
             raise GroupError("one image required per generator")
         ident = identity_perm(n)
@@ -490,29 +493,20 @@ class Orbit(NamedTuple):
     stabilizer: tuple[int, ...]
 
 
-def orbits(
-    perms: Sequence[Perm],
-    points: Sequence[int],
-    within: Iterable[int] | None = None,
-) -> list[Orbit]:
+def orbits(perms: Sequence[Perm], points: Sequence[int]) -> list[Orbit]:
     """Partition ``points`` into orbits of the permutation tables ``perms``.
 
     ``perms[g]`` is the permutation of element g, as returned by
     :meth:`FiniteGroup.extend_action`, which has already checked that the
-    tables form an action; no callable and no further check.  ``within``
-    restricts to a subgroup (element indices; one out of range, or no
-    identity 0, raises GroupError), and ``points`` must be closed under it
-    (or under the whole group): an image outside ``points`` raises
-    GroupError.  Each orbit reads one :func:`column` of the tables, O(|G|)
-    lookups in C; orbits with equal stabilizers share one tuple.
+    tables form an action; no callable and no further check.  Stabilizers
+    are positions in ``perms``: a subgroup's rows give its orbits.  An empty
+    table, or an image outside ``points``, raises GroupError.  Each orbit
+    reads one :func:`column` of the tables, O(|G|) lookups in C; orbits
+    with equal stabilizers share one tuple.
     """
-    elems = range(len(perms)) if within is None else sorted(set(within))
-    if elems and (elems[0] < 0 or elems[-1] >= len(perms)):
-        bad = elems[0] if elems[0] < 0 else elems[-1]
-        raise GroupError(f"element index {bad} out of range")
-    if not elems or elems[0] != 0:
-        raise GroupError("within is not a subgroup: it lacks the identity, element 0")
-    rows = perms if within is None else [perms[g] for g in elems]
+    elems = range(len(perms))
+    if not elems:
+        raise GroupError("one permutation required per group element")
     pos = {p: i for i, p in enumerate(points)}
     seen: set[int] = set()
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per stabilizer
@@ -520,7 +514,7 @@ def orbits(
     for p in points:
         if p in seen:
             continue
-        images = list(column(rows, p))
+        images = list(column(perms, p))
         members = set(images)
         # O(|orbit|): issubset() would first copy every key of ``pos``
         if members.difference(pos):
@@ -669,8 +663,7 @@ class CharacterTable(Mapping):
         whole keep their columns, stabilizers and order as a recomputation
         would, and each object its transporter.  ``perms`` is kept as given,
         so a :class:`RestrictedTable` stays a view whose rows are built on
-        first read, and the Burnside trace still recognizes it as this
-        table's own."""
+        first read."""
         renumber = new_index.__getitem__
         alive = [i for i, o in enumerate(self.orbits) if o.representative in new_index]
         relabeled = tuple(
@@ -701,42 +694,36 @@ class CharacterTable(Mapping):
         return sum(len(o.members) * len(o.stabilizer) for o in self.orbits)
 
 
-def invariant_dimension_trace(
-    group: FiniteGroup,
-    perms: Sequence[Perm],
-    chars: Mapping[tuple[int, int], Fraction],
-) -> int:
-    """dim V^G for a permutation representation with 1-dimensional fibers.
+def invariant_dimension_trace(table: CharacterTable) -> int:
+    """dim V^G for the permutation representation on the objects of a
+    :class:`CharacterTable`, with 1-dimensional fibers.
 
-    ``perms[g]`` is the permutation of the points {0..n-1} by element g (as
-    returned by :meth:`FiniteGroup.extend_action`) and ``chars`` maps each
-    (element, fixed point) pair to its rotation character.  Burnside average
+    ``table.perms[g]`` is the permutation of the objects by element g (as
+    returned by :meth:`FiniteGroup.extend_action`).  Burnside average
     (1/|G|) sum_g tr(g), where tr(g) sums the character values of g over its
-    fixed points; evaluated exactly as a sum of roots of unity.
+    fixed objects; evaluated exactly as a sum of roots of unity.
 
-    The one premise on ``perms`` beyond their number is that they form an
-    action, which :meth:`FiniteGroup.extend_action` has proved: elements
-    generating one cyclic subgroup act as powers of each other and fix the
-    same points, Fix(h g h^-1) = h Fix(g), and identity generators make
-    every element the identity.  So the generators' rows and one row per
-    conjugacy class of cyclic subgroups (:meth:`FiniteGroup.cyclic_subgroup_classes`)
-    are read, never the whole table, nor orbits or the keys of ``chars``.
-    A class whose representative fixes only points in zero columns of a
-    :class:`CharacterTable` over these very ``perms`` is counted at once;
-    any other class reads one row per member subgroup, as character values
-    stay per element (chi(g^j) = j chi(g)).  A plain mapping is read per
-    fixed (element, point) pair, a table's object's (element, residue)
-    pairs when first needed, once per call.  Raises CharacterError when the
-    average is not a nonnegative integer or a fixed pair has no character
-    value (the first in element order).
+    The one premise on the permutations beyond their number is that they
+    form an action, which :meth:`FiniteGroup.extend_action` has proved:
+    elements generating one cyclic subgroup act as powers of each other and
+    fix the same objects, Fix(h g h^-1) = h Fix(g), and identity generators
+    make every element the identity.  So the generators' rows and one row
+    per conjugacy class of cyclic subgroups (:meth:`FiniteGroup.cyclic_subgroup_classes`)
+    are read, never the whole table, nor orbits, nor any value by key.  A
+    class whose representative fixes only objects in zero columns is counted
+    at once; any other class reads one row per member subgroup, as character
+    values stay per element (chi(g^j) = j chi(g)), and an object's (element,
+    residue) pairs when first needed, once per call.  Raises CharacterError
+    for a non-table, a fixed pair with no character value (the first in
+    element order), or an average that is not a nonnegative integer.
     """
+    if not isinstance(table, CharacterTable):
+        raise CharacterError(f"not a character table: {type(table).__name__}")
+    group, perms = table.group, table.perms
     if len(perms) != group.order:
         raise GroupError("one permutation required per group element")
     ident = identity_perm(len(perms[0]))
-    table = chars if isinstance(chars, CharacterTable) and chars.perms is perms else None
-    if table is not None:  # objects in zero columns; the others' values are read
-        zero_column = table.trivial
-        zero = {x for x, i in table.orbit_at.items() if zero_column[i]}
+    zero = {x for x, i in table.orbit_at.items() if table.trivial[i]}  # zero-column objects
     rows: dict[int, dict[int, int]] = {}  # per object read: element -> residue
 
     def residues_at(p: int) -> dict[int, int]:
@@ -752,50 +739,37 @@ def invariant_dimension_trace(
         return ident if perm == ident else list(compress(ident, map(eq, perm, ident)))
 
     trivial = all(perms[k] == ident for k in group.generator_indices)
-    gens = {0: range(group.order)} if trivial else group.cyclic_classes()
-    classes = {0: [0]} if trivial else group.cyclic_subgroup_classes()
-    values: list[Fraction] = []
+    classes = {0: {0: range(group.order)}} if trivial else group.cyclic_subgroup_classes()
     residues: list[int] = []
     zeros = 0
     try:
         for r, subgroups in classes.items():
             fixed = fixed_points(r)
             # conjugate subgroups: as many generators, fixed points and zeros
-            if not fixed or table is not None and zero.issuperset(fixed):
-                zeros += len(subgroups) * len(gens[r]) * len(fixed)
+            if zero.issuperset(fixed):
+                zeros += len(subgroups) * len(subgroups[r]) * len(fixed)
                 continue
-            for c in subgroups:
+            for c, gens in subgroups.items():
                 fixed = fixed_points(c) if c != r else fixed
-                if table is None:
-                    values.extend([chars[g, p] for g in gens[c] for p in fixed])
-                else:
-                    reads = [residues_at(p) for p in fixed if p not in zero]
-                    zeros += (len(fixed) - len(reads)) * len(gens[c])
-                    residues.extend([row[g] for g in gens[c] for row in reads])
+                reads = [residues_at(p) for p in fixed if p not in zero]
+                zeros += (len(fixed) - len(reads)) * len(gens)
+                residues.extend([row[g] for g in gens for row in reads])
     except KeyError:  # the first missing pair in element order
         g, p = min(
-            (g, p) for c, members in gens.items() for p in fixed_points(c) for g in members
-            if ((g, p) not in chars if table is None else p not in zero and g not in residues_at(p))
+            (g, p) for subgroups in classes.values() for c, gens in subgroups.items()
+            for p in fixed_points(c) if p not in zero for g in gens if g not in residues_at(p)
         )
         raise CharacterError(
             f"inconsistent character data: no character for element {g} at fixed point {p!r}"
         ) from None
-    # counted per object or residue, then by integer ratio: no Fraction is
-    # hashed, and an integer (exp(0) = 1 as a rotation) is counted as one
-    if table is not None:
-        counts = Counter(residues)
-        counts[0] += zeros
-        pairs = [(table.fraction(a), c) for a, c in counts.items()]
-    else:
-        objects = dict(zip(map(id, values), values))
-        pairs = [(objects[i], c) for i, c in Counter(map(id, values)).items()]
-    ratios: Counter[tuple[int, int]] = Counter()
-    for value, count in pairs:
-        ratios[value.as_integer_ratio()] += count
-    rest = root_of_unity_sum({Fraction(*r): c for r, c in ratios.items() if r[1] > 1})
+    # distinct residues are distinct fractions; residue 0 counts as an integer,
+    # so an all-zero trace hashes no Fraction
+    counts = Counter(residues)
+    zeros += counts.pop(0, 0)
+    rest = root_of_unity_sum({table.fraction(a): c for a, c in counts.items()})
     if rest is None:
         raise CharacterError("inconsistent character data: trace sum is irrational")
-    total = rest + sum(c for (_, den), c in ratios.items() if den == 1)
+    total = rest + zeros
     dim, rem = divmod(total, group.order)
     if rem != 0 or dim < 0:
         raise CharacterError(

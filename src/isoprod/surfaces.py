@@ -35,7 +35,6 @@ class SurfaceDescriptor(_Frozen):
     factor1: CurveAction
     factor2: CurveAction
     declared_minimal: bool
-    _compared = ("factor1", "factor2", "declared_minimal")
 
     def __init__(self, factor1, factor2, declared_minimal=True):
         self.__dict__.update(
@@ -101,6 +100,9 @@ def build_surface(
     factor1: CurveAction, factor2: CurveAction, declared_minimal: bool = True
 ) -> SurfaceDescriptor:
     """Validate the pair: one shared group, connected stable factors of genus >= 2."""
+    for label, action in (("factor1", factor1), ("factor2", factor2)):
+        if not isinstance(action, CurveAction):
+            raise SurfaceError(f"{label}: not a CurveAction: {type(action).__name__}")
     if factor1.group != factor2.group:
         raise SurfaceError("both factors must carry the identical group")
     for label, action in (("factor1", factor1), ("factor2", factor2)):

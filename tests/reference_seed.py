@@ -75,7 +75,7 @@ def conjugacy_union(self, sub: Iterable[int]) -> frozenset[int]:
     """Union of all conjugates of a subgroup."""
     out: set[int] = set()
     for g in range(self.order):
-        out.update(self.conjugate_subgroup(sub, g))
+        out.update(self.conjugate(g, x) for x in sub)
     return frozenset(out)
 
 
@@ -244,7 +244,7 @@ def validate_action(
         kernel_subs.append(sub)
     for g in range(group.order):
         for v in range(graph.n_vertices):
-            if group.conjugate_subgroup(kernel_subs[v], g) != kernel_subs[vertex_perms[g][v]]:
+            if {group.conjugate(g, x) for x in kernel_subs[v]} != kernel_subs[vertex_perms[g][v]]:
                 raise ActionError(
                     f"kernels not equivariant: element {g} maps vertex {v} to "
                     f"{vertex_perms[g][v]} but does not conjugate the kernels"

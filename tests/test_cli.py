@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 from pathlib import Path
 
@@ -397,6 +398,23 @@ def test_golden_transcript(capsys, tmp_path, document, case):
     assert out == case["stdout"]
     assert err == case["stderr"]
     assert code == case["code"]
+
+
+def test_golden_generator_reproduces_the_recorded_inputs():
+    # the documents and argv lists of make_cli_golden.py are the recorded
+    # ones, so an edit to the generator must come with a regenerated file
+    spec = importlib.util.spec_from_file_location(
+        "make_cli_golden", GOLDEN.with_name("make_cli_golden.py")
+    )
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    documents = generator.documents()
+    assert json.loads(json.dumps(documents)) == golden["documents"]
+    expected = [(name, argv) for name in documents for argv in generator.argvs()]
+    assert [(case["document"], case["argv"]) for case in golden["cases"]] == expected
+    assert len(expected) == 6 * 11
 
 
 def test_help_describes_each_command():

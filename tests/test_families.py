@@ -284,6 +284,34 @@ def test_necklace_chain_strata_revalidate():
     assert check_constancy(chain.strata).verdict == "constant"
 
 
+def chain_steps(action):
+    """Check each step of ``action``'s smoothing chain: the invariant node
+    count falls by exactly 1, the total stays, and one fewer edge orbit is
+    smoothable.  Returns the number of steps."""
+    strata = [s.action for s in smoothing_chain(action).strata]
+    counts = [
+        (t1_equivariant(a), sum(why is None for _, why in smoothable_edge_orbits(a)))
+        for a in strata
+    ]
+    for (t1, smoothable), (child, left) in zip(counts, counts[1:]):
+        assert (child.node_inv, child.total, left) == (t1.node_inv - 1, t1.total, smoothable - 1)
+    return len(strata) - 1
+
+
+def test_each_smoothing_step_drops_one_invariant_node():
+    # the per-step bookkeeping of the normal-crossings picture, on 300
+    # seeded catalog actions, the free S4 and A5 Cayley actions and the
+    # free necklaces with n <= 8
+    rng = random.Random(16)
+    groups = catalog()
+    steps = sum(chain_steps(random_action(rng.choice(groups), rng)) for _ in range(300))
+    assert steps >= 300
+    assert [chain_steps(cayley_action(make())) for make in (s4, a5)] == [2, 2]
+    for n in range(1, 9):
+        group, graph, vertex_images, half_edge_images = necklace(n)
+        assert chain_steps(validate_action(group, graph, vertex_images, half_edge_images)) == 1
+
+
 def classify_all_chain(action):
     """The chain as a walk classifying every edge orbit of every stratum and
     smoothing the first smoothable one: (strata actions, obstructions)."""
@@ -474,6 +502,22 @@ def test_constancy_semicontinuity_bound_violation(smooth_fiber_action, z2):
 def test_constancy_needs_two_strata(paper_action):
     with pytest.raises(FamilyError, match="at least 2"):
         check_constancy([FamilyStratum("only", paper_action)])
+
+
+@pytest.mark.parametrize(
+    "strata, message",
+    [
+        (5, "strata must be iterable, got 5"),
+        ([1, 2], "not a FamilyStratum of a CurveAction: int"),
+        (["a", "b"], "not a FamilyStratum of a CurveAction: str"),
+        ([FamilyStratum("a", None)] * 2, "not a FamilyStratum of a CurveAction: FamilyStratum"),
+    ],
+)
+def test_constancy_rejects_strata_of_the_wrong_type(strata, message):
+    # these raised a bare TypeError or AttributeError
+    with pytest.raises(FamilyError) as err:
+        check_constancy(strata)
+    assert str(err.value) == message
 
 
 def test_constancy_rejects_mixed_groups(paper_action):

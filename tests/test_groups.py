@@ -2,6 +2,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from isoprod.cyclotomic import cyclotomic_polynomial, root_of_unity_sum
 from isoprod.errors import CharacterError, GroupError
 from isoprod.groups import (
+    CharacterTable,
     FiniteGroup,
     RestrictedTable,
     column,
@@ -98,6 +100,32 @@ def test_non_integer_cycle_letters_rejected(letter):
     with pytest.raises(GroupError) as err:
         perm_from_cycles([[0, letter]], 2)
     assert str(err.value) == f"not a permutation of 2 letters: cycle entry {letter!r}"
+
+
+Z2 = FiniteGroup.from_generators([(1, 0)], 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: perm_from_cycles(5, 2), "cycles must be iterable, got 5"),
+        (lambda: perm_from_cycles([5], 2), "a cycle must be iterable, got 5"),
+        (lambda: FiniteGroup.from_generators(5, 2), "generators must be iterable, got 5"),
+        (
+            lambda: FiniteGroup.from_generators([5], 2),
+            "a permutation of 2 letters must be iterable, got 5",
+        ),
+        (lambda: FiniteGroup.from_generators([], "3"), "degree must be an integer, got '3'"),
+        (lambda: Z2.extend_action(5, 2), "generator images must be iterable, got 5"),
+        (lambda: Z2.extend_action([5], 2), "a permutation of 2 letters must be iterable, got 5"),
+    ],
+    ids=["cycles", "cycle", "generators", "generator", "degree", "images", "image"],
+)
+def test_containers_of_the_wrong_type_raise_group_error(call, message):
+    # each raised a bare TypeError from iterating, len() or comparing
+    with pytest.raises(GroupError) as err:
+        call()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -321,18 +349,24 @@ SUBGROUP_CLASS_COUNTS = {24: (17, 5), 60: (32, 4), 120: (67, 7), 720: (362, 11)}
 )
 def test_cyclic_subgroup_classes_match_brute_force(group):
     # each class is the set of subgroups conjugate to its key, computed from
-    # every element's conjugation, and the classes partition the subgroups
+    # every element's conjugation, and the classes partition the subgroups;
+    # each member carries the elements generating it, its own closure's
     reps = group.cyclic_representatives()
     classes = group.cyclic_subgroup_classes()
-    subgroups = sorted(group.cyclic_classes())
-    assert sorted(r for members in classes.values() for r in members) == subgroups
     everything = range(group.order)
+    generating: dict[frozenset, list[int]] = {}
+    for g in everything:
+        generating.setdefault(group.subgroup_closure([g]), []).append(g)
+    subgroups = sorted(gens[0] for gens in generating.values())
+    assert sorted(r for members in classes.values() for r in members) == subgroups
     for key, members in classes.items():
-        assert members == sorted(members) and key == members[0]
+        assert list(members) == sorted(members) and key == min(members)
+        for c, gens in members.items():
+            assert gens == generating[group.subgroup_closure([c])] and gens[0] == c
         conjugates = {reps[x] for h in everything for x in group.conjugates(h, [key])}
         assert conjugates == set(members)
         for h in everything:
-            assert {reps[x] for x in group.conjugates(h, members)} == set(members)
+            assert {reps[x] for x in group.conjugates(h, list(members))} == set(members)
     if group.order in SUBGROUP_CLASS_COUNTS:
         assert (len(subgroups), len(classes)) == SUBGROUP_CLASS_COUNTS[group.order]
     assert group.cyclic_subgroup_classes() is classes
@@ -343,7 +377,9 @@ def test_cyclic_group_has_one_subgroup_class_per_divisor(group):
     n = group.order
     classes = group.cyclic_subgroup_classes()
     assert len(classes) == sum(n % d == 0 for d in range(1, n + 1))
-    assert all(members == [key] for key, members in classes.items())
+    assert all(list(members) == [key] for key, members in classes.items())
+    gens = [g for members in classes.values() for each in members.values() for g in each]
+    assert sorted(gens) == list(range(n))
 
 
 def test_lazy_cyclic_subgroup_classes_race_to_the_same_dict():
@@ -471,7 +507,7 @@ def test_orbits_members_in_point_order_and_within_a_subgroup():
     z4 = FiniteGroup.from_generators([perm_from_cycles([[0, 1, 2, 3]], 4)], 4)
     perms = z4.extend_action(list(z4.generators), 4)
     r2 = z4.mul(1, 1)
-    out = orbits(perms, [3, 2, 1, 0], within=[r2, 0])
+    out = orbits([perms[0], perms[r2]], [3, 2, 1, 0])
     assert [(o.representative, o.members, o.stabilizer) for o in out] == [
         (3, (3, 1), (0,)),
         (2, (2, 0), (0,)),
@@ -486,22 +522,16 @@ def test_orbits_rejects_non_action(z2):
     with pytest.raises(GroupError, match="not a group action on the given points: 1 -> 2"):
         orbits(perms, [0, 1])
     with pytest.raises(GroupError, match="not a group action"):
-        orbits(perms, [1, 0], within=[1, 0])
+        orbits([perms[0], perms[1]], [1, 0])
     assert [o.members for o in orbits(perms, [0, 1, 2])] == [(0,), (1, 2)]
 
 
 def test_orbits_rejects_out_of_range_subgroup_elements(z2):
     perms = z2.extend_action([(1, 0)], 2)
-    with pytest.raises(GroupError, match="element index 5 out of range"):
-        orbits(perms, [0, 1], within=[5])
-    # a negative index would otherwise read the last table
-    with pytest.raises(GroupError, match="element index -1 out of range"):
-        orbits(perms, [0, 1], within=[0, -1])
-    # every subgroup holds the identity: without it an orbit has no members
-    for within in ([], [1]):
-        with pytest.raises(GroupError, match="lacks the identity"):
-            orbits(perms, [0, 1], within=within)
-    assert [o.stabilizer for o in orbits(perms, [0, 1], within=[1, 0])] == [(0,)]
+    # an empty table has no identity row: without it an orbit has no members
+    with pytest.raises(GroupError, match="^one permutation required per group element$"):
+        orbits([], [0, 1])
+    assert [o.stabilizer for o in orbits([perms[0], perms[1]], [0, 1])] == [(0,)]
 
 
 def test_orbit_stabilizer_theorem():
@@ -520,32 +550,41 @@ def test_orbit_stabilizer_theorem():
 # -- invariant dimensions --------------------------------------------------
 
 
+def table_of(group, perms, chars):
+    """The :class:`CharacterTable` over ``perms`` with the values ``chars``
+    ((element, fixed point) -> Fraction) at each orbit's representative,
+    carried to each member by the first element taking the representative
+    there."""
+    found = tuple(orbits(perms, range(len(perms[0]))))
+    at_reps = [[chars[g, o.representative] % 1 for g in o.stabilizer] for o in found]
+    modulus = lcm(*(c.denominator for column in at_reps for c in column))
+    columns = tuple(tuple(int(c * modulus) for c in column) for column in at_reps)
+    transporters = {
+        x: min(g for g, perm in enumerate(perms) if perm[o.representative] == x)
+        for o in found for x in o.members
+    }
+    return CharacterTable(group, perms, found, columns, modulus, transporters)
+
+
 def test_trace_trivial_group_three_points():
     g = FiniteGroup.trivial()
     dim = invariant_dimension_trace(
-        g, [(0, 1, 2)], {(0, p): Fraction(0) for p in range(3)}
+        table_of(g, [(0, 1, 2)], {(0, p): Fraction(0) for p in range(3)})
     )
     assert dim == 3
 
 
 def test_trace_swap_two_points(z2):
     # only the diagonal vector survives the swap
-    dim = invariant_dimension_trace(
-        z2, [(0, 1), (1, 0)], {(e, p): Fraction(0) for e in range(2) for p in range(2)}
-    )
-    assert dim == 1
+    chars = {(e, p): Fraction(0) for e in range(2) for p in range(2)}
+    assert invariant_dimension_trace(table_of(z2, [(0, 1), (1, 0)], chars)) == 1
 
 
 def test_trace_fixed_point_with_sign(z2):
     # (1 + (-1)) / 2 = 0
     char = {(0, 0): Fraction(0), (1, 0): Fraction(1, 2)}
-    dim = invariant_dimension_trace(z2, [(0,), (0,)], char)
+    dim = invariant_dimension_trace(table_of(z2, [(0,), (0,)], char))
     assert dim == 0
-
-
-def test_trace_missing_character(z2):
-    with pytest.raises(CharacterError, match="inconsistent character data"):
-        invariant_dimension_trace(z2, [(0,), (0,)], {(0, 0): Fraction(0)})
 
 
 def test_trace_non_integer_average(z2):
@@ -553,12 +592,20 @@ def test_trace_non_integer_average(z2):
     # character table that is not multiplicative: value 1/3 on an involution
     char = {(0, 0): Fraction(0), (1, 0): Fraction(1, 3)}
     with pytest.raises(CharacterError, match="inconsistent character data"):
-        invariant_dimension_trace(z2, [(0,), (0,)], char)
+        invariant_dimension_trace(table_of(z2, [(0,), (0,)], char))
+
+
+def test_trace_takes_only_a_character_table(z2):
+    # a mapping of (element, point) pairs is no longer read
+    for chars in ({(0, 0): Fraction(0), (1, 0): Fraction(0)}, None):
+        with pytest.raises(CharacterError) as err:
+            invariant_dimension_trace(chars)
+        assert str(err.value) == f"not a character table: {type(chars).__name__}"
 
 
 def test_trace_needs_one_permutation_per_element(z2):
     with pytest.raises(GroupError, match="one permutation required per group element"):
-        invariant_dimension_trace(z2, [(0,)], {(0, 0): Fraction(0)})
+        invariant_dimension_trace(table_of(z2, [(0,)], {(0, 0): Fraction(0)}))
 
 
 def test_frobenius_property_random_instances():
@@ -623,7 +670,7 @@ def test_frobenius_property_random_instances():
             for p in points
             if perm[p] == p
         }
-        dim = invariant_dimension_trace(group, perms, fixed_chars)
+        dim = invariant_dimension_trace(table_of(group, perms, fixed_chars))
         assert dim == expected, f"trial {trial}"
 
 

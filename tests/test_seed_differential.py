@@ -86,10 +86,9 @@ def outcome(validate, group, graph, args):
 
 
 def assert_same_traces(action):
-    """The table-driven node and branch Burnside counts equal the callable
-    trace's, which evaluates every (element, point) pair; so do the generic
-    path's, reading the table as a plain dict or over an equal copy of its
-    permutations."""
+    """The node and branch Burnside counts, each read from the action's own
+    character table, equal the callable trace's, which evaluates every
+    (element, point) pair."""
     group = action.group
     for perms, chars in (
         (action.edge_perms, action.smoothing_chars),
@@ -102,8 +101,7 @@ def assert_same_traces(action):
             lambda g, p: chars[(g, p)],
         )
         assert chars.perms is perms
-        for inputs in ((perms, chars), (perms, dict(chars)), (list(perms), chars)):
-            assert invariant_dimension_trace(group, *inputs) == expected
+        assert invariant_dimension_trace(chars) == expected
 
 
 def assert_same(group, graph, args):
@@ -173,7 +171,7 @@ def kernel_action_inputs(group, stab, kernel):
         for s in gens
     ]
     kernels = {
-        v: group.conjugate_subgroup(kernel, min(coset)) for v, coset in enumerate(vertices)
+        v: frozenset(group.conjugates(min(coset), kernel)) for v, coset in enumerate(vertices)
     }
     args = {"images": (vertex_images, half_edge_images), "kwargs": {"kernels": kernels}}
     return graph, args
@@ -452,8 +450,7 @@ def test_co_generators_of_a_cyclic_subgroup_keep_their_own_characters(n):
 def test_table_trace_names_the_first_pair_a_wrong_transporter_drops():
     # hand-built tables whose transporter for one branch x carries the
     # representative elsewhere, or is missing: x's pairs lack elements fixing
-    # it, and the first missing pair in element order is named; the generic
-    # path names the same pair on a dict of the wrong table's pairs
+    # it, and the first missing pair in element order is named
     group = s4()
     action = assert_same(group, *self_node_inputs(group, element(group, [[0, 1, 2, 3]])))
     table = action.tangent_chars
@@ -469,12 +466,11 @@ def test_table_trace_names_the_first_pair_a_wrong_transporter_drops():
         CharacterTable(group, perms, table.orbits, table.columns, table.modulus, t)
         for t in (wrong, missing)
     )
-    pairs = {(h, y): bad.fraction(a) for y in range(len(perms[0])) for h, a in bad.at(y)}
     first = min(fixing[x] - stab)
-    for chars, g in ((bad, first), (pairs, first), (unknown, 0)):
+    for chars, g in ((bad, first), (unknown, 0)):
         message = f"no character for element {g} at fixed point {x}$"
         with pytest.raises(CharacterError, match=message):
-            invariant_dimension_trace(group, perms, chars)
+            invariant_dimension_trace(chars)
 
 
 @pytest.mark.parametrize("group, classes", [(s5(), 7), (symmetric_group(6), 11)])
@@ -530,24 +526,7 @@ def test_table_trace_mixes_classes_counted_at_once_and_read_per_subgroup():
     expected = reference_seed.invariant_dimension_trace(
         group, lambda g, p: perms[g][p], range(len(perms[0])), lambda g, p: table[g, p]
     )
-    for inputs in ((perms, table), (perms, dict(table)), (list(perms), table)):
-        assert invariant_dimension_trace(group, *inputs) == expected
-
-
-@pytest.mark.parametrize("table", ["tangent_chars", "smoothing_chars"])
-def test_oracle_reads_fixed_points_from_the_permutations(table):
-    # inert S4: every element fixes every branch and node, every value is 0;
-    # with one fixed entry gone the oracle must name it, which a sum over
-    # the table's values cannot do
-    group = s4()
-    graph = build_graph([2, 3], [0, 1, 0, 1], [(0, 1), (2, 3)])
-    action = inert_action(group, graph)
-    g = element(group, [[0, 1]])
-    chars = dict(getattr(action, table))
-    del chars[(g, 1)]
-    damaged = action._replace(**{table: chars})
-    with pytest.raises(CharacterError, match=f"no character for element {g} at fixed point 1"):
-        t1_equivariant_oracle(damaged)
+    assert invariant_dimension_trace(table) == expected
 
 
 def corrupted(args, kind, key, value):
@@ -707,7 +686,7 @@ def test_quotient_signatures_read_the_stabilizer_suborbits_from_cached_orbits():
     # per vertex orbit, the half-edge orbits met by the representative's
     # branches (looked up in first-branch order, as quotient_signature reads
     # them) are the orbits of Stab(rep) on those branches, recomputed here
-    # with orbits(within=...), with stabilizers of the same order
+    # as orbits of the stabilizer's rows, with stabilizers of the same order
     groups = randgen.catalog() + [s4(), a5()]
     suborbits_seen = 0
     for i, group in enumerate(groups):
@@ -723,7 +702,8 @@ def test_quotient_signatures_read_the_stabilizer_suborbits_from_cached_orbits():
                 branches = action.graph.vertex_half_edges[rep]
                 met = dict.fromkeys(action.tangent_chars.orbit_at[h] for h in branches)
                 cached = [action.half_edge_orbits[i] for i in met]
-                subs = orbits(action.half_edge_perms, branches, within=orb.stabilizer)
+                rows = [action.half_edge_perms[g] for g in orb.stabilizer]
+                subs = orbits(rows, branches)
                 assert [len(o.stabilizer) for o in cached] == [
                     len(sub.stabilizer) for sub in subs
                 ]
@@ -1120,7 +1100,7 @@ def test_kernel_messages_match_seed():
             for stab in subs
             for kernel in subs
             if 1 < len(kernel) and kernel <= stab
-            and all(group.conjugate_subgroup(kernel, g) == kernel for g in stab)
+            and all(set(group.conjugates(g, kernel)) == kernel for g in stab)
             and group.order // len(stab) <= 5 and len(stab) // len(kernel) <= 3
         ]
         for stab, kernel in pairs[:4]:

@@ -112,6 +112,15 @@ def test_factors_must_share_group(paper_action):
         build_surface(paper_action, other)
 
 
+def test_factors_must_be_curve_actions(paper_action):
+    # an int factor raised a bare AttributeError reading its group
+    with pytest.raises(SurfaceError) as err:
+        build_surface(paper_action, 5)
+    assert str(err.value) == "factor2: not a CurveAction: int"
+    with pytest.raises(SurfaceError, match="^factor1: not a CurveAction: str$"):
+        build_surface("paper", paper_action)
+
+
 def test_genus_one_factor_rejected(z2):
     marked_elliptic = build_graph([1], [], [], marks=[0, 0])
     action = validate_action(
