@@ -23,6 +23,8 @@ stratum explicitly and verify it with :func:`check_constancy`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 from typing import NamedTuple
 
 from .actions import CurveAction, EquivariantT1, RamificationOrbit, t1_equivariant
@@ -75,8 +77,9 @@ class SmoothingChain(NamedTuple):
     obstructions: tuple[str, ...]
 
 
-def _local_model(action: CurveAction, orbit: Orbit) -> tuple[str, int | None]:
-    """("free" | "rotation" | "swap", swap element or None) for a node orbit;
+def _local_model(action: CurveAction, orbit: Orbit) -> int | None:
+    """The branch-swapping element of a node orbit's stabilizer, or None
+    when nothing swaps the branches (the free and rotation models);
     SmoothingError when a stabilizer element moves the smoothing parameter
     or the stabilizer is not one of the three supported local models."""
     rep = orbit.representative
@@ -90,19 +93,19 @@ def _local_model(action: CurveAction, orbit: Orbit) -> tuple[str, int | None]:
                 f"{format_rotation_char(smoothing.fraction(a))}"
             )
     if len(stab) == 1:
-        return "free", None
+        return None
     p0, _ = action.graph.edges[rep]
     swaps = [g for g in stab if action.swaps_branches(g, rep)]
     if not swaps:
         # the stabilizer is the branch's: its values are the branch's
         if len({a for _, a in tangent.at(p0)}) == len(stab):
-            return "rotation", None
+            return None
         raise SmoothingError(
             "unsupported local model: branch-preserving stabilizer of order "
             f"{len(stab)} acts with a non-faithful tangent character at edge {rep}"
         )
     if len(stab) == 2:
-        return "swap", swaps[0]
+        return swaps[0]
     raise SmoothingError(
         f"unsupported local model: stabilizer of order {len(stab)} containing "
         f"a branch swap at edge {rep}"
@@ -127,20 +130,19 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     vertex orbits read columns and build none).  Half-edge and edge orbits
     other than the smoothed one survive whole with their columns, renumbered
     (``CharacterTable.restrict``); vertex orbits are recomputed, since a
-    merged class can have a larger stabilizer.  A merged class gets the
-    trivial kernel: a kernel element at an orbit endpoint fixes the node and
-    its branch there, which each local model allows only for the identity.
+    merged class can have a larger stabilizer.  A class's kernel is the
+    intersection of its vertices' kernels: an element acts trivially on the
+    merged component exactly when it does on each of its parts.
     """
     graph = action.graph
     try:
         orbit = action.edge_orbits[action.smoothing_chars.orbit_at[edge]]
     except KeyError:
         raise SmoothingError(f"edge {edge} not found in any orbit") from None
-    model, swap_element = _local_model(action, orbit)
+    swap = _local_model(action, orbit)
 
     new_graph, classes, he_map, edge_map = contract(graph, orbit.members)
     vclass = {v: c for c, vs in enumerate(classes) for v in vs}
-    merged = {vclass[graph.half_edge_vertex[graph.edges[n][0]]] for n in orbit.members}
 
     vertex_perms = RestrictedTable(action.vertex_perms, [vs[0] for vs in classes], vclass)
     half_edge_perms = RestrictedTable(action.half_edge_perms, list(he_map), he_map)
@@ -148,20 +150,17 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
 
     tangent_chars = action.tangent_chars.restrict(half_edge_perms, he_map)
     smoothing_chars = action.smoothing_chars.restrict(edge_perms, edge_map)
-    kernels = tuple(
-        frozenset({0}) if c in merged else action.kernels[vs[0]]
-        for c, vs in enumerate(classes)
-    )
+    kernels = tuple(reduce(and_, map(action.kernels.__getitem__, vs)) for vs in classes)
 
     ram = [
         RamificationOrbit(vclass[o.vertex], o.element, o.char, o.order)
         for o in action.ramification_orbits
     ]
-    if model == "swap":
+    if swap is not None:
         # |G| new fixed points of the swap involutions, in orbits of size
         # |G|/2: exactly two new orbits, both of order 2 with character -1.
         c = vclass[graph.half_edge_vertex[graph.edges[orbit.representative][0]]]
-        ram += [RamificationOrbit(c, swap_element, Fraction(1, 2), 2)] * 2
+        ram += [RamificationOrbit(c, swap, Fraction(1, 2), 2)] * 2
     ram.sort()
 
     return CurveAction(

@@ -27,7 +27,8 @@ elements acting alike share one tuple, so tables are never mutated.  A
 (an induced action, or the surviving objects), building a row when first
 read.  Orbits and stabilizers (:func:`orbits`) read columns, and the
 Burnside trace one row per conjugacy class of cyclic subgroups (a
-character sum is a class function), so neither builds every row of a view.
+character sum is a class function; :meth:`FiniteGroup.cyclic_subgroup_classes`
+is the one table of them), so neither builds every row of a view.
 
 Rotation characters (the action of an element on a one-dimensional space)
 are plain ``Fraction`` values r in [0, 1), meaning the root of unity
@@ -101,8 +102,14 @@ def check_perm(p: Sequence[int], degree: int) -> Perm:
     return p
 
 
+def _check_degree(degree) -> None:
+    if type(degree) is not int:
+        raise GroupError(f"degree must be an integer, got {degree!r}")
+
+
 def perm_from_cycles(cycles: Iterable[Iterable[int]], degree: int) -> Perm:
     """Permutation from disjoint cycles of 0-based letters; [] is the identity."""
+    _check_degree(degree)
     out = list(range(degree))
     seen: set[int] = set()
     for cycle in _listed(cycles, "cycles"):
@@ -152,9 +159,13 @@ class FiniteGroup(_Frozen):
     ``elements[i] * generators[k]``, recorded during enumeration (|G| * gens
     ints).  Instances are immutable and safe to share; construct through
     :meth:`from_generators`, which builds nothing else.  Lookup tables
-    derived later (inverses, conjugation by a generator, the cyclic
-    subgroups) are kept on the instance when first asked for.  Equality,
-    hashing and repr read ``degree``, ``generators`` and ``elements`` only.
+    derived later (inverses, conjugation by a generator, the classes of
+    cyclic subgroups) are kept on the instance when first asked for.
+    Equality, hashing and repr read ``degree``, ``generators`` and
+    ``elements`` only.  The scalar methods taking element indices raise
+    GroupError for anything but an index in range; the batched ones
+    (:meth:`products`, :meth:`conjugates`) take their callers' indices,
+    already checked, as given.
     """
 
     degree: int
@@ -165,12 +176,11 @@ class FiniteGroup(_Frozen):
 
     def __init__(self, degree, generators, elements, right):
         # the lookup caches are filled lazily by :meth:`inverse`,
-        # :meth:`_generator_conjugation`, :meth:`cyclic_representatives`
-        # and :meth:`cyclic_subgroup_classes`
+        # :meth:`_generator_conjugation` and :meth:`cyclic_subgroup_classes`
         self.__dict__.update(
             degree=degree, generators=generators, elements=elements, right=right,
             _index={p: i for i, p in enumerate(elements)}, _inverse={0: 0}, _conjugation={},
-            _cyclic=None, _subgroup_classes=None,
+            _subgroup_classes=None,
             _generator_position={j: k for k, j in enumerate(right[0])},
         )
 
@@ -185,8 +195,9 @@ class FiniteGroup(_Frozen):
         degree: int,
         cap: int = DEFAULT_GROUP_CAP,
     ) -> "FiniteGroup":
-        if type(degree) is not int:
-            raise GroupError(f"degree must be an integer, got {degree!r}")
+        _check_degree(degree)
+        if type(cap) is not int:
+            raise GroupError(f"cap must be an integer, got {cap!r}")
         if degree < 1:
             raise GroupError("degree must be at least 1")
         gens = tuple(check_perm(g, degree) for g in _listed(generators, "generators"))
@@ -232,17 +243,23 @@ class FiniteGroup(_Frozen):
         except (KeyError, TypeError):  # TypeError: an unhashable perm, such as a list
             raise GroupError(f"permutation {perm!r} is not a group element") from None
 
+    def _check_index(self, i) -> None:
+        # bools and floats compare like ints, so the type is checked first
+        if type(i) is not int:
+            raise GroupError(f"element index {i!r} is not an integer")
+        if not (0 <= i < len(self.elements)):
+            raise GroupError(f"element index {i} out of range")
+
     def mul(self, i: int, j: int) -> int:
-        if i == 0:
-            return j
-        if j == 0:
-            return i
+        self._check_index(i)
+        self._check_index(j)
         k = self._generator_position.get(j)
         if k is not None:
             return self.right[i][k]
         return self.index_of(compose(self.elements[i], self.elements[j]))
 
     def inverse(self, i: int) -> int:
+        self._check_index(i)
         try:
             return self._inverse[i]
         except KeyError:
@@ -257,21 +274,23 @@ class FiniteGroup(_Frozen):
 
     def element_order(self, i: int) -> int:
         """The lcm of the cycle lengths of element i's permutation."""
+        self._check_index(i)
         return lcm(*map(len, perm_to_cycles(self.elements[i])))
 
-    def cyclic_representatives(self) -> list[int]:
-        """``reps[g]``: the least element index generating the same cyclic
-        subgroup as g, so g and reps[g] are powers of each other.
+    def cyclic_subgroup_classes(self) -> dict[int, dict[int, list[int]]]:
+        """Conjugacy classes of cyclic subgroups, each subgroup named by its
+        least generator: a class's least member -> {member: the member's
+        generators}, members and generators ascending.
 
         One power walk per cyclic subgroup C, in index order: the first
-        element not yet assigned is the least generator of its subgroup,
-        and g^j generates it when j is prime to |C|.  Sum of |C| composes
-        and index lookups, built on first use and kept; a concurrent first
-        use only computes the same list twice.
-        """
-        reps = self._cyclic
-        if reps is None:
-            reps = [0] * self.order
+        element not yet named is C's least generator, and g^j generates C
+        when j is prime to |C| (sum of |C| composes and index lookups).
+        Each class is the closure of its least member under the generators'
+        conjugation tables, which generate every conjugation.  Built on
+        first use and kept; a concurrent first use only computes it twice."""
+        classes = self._subgroup_classes
+        if classes is None:
+            reps = [0] * self.order  # the least generator of <g>
             index, elements = self._index, self.elements
             for g in range(1, self.order):
                 if reps[g]:
@@ -285,18 +304,7 @@ class FiniteGroup(_Frozen):
                 m = len(powers) + 1
                 for i in compress(powers, [gcd(j, m) == 1 for j in range(1, m)]):
                     reps[i] = g
-            self.__dict__["_cyclic"] = reps
-        return reps
-
-    def cyclic_subgroup_classes(self) -> dict[int, dict[int, list[int]]]:
-        """Conjugacy classes of cyclic subgroups, each subgroup named by its
-        :meth:`cyclic_representatives` entry: a class's least member ->
-        {member: the member's generators}, members and generators ascending.
-        Each class is the closure of its least member under the generators'
-        conjugation tables, which generate every conjugation; built once, kept."""
-        classes = self._subgroup_classes
-        if classes is None:
-            reps, classes, seen = self.cyclic_representatives(), {}, set()
+            classes, seen = {}, set()
             gens: dict[int, list[int]] = {}
             for g, r in enumerate(reps):
                 gens.setdefault(r, []).append(g)
@@ -319,8 +327,6 @@ class FiniteGroup(_Frozen):
         a generator, else one compose with t's hoisted permutation and one
         index lookup per entry."""
         xs = list(xs)
-        if t == 0:
-            return xs
         if not any(xs):
             return [t] * len(xs)
         k = self._generator_position.get(t)
@@ -383,13 +389,8 @@ class FiniteGroup(_Frozen):
         taken once: O(|H| * gens) group products for the subgroup H.
         """
         seeds = _listed(seeds, "element indices")
-        order = self.order
         for s in seeds:
-            # bools and floats compare like ints, so the type is checked first
-            if type(s) is not int:
-                raise GroupError(f"element index {s!r} is not an integer")
-            if not (0 <= s < order):
-                raise GroupError(f"element index {s} out of range")
+            self._check_index(s)
         known = {0}
         gens: list[int] = []
         for s in seeds:
@@ -425,8 +426,6 @@ class FiniteGroup(_Frozen):
 
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
-        if g == 0 or x == 0:
-            return x
         return self.mul(self.mul(g, x), self.inverse(g))
 
     def conjugacy_union(self, sub: Iterable[int]) -> frozenset[int]:
@@ -462,6 +461,7 @@ class FiniteGroup(_Frozen):
         table is one identity tuple repeated, with no walk.
         """
         generator_perms = _listed(generator_perms, "generator images")
+        _check_degree(n)
         if len(generator_perms) != len(self.generators):
             raise GroupError("one image required per generator")
         ident = identity_perm(n)
@@ -500,13 +500,14 @@ def orbits(perms: Sequence[Perm], points: Sequence[int]) -> list[Orbit]:
     :meth:`FiniteGroup.extend_action`, which has already checked that the
     tables form an action; no callable and no further check.  Stabilizers
     are positions in ``perms``: a subgroup's rows give its orbits.  An empty
-    table, or an image outside ``points``, raises GroupError.  Each orbit
-    reads one :func:`column` of the tables, O(|G|) lookups in C; orbits
-    with equal stabilizers share one tuple.
+    table, points that are not iterable, or an image outside ``points``
+    raises GroupError.  Each orbit reads one :func:`column` of the tables,
+    O(|G|) lookups in C; orbits with equal stabilizers share one tuple.
     """
     elems = range(len(perms))
     if not elems:
         raise GroupError("one permutation required per group element")
+    points = _listed(points, "points")
     pos = {p: i for i, p in enumerate(points)}
     seen: set[int] = set()
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per stabilizer
@@ -531,8 +532,7 @@ class RestrictedTable(Sequence):
     """Per-element permutations of the objects ``kept`` of a table ``perms``,
     renumbered by ``new_index`` (a mapping, or a sequence over all objects):
     row g is ``new_index[perms[g][k]] for k in kept``, built on first read
-    and kept, one per distinct row object of ``perms``.  Iterating builds
-    every missing row in one pass, a column per kept object; :func:`column`
+    and kept, one per distinct row object of ``perms``; :func:`column`
     builds none.  Also an induced table (vertices or nodes by their branches).
 
     Reads as the tuple of rows it stands for: equal to it in either operand
@@ -572,19 +572,8 @@ class RestrictedTable(Sequence):
     def __len__(self) -> int:
         return len(self._source)
 
-    def _fill(self) -> None:
-        """Build every missing row at once, a column per kept object."""
-        source, made = self._source, self._made
-        distinct = dict(zip(map(id, source), source))
-        missing = list(distinct.keys() - made.keys())
-        todo = list(map(distinct.__getitem__, missing))
-        renumber = self._new_index.__getitem__
-        columns = [map(renumber, map(itemgetter(k), todo)) for k in self._kept]
-        made.update(zip(missing, zip(*columns) if columns else repeat(())))
-
     def __iter__(self) -> Iterator[Perm]:
-        self._fill()
-        return map(self._made.__getitem__, map(id, self._source))
+        return map(self.__getitem__, range(len(self)))
 
     def __eq__(self, other):
         if not isinstance(other, (tuple, RestrictedTable)):
@@ -643,8 +632,6 @@ class CharacterTable(Mapping):
     def residue(self, g: int, x: int) -> int:
         """The residue at (g, x), for g fixing x."""
         i = self.orbit_at[x]
-        if self.trivial[i]:
-            return 0
         if t := self.transporters[x]:
             g = self.group.conjugate(self.group.inverse(t), g)
         return self.columns[i][bisect_left(self.orbits[i].stabilizer, g)]
@@ -677,13 +664,11 @@ class CharacterTable(Mapping):
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         try:
             g, x = key
-            fixed = g >= 0 and x >= 0 and self.perms[g][x] == x
+            fixed = type(g) is int and g >= 0 and x >= 0 and self.perms[g][x] == x
         except (TypeError, ValueError, IndexError):
             fixed = False
         if not fixed:
             raise KeyError(key)
-        if self.trivial[self.orbit_at[x]]:
-            return TRIVIAL_CHAR
         return self.fraction(self.residue(g, x))
 
     def __iter__(self) -> Iterator[tuple[int, int]]:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from isoprod.actions import (
     trivial_action,
     validate_action,
 )
-from isoprod.curves import arithmetic_genus, build_graph
+from isoprod.curves import arithmetic_genus, build_graph, contract
 from isoprod.errors import FamilyError, SmoothingError
 from isoprod.families import (
     FamilyStratum,
@@ -310,6 +311,53 @@ def test_each_smoothing_step_drops_one_invariant_node():
     for n in range(1, 9):
         group, graph, vertex_images, half_edge_images = necklace(n)
         assert chain_steps(validate_action(group, graph, vertex_images, half_edge_images)) == 1
+
+
+def surviving_orbit_steps(action):
+    """Check each step of ``action``'s smoothing chain orbit by orbit: every
+    edge orbit but the smoothed one maps through the edge map, in order, to
+    the child's orbit with the same stabilizer and smoothing column, and its
+    verdict stays (an obstruction naming the renumbered edge).  Returns the
+    number of steps."""
+    strata = [s.action for s in smoothing_chain(action).strata]
+    for parent, child in zip(strata, strata[1:]):
+        verdicts = smoothable_edge_orbits(parent)
+        # the chain smooths the first smoothable orbit
+        smoothed = next(orbit for orbit, why in verdicts if why is None)
+        edge_map = contract(parent.graph, smoothed.members)[3]
+        survivors = [(orbit, why) for orbit, why in verdicts if orbit is not smoothed]
+        child_verdicts = smoothable_edge_orbits(child)
+        assert len(child_verdicts) == len(survivors)
+        for (orbit, why), (mapped, mapped_why) in zip(survivors, child_verdicts):
+            old, new = orbit.representative, mapped.representative
+            assert new == edge_map[old] and mapped.stabilizer == orbit.stabilizer
+            assert mapped.members == tuple(map(edge_map.__getitem__, orbit.members))
+            columns = [
+                a.smoothing_chars.columns[a.smoothing_chars.orbit_at[e]]
+                for a, e in ((parent, old), (child, new))
+            ]
+            assert columns[0] == columns[1]
+            if why is not None:
+                why = re.sub(rf"\bedge {old}\b", f"edge {new}", why)
+            assert mapped_why == why
+    return len(strata) - 1
+
+
+def test_surviving_edge_orbits_map_through_each_smoothing_step():
+    # the orbit-by-orbit half of the per-step bookkeeping, on 300 seeded
+    # catalog actions, the free S4 and A5 Cayley actions and the free
+    # necklaces with n <= 8
+    rng = random.Random(17)
+    groups = catalog()
+    steps = sum(
+        surviving_orbit_steps(random_action(rng.choice(groups), rng)) for _ in range(300)
+    )
+    assert steps >= 300
+    assert [surviving_orbit_steps(cayley_action(make())) for make in (s4, a5)] == [2, 2]
+    for n in range(1, 9):
+        group, graph, vertex_images, half_edge_images = necklace(n)
+        action = validate_action(group, graph, vertex_images, half_edge_images)
+        assert surviving_orbit_steps(action) == 1
 
 
 def classify_all_chain(action):

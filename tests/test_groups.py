@@ -129,6 +129,37 @@ def test_containers_of_the_wrong_type_raise_group_error(call, message):
 
 
 @pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: perm_from_cycles([[0]], "2"), "degree must be an integer, got '2'"),
+        (lambda: Z2.extend_action([(1, 0)], "2"), "degree must be an integer, got '2'"),
+        (
+            lambda: FiniteGroup.from_generators([(1, 0)], 2, cap="5"),
+            "cap must be an integer, got '5'",
+        ),
+        (lambda: orbits(Z2.elements, 5), "points must be iterable, got 5"),
+        (lambda: Z2.conjugate(5, 1), "element index 5 out of range"),
+        (lambda: Z2.conjugate(1, 5), "element index 5 out of range"),
+        (lambda: Z2.mul(5, 1), "element index 5 out of range"),
+        (lambda: Z2.mul(1, -1), "element index -1 out of range"),
+        (lambda: Z2.inverse(5), "element index 5 out of range"),
+        (lambda: Z2.inverse(True), "element index True is not an integer"),
+        (lambda: Z2.element_order(5), "element index 5 out of range"),
+        (lambda: Z2.element_order(1.0), "element index 1.0 is not an integer"),
+    ],
+    ids=[
+        "cycles-degree", "images-degree", "cap", "points", "conjugator", "conjugated",
+        "mul-left", "mul-negative", "inverse", "inverse-bool", "order", "order-float",
+    ],
+)
+def test_mistyped_scalar_arguments_raise_group_error(call, message):
+    # each raised a bare TypeError or IndexError, or read a wrong element
+    with pytest.raises(GroupError) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "seed, message",
     [
         (True, "element index True is not an integer"),
@@ -164,7 +195,7 @@ def test_character_table_rejects_malformed_keys(paper_action):
     table = paper_action.tangent_chars
     n = paper_action.graph.n_half_edges
     assert table[(0, 0)] == 0
-    for key in ["x", (1,), (-1, 0), (0, n)]:
+    for key in ["x", (1,), (-1, 0), (0, n), (True, 0), (0.0, 0)]:
         with pytest.raises(KeyError):
             table[key]
         assert table.get(key) is None
@@ -258,23 +289,6 @@ def test_lazy_conjugation_tables_race_to_the_same_values():
         sys.setswitchinterval(interval)
 
 
-def test_lazy_cyclic_representatives_race_to_the_same_list():
-    # threads racing on the first use each store a finished list, never a
-    # partial one
-    expected = s5().cyclic_representatives()
-    group = s5()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            futures = [pool.submit(group.cyclic_representatives) for _ in range(12)]
-            for future in futures:
-                assert future.result(timeout=30) == expected
-    finally:
-        sys.setswitchinterval(interval)
-    assert group.cyclic_representatives() == expected
-
-
 @pytest.mark.parametrize("group", BATCHED, ids=batched_id)
 def test_conjugacy_union_matches_seed(group):
     for x in range(group.order):
@@ -329,46 +343,55 @@ CYCLIC = [
 ]
 
 
+def generating_lists(group):
+    """Each cyclic subgroup (its closure, compared whole) -> the elements
+    generating it, ascending."""
+    generating: dict[frozenset[int], list[int]] = {}
+    for g in range(group.order):
+        generating.setdefault(group.subgroup_closure([g]), []).append(g)
+    return generating
+
+
 @pytest.mark.parametrize("group", BATCHED + [s5()] + CYCLIC, ids=batched_id)
 def test_cyclic_representatives_match_brute_force(group):
-    # reps[g] is the least h with <h> = <g>, the closures compared whole
-    cyclic = [group.subgroup_closure([g]) for g in range(group.order)]
-    least: dict[frozenset[int], int] = {}
-    for h, sub in enumerate(cyclic):
-        least.setdefault(sub, h)
-    reps = group.cyclic_representatives()
-    assert reps == [least[sub] for sub in cyclic]
-    assert group.cyclic_representatives() is reps
+    # the class table names each cyclic subgroup by its least generator,
+    # with exactly the elements generating it
+    named = {
+        c: gens for members in group.cyclic_subgroup_classes().values()
+        for c, gens in members.items()
+    }
+    assert named == {gens[0]: gens for gens in generating_lists(group).values()}
 
 
-SUBGROUP_CLASS_COUNTS = {24: (17, 5), 60: (32, 4), 120: (67, 7), 720: (362, 11)}
+# (order, degree) of S4, A5, S5 and S6 -> (cyclic subgroups, classes)
+SUBGROUP_CLASS_COUNTS = {(24, 4): (17, 5), (60, 5): (32, 4), (120, 5): (67, 7), (720, 6): (362, 11)}
 
 
 @pytest.mark.parametrize(
-    "group", catalog() + [s4(), a5(), s5(), symmetric_group(6)], ids=batched_id
+    "group",
+    catalog() + [s4(), a5(), s5(), symmetric_group(6)] + unusual_generator_groups()
+    + [group for group in CYCLIC if group not in catalog()],
+    ids=batched_id,
 )
 def test_cyclic_subgroup_classes_match_brute_force(group):
     # each class is the set of subgroups conjugate to its key, computed from
-    # every element's conjugation, and the classes partition the subgroups;
-    # each member carries the elements generating it, its own closure's
-    reps = group.cyclic_representatives()
+    # every element's conjugation, and the classes partition the subgroups
+    # (each named by its least generator, from the closures)
     classes = group.cyclic_subgroup_classes()
     everything = range(group.order)
-    generating: dict[frozenset, list[int]] = {}
-    for g in everything:
-        generating.setdefault(group.subgroup_closure([g]), []).append(g)
-    subgroups = sorted(gens[0] for gens in generating.values())
+    generating = generating_lists(group).values()
+    reps = {g: gens[0] for gens in generating for g in gens}
+    subgroups = sorted(gens[0] for gens in generating)
     assert sorted(r for members in classes.values() for r in members) == subgroups
     for key, members in classes.items():
         assert list(members) == sorted(members) and key == min(members)
-        for c, gens in members.items():
-            assert gens == generating[group.subgroup_closure([c])] and gens[0] == c
         conjugates = {reps[x] for h in everything for x in group.conjugates(h, [key])}
         assert conjugates == set(members)
         for h in everything:
             assert {reps[x] for x in group.conjugates(h, list(members))} == set(members)
-    if group.order in SUBGROUP_CLASS_COUNTS:
-        assert (len(subgroups), len(classes)) == SUBGROUP_CLASS_COUNTS[group.order]
+    if (group.order, group.degree) in SUBGROUP_CLASS_COUNTS:
+        counts = SUBGROUP_CLASS_COUNTS[group.order, group.degree]
+        assert (len(subgroups), len(classes)) == counts
     assert group.cyclic_subgroup_classes() is classes
 
 

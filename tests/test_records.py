@@ -377,7 +377,7 @@ KEPT = {
     Document: (),
 }
 # a group's lookup caches, each with its value when nothing is kept
-GROUP_CACHES = {"_inverse": {0: 0}, "_conjugation": {}, "_cyclic": None, "_subgroup_classes": None}
+GROUP_CACHES = {"_inverse": {0: 0}, "_conjugation": {}, "_subgroup_classes": None}
 
 
 @pytest.mark.parametrize("cls", DATACLASS_FORMS, ids=STATEFUL_IDS)

@@ -307,10 +307,10 @@ def test_inert_traces_build_no_cyclic_table(monkeypatch):
     # which elements generate the same cyclic subgroup
     for group, graph in inert_cap_sized_cases():
         action = inert_action(group, graph)
-        built = counting(monkeypatch, isoprod.groups.FiniteGroup, "cyclic_representatives")
+        built = counting(monkeypatch, isoprod.groups.FiniteGroup, "cyclic_subgroup_classes")
         assert t1_equivariant_oracle(action) == t1_equivariant(action)
         monkeypatch.undo()
-        assert not built and group._cyclic is None
+        assert not built and group._subgroup_classes is None
 
 
 def counted_rows(perms):
@@ -399,9 +399,8 @@ def test_smoothing_builds_no_half_edge_or_edge_row(monkeypatch):
     shift = [tuple((i + 1) % n for i in range(n))]
     turn = [tuple(2 * turned(h // 2) + h % 2 for h in range(4 * n))]
     action = validate_action(group, graph, shift, turn)
-    # a table builds one row in _row and all missing rows in _fill
+    # a table builds each row in _row
     built = counting(monkeypatch, isoprod.groups.RestrictedTable, "_row")
-    filled = counting(monkeypatch, isoprod.groups.RestrictedTable, "_fill")
     chain = smoothing_chain(action)
     report = check_constancy(chain.strata)
     assert len(chain.strata) == 3 and report.verdict == "constant"
@@ -409,7 +408,7 @@ def test_smoothing_builds_no_half_edge_or_edge_row(monkeypatch):
     unread = {
         id(t) for c in children for t in (c.vertex_perms, c.half_edge_perms, c.edge_perms)
     }
-    assert not (built.keys() | filled.keys()) & unread
+    assert not built.keys() & unread
 
 
 def test_deep_stratum_row_is_one_gather(monkeypatch):
@@ -441,7 +440,6 @@ def test_necklace_validation_walks_only_the_half_edge_table(monkeypatch):
     # generators' rows, for the kernel and equivariance checks
     group, graph, vertex_images, half_edge_images = necklace(60)
     built = counting(monkeypatch, isoprod.groups.RestrictedTable, "_row")
-    filled = counting(monkeypatch, isoprod.groups.RestrictedTable, "_fill")
     action = validate_action(group, graph, vertex_images, half_edge_images)
     monkeypatch.undo()
     assert type(action.half_edge_perms) is tuple
@@ -450,21 +448,19 @@ def test_necklace_validation_walks_only_the_half_edge_table(monkeypatch):
     assert all(isinstance(t, isoprod.groups.RestrictedTable) for t in views)
     for table in views:
         assert built[id(table)] <= len(group.generators)
-    assert not filled
 
 
 def test_necklace_smoothing_builds_no_row_of_a_child(monkeypatch):
     group, graph, vertex_images, half_edge_images = necklace(60)
     action = validate_action(group, graph, vertex_images, half_edge_images)
     built = counting(monkeypatch, isoprod.groups.RestrictedTable, "_row")
-    filled = counting(monkeypatch, isoprod.groups.RestrictedTable, "_fill")
     chain = smoothing_chain(action)
     assert check_constancy(chain.strata).verdict == "constant"
     monkeypatch.undo()
     assert len(chain.strata) == 2
     child = chain.strata[1].action
     tables = {id(t) for t in (child.vertex_perms, child.half_edge_perms, child.edge_perms)}
-    assert not (built.keys() | filled.keys()) & tables
+    assert not built.keys() & tables
 
 
 def test_trace_reads_one_edge_row_per_cyclic_subgroup_through_the_view(monkeypatch):
@@ -474,9 +470,7 @@ def test_trace_reads_one_edge_row_per_cyclic_subgroup_through_the_view(monkeypat
     action = validate_action(group, graph, vertex_images, half_edge_images)
     assert isinstance(action.edge_perms, isoprod.groups.RestrictedTable)
     built = counting(monkeypatch, isoprod.groups.RestrictedTable, "_row")
-    filled = counting(monkeypatch, isoprod.groups.RestrictedTable, "_fill")
     assert action.smoothing_chars.perms is action.edge_perms
     assert invariant_dimension_trace(action.smoothing_chars) == 1
     monkeypatch.undo()
     assert 1 <= built[id(action.edge_perms)] <= 12
-    assert not filled
