@@ -16,10 +16,7 @@ from .actions import (
     EquivariantT1,
     QuotientSignature,
     RamificationOrbit,
-    branch_invariants,
     inert_action,
-    node_invariants,
-    quotient_signature,
     quotient_signatures,
     t1_equivariant,
     t1_equivariant_oracle,
@@ -111,7 +108,6 @@ __all__ = [
     "SurfaceInvariants",
     "T1Breakdown",
     "arithmetic_genus",
-    "branch_invariants",
     "build_graph",
     "build_surface",
     "certify_degeneration",
@@ -123,11 +119,9 @@ __all__ = [
     "inert_action",
     "invariant_dimension_trace",
     "kuranishi_dimension",
-    "node_invariants",
     "orbits",
     "parse_document",
     "perm_from_cycles",
-    "quotient_signature",
     "quotient_signatures",
     "smooth_node_orbit",
     "smoothing_chain",

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
 from math import lcm
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._value import _Frozen
 from .curves import DualGraph
@@ -173,15 +173,16 @@ class CurveAction(_Frozen):
 
     @cached_property
     def quotient_signatures(self) -> tuple[QuotientSignature, ...]:
-        """Each vertex orbit's :func:`quotient_signature`, in orbit order."""
+        """See :func:`quotient_signatures`; a ramification error raises on every read."""
         return tuple(_signature(self, o) for o in self.vertex_orbits)
 
     @cached_property
     def t1_equivariant(self) -> EquivariantT1:
         """See :func:`t1_equivariant`; a precondition error raises on every read."""
         _check_t1_preconditions(self)
-        node_inv = node_invariants(self)
-        branch_inv = branch_invariants(self)
+        # node (branch) orbits whose stabilizer character is trivial: one invariant each
+        node_inv = sum(self.smoothing_chars.trivial)
+        branch_inv = sum(self.tangent_chars.trivial)
         minus_chi_inv = sum(sig.contribution for sig in self.quotient_signatures)
         return EquivariantT1(
             node_inv, branch_inv, minus_chi_inv, node_inv + branch_inv + minus_chi_inv
@@ -257,7 +258,7 @@ def _transport_and_close(
         for (h, val), x in zip(pairs, at_rep):
             learn(x, val, (obj, h, t))
 
-    conjugators = [(u, group.inverse(u)) for u in group.generating_set(stab)]
+    conjugators = [(u, group.inverse(u)) for u in group.closure_and_generators(stab)[1]]
     frontier = [h for h in known if h != 0]
     while frontier:
         # u x u^-1 is x moved by the transporter composed with u^-1
@@ -389,6 +390,12 @@ def _complete_chars(
     return CharacterTable(group, perms, tuple(orbit_list), tuple(columns), modulus, transporters)
 
 
+def _check_operands(group: FiniteGroup, graph: DualGraph) -> None:
+    for name, value, kind in (("group", group, FiniteGroup), ("graph", graph, DualGraph)):
+        if not isinstance(value, kind):
+            raise ActionError(f"{name}: not a {kind.__name__}: {type(value).__name__}")
+
+
 def validate_action(
     group: FiniteGroup,
     graph: DualGraph,
@@ -420,6 +427,7 @@ def validate_action(
     failure of the half-edge walk or the cover check replays the vertex
     walk, whose error wins.
     """
+    _check_operands(group, graph)
     tangent_chars = _as_dict(tangent_chars, "tangent characters")
     smoothing_chars = _as_dict(smoothing_chars, "smoothing characters")
     kernels = _as_dict(kernels, "kernels")
@@ -587,13 +595,17 @@ def validate_action(
         "tangent", "half-edge",
     )
 
+    def pair_sums(p: int, q: int) -> Iterator[tuple[int, int]]:
+        at_q = dict(tangent.at(q))  # on the first read of the sums: never on the zero path
+        yield from ((g, (a + at_q[g]) % modulus) for g, a in tangent.at(p) if g)
+
     def branch_sums(orbit: Orbit) -> Forced:
         # g fixes both branches (p, q) exactly when it fixes p; it then acts
         # on the node by the sum of its tangent characters
         p, q = graph.edges[orbit.representative]
         i, j = tangent.orbit_at[p], tangent.orbit_at[q]
-        sums = ((g, (a + tangent.residue(g, q)) % modulus) for g, a in tangent.at(p) if g)
-        return len(tangent.orbits[i].stabilizer), tangent.trivial[i] and tangent.trivial[j], sums
+        zero = tangent.trivial[i] and tangent.trivial[j]
+        return len(tangent.orbits[i].stabilizer), zero, pair_sums(p, q)
 
     smoothing = _complete_chars(
         group, edge_perms, edge_orbits, smoothing_chars, branch_sums, modulus,
@@ -653,6 +665,7 @@ def trivial_action(graph: DualGraph) -> CurveAction:
 
 def inert_action(group: FiniteGroup, graph: DualGraph) -> CurveAction:
     """Every element acts trivially on every component (all kernels = G)."""
+    _check_operands(group, graph)
     ngens = len(group.generators)
     return validate_action(
         group,
@@ -661,21 +674,6 @@ def inert_action(group: FiniteGroup, graph: DualGraph) -> CurveAction:
         [tuple(range(graph.n_half_edges))] * ngens,
         kernels=dict.fromkeys(range(graph.n_vertices), group.generator_indices),
     )
-
-
-def node_invariants(action: CurveAction) -> int:
-    """Number of node orbits whose stabilizer fixes the smoothing parameter.
-
-    The sheaf of first-order smoothings has a one-dimensional stalk at each
-    node; an orbit contributes an invariant section exactly when every
-    stabilizer element acts trivially on the stalk.
-    """
-    return sum(action.smoothing_chars.trivial)
-
-
-def branch_invariants(action: CurveAction) -> int:
-    """Number of half-edge orbits with trivial stabilizer tangent character."""
-    return sum(action.tangent_chars.trivial)
 
 
 def _solve_riemann_hurwitz(
@@ -709,26 +707,6 @@ def _solve_riemann_hurwitz(
     return g_prime, len(branch_orders)
 
 
-def quotient_signature(action: CurveAction, vertex: int) -> QuotientSignature:
-    """Quotient genus and branch count for the component orbit of ``vertex``.
-
-    The stabilizer acts on the component through its quotient by the
-    declared kernel; branch points are the declared ramification orbits on
-    the component orbit together with the stabilizer orbits of node
-    branches at the representative that are fixed by more than the kernel.
-    Those stabilizer orbits are read from the cached half-edge orbits: the
-    orbits of Stab(rep) on the branches at rep are exactly the G-orbits of
-    half-edges meeting the component orbit, with stabilizers of the same
-    order, so this costs one ``tangent_chars.orbit_at`` lookup per branch.
-    The quotient genus comes from an exactly-divisible Riemann-Hurwitz
-    computation; the contribution is 3g' - 3 + b.  Scans ``vertex_orbits``.
-    """
-    for orbit in action.vertex_orbits:
-        if vertex in orbit.members:
-            return _signature(action, orbit)
-    raise ActionError(f"vertex {vertex} not found in any orbit")
-
-
 def _signature(action: CurveAction, orbit: Orbit) -> QuotientSignature:
     rep, members, stabilizer = orbit
     kernel = action.kernels[rep]
@@ -746,7 +724,10 @@ def _signature(action: CurveAction, orbit: Orbit) -> QuotientSignature:
 
 
 def quotient_signatures(action: CurveAction) -> list[QuotientSignature]:
-    """The action's kept signatures, as a new list on each call."""
+    """Quotient genus g', branch count b and contribution 3g' - 3 + b per
+    component orbit, in orbit order, as a new list on each call.  Branch points
+    are the declared ramification orbits and the half-edge orbits at the
+    representative fixed by more than the kernel; g' solves Riemann-Hurwitz."""
     return list(action.quotient_signatures)
 
 

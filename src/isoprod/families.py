@@ -134,6 +134,8 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     intersection of its vertices' kernels: an element acts trivially on the
     merged component exactly when it does on each of its parts.
     """
+    if type(edge) is not int:  # True and 1.0 would find edge 1
+        raise SmoothingError(f"edge index must be an integer, got {edge!r}")
     graph = action.graph
     try:
         orbit = action.edge_orbits[action.smoothing_chars.orbit_at[edge]]

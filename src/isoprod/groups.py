@@ -389,8 +389,10 @@ class FiniteGroup(_Frozen):
         taken once: O(|H| * gens) group products for the subgroup H.
         """
         seeds = _listed(seeds, "element indices")
+        n = len(self.elements)
         for s in seeds:
-            self._check_index(s)
+            if type(s) is not int or not 0 <= s < n:
+                self._check_index(s)  # raises, naming the first bad seed
         known = {0}
         gens: list[int] = []
         for s in seeds:
@@ -417,12 +419,6 @@ class FiniteGroup(_Frozen):
         skipped): O(|H| * gens) group products.
         """
         return self.closure_and_generators(seeds)[0]
-
-    def generating_set(self, elements: Iterable[int]) -> tuple[int, ...]:
-        """A reduced generating set of the subgroup generated by ``elements``:
-        those elements, in the given order, outside the subgroup generated by
-        the earlier ones (at most log2 |H| of them)."""
-        return tuple(self.closure_and_generators(elements)[1])
 
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
@@ -603,9 +599,10 @@ class CharacterTable(Mapping):
     columns are one tuple); ``trivial[i]`` says whether it is zero, and
     ``orbit_at[x]`` is the index of x's orbit.  The value at (g, x) is the
     column's at t^-1 g t, t = ``transporters[x]`` carrying the
-    representative to x; ``perms`` are the objects' permutations.  Other
-    modules read columns only through :meth:`at` and :meth:`restrict`.  One
-    ``Fraction`` per residue, built when read.  Read-only.
+    representative to x; ``perms`` are the objects' permutations.  The
+    library reads columns only through :meth:`at` and :meth:`restrict`;
+    ``__getitem__`` is the public ``Mapping`` face.  One ``Fraction`` per
+    residue, built when read.  Read-only.
     """
 
     def __init__(
@@ -628,13 +625,6 @@ class CharacterTable(Mapping):
         if a not in self._fractions:
             self._fractions[a] = Fraction(a, self.modulus)
         return self._fractions[a]
-
-    def residue(self, g: int, x: int) -> int:
-        """The residue at (g, x), for g fixing x."""
-        i = self.orbit_at[x]
-        if t := self.transporters[x]:
-            g = self.group.conjugate(self.group.inverse(t), g)
-        return self.columns[i][bisect_left(self.orbits[i].stabilizer, g)]
 
     def at(self, x: int) -> Iterator[tuple[int, int]]:
         """(element, residue) pairs on the stabilizer of object x; lazy."""
@@ -669,7 +659,10 @@ class CharacterTable(Mapping):
             fixed = False
         if not fixed:
             raise KeyError(key)
-        return self.fraction(self.residue(g, x))
+        i = self.orbit_at[x]
+        if t := self.transporters[x]:
+            g = self.group.conjugate(self.group.inverse(t), g)
+        return self.fraction(self.columns[i][bisect_left(self.orbits[i].stabilizer, g)])
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         for x in self.orbit_at:

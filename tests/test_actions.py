@@ -5,10 +5,7 @@ import pytest
 
 from isoprod.actions import (
     RamificationOrbit,
-    branch_invariants,
     inert_action,
-    node_invariants,
-    quotient_signature,
     quotient_signatures,
     t1_equivariant,
     t1_equivariant_oracle,
@@ -22,9 +19,10 @@ from isoprod.errors import (
     GraphError,
     RamificationError,
 )
-from isoprod.groups import FiniteGroup, perm_from_cycles
+from isoprod.groups import CharacterTable, FiniteGroup, perm_from_cycles
 
 from randgen import catalog, random_action, random_stable_graph
+from test_seed_differential import s4
 
 # a genus-2 component with one node, and two genus-2 components joined at one
 ONE_NODE = build_graph([2], [0, 0], [(0, 1)])
@@ -274,8 +272,20 @@ def test_malformed_images_rejected(z2, nodal_quartic_graph, images, message):
 def test_orbit_lookup(paper_action):
     assert [o.members for o in paper_action.vertex_orbits] == [(0,)]
     assert paper_action.smoothing_chars.orbit_at == {0: 0}
-    with pytest.raises(ActionError, match="vertex 1 not found in any orbit"):
-        quotient_signature(paper_action, 1)
+
+
+def test_constructors_reject_a_mistyped_group_or_graph(z2, nodal_quartic_graph):
+    # only IsoprodError escapes: each of these raised a bare AttributeError
+    for call, message in [
+        (lambda: validate_action(5, nodal_quartic_graph, [], []), "group: not a FiniteGroup: int"),
+        (lambda: validate_action(z2, 5, [], []), "graph: not a DualGraph: int"),
+        (lambda: inert_action(5, nodal_quartic_graph), "group: not a FiniteGroup: int"),
+        (lambda: inert_action(z2, 5), "graph: not a DualGraph: int"),
+        (lambda: trivial_action(5), "graph: not a DualGraph: int"),
+    ]:
+        with pytest.raises(ActionError) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_missing_tangent_character_is_a_gap(z2):
@@ -439,11 +449,11 @@ def test_node_invariants_trivial_group():
     rng = random.Random(2)
     for _ in range(10):
         g = random_stable_graph(rng)
-        assert node_invariants(trivial_action(g)) == g.n_edges
+        assert t1_equivariant(trivial_action(g)).node_inv == g.n_edges
 
 
 def test_node_invariants_paper(paper_action):
-    assert node_invariants(paper_action) == 1
+    assert t1_equivariant(paper_action).node_inv == 1
 
 
 def test_node_invariant_killed_by_sign(z2):
@@ -463,18 +473,19 @@ def test_node_invariant_killed_by_sign(z2):
         ],
     )
     assert action.smoothing_chars[(1, 0)] == Fraction(1, 2)
-    assert node_invariants(action) == 0
+    # the ramification data give no integral quotient genus, so T1 raises here
+    assert action.smoothing_chars.trivial == (False,)
 
 
 def test_branch_invariants_trivial_group():
     rng = random.Random(4)
     for _ in range(10):
         g = random_stable_graph(rng)
-        assert branch_invariants(trivial_action(g)) == 2 * g.n_edges
+        assert t1_equivariant(trivial_action(g)).branch_inv == 2 * g.n_edges
 
 
 def test_branch_invariants_paper(paper_action):
-    assert branch_invariants(paper_action) == 1
+    assert t1_equivariant(paper_action).branch_inv == 1
 
 
 def test_branch_invariants_killed_by_signs(z2):
@@ -486,20 +497,20 @@ def test_branch_invariants_killed_by_signs(z2):
         half_edge_images=[(0, 1)],
         tangent_chars={(1, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)},
     )
-    assert branch_invariants(action) == 0
+    assert t1_equivariant(action).branch_inv == 0
 
 
 # -- quotient signatures -------------------------------------------------------
 
 
 def test_quotient_signature_paper(paper_action):
-    sig = quotient_signature(paper_action, 0)
+    sig = quotient_signatures(paper_action)[0]
     assert (sig.g_prime, sig.b, sig.contribution) == (1, 2, 2)
 
 
 def test_quotient_signature_trivial_group():
     g = build_graph([4], [], [])
-    sig = quotient_signature(trivial_action(g), 0)
+    sig = quotient_signatures(trivial_action(g))[0]
     assert (sig.g_prime, sig.b, sig.contribution) == (4, 0, 9)
 
 
@@ -513,7 +524,7 @@ def test_quotient_signature_hyperelliptic(z2):
         half_edge_images=[()],
         ramification_orbits=[RamificationOrbit(0, 1, Fraction(1, 2), 2)] * 6,
     )
-    sig = quotient_signature(action, 0)
+    sig = quotient_signatures(action)[0]
     assert (sig.g_prime, sig.b, sig.contribution) == (0, 6, 3)
 
 
@@ -527,7 +538,7 @@ def test_quotient_signature_inconsistent_parity(z2):
         ramification_orbits=[RamificationOrbit(0, 1, Fraction(1, 2), 2)] * 3,
     )
     with pytest.raises(RamificationError, match="inconsistent ramification data"):
-        quotient_signature(action, 0)
+        quotient_signatures(action)[0]
 
 
 def test_quotient_signature_negative_genus(z2):
@@ -540,7 +551,7 @@ def test_quotient_signature_negative_genus(z2):
         ramification_orbits=[RamificationOrbit(0, 1, Fraction(1, 2), 2)] * 10,
     )
     with pytest.raises(RamificationError, match="inconsistent ramification data"):
-        quotient_signature(action, 0)
+        quotient_signatures(action)[0]
 
 
 # -- equivariant T1 -------------------------------------------------------------
@@ -605,8 +616,8 @@ def test_kernel_component_node_oracle_arbiter(kernel_component_action):
     arbitrates the formal multiplicativity rules."""
     action = kernel_component_action
     assert action.smoothing_chars[(1, 0)] == Fraction(1, 2)
-    assert node_invariants(action) == 0
-    assert branch_invariants(action) == 1
+    assert t1_equivariant(action).node_inv == 0
+    assert t1_equivariant(action).branch_inv == 1
     sigs = {s.representative: s for s in quotient_signatures(action)}
     assert (sigs[0].g_prime, sigs[0].b) == (2, 0)
     assert (sigs[1].g_prime, sigs[1].b) == (1, 2)
@@ -623,6 +634,24 @@ def test_t1_equivariant_rejects_disconnected(z2):
     action = validate_action(z2, graph, vertex_images=[(0, 1)], half_edge_images=[()])
     with pytest.raises(GraphError, match="connected"):
         t1_equivariant(action)
+
+
+def test_inert_validation_reads_no_branch_pairs(monkeypatch):
+    # every inert column is zero, so each node's forced branch sums are never
+    # read; the wrapped at() counts only once its iteration starts
+    started = []
+    original = CharacterTable.at
+
+    def at(self, x):
+        started.append(x)
+        yield from original(self, x)
+
+    monkeypatch.setattr(CharacterTable, "at", at)
+    graph = build_graph([2, 2], [0, 0, 0, 1], [(0, 1), (2, 3)])
+    action = inert_action(s4(), graph)
+    assert started == []
+    assert action.smoothing_chars.trivial == (True, True)
+    assert dict(action.tangent_chars.at(3))[5] == 0 and started == [3]
 
 
 def test_oracle_on_inert_actions():
@@ -645,7 +674,7 @@ def test_riemann_hurwitz_reconstruction():
     rng = random.Random(29)
     for _ in range(80):
         action = random_action(rng.choice(catalog()), rng)
-        for orbit in action.vertex_orbits:
+        for orbit, sig in zip(action.vertex_orbits, quotient_signatures(action)):
             rep = orbit.representative
             kernel = action.kernels[rep]
             hbar = len(orbit.stabilizer) // len(kernel)
@@ -666,7 +695,6 @@ def test_riemann_hurwitz_reconstruction():
                 e = len(stab) // len(kernel)
                 if e >= 2:
                     orders.append(e)
-            sig = quotient_signature(action, rep)
             lhs = 2 * action.graph.genera[rep] - 2
             rhs = hbar * (2 * sig.g_prime - 2) + sum(
                 (hbar // e) * (e - 1) for e in orders
@@ -679,5 +707,6 @@ def test_invariant_monotonicity():
     rng = random.Random(31)
     for _ in range(60):
         action = random_action(rng.choice(catalog()), rng)
-        assert node_invariants(action) <= len(action.edge_orbits)
-        assert branch_invariants(action) <= len(action.half_edge_orbits)
+        t1 = t1_equivariant(action)
+        assert t1.node_inv <= len(action.edge_orbits)
+        assert t1.branch_inv <= len(action.half_edge_orbits)

@@ -162,6 +162,16 @@ def test_unknown_edge_rejected(paper_action):
         smooth_node_orbit(paper_action, 1)
 
 
+@pytest.mark.parametrize("edge", [True, 1.0, "0"])
+def test_edge_index_must_be_an_integer(edge):
+    # a dict lookup read True and 1.0 as edge 1, and "0" as a missing edge
+    action = trivial_action(build_graph([2], [0, 0, 0, 0], [(0, 1), (2, 3)]))
+    assert smooth_node_orbit(action, 1).graph.n_edges == 1
+    with pytest.raises(SmoothingError) as err:
+        smooth_node_orbit(action, edge)
+    assert str(err.value) == f"edge index must be an integer, got {edge!r}"
+
+
 def test_unsupported_order4_swap():
     z4 = FiniteGroup.from_generators([perm_from_cycles([[0, 1, 2, 3]], 4)], 4)
     graph = build_graph([2], [0, 0], [(0, 1)])

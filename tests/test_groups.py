@@ -177,7 +177,7 @@ def test_malformed_closure_seeds_rejected(z2, seed, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("method", ["subgroup_closure", "generating_set"])
+@pytest.mark.parametrize("method", ["subgroup_closure", "closure_and_generators"])
 def test_closure_of_a_non_iterable_is_a_group_error(z2, method):
     with pytest.raises(GroupError) as err:
         getattr(z2, method)(5)

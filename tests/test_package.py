@@ -26,6 +26,19 @@ def test_export_list_matches_the_package_namespace():
     assert public <= set(isoprod.__all__), sorted(public - set(isoprod.__all__))
 
 
+def test_readme_python_examples_print_what_they_say(capsys):
+    # every python block in README runs as written, and prints, line by line,
+    # the trailing comments of its print calls
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        expected = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+        assert expected
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.splitlines() == expected
+
+
 # the dataclasses module and what it loads: no import of the package pays for them
 HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 

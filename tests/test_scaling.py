@@ -164,7 +164,7 @@ def test_each_kept_fact_is_computed_once_per_object(
     # action (which fixes a component) is in no pair free in codimension 1
     rng = random.Random(72)
     actions += [random_action(z2, rng) for _ in range(4)]
-    t1_runs = counting(monkeypatch, isoprod.actions, "node_invariants")
+    t1_runs = counting(monkeypatch, isoprod.actions, "_check_t1_preconditions")
     freeness_runs = counting(monkeypatch, isoprod.surfaces, "_first_witness")
     genus_runs = counting(monkeypatch, isoprod.curves, "_require_connected")
     in_codim1_free_pair = set()

@@ -18,7 +18,6 @@ from isoprod.actions import (
     RamificationOrbit,
     _solve_riemann_hurwitz,
     inert_action,
-    quotient_signature,
     quotient_signatures,
     t1_equivariant,
     t1_equivariant_oracle,
@@ -685,7 +684,7 @@ def test_freeness_checks_match_seed_profiles():
 
 def test_quotient_signatures_read_the_stabilizer_suborbits_from_cached_orbits():
     # per vertex orbit, the half-edge orbits met by the representative's
-    # branches (looked up in first-branch order, as quotient_signature reads
+    # branches (looked up in first-branch order, as quotient_signatures reads
     # them) are the orbits of Stab(rep) on those branches, recomputed here
     # as orbits of the stabilizer's rows, with stabilizers of the same order
     groups = randgen.catalog() + [s4(), a5()]
@@ -698,6 +697,7 @@ def test_quotient_signatures_read_the_stabilizer_suborbits_from_cached_orbits():
         if group.order >= 24:
             actions += s4_a5_actions(group)
         for action in actions:
+            expected = []  # per orbit: its signature, or the message it fails with
             for orb in action.vertex_orbits:
                 rep = orb.representative
                 branches = action.graph.vertex_half_edges[rep]
@@ -721,14 +721,15 @@ def test_quotient_signatures_read_the_stabilizer_suborbits_from_cached_orbits():
                 hbar = len(orb.stabilizer) // kernel
                 try:
                     g_prime, b = _solve_riemann_hurwitz(genus, hbar, orders, f"vertex {rep}")
-                    expected = QuotientSignature(rep, g_prime, b, 3 * g_prime - 3 + b)
+                    expected.append(QuotientSignature(rep, g_prime, b, 3 * g_prime - 3 + b))
                 except RamificationError as exc:
-                    expected = str(exc)
-                try:
-                    assert quotient_signature(action, rep) == expected
-                except RamificationError as exc:
-                    assert str(exc) == expected
+                    expected.append(str(exc))
                 suborbits_seen += len(subs)
+            failures = [e for e in expected if isinstance(e, str)]
+            try:
+                assert quotient_signatures(action) == expected and not failures
+            except RamificationError as exc:  # the first failing orbit's message
+                assert str(exc) == failures[0]
     assert suborbits_seen > 100
 
 
