@@ -5,8 +5,8 @@ more), or the fields it names in the class attribute ``_compared`` (not
 ``_fields``, which ``cli._plain`` reads as the mark of a record).  Instances
 are equal when they are one object, or of one class with equal compared
 fields; the hash and the repr read the same fields.  Anything else kept in
-an instance's ``__dict__``, such as a ``cached_property`` value, is left out
-of all three.
+an instance's ``__dict__``, such as a :class:`kept` fact, is left out of all
+three.
 """
 
 from operator import attrgetter
@@ -45,7 +45,7 @@ class _Value:
 
 class _Frozen(_Value):
     """A :class:`_Value` whose attributes cannot be assigned or deleted;
-    ``__init__`` and ``cached_property`` write the instance ``__dict__``."""
+    ``__init__`` and :class:`kept` write the instance ``__dict__``."""
 
     __slots__ = ()
 
@@ -54,3 +54,24 @@ class _Frozen(_Value):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class kept:
+    """A fact computed on its first read and kept in the instance ``__dict__``.
+
+    A non-data descriptor: the kept value shadows it, so later reads are
+    plain attribute reads.  It takes no lock: threads racing on a first read may
+    each compute the fact, which is pure, and one equal value is kept.  A
+    computation that raises keeps nothing and raises again on every read.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value

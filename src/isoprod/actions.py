@@ -28,12 +28,12 @@ the oracle recomputes them as orbits of the stabilizer's half-edge rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._value import _Frozen
+from ._value import _Frozen, kept
 from .curves import DualGraph
 from .errors import (
     ActionError,
@@ -149,7 +149,7 @@ class CurveAction(_Frozen):
         p, q = self.graph.edges[n]
         return self.half_edge_perms[g][p] == q
 
-    @cached_property
+    @kept
     def fixed_point_sets(self) -> tuple[frozenset[int], frozenset[int]]:
         """(elements with a fixed point, elements fixing a whole component).
 
@@ -171,12 +171,12 @@ class CurveAction(_Frozen):
             seeds |= group.subgroup_closure([o.element, *self.kernels[o.vertex]])
         return group.conjugacy_union(seeds), fixes_component
 
-    @cached_property
+    @kept
     def quotient_signatures(self) -> tuple[QuotientSignature, ...]:
         """See :func:`quotient_signatures`; a ramification error raises on every read."""
         return tuple(_signature(self, o) for o in self.vertex_orbits)
 
-    @cached_property
+    @kept
     def t1_equivariant(self) -> EquivariantT1:
         """See :func:`t1_equivariant`; a precondition error raises on every read."""
         _check_t1_preconditions(self)
@@ -728,6 +728,8 @@ def quotient_signatures(action: CurveAction) -> list[QuotientSignature]:
     component orbit, in orbit order, as a new list on each call.  Branch points
     are the declared ramification orbits and the half-edge orbits at the
     representative fixed by more than the kernel; g' solves Riemann-Hurwitz."""
+    if not isinstance(action, CurveAction):
+        raise ActionError(f"not a CurveAction: {type(action).__name__}")
     return list(action.quotient_signatures)
 
 
@@ -744,6 +746,8 @@ def t1_equivariant(action: CurveAction) -> EquivariantT1:
     With the trivial group this equals the non-equivariant count
     (delta, 2*delta, 3*sum(g_i) - 3*nu) componentwise.  Read from the action.
     """
+    if not isinstance(action, CurveAction):
+        raise ActionError(f"not a CurveAction: {type(action).__name__}")
     return action.t1_equivariant
 
 
@@ -761,6 +765,8 @@ def t1_equivariant_oracle(action: CurveAction) -> EquivariantT1:
     stabilizer's rows of the half-edge table rather than from the cached
     half-edge orbits.
     """
+    if not isinstance(action, CurveAction):
+        raise ActionError(f"not a CurveAction: {type(action).__name__}")
     _check_t1_preconditions(action)
     node_inv = invariant_dimension_trace(action.smoothing_chars)
     branch_inv = invariant_dimension_trace(action.tangent_chars)

@@ -9,10 +9,9 @@ self-loop keeps both half-edges on one vertex), and marks are marked points.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from ._value import _Frozen
+from ._value import _Frozen, kept
 from .errors import GraphError
 
 
@@ -54,19 +53,19 @@ class DualGraph(_Frozen):
     def n_edges(self) -> int:
         return len(self.edges)
 
-    @cached_property
+    @kept
     def vertex_half_edges(self) -> tuple[tuple[int, ...], ...]:
         return _incidence(self.half_edge_vertex, self.n_vertices)
 
-    @cached_property
+    @kept
     def vertex_marks(self) -> tuple[tuple[int, ...], ...]:
         return _incidence(self.marks, self.n_vertices)
 
-    @cached_property
+    @kept
     def components(self) -> tuple[tuple[int, ...], ...]:
         return _components(self.n_vertices, self.half_edge_vertex, self.edges)
 
-    @cached_property
+    @kept
     def arithmetic_genus(self) -> int:
         _require_connected(self)
         return sum(self.genera) + self.n_edges - self.n_vertices + 1
@@ -249,6 +248,8 @@ def _require_connected(graph: DualGraph) -> None:
 
 def arithmetic_genus(graph: DualGraph) -> int:
     """g = sum(g_i) + delta - nu + 1 for a connected nodal curve, kept on the graph."""
+    if not isinstance(graph, DualGraph):
+        raise GraphError(f"not a DualGraph: {type(graph).__name__}")
     return graph.arithmetic_genus
 
 
@@ -259,6 +260,8 @@ def t1_dimension(graph: DualGraph) -> T1Breakdown:
     normalization), and 3*sum(g_i) - 3*nu; the total must equal 3g - 3,
     which is asserted rather than assumed.
     """
+    if not isinstance(graph, DualGraph):
+        raise GraphError(f"not a DualGraph: {type(graph).__name__}")
     if graph.marks:
         raise GraphError("T1 of marked curves not in scope")
     _require_connected(graph)

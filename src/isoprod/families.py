@@ -134,6 +134,8 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     intersection of its vertices' kernels: an element acts trivially on the
     merged component exactly when it does on each of its parts.
     """
+    if not isinstance(action, CurveAction):
+        raise SmoothingError(f"not a CurveAction: {type(action).__name__}")
     if type(edge) is not int:  # True and 1.0 would find edge 1
         raise SmoothingError(f"edge index must be an integer, got {edge!r}")
     graph = action.graph
@@ -183,6 +185,8 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
 
 def smoothable_edge_orbits(action: CurveAction) -> list[tuple[Orbit, str | None]]:
     """Each edge orbit with None if it can be smoothed, else the obstruction."""
+    if not isinstance(action, CurveAction):
+        raise SmoothingError(f"not a CurveAction: {type(action).__name__}")
     out = []
     for orbit in action.edge_orbits:
         try:
@@ -200,6 +204,8 @@ def smoothing_chain(action: CurveAction) -> SmoothingChain:
     representative edge index.  Obstructions of the final stratum are
     reported in-band, never raised.
     """
+    if not isinstance(action, CurveAction):
+        raise SmoothingError(f"not a CurveAction: {type(action).__name__}")
     strata = [FamilyStratum("step0", action)]
     current = action
     while True:

@@ -146,10 +146,7 @@ def perm_to_cycles(p: Perm) -> list[list[int]]:
 
 
 def format_perm(p: Perm) -> str:
-    cycles = perm_to_cycles(p)
-    if not cycles:
-        return "()"
-    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in perm_to_cycles(p)) or "()"
 
 
 class FiniteGroup(_Frozen):
@@ -160,7 +157,8 @@ class FiniteGroup(_Frozen):
     ints).  Instances are immutable and safe to share; construct through
     :meth:`from_generators`, which builds nothing else.  Lookup tables
     derived later (inverses, conjugation by a generator, the classes of
-    cyclic subgroups) are kept on the instance when first asked for.
+    cyclic subgroups, each element's cycle notation and order) are kept on
+    the instance when first asked for.
     Equality, hashing and repr read ``degree``, ``generators`` and
     ``elements`` only.  The scalar methods taking element indices raise
     GroupError for anything but an index in range; the batched ones
@@ -176,11 +174,12 @@ class FiniteGroup(_Frozen):
 
     def __init__(self, degree, generators, elements, right):
         # the lookup caches are filled lazily by :meth:`inverse`,
-        # :meth:`_generator_conjugation` and :meth:`cyclic_subgroup_classes`
+        # :meth:`_generator_conjugation`, :meth:`cyclic_subgroup_classes`
+        # and :meth:`_cycle_type`
         self.__dict__.update(
             degree=degree, generators=generators, elements=elements, right=right,
             _index={p: i for i, p in enumerate(elements)}, _inverse={0: 0}, _conjugation={},
-            _subgroup_classes=None,
+            _subgroup_classes=None, _cycles={},
             _generator_position={j: k for k, j in enumerate(right[0])},
         )
 
@@ -244,6 +243,7 @@ class FiniteGroup(_Frozen):
             raise GroupError(f"permutation {perm!r} is not a group element") from None
 
     def _check_index(self, i) -> None:
+        # the scalar methods test indices inline and call this only to raise;
         # bools and floats compare like ints, so the type is checked first
         if type(i) is not int:
             raise GroupError(f"element index {i!r} is not an integer")
@@ -251,15 +251,19 @@ class FiniteGroup(_Frozen):
             raise GroupError(f"element index {i} out of range")
 
     def mul(self, i: int, j: int) -> int:
-        self._check_index(i)
-        self._check_index(j)
+        n = len(self.elements)
+        if type(i) is not int or not 0 <= i < n:
+            self._check_index(i)  # raises
+        if type(j) is not int or not 0 <= j < n:
+            self._check_index(j)  # raises
         k = self._generator_position.get(j)
         if k is not None:
             return self.right[i][k]
         return self.index_of(compose(self.elements[i], self.elements[j]))
 
     def inverse(self, i: int) -> int:
-        self._check_index(i)
+        if type(i) is not int or not 0 <= i < len(self.elements):
+            self._check_index(i)  # raises
         try:
             return self._inverse[i]
         except KeyError:
@@ -274,8 +278,21 @@ class FiniteGroup(_Frozen):
 
     def element_order(self, i: int) -> int:
         """The lcm of the cycle lengths of element i's permutation."""
+        return self._cycle_type(i)[1]
+
+    def element_cycles(self, i: int) -> str:
+        """Element i's permutation in cycle notation, as :func:`format_perm` writes it."""
+        return self._cycle_type(i)[0]
+
+    def _cycle_type(self, i: int) -> tuple[str, int]:
+        """Element i's cycle notation and order, kept per element; a
+        concurrent first use only computes them twice."""
         self._check_index(i)
-        return lcm(*map(len, perm_to_cycles(self.elements[i])))
+        entry = self._cycles.get(i)
+        if entry is None:
+            p = self.elements[i]
+            entry = self._cycles[i] = (format_perm(p), lcm(*map(len, perm_to_cycles(p))))
+        return entry
 
     def cyclic_subgroup_classes(self) -> dict[int, dict[int, list[int]]]:
         """Conjugacy classes of cyclic subgroups, each subgroup named by its

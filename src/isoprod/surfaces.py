@@ -12,14 +12,11 @@ condition carrying its citation.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
-from ._value import _Frozen
-from .actions import CurveAction, EquivariantT1, t1_equivariant
-from .curves import arithmetic_genus
+from ._value import _Frozen, kept
+from .actions import CurveAction, EquivariantT1
 from .errors import SurfaceError
-from .groups import format_perm
 
 
 class SurfaceDescriptor(_Frozen):
@@ -41,13 +38,13 @@ class SurfaceDescriptor(_Frozen):
             factor1=factor1, factor2=factor2, declared_minimal=declared_minimal
         )
 
-    @cached_property
+    @kept
     def free_action(self) -> FreenessCheck:
         fp1, _ = self.factor1.fixed_point_sets
         fp2, _ = self.factor2.fixed_point_sets
         return _first_witness(self, fp1 & fp2)
 
-    @cached_property
+    @kept
     def free_codim1(self) -> FreenessCheck:
         fp1, fc1 = self.factor1.fixed_point_sets
         fp2, fc2 = self.factor2.fixed_point_sets
@@ -108,7 +105,7 @@ def build_surface(
     for label, action in (("factor1", factor1), ("factor2", factor2)):
         if len(action.graph.components) > 1:
             raise SurfaceError(f"{label}: factor curve must be connected")
-        g = arithmetic_genus(action.graph)
+        g = action.graph.arithmetic_genus
         if g < 2:
             raise SurfaceError(
                 f"{label}: arithmetic genus {g} < 2; factors must be curves of "
@@ -124,6 +121,8 @@ def fixed_point_profile(action: CurveAction) -> dict[int, ElementFixedPoints]:
     orbit's point stabilizer, a fixed half-edge, a fixed node, or a kernel.
     Each value is one of the four possible records, built once per call.
     """
+    if not isinstance(action, CurveAction):
+        raise SurfaceError(f"not a CurveAction: {type(action).__name__}")
     has_fixed_point, fixes_component = action.fixed_point_sets
     records = {(a, b): ElementFixedPoints(a, b) for a in (False, True) for b in (False, True)}
     return {
@@ -132,12 +131,16 @@ def fixed_point_profile(action: CurveAction) -> dict[int, ElementFixedPoints]:
     }
 
 
+_PASSED = FreenessCheck(True, None, None)
+
+
 def _first_witness(surface: SurfaceDescriptor, offenders: frozenset[int]) -> FreenessCheck:
     """Passed when no nonidentity element offends; else the least one."""
-    g = min((g for g in offenders if g), default=None)
-    if g is None:
-        return FreenessCheck(True, None, None)
-    return FreenessCheck(False, g, format_perm(surface.factor1.group.elements[g]))
+    offenders = offenders - {0}
+    if not offenders:
+        return _PASSED
+    g = min(offenders)
+    return FreenessCheck(False, g, surface.factor1.group.element_cycles(g))
 
 
 def check_free_action(surface: SurfaceDescriptor) -> FreenessCheck:
@@ -145,6 +148,8 @@ def check_free_action(surface: SurfaceDescriptor) -> FreenessCheck:
 
     Reads the two factors' fixed-point sets: one set intersection, kept.
     """
+    if not isinstance(surface, SurfaceDescriptor):
+        raise SurfaceError(f"not a SurfaceDescriptor: {type(surface).__name__}")
     return surface.free_action
 
 
@@ -155,6 +160,8 @@ def check_free_codim1(surface: SurfaceDescriptor) -> FreenessCheck:
     factor times a nonempty fixed set on the other, in either order.
     Reads the two factors' fixed-point sets, once per surface.
     """
+    if not isinstance(surface, SurfaceDescriptor):
+        raise SurfaceError(f"not a SurfaceDescriptor: {type(surface).__name__}")
     return surface.free_codim1
 
 
@@ -165,29 +172,29 @@ def surface_invariants(surface: SurfaceDescriptor) -> SurfaceInvariants:
     non-integral value means the freeness data was inconsistent.  For nodal
     factors the irregularity is not computed.
     """
-    free = check_free_action(surface)
+    if not isinstance(surface, SurfaceDescriptor):
+        raise SurfaceError(f"not a SurfaceDescriptor: {type(surface).__name__}")
+    free = surface.free_action
     if not free.passed:
         raise SurfaceError(
             "surface invariants require a free action; element "
             f"{free.witness} = {free.witness_cycles} has fixed points on both factors"
         )
-    g1 = arithmetic_genus(surface.factor1.graph)
-    g2 = arithmetic_genus(surface.factor2.graph)
-    order = surface.factor1.group.order
-    chi = Fraction((g1 - 1) * (g2 - 1), order)
-    if chi.denominator != 1:
+    f1, f2 = surface.factor1, surface.factor2
+    product = (f1.graph.arithmetic_genus - 1) * (f2.graph.arithmetic_genus - 1)
+    order = f1.group.order
+    chi, rest = divmod(product, order)
+    if rest:
         raise SurfaceError(
-            f"inconsistent action data: (g1-1)(g2-1) = {(g1 - 1) * (g2 - 1)} is "
+            f"inconsistent action data: (g1-1)(g2-1) = {product} is "
             f"not divisible by |G| = {order} although the action checks as free"
         )
-    q = None
-    if surface.factor1.graph.n_edges == 0 and surface.factor2.graph.n_edges == 0:
-        q = (
-            surface.factor1.quotient_signatures[0].g_prime
-            + surface.factor2.quotient_signatures[0].g_prime
-        )
-    p_g = chi - 1 + q if q is not None else None
-    return SurfaceInvariants(chi, 8 * chi, 4 * chi, q, p_g)
+    if f1.graph.n_edges == 0 and f2.graph.n_edges == 0:
+        q = f1.quotient_signatures[0].g_prime + f2.quotient_signatures[0].g_prime
+        p_g = Fraction(chi - 1 + q)
+    else:
+        q = p_g = None
+    return SurfaceInvariants(Fraction(chi), Fraction(8 * chi), Fraction(4 * chi), q, p_g)
 
 
 def kuranishi_dimension(surface: SurfaceDescriptor) -> KuranishiDimension:
@@ -196,16 +203,45 @@ def kuranishi_dimension(surface: SurfaceDescriptor) -> KuranishiDimension:
     Requires freeness in codimension 1 (the central fibers of the stable
     degeneration theory); a genuinely free action passes a fortiori.
     """
-    codim1 = check_free_codim1(surface)
+    if not isinstance(surface, SurfaceDescriptor):
+        raise SurfaceError(f"not a SurfaceDescriptor: {type(surface).__name__}")
+    codim1 = surface.free_codim1
     if not codim1.passed:
         raise SurfaceError(
             "kuranishi dimension requires an action free in codimension 1; "
             f"element {codim1.witness} = {codim1.witness_cycles} fixes a curve "
             "on the product"
         )
-    t1_1 = t1_equivariant(surface.factor1)
-    t1_2 = t1_equivariant(surface.factor2)
+    t1_1 = surface.factor1.t1_equivariant
+    t1_2 = surface.factor2.t1_equivariant
     return KuranishiDimension(t1_1, t1_2, t1_1.total + t1_2.total)
+
+
+# key, description and citation of each certificate condition, in order
+_STABLE_FACTORS, _FREE_IN_CODIM_1, _Q_GORENSTEIN, _NORMAL_CROSSINGS, _AMPLE = (
+    ("stable-factors", "both factors are stable curves with an action of one group",
+     "properness of the moduli of stable curves with group action"),
+    ("free-in-codim-1", "no nonidentity element fixes a curve on the product",
+     "quotient morphism etale in codimension one"),
+    ("q-gorenstein", "the quotient is Q-Gorenstein",
+     "finite quotients etale in codimension one are Q-Gorenstein (Kollar-Mori, Prop. 5.20)"),
+    ("normal-crossings-codim-1", "normal crossings in codimension one survive the quotient",
+     "finite quotients preserve normal crossings in codimension one (Cor. 1.7)"),
+    ("relative-canonical-ample", "the relative canonical sheaf descends and stays ample",
+     "ampleness descends along finite quotient maps unramified in codimension one"),
+)
+# the records that depend on the pair only through a verdict, indexed by it
+_FOLLOWS = "follows from free-in-codim-1"
+_CODIM1_HOLDS = CertificateCondition(*_FREE_IN_CODIM_1, True, "fixed loci have codimension >= 2")
+_FOLLOW_CODIM1 = [
+    (CertificateCondition(*_Q_GORENSTEIN, v, _FOLLOWS),
+     CertificateCondition(*_NORMAL_CROSSINGS, v, _FOLLOWS))
+    for v in (False, True)
+]
+_FOLLOW_STABLE = [
+    CertificateCondition(*_AMPLE, v, "theorem-backed: stability of the factors with genus >= 2")
+    for v in (False, True)
+]
 
 
 def certify_degeneration(surface: SurfaceDescriptor) -> DegenerationCertificate:
@@ -215,64 +251,24 @@ def certify_degeneration(surface: SurfaceDescriptor) -> DegenerationCertificate:
     factors, freeness in codimension 1, then the cited descent results
     (Q-Gorenstein, normal crossings in codimension 1, ampleness of the
     relative canonical sheaf).  Failures are reported in-band with the
-    first failing group element.
+    first failing group element.  Only the genera's record and a failing
+    witness's record are built per call; the others are shared constants.
     """
-    f1, f2 = surface.factor1, surface.factor2
-    g1 = arithmetic_genus(f1.graph)
-    g2 = arithmetic_genus(f2.graph)
-    stable_factors = g1 >= 2 and g2 >= 2  # vertexwise stability held at build time
-    codim1 = check_free_codim1(surface)
-
-    conditions = [
-        CertificateCondition(
-            key="stable-factors",
-            description="both factors are stable curves with an action of one group",
-            citation="properness of the moduli of stable curves with group action",
-            passed=stable_factors,
-            detail=f"arithmetic genera ({g1}, {g2})",
+    if not isinstance(surface, SurfaceDescriptor):
+        raise SurfaceError(f"not a SurfaceDescriptor: {type(surface).__name__}")
+    g1 = surface.factor1.graph.arithmetic_genus
+    g2 = surface.factor2.graph.arithmetic_genus
+    stable = g1 >= 2 and g2 >= 2  # vertexwise stability held at build time
+    codim1 = surface.free_codim1
+    codim1_free = codim1.passed
+    conditions = (
+        CertificateCondition(*_STABLE_FACTORS, stable, f"arithmetic genera ({g1}, {g2})"),
+        _CODIM1_HOLDS if codim1_free else CertificateCondition(
+            *_FREE_IN_CODIM_1, False,
+            f"element {codim1.witness} = {codim1.witness_cycles} fixes a curve",
         ),
-        CertificateCondition(
-            key="free-in-codim-1",
-            description="no nonidentity element fixes a curve on the product",
-            citation="quotient morphism etale in codimension one",
-            passed=codim1.passed,
-            detail=(
-                "fixed loci have codimension >= 2"
-                if codim1.passed
-                else f"element {codim1.witness} = {codim1.witness_cycles} fixes a curve"
-            ),
-        ),
-        CertificateCondition(
-            key="q-gorenstein",
-            description="the quotient is Q-Gorenstein",
-            citation=(
-                "finite quotients etale in codimension one are Q-Gorenstein "
-                "(Kollar-Mori, Prop. 5.20)"
-            ),
-            passed=codim1.passed,
-            detail="follows from free-in-codim-1",
-        ),
-        CertificateCondition(
-            key="normal-crossings-codim-1",
-            description="normal crossings in codimension one survive the quotient",
-            citation=(
-                "finite quotients preserve normal crossings in codimension one "
-                "(Cor. 1.7)"
-            ),
-            passed=codim1.passed,
-            detail="follows from free-in-codim-1",
-        ),
-        CertificateCondition(
-            key="relative-canonical-ample",
-            description="the relative canonical sheaf descends and stays ample",
-            citation=(
-                "ampleness descends along finite quotient maps unramified in "
-                "codimension one"
-            ),
-            passed=stable_factors,
-            detail="theorem-backed: stability of the factors with genus >= 2",
-        ),
-    ]
-    passed = all(c.passed for c in conditions)
-    first_failure = next((c.key for c in conditions if not c.passed), None)
-    return DegenerationCertificate(tuple(conditions), passed, first_failure)
+        *_FOLLOW_CODIM1[codim1_free],
+        _FOLLOW_STABLE[stable],
+    )
+    first_failure = "stable-factors" if not stable else (None if codim1_free else "free-in-codim-1")
+    return DegenerationCertificate(conditions, stable and codim1_free, first_failure)

@@ -288,6 +288,18 @@ def test_constructors_reject_a_mistyped_group_or_graph(z2, nodal_quartic_graph):
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "reader",
+    [t1_equivariant, quotient_signatures, t1_equivariant_oracle],
+    ids=lambda reader: reader.__name__,
+)
+def test_readers_name_a_mistyped_action(reader):
+    # each raised a bare AttributeError
+    with pytest.raises(ActionError) as err:
+        reader(5)
+    assert str(err.value) == "not a CurveAction: int"
+
+
 def test_missing_tangent_character_is_a_gap(z2):
     # the involution fixes both half-edges but no character is supplied
     graph = build_graph([2], [0, 0], [(0, 1)])

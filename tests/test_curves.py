@@ -155,6 +155,14 @@ def test_genus_requires_connected():
         arithmetic_genus(g)
 
 
+@pytest.mark.parametrize("reader", [arithmetic_genus, t1_dimension], ids=lambda r: r.__name__)
+def test_readers_name_a_mistyped_graph(reader):
+    # each raised a bare AttributeError
+    with pytest.raises(GraphError) as err:
+        reader(5)
+    assert str(err.value) == "not a DualGraph: int"
+
+
 # -- t1 ----------------------------------------------------------------------
 
 

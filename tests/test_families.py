@@ -172,6 +172,18 @@ def test_edge_index_must_be_an_integer(edge):
     assert str(err.value) == f"edge index must be an integer, got {edge!r}"
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: smooth_node_orbit(5, 0), lambda: smoothing_chain(5), lambda: smoothable_edge_orbits(5)],
+    ids=["smooth_node_orbit", "smoothing_chain", "smoothable_edge_orbits"],
+)
+def test_smoothing_names_a_mistyped_action(call):
+    # each raised a bare AttributeError
+    with pytest.raises(SmoothingError) as err:
+        call()
+    assert str(err.value) == "not a CurveAction: int"
+
+
 def test_unsupported_order4_swap():
     z4 = FiniteGroup.from_generators([perm_from_cycles([[0, 1, 2, 3]], 4)], 4)
     graph = build_graph([2], [0, 0], [(0, 1)])

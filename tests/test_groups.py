@@ -146,10 +146,15 @@ def test_containers_of_the_wrong_type_raise_group_error(call, message):
         (lambda: Z2.inverse(True), "element index True is not an integer"),
         (lambda: Z2.element_order(5), "element index 5 out of range"),
         (lambda: Z2.element_order(1.0), "element index 1.0 is not an integer"),
+        (lambda: Z2.mul(1, True), "element index True is not an integer"),
+        (lambda: Z2.inverse(-1), "element index -1 out of range"),
+        (lambda: Z2.element_cycles(2), "element index 2 out of range"),
+        (lambda: Z2.element_cycles(True), "element index True is not an integer"),
     ],
     ids=[
         "cycles-degree", "images-degree", "cap", "points", "conjugator", "conjugated",
         "mul-left", "mul-negative", "inverse", "inverse-bool", "order", "order-float",
+        "mul-bool", "inverse-negative", "element-cycles", "element-cycles-bool",
     ],
 )
 def test_mistyped_scalar_arguments_raise_group_error(call, message):
@@ -336,6 +341,18 @@ def test_element_order_is_the_lcm_of_the_cycle_lengths():
     # Z6 generated by (0 1)(2 3 4): the generator has cycles of lengths 2, 3
     z6 = FiniteGroup.from_generators([perm_from_cycles([[0, 1], [2, 3, 4]], 5)], 5)
     assert sorted(map(z6.element_order, range(z6.order))) == [1, 2, 3, 3, 6, 6]
+
+
+def test_element_cycles_and_order_read_one_kept_entry():
+    # both read one entry kept per element, which matches format_perm and the
+    # lcm of the cycle lengths on every element of the catalog, S4 and A5
+    for group in catalog() + [s4(), a5()]:
+        expected = {
+            g: (format_perm(p), lcm(*map(len, perm_to_cycles(p))))
+            for g, p in enumerate(group.elements)
+        }
+        assert {g: (group.element_cycles(g), group.element_order(g)) for g in expected} == expected
+        assert group._cycles == expected
 
 
 CYCLIC = [

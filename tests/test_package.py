@@ -190,3 +190,23 @@ def test_package_has_no_float_arithmetic():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_kept_facts_use_the_one_lock_free_helper():
+    # _value.kept is the package's one way to keep a fact on an instance:
+    # functools.cached_property (imported, or read as an attribute) would
+    # bring back its second caching path and, on 3.10 and 3.11, its lock
+    root = Path(__file__).resolve().parents[1] / "src" / "isoprod"
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = (
+                [alias.name for alias in node.names]
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                else [node.attr] if isinstance(node, ast.Attribute)
+                else [node.id] if isinstance(node, ast.Name)
+                else []
+            )
+            if "cached_property" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -368,7 +368,7 @@ def test_document_stays_mutable(golden_doc):
     assert Document("1", golden_doc.group).curves is not Document("1", golden_doc.group).curves
 
 
-# the cached_property values each class keeps once computed
+# the kept facts (``_value.kept``) each class keeps once computed
 KEPT = {
     FiniteGroup: (),
     DualGraph: ("components", "vertex_half_edges", "vertex_marks", "arithmetic_genus"),
@@ -377,7 +377,9 @@ KEPT = {
     Document: (),
 }
 # a group's lookup caches, each with its value when nothing is kept
-GROUP_CACHES = {"_inverse": {0: 0}, "_conjugation": {}, "_subgroup_classes": None}
+GROUP_CACHES = {
+    "_inverse": {0: 0}, "_conjugation": {}, "_subgroup_classes": None, "_cycles": {}
+}
 
 
 @pytest.mark.parametrize("cls", DATACLASS_FORMS, ids=STATEFUL_IDS)
@@ -391,6 +393,7 @@ def test_kept_values_stay_out_of_equality_hash_and_repr(golden_doc, cls):
         if cls is FiniteGroup:
             obj.inverse(obj.order - 1)
             obj.cyclic_subgroup_classes()
+            obj.element_order(obj.order - 1)
             for name, empty in GROUP_CACHES.items():
                 assert vars(obj)[name] != empty and vars(fresh)[name] == empty
         assert fresh == obj and obj == fresh

@@ -9,7 +9,9 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from randgen import random_action
+import pytest
+
+from randgen import catalog, random_action
 from test_acceptance import criterion
 
 import isoprod.actions
@@ -30,11 +32,12 @@ from isoprod.groups import (
     invariant_dimension_trace,
     perm_from_cycles,
 )
-from isoprod.errors import SurfaceError
+from isoprod.errors import GraphError, SurfaceError
 from isoprod.families import check_constancy, smoothing_chain
 from isoprod.surfaces import (
     build_surface,
     certify_degeneration,
+    check_free_action,
     check_free_codim1,
     fixed_point_profile,
     kuranishi_dimension,
@@ -187,6 +190,51 @@ def test_each_kept_fact_is_computed_once_per_object(
     assert t1_equivariant_oracle(actions[1]) == t1_equivariant_oracle(actions[1])
     tables = (actions[1].smoothing_chars, actions[1].tangent_chars)
     assert trace_runs == {id(table): 2 for table in tables}
+
+
+def test_a_kept_fact_is_computed_once_and_a_raising_one_on_every_read(monkeypatch):
+    checks = counting(monkeypatch, isoprod.curves, "_require_connected")
+    connected = build_graph([2], [0, 0], [(0, 1)])
+    apart = build_graph([2, 2], [], [], allow_disconnected=True)
+    for _ in range(3):
+        assert arithmetic_genus(connected) == 3
+        with pytest.raises(GraphError, match="connected"):
+            arithmetic_genus(apart)
+    assert checks == {id(connected): 1, id(apart): 3}
+    assert vars(connected)["arithmetic_genus"] == 3 and "arithmetic_genus" not in vars(apart)
+
+
+def test_a_repeated_pair_formats_no_cycles_and_builds_at_most_two_records(
+    monkeypatch, paper_action, kernel_component_action, smooth_fiber_action
+):
+    # a pair's queries are set operations: the witness's cycle notation is
+    # kept per group element, and a certificate builds only its genera's
+    # record and, when freeness in codimension 1 fails, its witness's
+    rng = random.Random(3)
+    families = []
+    for actions in (
+        (paper_action, kernel_component_action, smooth_fiber_action),
+        [random_action(catalog()[6], rng) for _ in range(4)],  # S3
+    ):
+        fresh = actions[0].group._replace()  # a copy with no element's cycles kept
+        families.append([a._replace(group=fresh) for a in actions])
+    formats = counting(monkeypatch, isoprod.groups, "format_perm")
+    built = counting(monkeypatch, isoprod.surfaces, "CertificateCondition")
+    witnesses, verdicts = set(), set()
+    for _ in range(2):
+        for actions in families:
+            for a in actions:
+                for b in actions:
+                    surface = build_surface(a, b)
+                    before = sum(built.values())
+                    certify_degeneration(surface)
+                    checks = (check_free_action(surface), check_free_codim1(surface))
+                    assert sum(built.values()) - before == 1 + (not checks[1].passed)
+                    verdicts.add(tuple(c.passed for c in checks))
+                    witnesses |= {(id(a.group), c.witness) for c in checks if not c.passed}
+        # one string per witness element, none when the pairs come again
+        assert sum(formats.values()) == len(witnesses)
+    assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 def test_inert_s7_on_ten_component_cycle():

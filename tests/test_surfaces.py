@@ -5,13 +5,17 @@ import pytest
 
 from isoprod.actions import (
     RamificationOrbit,
+    inert_action,
     trivial_action,
     validate_action,
 )
-from isoprod.curves import build_graph
+from isoprod.curves import arithmetic_genus, build_graph
 from isoprod.errors import SurfaceError
-from isoprod.groups import FiniteGroup, perm_from_cycles
+from isoprod.groups import FiniteGroup, format_perm, perm_from_cycles
 from isoprod.surfaces import (
+    CertificateCondition,
+    DegenerationCertificate,
+    SurfaceDescriptor,
     build_surface,
     certify_degeneration,
     check_free_action,
@@ -255,6 +259,143 @@ def test_certificate_trivial_group_nodal_factors():
     nodal = trivial_action(build_graph([2], [0, 0], [(0, 1)]))
     cert = certify_degeneration(build_surface(nodal, nodal))
     assert cert.passed
+
+
+def reference_certificate(surface):
+    """The certificate built record by record from its five conditions' texts,
+    with the codimension-1 witness found by a scan of the factors' profiles."""
+    g1, g2 = arithmetic_genus(surface.factor1.graph), arithmetic_genus(surface.factor2.graph)
+    stable = g1 >= 2 and g2 >= 2
+    p1, p2 = fixed_point_profile(surface.factor1), fixed_point_profile(surface.factor2)
+    witness = next(
+        (
+            g
+            for g in sorted(p1)
+            if (p1[g].fixes_component and p2[g].has_fixed_point)
+            or (p2[g].fixes_component and p1[g].has_fixed_point)
+        ),
+        None,
+    )
+    free = witness is None
+    cycles = None if free else format_perm(surface.factor1.group.elements[witness])
+    conditions = (
+        CertificateCondition(
+            "stable-factors",
+            "both factors are stable curves with an action of one group",
+            "properness of the moduli of stable curves with group action",
+            stable,
+            f"arithmetic genera ({g1}, {g2})",
+        ),
+        CertificateCondition(
+            "free-in-codim-1",
+            "no nonidentity element fixes a curve on the product",
+            "quotient morphism etale in codimension one",
+            free,
+            "fixed loci have codimension >= 2"
+            if free
+            else f"element {witness} = {cycles} fixes a curve",
+        ),
+        CertificateCondition(
+            "q-gorenstein",
+            "the quotient is Q-Gorenstein",
+            "finite quotients etale in codimension one are Q-Gorenstein "
+            "(Kollar-Mori, Prop. 5.20)",
+            free,
+            "follows from free-in-codim-1",
+        ),
+        CertificateCondition(
+            "normal-crossings-codim-1",
+            "normal crossings in codimension one survive the quotient",
+            "finite quotients preserve normal crossings in codimension one (Cor. 1.7)",
+            free,
+            "follows from free-in-codim-1",
+        ),
+        CertificateCondition(
+            "relative-canonical-ample",
+            "the relative canonical sheaf descends and stays ample",
+            "ampleness descends along finite quotient maps unramified in codimension one",
+            stable,
+            "theorem-backed: stability of the factors with genus >= 2",
+        ),
+    )
+    failures = [c.key for c in conditions if not c.passed]
+    return DegenerationCertificate(conditions, not failures, failures[0] if failures else None)
+
+
+def assert_certificate_matches_reference(surface):
+    cert, expected = certify_degeneration(surface), reference_certificate(surface)
+    assert type(cert) is DegenerationCertificate and cert._fields == expected._fields
+    assert (cert.passed, cert.first_failure) == (expected.passed, expected.first_failure)
+    assert len(cert.conditions) == len(expected.conditions)
+    for got, want in zip(cert.conditions, expected.conditions):
+        assert type(got) is CertificateCondition
+        assert tuple(got) == tuple(want) and type(got.passed) is bool
+    for check in (check_free_action, check_free_codim1):
+        result = check(surface)
+        if result.passed:
+            assert result == (True, None, None)
+        else:
+            elements = surface.factor1.group.elements
+            assert result.witness_cycles == format_perm(elements[result.witness])
+    return cert
+
+
+def test_certificate_matches_a_reference_on_every_ordered_catalog_pair(
+    paper_action, smooth_fiber_action, free_involution_action, kernel_component_action
+):
+    rng = random.Random(61)
+    outcomes = set()
+    for group in catalog():
+        actions = [random_action(group, rng) for _ in range(3)]
+        actions += [random_free_action(group, rng) for _ in range(2)]
+        if group == paper_action.group:
+            actions += [
+                paper_action, smooth_fiber_action, free_involution_action, kernel_component_action
+            ]
+        for a in actions:
+            for b in actions:
+                cert = assert_certificate_matches_reference(SurfaceDescriptor(a, b))
+                outcomes.add(cert.first_failure)
+    assert outcomes == {None, "free-in-codim-1"}
+
+
+def test_certificate_of_a_genus_one_factor_fails_stability_first(z2, paper_action):
+    # an elliptic curve with one mark: no build_surface accepts it, so the
+    # descriptor is built directly; stable-factors fails, and when the pair
+    # also fixes a curve it is still the first failure named
+    elliptic = build_graph([1], [], [], marks=[0])
+    free = validate_action(z2, elliptic, vertex_images=[(0,)], half_edge_images=[()])
+    inert = inert_action(z2, elliptic)
+    for factors, codim1 in [
+        ((free, paper_action), True),
+        ((paper_action, free), True),
+        ((inert, paper_action), False),
+        ((inert, inert), False),
+    ]:
+        cert = assert_certificate_matches_reference(SurfaceDescriptor(*factors))
+        assert not cert.passed and cert.first_failure == "stable-factors"
+        status = [c.passed for c in cert.conditions]
+        assert status == [False, codim1, codim1, codim1, False]
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        check_free_action,
+        check_free_codim1,
+        certify_degeneration,
+        surface_invariants,
+        kuranishi_dimension,
+        fixed_point_profile,
+    ],
+    ids=lambda reader: reader.__name__,
+)
+def test_readers_name_a_mistyped_argument(reader):
+    # each raised a bare AttributeError
+    kind = "CurveAction" if reader is fixed_point_profile else "SurfaceDescriptor"
+    with pytest.raises(SurfaceError) as err:
+        reader(5)
+    assert str(err.value) == f"not a {kind}: int"
 
 
 # -- randomized properties -----------------------------------------------------------
