@@ -8,8 +8,9 @@ self-loop keeps both half-edges on one vertex), and marks are marked points.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, NamedTuple, Sequence
+from collections.abc import Iterable, Sequence
+from itertools import chain, count, filterfalse
+from typing import NamedTuple
 
 from ._value import _Frozen, kept
 from .errors import GraphError
@@ -63,7 +64,7 @@ class DualGraph(_Frozen):
 
     @kept
     def components(self) -> tuple[tuple[int, ...], ...]:
-        return _components(self.n_vertices, self.half_edge_vertex, self.edges)
+        return _components(self)
 
     @kept
     def arithmetic_genus(self) -> int:
@@ -71,32 +72,39 @@ class DualGraph(_Frozen):
         return sum(self.genera) + self.n_edges - self.n_vertices + 1
 
 
-def _components(
-    n_vertices: int, half_edge_vertex: Sequence[int], edges: Iterable[Sequence[int]]
-) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the vertices joined by ``edges``, each a sorted
-    vertex tuple, ordered by their least vertex."""
-    adj: list[set[int]] = [set() for _ in range(n_vertices)]
-    for p, q in edges:
-        a, b = half_edge_vertex[p], half_edge_vertex[q]
-        adj[a].add(b)
-        adj[b].add(a)
-    seen: set[int] = set()
-    comps = []
-    for v in range(n_vertices):
-        if v in seen:
-            continue
-        stack, comp = [v], []
-        seen.add(v)
-        while stack:
-            w = stack.pop()
-            comp.append(w)
-            for u in adj[w]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+def _components(graph: DualGraph) -> tuple[tuple[int, ...], ...]:
+    """The connected components: the classes of every edge, as tuples."""
+    return tuple(map(tuple, _classes(graph.genera, graph.half_edge_vertex, graph.edges)[0]))
+
+
+def _classes(genera, owner, pairs) -> tuple[list[list[int]], list[int], list[int]]:
+    """Union-find over the vertices joined by the half-edge ``pairs``, each
+    class rooted at its least vertex: the classes (ascending, ordered by
+    their least vertex), each vertex's class, and each class's genus sum
+    less one per merge."""
+    up: dict[int, int] = {}  # a merged vertex -> a smaller vertex of its class
+    for p, q in pairs:
+        a, b = owner[p], owner[q]
+        while a in up:  # halve the path to the least vertex of a's class
+            up[a] = a = up.get(up[a], up[a])
+        while b in up:
+            up[b] = b = up.get(up[b], up[b])
+        if a < b:
+            up[b] = a
+        elif b < a:
+            up[a] = b
+    classes, vclass, sums = [], [], []
+    for v, g in enumerate(genera):
+        if v in up:  # merged into the class of a smaller vertex
+            c = vclass[up[v]]
+            classes[c].append(v)
+            sums[c] += g - 1
+        else:
+            c = len(classes)
+            classes.append([v])
+            sums.append(g)
+        vclass.append(c)
+    return classes, vclass, sums
 
 
 def _incidence(owner: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
@@ -211,34 +219,40 @@ def contract(
 ) -> tuple[DualGraph, tuple[tuple[int, ...], ...], dict[int, int], dict[int, int]]:
     """The graph with the edges ``removed`` contracted, with its vertices'
     merge classes of parent vertices and the renumbering of the surviving
-    half-edges and edges.  Genera add, plus one per contracted cycle.  It
-    keeps every vertex stable and joins no two components, so it is not
-    re-validated: its components are the parent's, mapped to the classes.
+    half-edges and edges.  Genera add, plus one per contracted cycle.  The
+    classes come from union-find over the removed edges' ends, not from a
+    walk of the whole graph.  It keeps every vertex stable and joins no two
+    components, so it is not re-validated: its components are the parent's,
+    mapped to the classes.  GraphError for a removed edge that is not an
+    edge index.
     """
-    removed = set(removed)
-    classes = _components(
-        graph.n_vertices, graph.half_edge_vertex, [graph.edges[n] for n in removed]
-    )
-    vclass = {v: c for c, vs in enumerate(classes) for v in vs}
-    class_edges = Counter(vclass[graph.half_edge_vertex[graph.edges[n][0]]] for n in removed)
-    genera = tuple(
-        sum(graph.genera[v] for v in vs) + class_edges[c] - len(vs) + 1
-        for c, vs in enumerate(classes)
-    )
-    removed_hes = {h for n in removed for h in graph.edges[n]}
-    surviving = [h for h in range(graph.n_half_edges) if h not in removed_hes]
-    he_map = {h: i for i, h in enumerate(surviving)}
-    kept = [n for n in range(graph.n_edges) if n not in removed]
+    if not isinstance(graph, DualGraph):
+        raise GraphError(f"not a DualGraph: {type(graph).__name__}")
+    if not isinstance(removed, Iterable):
+        raise GraphError(f"removed edges must be an iterable of edge indices, got {removed!r}")
+    edges, owner = graph.edges, graph.half_edge_vertex
+    cut: dict[int, None] = {}  # the removed edges, once each
+    for n in removed:
+        if type(n) is not int or not 0 <= n < len(edges):  # True reads edge 1, -1 the last
+            raise GraphError(f"removed edge {n!r} is not an edge index of the graph")
+        cut[n] = None
+    classes, vclass, genera = _classes(graph.genera, owner, map(edges.__getitem__, cut))
+    for n in cut:  # one genus per contracted edge, the merges counted
+        genera[vclass[owner[edges[n][0]]]] += 1
+    kept = list(filterfalse(cut.__contains__, range(len(edges))))
+    kept_ends = list(chain.from_iterable(map(edges.__getitem__, kept)))
+    he_map = dict(zip(sorted(kept_ends), count()))  # the surviving half-edges
+    ends = map(he_map.__getitem__, kept_ends)
     child = DualGraph(
-        genera,
-        tuple(vclass[graph.half_edge_vertex[h]] for h in surviving),
-        tuple((he_map[p], he_map[q]) for p, q in map(graph.edges.__getitem__, kept)),
-        tuple(vclass[v] for v in graph.marks),
+        tuple(genera),
+        tuple(map(vclass.__getitem__, map(owner.__getitem__, he_map))),
+        tuple(zip(ends, ends)),  # each kept edge's two ends, renumbered
+        tuple(map(vclass.__getitem__, graph.marks)),
     )
-    child.__dict__["components"] = tuple(
-        tuple(sorted({vclass[v] for v in comp})) for comp in graph.components
+    child.__dict__["components"] = graph.components if len(classes) == len(vclass) else tuple(
+        tuple(sorted(set(map(vclass.__getitem__, comp)))) for comp in graph.components
     )
-    return child, classes, he_map, {n: i for i, n in enumerate(kept)}
+    return child, tuple(map(tuple, classes)), he_map, dict(zip(kept, count()))
 
 
 def _require_connected(graph: DualGraph) -> None:

@@ -3,7 +3,8 @@
 Smoothing a node orbit contracts the orbit's edges in the dual graph,
 merging the incident components equivariantly.  The smoothed action is the
 parent's on the contracted graph, restricted to the surviving objects and
-renumbered, each table row built when first read; it is never re-validated.
+renumbered, its orbits carried over; each table view is composed and each
+row built when first read, and it is never re-validated.
 The invariant deformation dimension is locally constant across such
 smoothings, and :func:`check_constancy` verifies that on an explicit list
 of strata, computing each stratum's count from scratch.
@@ -22,15 +23,17 @@ stratum explicitly and verify it with :func:`check_constancy`.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from functools import reduce
-from operator import and_
+from itertools import compress, repeat
+from operator import and_, eq
 from typing import NamedTuple
 
 from .actions import CurveAction, EquivariantT1, RamificationOrbit, t1_equivariant
 from .curves import arithmetic_genus, contract
 from .errors import FamilyError, IsoprodError, SmoothingError
-from .groups import Orbit, RestrictedTable, format_rotation_char, orbits
+from .groups import Orbit, RestrictedTable, column, format_rotation_char
 
 
 class FamilyStratum(NamedTuple):
@@ -126,13 +129,14 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     parent's contracted (:func:`~isoprod.curves.contract`), and its tables
     are :class:`RestrictedTable` views of the parent's on the surviving
     objects, renumbered (a merged class moves as its first vertex does),
-    each row gathered from the validated ancestor's when first read (the
-    vertex orbits read columns and build none).  Half-edge and edge orbits
-    other than the smoothed one survive whole with their columns, renumbered
-    (``CharacterTable.restrict``); vertex orbits are recomputed, since a
-    merged class can have a larger stabilizer.  A class's kernel is the
-    intersection of its vertices' kernels: an element acts trivially on the
-    merged component exactly when it does on each of its parts.
+    composed and gathered from the validated ancestor's when first read.
+    Half-edge and edge orbits other than the smoothed one survive whole with
+    their columns, renumbered (``CharacterTable.restrict``).  Vertex orbits
+    are merged, not recomputed: the classes the orbit's edges touch form one
+    orbit, as G is transitive on those edges, whose stabilizer is read off
+    one parent column; every other orbit survives relabeled.  A class's
+    kernel is the intersection of its vertices' kernels: an element acts
+    trivially on the merged component exactly when it does on each part.
     """
     if not isinstance(action, CurveAction):
         raise SmoothingError(f"not a CurveAction: {type(action).__name__}")
@@ -146,15 +150,27 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     swap = _local_model(action, orbit)
 
     new_graph, classes, he_map, edge_map = contract(graph, orbit.members)
-    vclass = {v: c for c, vs in enumerate(classes) for v in vs}
-
-    vertex_perms = RestrictedTable(action.vertex_perms, [vs[0] for vs in classes], vclass)
     half_edge_perms = RestrictedTable(action.half_edge_perms, list(he_map), he_map)
     edge_perms = RestrictedTable(action.edge_perms, list(edge_map), edge_map)
-
     tangent_chars = action.tangent_chars.restrict(half_edge_perms, he_map)
     smoothing_chars = action.smoothing_chars.restrict(edge_perms, edge_map)
-    kernels = tuple(reduce(and_, map(action.kernels.__getitem__, vs)) for vs in classes)
+    if len(classes) == graph.n_vertices:  # self-loops only: the vertices stay
+        vclass = range(len(classes))
+        vertex_perms = RestrictedTable(action.vertex_perms, vclass, vclass)
+        kernels, vertex_orbits = action.kernels, action.vertex_orbits
+    else:
+        vclass = {v: c for c, vs in enumerate(classes) for v in vs}
+        vertex_perms = RestrictedTable(action.vertex_perms, [vs[0] for vs in classes], vclass)
+        kernels = tuple(reduce(and_, map(action.kernels.__getitem__, vs)) for vs in classes)
+        touched = {graph.half_edge_vertex[h] for n in orbit.members for h in graph.edges[n]}
+        vertex_orbits = [
+            Orbit(vclass[o.representative], tuple(map(vclass.__getitem__, o.members)), o.stabilizer)
+            for o in action.vertex_orbits if o.representative not in touched
+        ]
+        c = vclass[v := min(touched)]
+        images = map(vclass.__getitem__, column(action.vertex_perms, v))
+        stab = tuple(compress(range(action.group.order), map(eq, images, repeat(c))))
+        insort(vertex_orbits, Orbit(c, tuple(sorted({vclass[u] for u in touched})), stab))
 
     ram = [
         RamificationOrbit(vclass[o.vertex], o.element, o.char, o.order)
@@ -177,24 +193,26 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
         smoothing_chars=smoothing_chars,
         kernels=kernels,
         ramification_orbits=tuple(ram),
-        vertex_orbits=tuple(orbits(vertex_perms, range(new_graph.n_vertices))),
+        vertex_orbits=tuple(vertex_orbits),
         half_edge_orbits=tangent_chars.orbits,
         edge_orbits=smoothing_chars.orbits,
     )
+
+
+def _obstruction(action: CurveAction, orbit: Orbit) -> str | None:
+    """None if the node orbit can be smoothed, else why not."""
+    try:
+        _local_model(action, orbit)
+    except SmoothingError as exc:
+        return str(exc)
+    return None
 
 
 def smoothable_edge_orbits(action: CurveAction) -> list[tuple[Orbit, str | None]]:
     """Each edge orbit with None if it can be smoothed, else the obstruction."""
     if not isinstance(action, CurveAction):
         raise SmoothingError(f"not a CurveAction: {type(action).__name__}")
-    out = []
-    for orbit in action.edge_orbits:
-        try:
-            _local_model(action, orbit)
-            out.append((orbit, None))
-        except SmoothingError as exc:
-            out.append((orbit, str(exc)))
-    return out
+    return [(orbit, _obstruction(action, orbit)) for orbit in action.edge_orbits]
 
 
 def smoothing_chain(action: CurveAction) -> SmoothingChain:
@@ -213,11 +231,9 @@ def smoothing_chain(action: CurveAction) -> SmoothingChain:
         # the final stratum has every orbit classified
         obstructions = []
         for orbit in current.edge_orbits:
-            try:
-                _local_model(current, orbit)
+            if (why := _obstruction(current, orbit)) is None:
                 break
-            except SmoothingError as exc:
-                obstructions.append(str(exc))
+            obstructions.append(why)
         else:
             return SmoothingChain(tuple(strata), tuple(obstructions))
         current = smooth_node_orbit(current, orbit.representative)
@@ -274,11 +290,8 @@ def check_constancy(strata) -> ConstancyReport:
             verdict, constant_value = "violation", None
             offending = (first.label, other.label)
 
-    bound_violations = []
-    for a in computed:
-        for b in computed:
-            if a.delta > b.delta and a.t1.total < b.t1.total:
-                bound_violations.append((a.label, b.label))
-    return ConstancyReport(
-        tuple(values), verdict, constant_value, offending, tuple(bound_violations)
+    bound_violations = tuple(
+        (a.label, b.label) for a in computed for b in computed
+        if a.delta > b.delta and a.t1.total < b.t1.total
     )
+    return ConstancyReport(tuple(values), verdict, constant_value, offending, bound_violations)

@@ -34,6 +34,9 @@ class SurfaceDescriptor(_Frozen):
     declared_minimal: bool
 
     def __init__(self, factor1, factor2, declared_minimal=True):
+        for label, action in (("factor1", factor1), ("factor2", factor2)):
+            if not isinstance(action, CurveAction):
+                raise SurfaceError(f"{label}: not a CurveAction: {type(action).__name__}")
         self.__dict__.update(
             factor1=factor1, factor2=factor2, declared_minimal=declared_minimal
         )
@@ -97,9 +100,7 @@ def build_surface(
     factor1: CurveAction, factor2: CurveAction, declared_minimal: bool = True
 ) -> SurfaceDescriptor:
     """Validate the pair: one shared group, connected stable factors of genus >= 2."""
-    for label, action in (("factor1", factor1), ("factor2", factor2)):
-        if not isinstance(action, CurveAction):
-            raise SurfaceError(f"{label}: not a CurveAction: {type(action).__name__}")
+    surface = SurfaceDescriptor(factor1, factor2, declared_minimal)  # checks the types
     if factor1.group != factor2.group:
         raise SurfaceError("both factors must carry the identical group")
     for label, action in (("factor1", factor1), ("factor2", factor2)):
@@ -111,7 +112,7 @@ def build_surface(
                 f"{label}: arithmetic genus {g} < 2; factors must be curves of "
                 "genus two or higher"
             )
-    return SurfaceDescriptor(factor1, factor2, declared_minimal)
+    return surface
 
 
 def fixed_point_profile(action: CurveAction) -> dict[int, ElementFixedPoints]:

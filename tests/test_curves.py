@@ -320,3 +320,25 @@ def test_contract_matches_the_graph_built_from_scratch():
         kept = [n for n in range(4) if n not in removed]
         assert edge_map == {n: i for i, n in enumerate(kept)}
         assert list(he_map) == [h for n in kept for h in graph.edges[n]]
+
+
+@pytest.mark.parametrize(
+    "graph, removed, message",
+    [
+        (None, [5], "removed edge 5 is not an edge index of the graph"),
+        (None, [-1], "removed edge -1 is not an edge index of the graph"),
+        (None, [True], "removed edge True is not an edge index of the graph"),
+        (None, [0, 1.0], "removed edge 1.0 is not an edge index of the graph"),
+        (None, 5, "removed edges must be an iterable of edge indices, got 5"),
+        (5, [0], "not a DualGraph: int"),
+    ],
+    ids=["past-the-end", "negative", "bool", "float", "not-iterable", "not-a-graph"],
+)
+def test_contract_rejects_what_is_not_an_edge_index(graph, removed, message):
+    # each raised a bare IndexError, KeyError, TypeError or AttributeError,
+    # or read the wrong edge: -1 the last one, True edge 1
+    if graph is None:
+        graph = build_graph([1, 1, 2], [0, 1, 1, 2, 2, 2], [(0, 1), (2, 3), (4, 5)])
+    with pytest.raises(GraphError) as err:
+        contract(graph, removed)
+    assert str(err.value) == message

@@ -382,6 +382,78 @@ def test_surviving_edge_orbits_map_through_each_smoothing_step():
         assert surviving_orbit_steps(action) == 1
 
 
+def stratum_invariants(action):
+    """What any order of smoothing the same node orbits must agree on: the
+    sorted genera, T1, the sorted quotient signatures and ramification
+    orbits (without vertex labels) and the orbit counts."""
+    return (
+        sorted(action.graph.genera),
+        t1_equivariant(action),
+        sorted((s.g_prime, s.b) for s in quotient_signatures(action)),
+        sorted((o.order, o.char) for o in action.ramification_orbits),
+        tuple(map(len, (action.vertex_orbits, action.half_edge_orbits, action.edge_orbits))),
+    )
+
+
+def smooth_in_every_order(action):
+    """Smooth every subset of ``action``'s smoothable edge orbits in every
+    order, checking each stratum reached with ``assert_revalidates``.
+    Returns {subset of root representatives: [invariants per order]}.
+    Surviving edges keep their order, so a root edge e sits at
+    e - #(removed root edges below e) in every stratum."""
+    roots = [orbit for orbit, why in smoothable_edge_orbits(action) if why is None]
+    reached = {frozenset(): [stratum_invariants(action)]}
+
+    def walk(stratum, removed, done):
+        for orbit in roots:
+            if orbit.representative in done:
+                continue
+            rep = orbit.representative
+            child = smooth_node_orbit(stratum, rep - sum(r < rep for r in removed))
+            assert_revalidates(child)
+            subset = done | {rep}
+            reached.setdefault(subset, []).append(stratum_invariants(child))
+            walk(child, removed + orbit.members, subset)
+
+    walk(action, (), frozenset())
+    assert len(reached) == 2 ** len(roots)
+    return reached
+
+
+def confluence_inputs():
+    """Seeded catalog actions with 1 to 4 smoothable edge orbits, the free
+    S4 and A5 Cayley actions and the free necklaces with n <= 8."""
+    rng = random.Random(160)
+    groups = catalog()
+    actions = []
+    while len(actions) < 150:
+        action = random_action(rng.choice(groups), rng)
+        if 1 <= sum(why is None for _, why in smoothable_edge_orbits(action)) <= 4:
+            actions.append(action)
+    actions += [cayley_action(s4()), cayley_action(a5())]
+    for n in range(1, 9):
+        group, graph, vertex_images, half_edge_images = necklace(n)
+        actions.append(validate_action(group, graph, vertex_images, half_edge_images))
+    return actions
+
+
+def test_smoothing_is_confluent_and_t1_is_constant_on_every_stratum():
+    # the normal-crossings picture: the smoothable node orbits' parameters
+    # are coordinates, so every order of smoothing a subset of them reaches
+    # one stratum, and T1 is the same on all 2^k strata, not only along the
+    # chain's one order
+    subsets = 0
+    deep = False
+    for action in confluence_inputs():
+        total = t1_equivariant(action).total
+        for subset, reached in smooth_in_every_order(action).items():
+            assert all(r == reached[0] for r in reached), subset
+            assert reached[0][1].total == total
+            subsets += 1
+            deep |= len(subset) >= 3
+    assert subsets > 150 and deep
+
+
 def classify_all_chain(action):
     """The chain as a walk classifying every edge orbit of every stratum and
     smoothing the first smoothable one: (strata actions, obstructions)."""

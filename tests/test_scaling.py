@@ -16,6 +16,7 @@ from test_acceptance import criterion
 
 import isoprod.actions
 import isoprod.curves
+import isoprod.families
 import isoprod.groups
 import isoprod.surfaces
 from isoprod.actions import (
@@ -509,6 +510,76 @@ def test_necklace_smoothing_builds_no_row_of_a_child(monkeypatch):
     child = chain.strata[1].action
     tables = {id(t) for t in (child.vertex_perms, child.half_edge_perms, child.edge_perms)}
     assert not built.keys() & tables
+
+
+def test_smoothing_steps_compute_no_orbits_and_no_components(monkeypatch):
+    # a step merges the parent's vertex orbits along the smoothed edge orbit
+    # and finds the merge classes by union-find over its edges: no orbit
+    # walk and no walk of the whole graph, on seeded catalog actions, the
+    # free necklaces n = 1..8 and the free S4 and A5 Cayley actions
+    from test_seed_differential import a5, cayley_inputs, s4
+
+    rng = random.Random(30)
+    actions = [random_action(rng.choice(catalog()), rng) for _ in range(100)]
+    for n in range(1, 9):
+        group, graph, vertex_images, half_edge_images = necklace(n)
+        actions.append(validate_action(group, graph, vertex_images, half_edge_images))
+    for group in (s4(), a5()):
+        graph, args = cayley_inputs(group)
+        actions.append(validate_action(group, graph, *args["images"]))
+    # every module's own name for the orbit walk
+    calls = [
+        counting(monkeypatch, module, "orbits")
+        for module in (isoprod.groups, isoprod.actions, isoprod.families)
+        if hasattr(module, "orbits")
+    ]
+    calls.append(counting(monkeypatch, isoprod.curves, "_components"))
+    steps = sum(len(smoothing_chain(action).strata) - 1 for action in actions)
+    assert steps > 100
+    assert not any(calls)
+
+
+def test_an_unread_child_view_is_never_composed(monkeypatch):
+    # a view over a view keeps its parent until first read: the chain and
+    # its constancy check read no table of the last child of a two-step
+    # Z_12 chain nor of a necklace's child, so none of them is composed
+    composed = counting(monkeypatch, isoprod.groups.RestrictedTable, "_compose")
+    # the graph of test_smoothing_builds_no_half_edge_or_edge_row: Z_12 turning
+    # 12 genus-0 components, each joined to its next and next-but-one neighbour
+    n = 12
+    group = FiniteGroup.from_generators([perm_from_cycles([list(range(n))], n)], n)
+    graph = build_graph(
+        [0] * n, [v for k in (1, 2) for i in range(n) for v in (i, (i + k) % n)],
+        [(2 * e, 2 * e + 1) for e in range(2 * n)],
+    )
+    turn = [tuple(2 * (h // 2 - h // 2 % n + (h // 2 + 1) % n) + h % 2 for h in range(4 * n))]
+    shift = [tuple((i + 1) % n for i in range(n))]
+    chains = [smoothing_chain(validate_action(group, graph, shift, turn))]
+    chains.append(smoothing_chain(validate_action(*necklace(60))))
+    unread = []
+    for chain in chains:
+        assert check_constancy(chain.strata).verdict == "constant"
+        last = chain.strata[-1].action
+        unread += [id(t) for t in (last.vertex_perms, last.half_edge_perms, last.edge_perms)]
+    assert [len(chain.strata) for chain in chains] == [3, 2]
+    assert not composed.keys() & set(unread)
+    assert isinstance(chains[0].strata[-1].action.edge_perms._source, isoprod.groups.RestrictedTable)
+
+
+def test_trivial_200_cycle_chain_and_constancy():
+    # one edge per step over 200 steps, each stratum's T1 from scratch:
+    # quadratic in all, with a small constant per step; the budget catches a
+    # return to cubic work, such as composing every ancestor's map per step
+    n = 200
+    graph = build_graph(
+        [2] * n, list(range(n)) + [(i + 1) % n for i in range(n)], [(i, n + i) for i in range(n)]
+    )
+    action = trivial_action(graph)
+    with criterion(106, "trivial 200-cycle: smoothing chain and constancy", budget=5.0):
+        chain = smoothing_chain(action)
+        report = check_constancy(chain.strata)
+    assert len(chain.strata) == n + 1
+    assert report.verdict == "constant" and report.constant_value == 3 * (2 * n + 1) - 3
 
 
 def test_trace_reads_one_edge_row_per_cyclic_subgroup_through_the_view(monkeypatch):

@@ -125,6 +125,19 @@ def test_factors_must_be_curve_actions(paper_action):
         build_surface("paper", paper_action)
 
 
+def test_descriptor_checks_its_factor_types(paper_action):
+    # a descriptor built directly accepted anything, and its kept facts
+    # raised a bare AttributeError ("'int' object has no attribute
+    # 'fixed_point_sets'")
+    with pytest.raises(SurfaceError) as err:
+        check_free_action(SurfaceDescriptor(5, 5))
+    assert str(err.value) == "factor1: not a CurveAction: int"
+    with pytest.raises(SurfaceError) as err:
+        SurfaceDescriptor(paper_action, None)
+    assert str(err.value) == "factor2: not a CurveAction: NoneType"
+    assert SurfaceDescriptor(paper_action, paper_action) == build_surface(paper_action, paper_action)
+
+
 def test_genus_one_factor_rejected(z2):
     marked_elliptic = build_graph([1], [], [], marks=[0, 0])
     action = validate_action(
