@@ -199,20 +199,18 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     )
 
 
-def _obstruction(action: CurveAction, orbit: Orbit) -> str | None:
-    """None if the node orbit can be smoothed, else why not."""
-    try:
-        _local_model(action, orbit)
-    except SmoothingError as exc:
-        return str(exc)
-    return None
-
-
 def smoothable_edge_orbits(action: CurveAction) -> list[tuple[Orbit, str | None]]:
     """Each edge orbit with None if it can be smoothed, else the obstruction."""
     if not isinstance(action, CurveAction):
         raise SmoothingError(f"not a CurveAction: {type(action).__name__}")
-    return [(orbit, _obstruction(action, orbit)) for orbit in action.edge_orbits]
+    out = []
+    for orbit in action.edge_orbits:
+        try:
+            _local_model(action, orbit)
+            out.append((orbit, None))
+        except SmoothingError as exc:
+            out.append((orbit, str(exc)))
+    return out
 
 
 def smoothing_chain(action: CurveAction) -> SmoothingChain:
@@ -231,9 +229,11 @@ def smoothing_chain(action: CurveAction) -> SmoothingChain:
         # the final stratum has every orbit classified
         obstructions = []
         for orbit in current.edge_orbits:
-            if (why := _obstruction(current, orbit)) is None:
+            try:
+                _local_model(current, orbit)
                 break
-            obstructions.append(why)
+            except SmoothingError as exc:
+                obstructions.append(str(exc))
         else:
             return SmoothingChain(tuple(strata), tuple(obstructions))
         current = smooth_node_orbit(current, orbit.representative)
@@ -290,8 +290,11 @@ def check_constancy(strata) -> ConstancyReport:
             verdict, constant_value = "violation", None
             offending = (first.label, other.label)
 
-    bound_violations = tuple(
-        (a.label, b.label) for a in computed for b in computed
-        if a.delta > b.delta and a.t1.total < b.t1.total
+    bound_violations = []
+    for a in computed:
+        for b in computed:
+            if a.delta > b.delta and a.t1.total < b.t1.total:
+                bound_violations.append((a.label, b.label))
+    return ConstancyReport(
+        tuple(values), verdict, constant_value, offending, tuple(bound_violations)
     )
-    return ConstancyReport(tuple(values), verdict, constant_value, offending, bound_violations)

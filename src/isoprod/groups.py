@@ -551,47 +551,56 @@ class RestrictedTable(Sequence):
     Reads as the tuple of rows it stands for: equal to it in either operand
     order, same ``len``, iteration, hash and repr, negative indices and
     slices, ``IndexError`` past the end.  Over another restricted table, a
-    view is built in O(1) and stays pending, keeping that table (so its
-    parent, not only the root source, stays alive) and ``kept`` and
-    ``new_index`` (then a mapping) as given; its first row or column read
-    composes them onto the root source, so a row costs one gather from a
-    materialized row however long the chain.  ``new_index`` must be defined
-    on every image of a kept object.  Read-only, like every table.
+    view is built in O(1) and stays pending: it keeps that table (so every
+    unread ancestor up to the first composed one, with its ``kept`` and
+    ``new_index``, stays alive) and its own ``kept`` and ``new_index``
+    (then a mapping).  Its first row or column read composes the chain onto
+    the root source, so a row costs one gather from a materialized row
+    however long the chain, and then it keeps only the root alive.
+    ``new_index`` must be defined on every image of a kept object.
+    Read-only, like every table.
     """
 
-    __slots__ = ("_source", "_kept", "_new_index", "_made")
+    __slots__ = ("_view", "_made")
 
     def __init__(self, perms: Sequence[Perm], kept: Sequence[int], new_index: Mapping | Sequence):
-        self._source, self._kept, self._new_index = perms, kept, new_index
+        self._view = (perms, kept, new_index)  # pending while perms is a RestrictedTable
         self._made: dict[int, Perm] = {}  # id of a source row -> the row here
 
-    def _compose(self) -> None:
-        """Compose the pending views above this one, root side first, in a loop."""
-        pending = [self]
-        while type(pending[-1]._source._source) is RestrictedTable:
-            pending.append(pending[-1]._source)
-        for view in reversed(pending):
-            parent, new_index, old = view._source, view._new_index, view._source._new_index
-            pairs = old.items() if isinstance(old, Mapping) else enumerate(old)
-            view._source, view._kept = parent._source, compose(parent._kept, view._kept)
-            view._new_index = {x: new_index[i] for x, i in pairs if i in new_index}
+    def _composed(self) -> tuple:
+        """(root source, kept, new_index).  A pending view is composed in a
+        loop from each ancestor's view, read once, and published by one
+        assignment: no ancestor is changed, and racing readers see it
+        pending or composed, never half done."""
+        view = self._view
+        if type(view[0]) is RestrictedTable:
+            pending = []
+            while type(view[0]) is RestrictedTable:
+                pending.append(view)
+                view = view[0]._view
+            source, inner, old = view
+            for _, kept, new_index in reversed(pending):
+                pairs = old.items() if isinstance(old, Mapping) else enumerate(old)
+                old = {x: new_index[i] for x, i in pairs if i in new_index}
+                inner = compose(inner, kept)
+            view = self._view = (source, inner, old)
+        return view
 
     def _row(self, source_row: Perm) -> Perm:
-        return compose(self._new_index, compose(source_row, self._kept))
+        _, kept, new_index = self._view
+        return compose(new_index, compose(source_row, kept))
 
     def __getitem__(self, g):
         if isinstance(g, slice):
             return tuple(map(self.__getitem__, range(len(self))[g]))
-        if type(self._source) is RestrictedTable:
-            self._compose()
-        source_row = self._source[g]
+        source_row = self._composed()[0][g]
         row = self._made.get(id(source_row))
         if row is None:
             row = self._made[id(source_row)] = self._row(source_row)
         return row
 
     def __len__(self) -> int:
-        return len(self._source)
+        return len(self._composed()[0])
 
     def __iter__(self) -> Iterator[Perm]:
         return map(self.__getitem__, range(len(self)))
@@ -612,9 +621,8 @@ def column(perms: Sequence[Perm], p: int) -> Iterator[int]:
     """``perms[g][p]`` for each element g in turn, lazily, in C loops; a
     :class:`RestrictedTable` renumbers its source's column, building no row."""
     if type(perms) is RestrictedTable:  # an ABC's isinstance costs more than the read
-        if type(perms._source) is RestrictedTable:
-            perms._compose()
-        return map(perms._new_index.__getitem__, map(itemgetter(perms._kept[p]), perms._source))
+        source, kept, new_index = perms._composed()
+        return map(new_index.__getitem__, map(itemgetter(kept[p]), source))
     return map(itemgetter(p), perms)
 
 
@@ -640,14 +648,11 @@ class CharacterTable(Mapping):
         columns: tuple[tuple[int, ...], ...],
         modulus: int,
         transporters: Mapping[int, int],
-        orbit_at: dict[int, int] | None = None,
     ):
         self.group, self.perms, self.orbits = group, perms, orbits
         self.columns, self.modulus, self.transporters = columns, modulus, transporters
         self.trivial = tuple(not any(c) for c in columns)
-        self.orbit_at = orbit_at if orbit_at is not None else {
-            x: i for i, orbit in enumerate(orbits) for x in orbit.members
-        }
+        self.orbit_at = {x: i for i, orbit in enumerate(orbits) for x in orbit.members}
         self._fractions = {0: TRIVIAL_CHAR}
 
     def fraction(self, a: int) -> Fraction:
@@ -668,21 +673,18 @@ class CharacterTable(Mapping):
         """The table on the surviving objects, with permutations ``perms``
         and renumbered by the increasing ``new_index``: orbits that survive
         whole keep their columns, stabilizers and order as a recomputation
-        would, and each object its transporter (both maps filled in C loops).
-        ``perms`` is kept as given, so a :class:`RestrictedTable` stays a view
-        whose rows are built on first read."""
+        would, and each object its transporter.  ``perms`` is kept as given,
+        so a :class:`RestrictedTable` stays a view whose rows are built on
+        first read."""
         renumber = new_index.__getitem__
-        orbits, columns, orbit_at = [], [], {}
-        for o, col in zip(self.orbits, self.columns):
-            if o.representative in new_index:
-                members = tuple(map(renumber, o.members))
-                orbit_at.update(zip(members, repeat(len(orbits))))
-                orbits.append(Orbit(members[0], members, o.stabilizer))
-                columns.append(col)
-        transporters = dict(zip(new_index.values(), map(self.transporters.__getitem__, new_index)))
-        return CharacterTable(
-            self.group, perms, tuple(orbits), tuple(columns), self.modulus, transporters, orbit_at
+        alive = [i for i, o in enumerate(self.orbits) if o.representative in new_index]
+        relabeled = tuple(
+            Orbit(renumber(o.representative), tuple(map(renumber, o.members)), o.stabilizer)
+            for o in map(self.orbits.__getitem__, alive)
         )
+        columns = tuple(map(self.columns.__getitem__, alive))
+        transporters = dict(zip(new_index.values(), map(self.transporters.__getitem__, new_index)))
+        return CharacterTable(self.group, perms, relabeled, columns, self.modulus, transporters)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         try:

@@ -804,3 +804,45 @@ def test_restricted_rows_are_shared_like_their_source():
     for rows in ways:
         assert rows == [(7, 8, 6), (7, 8, 6), (8, 7, 5), (7, 8, 6)]
         assert rows[0] is rows[3] and rows[0] is not rows[1]
+
+
+def test_pending_views_race_to_the_same_rows():
+    # rows permute 12 blocks of 5 objects; each restriction drops a block
+    # and shuffles the order of the rest, eleven deep.  Threads race on the first
+    # row, column and child reads of the pending last view: each sees it
+    # pending or composed, never half done, and reads the rows it stands for
+    rng = random.Random(30)
+    blocks, size = 12, 5
+    source = []
+    for _ in range(24):
+        row = []
+        for b in range(blocks):
+            images = list(range(b * size, (b + 1) * size))
+            rng.shuffle(images)
+            row += images
+        source.append(tuple(row))
+    source = tuple(source)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            table, expected, alive = source, list(source), list(range(blocks * size))
+            for b in rng.sample(range(blocks), blocks - 1):
+                kept = [i for i, x in enumerate(alive) if x // size != b]
+                rng.shuffle(kept)
+                new_index = {k: i for i, k in enumerate(kept)}
+                table = RestrictedTable(table, kept, new_index)
+                alive = [alive[k] for k in kept]
+                expected = [tuple(new_index[row[k]] for k in kept) for row in expected]
+            assert type(table._view[0]) is RestrictedTable
+            columns = [tuple(row[p] for row in expected) for p in range(size)]
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                rows = [pool.submit(table.__getitem__, g) for g in range(len(source))]
+                cols = [pool.submit(lambda p: tuple(column(table, p)), p) for p in range(size)]
+                child = pool.submit(lambda: list(RestrictedTable(table, range(size), {i: i for i in range(size)})))
+                assert [f.result(timeout=30) for f in rows] == expected
+                assert [f.result(timeout=30) for f in cols] == columns
+                assert child.result(timeout=30) == expected
+            assert table._view[0] is source
+    finally:
+        sys.setswitchinterval(interval)
