@@ -158,15 +158,14 @@ class CurveAction(_Frozen):
         ramification orbit's point stabilizer (generated by the orbit's element
         and the component's kernel).  Kernels are permuted by conjugation, so
         one conjugacy closure of all these subgroups gives the first set:
-        O(|G| * gens) group products, on first use.  The freeness checks and
-        ``surfaces.fixed_point_profile`` read it.  Both sets may hold the
-        identity, which every reader skips.
+        O(|G| * gens) group products on first use, each distinct kernel and
+        stabilizer read once; ``surfaces.fixed_point_profile`` and the
+        freeness checks read it.  Both may hold the identity, which all skip.
         """
         group = self.group
-        fixes_component = frozenset().union(*self.kernels)
+        fixes_component = frozenset().union(*set(self.kernels))  # frozensets cache their hash
         seeds = set(fixes_component)
-        for orbit in self.half_edge_orbits + self.edge_orbits:
-            seeds.update(orbit.stabilizer)
+        seeds.update(*{id(s): s for *_, s in self.half_edge_orbits + self.edge_orbits}.values())
         for o in self.ramification_orbits:
             seeds |= group.subgroup_closure([o.element, *self.kernels[o.vertex]])
         return group.conjugacy_union(seeds), fixes_component
@@ -198,24 +197,24 @@ def _transport_and_close(
     modulus: int,
     kind: str,
     obj_kind: str,
-) -> tuple[int, ...]:
+) -> tuple[int, ...] | None:
     """The column of one orbit: its representative's stabilizer character.
 
     ``given`` lists the members with supplied residues, in orbit order.  If
     the ``forced`` zeros cover the stabilizer and every supplied residue is
-    zero, the column is zero.  Otherwise the forced pairs and then the
-    supplied values are moved to the representative by their member's
-    transporter, closed under conjugation by the stabilizer's generators,
-    and extended by BFS to a homomorphism, every product and remaining value
-    checked: O(|F| + #values + |stab| * gens) group products.  Conflicts
-    raise CharacterError naming the value's object and the element
-    transporting it to the representative; gaps raise CharacterError naming
-    the first missing (element, object) pair.
+    zero, the column is zero: None (the caller keeps one).  Otherwise the
+    forced pairs and then the supplied values are moved to the
+    representative by their member's transporter, closed under conjugation
+    by the stabilizer's generators, and extended by BFS to a homomorphism,
+    every product and remaining value checked: O(|F| + #values + |stab| *
+    gens) group products.  Conflicts raise CharacterError naming the value's
+    object and the element transporting it to the representative; gaps raise
+    CharacterError naming the first missing (element, object) pair.
     """
     rep, stab = orbit.representative, orbit.stabilizer
     size, zero, forced_pairs = forced
     if zero and size == len(stab) and not any(a for _, pairs in given for _, a in pairs):
-        return (0,) * len(stab)
+        return None
     given = [(rep, list(forced_pairs)), *given]
 
     frac = partial(Fraction, denominator=modulus)  # for messages
@@ -374,6 +373,7 @@ def _complete_chars(
     transporters: dict[int, int] = {}
     columns: list[tuple[int, ...]] = []
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    zero: dict[int, tuple[int, ...]] = {}  # stabilizer order -> its zero column
     for orbit in orbit_list:
         # per member, the first element in table order carrying rep there
         found: dict[int, int] = {}
@@ -386,7 +386,9 @@ def _complete_chars(
         residues = _transport_and_close(
             group, orbit, transporters, given, forced(orbit), modulus, kind, obj_kind
         )
-        columns.append(shared.setdefault(residues, residues))
+        if residues is None:  # forced zeros: one column per stabilizer order, hashed once
+            zero[k] = zero.get(k := len(orbit.stabilizer)) or shared.setdefault((0,) * k, (0,) * k)
+        columns.append(zero[k] if residues is None else shared.setdefault(residues, residues))
     return CharacterTable(group, perms, tuple(orbit_list), tuple(columns), modulus, transporters)
 
 

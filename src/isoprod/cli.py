@@ -348,10 +348,13 @@ def main(argv=None) -> int:
     machine, human, code = run(args.command, doc)
     if args.command == "validate" and args.emit:
         machine["document"] = emit_document(doc)
-    if not args.json:
-        print(human)
-        print()
-    print(json.dumps(machine, indent=2, sort_keys=True))
+    try:
+        if not args.json:
+            print(human, end="\n\n")
+        print(json.dumps(machine, indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:  # a closed reader: silence the exit flush (the docs' SIGPIPE note)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -25,7 +25,7 @@ map is not walked: every element gets the one identity tuple) and lets
 elements acting alike share one tuple, so tables are never mutated.  A
 :class:`RestrictedTable` reads a table at some of its objects, renumbered
 (an induced action, or the surviving objects), building a row when first
-read.  Orbits and stabilizers (:func:`orbits`) read columns, and the
+read.  Orbits (:func:`orbits`) read columns, or one shared row, and the
 Burnside trace one row per conjugacy class of cyclic subgroups (a
 character sum is a class function; :meth:`FiniteGroup.cyclic_subgroup_classes`
 is the one table of them), so neither builds every row of a view.
@@ -43,9 +43,9 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress, filterfalse, repeat
 from math import gcd, lcm
-from operator import eq, itemgetter
+from operator import countOf, eq, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._value import _Frozen
@@ -57,6 +57,7 @@ Perm = tuple[int, ...]
 DEFAULT_GROUP_CAP = 10000
 
 TRIVIAL_CHAR = Fraction(0)
+_EVERY: dict[int, tuple[int, ...]] = {}  # order -> (0, ..., order - 1), built once per order
 
 
 def identity_perm(degree: int) -> Perm:
@@ -157,8 +158,8 @@ class FiniteGroup(_Frozen):
     ints).  Instances are immutable and safe to share; construct through
     :meth:`from_generators`, which builds nothing else.  Lookup tables
     derived later (inverses, conjugation by a generator, the classes of
-    cyclic subgroups, each element's cycle notation and order) are kept on
-    the instance when first asked for.
+    cyclic subgroups, each element's cycle notation and order, the closure
+    of the generator list) are kept on the instance when first asked for.
     Equality, hashing and repr read ``degree``, ``generators`` and
     ``elements`` only.  The scalar methods taking element indices raise
     GroupError for anything but an index in range; the batched ones
@@ -174,12 +175,12 @@ class FiniteGroup(_Frozen):
 
     def __init__(self, degree, generators, elements, right):
         # the lookup caches are filled lazily by :meth:`inverse`,
-        # :meth:`_generator_conjugation`, :meth:`cyclic_subgroup_classes`
-        # and :meth:`_cycle_type`
+        # :meth:`_generator_conjugation`, :meth:`cyclic_subgroup_classes`,
+        # :meth:`_cycle_type` and :meth:`closure_and_generators`
         self.__dict__.update(
             degree=degree, generators=generators, elements=elements, right=right,
             _index={p: i for i, p in enumerate(elements)}, _inverse={0: 0}, _conjugation={},
-            _subgroup_classes=None, _cycles={},
+            _subgroup_classes=None, _cycles={}, _closure=None,
             _generator_position={j: k for k, j in enumerate(right[0])},
         )
 
@@ -242,13 +243,15 @@ class FiniteGroup(_Frozen):
         except (KeyError, TypeError):  # TypeError: an unhashable perm, such as a list
             raise GroupError(f"permutation {perm!r} is not a group element") from None
 
-    def _check_index(self, i) -> None:
-        # the scalar methods test indices inline and call this only to raise;
-        # bools and floats compare like ints, so the type is checked first
-        if type(i) is not int:
-            raise GroupError(f"element index {i!r} is not an integer")
-        if not (0 <= i < len(self.elements)):
-            raise GroupError(f"element index {i} out of range")
+    def _check_index(self, *ix) -> None:
+        # C passes, then a loop naming the first bad index (the scalar methods
+        # call this only to raise); bools and floats compare like ints
+        if countOf(map(type, ix), int) < len(ix) or ix and not 0 <= min(ix) <= max(ix) < self.order:
+            for i in ix:
+                if type(i) is not int:
+                    raise GroupError(f"element index {i!r} is not an integer")
+                if not (0 <= i < self.order):
+                    raise GroupError(f"element index {i} out of range")
 
     def mul(self, i: int, j: int) -> int:
         n = len(self.elements)
@@ -399,17 +402,15 @@ class FiniteGroup(_Frozen):
     def closure_and_generators(self, seeds: Iterable[int]) -> tuple[frozenset[int], list[int]]:
         """Closure of the seeds with a reduced generating set of it.
 
-        Each seed not already in the closure of the earlier ones becomes a
-        generator; the closure grows by a BFS under right multiplication,
-        where the old elements need only the new generator and the new
-        elements all generators.  Every (element, generator) product is
-        taken once: O(|H| * gens) group products for the subgroup H.
+        Each seed not in the closure of the earlier ones becomes a generator;
+        a BFS under right multiplication grows the closure, the old elements
+        by the new generator and the new ones by all: O(|H| * gens) products
+        for the subgroup H, each (element, generator) once; none after the
+        first walk of the group's own generators, which the group keeps.
         """
-        seeds = _listed(seeds, "element indices")
-        n = len(self.elements)
-        for s in seeds:
-            if type(s) is not int or not 0 <= s < n:
-                self._check_index(s)  # raises, naming the first bad seed
+        self._check_index(*(seeds := _listed(seeds, "element indices")))  # names the first bad seed
+        if tuple(seeds) == self.right[0] and self._closure:
+            return self._closure[0], list(self._closure[1])
         known = {0}
         gens: list[int] = []
         for s in seeds:
@@ -427,14 +428,13 @@ class FiniteGroup(_Frozen):
                             known.add(c)
                             nxt.append(c)
                 frontier = nxt
+        if tuple(seeds) == self.right[0]:  # a concurrent first use walks it twice
+            self.__dict__["_closure"] = (frozenset(known), tuple(gens))
         return frozenset(known), gens
 
     def subgroup_closure(self, seeds: Iterable[int]) -> frozenset[int]:
-        """Subgroup generated by the given element indices.
-
-        BFS from a reduced generating set (seeds already in the closure are
-        skipped): O(|H| * gens) group products.
-        """
+        """Subgroup generated by the given element indices (BFS from a
+        reduced generating set, see :meth:`closure_and_generators`)."""
         return self.closure_and_generators(seeds)[0]
 
     def conjugate(self, g: int, x: int) -> int:
@@ -445,10 +445,11 @@ class FiniteGroup(_Frozen):
         """Union of all conjugates of a subgroup (or of any set of elements).
 
         BFS closure under conjugation by the group generators, which generate
-        every conjugation: O(|union| * gens) group products.
+        every conjugation: O(|union| * gens) group products, none for G.
         """
+        self._check_index(*(sub := _listed(sub, "element indices")))  # names the first bad one
         out = set(sub)
-        frontier = list(out)
+        frontier = list(out) if len(out) < len(self.elements) else []
         while frontier:
             nxt = []
             for s in self.generator_indices:
@@ -512,23 +513,37 @@ def orbits(perms: Sequence[Perm], points: Sequence[int]) -> list[Orbit]:
     ``perms[g]`` is the permutation of element g, as returned by
     :meth:`FiniteGroup.extend_action`, which has already checked that the
     tables form an action; no callable and no further check.  Stabilizers
-    are positions in ``perms``: a subgroup's rows give its orbits.  An empty
-    table, points that are not iterable, or an image outside ``points``
-    raises GroupError.  Each orbit reads one :func:`column` of the tables,
-    O(|G|) lookups in C; orbits with equal stabilizers share one tuple.
+    are positions in ``perms``: a subgroup's rows give its orbits.  A bad
+    table, points not ints in range, or an image outside ``points`` raise
+    GroupError.  If every row is row 0 (one C pass, identity first), a point
+    reads that row, else its column: O(|G|) lookups in C, no row of a view.
     """
-    elems = range(len(perms))
-    if not elems:
+    view = perms._composed() if type(perms) is RestrictedTable else (perms, None, None)
+    source, kept, new_index = view
+    if not isinstance(source, (tuple, list)) or source and type(source[0]) is not tuple:
+        raise GroupError(f"not a table of permutation tuples: {perms!r}")
+    if not source:
         raise GroupError("one permutation required per group element")
-    points = _listed(points, "points")
+    first, degree = source[0], len(source[0] if kept is None else kept)
+    if type(points) is range:  # ints, so both ends in range bound it
+        bad = points and not (0 <= points[0] < degree and 0 <= points[-1] < degree)
+    else:  # C passes over the points, never a set over the degree
+        points = points if type(points) in (tuple, list) else _listed(points, "points")
+        bad = countOf(map(type, points), int) < len(points) or points and not (
+            0 <= min(points) <= max(points) < degree)
+    if bad:
+        p = next(p for p in points if type(p) is not int or not 0 <= p < degree)
+        raise GroupError(f"point {p!r} is not an integer in range({degree})")
+    n = len(source)
+    rows = (first,) if n > 1 and source[-1] == first and countOf(source, first) == n else source
     pos = {p: i for i, p in enumerate(points)}
     seen: set[int] = set()
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per stabilizer
+    # one tuple per stabilizer; one row standing for all is fixed by all (0,) or none ()
+    shared = {} if rows is source else {(0,): _EVERY.get(n) or _EVERY.setdefault(n, (*range(n),))}
     out: list[Orbit] = []
-    for p in points:
-        if p in seen:
-            continue
-        images = list(column(perms, p))
+    for p in filterfalse(seen.__contains__, points):  # skips members of earlier orbits
+        images = map(itemgetter(p if kept is None else kept[p]), rows)
+        images = list(images if kept is None else map(new_index.__getitem__, images))
         members = set(images)
         # O(|orbit|): issubset() would first copy every key of ``pos``
         if members.difference(pos):
@@ -536,7 +551,7 @@ def orbits(perms: Sequence[Perm], points: Sequence[int]) -> list[Orbit]:
             raise GroupError(f"not a group action on the given points: {p!r} -> {q!r}")
         seen.update(members)
         ordered = tuple(sorted(members, key=pos.__getitem__))
-        stab = tuple(compress(elems, map(eq, images, repeat(p))))
+        stab = tuple(compress(range(len(rows)), map(eq, images, repeat(p))))
         out.append(Orbit(p, ordered, shared.setdefault(stab, stab)))
     return out
 

@@ -1,6 +1,8 @@
 import argparse
 import importlib.util
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -221,6 +223,33 @@ def test_check_family_reports_a_disconnected_stratum_in_band(
     stratum = machine_block(out)["items"]["apart"]["strata"][0]
     assert stratum["genus"] is None
     assert stratum["error"] == "equivariant T1 requires a connected curve"
+
+
+def test_closed_stdout_exits_1_without_a_traceback(golden_path, monkeypatch, capsys):
+    # ``isoprod check-family doc.json --json | head -c 10``: the reader
+    # closes the pipe, so writing stdout raises BrokenPipeError; main points
+    # the stream's descriptor at devnull, so the flush at exit stays quiet
+    read_end, write_end = os.pipe()
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return write_end
+
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["check-family", golden_path, "--json"]) == 1
+        monkeypatch.undo()
+        assert capsys.readouterr().err == ""
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    finally:
+        os.close(read_end)
+        os.close(write_end)
 
 
 def test_exit_1_on_invalid_document(capsys, tmp_path):

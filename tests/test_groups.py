@@ -182,7 +182,7 @@ def test_malformed_closure_seeds_rejected(z2, seed, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("method", ["subgroup_closure", "closure_and_generators"])
+@pytest.mark.parametrize("method", ["subgroup_closure", "closure_and_generators", "conjugacy_union"])
 def test_closure_of_a_non_iterable_is_a_group_error(z2, method):
     with pytest.raises(GroupError) as err:
         getattr(z2, method)(5)
@@ -300,6 +300,54 @@ def test_conjugacy_union_matches_seed(group):
         for sub in ({x}, group.subgroup_closure([x])):
             assert group.conjugacy_union(sub) == reference_seed.conjugacy_union(group, sub)
     assert group.conjugacy_union(range(group.order)) == frozenset(range(group.order))
+
+
+@pytest.mark.parametrize(
+    "sub, message",
+    [
+        ([7], "element index 7 out of range"),
+        ([1, -1], "element index -1 out of range"),
+        ([0, True], "element index True is not an integer"),
+        ([1.0], "element index 1.0 is not an integer"),
+    ],
+)
+def test_conjugacy_union_rejects_bad_elements(z2, sub, message):
+    # a bare TypeError or IndexError before, or a wrong element read
+    with pytest.raises(GroupError) as err:
+        z2.conjugacy_union(sub)
+    assert str(err.value) == message
+
+
+def test_conjugacy_union_of_the_whole_group_conjugates_nothing(monkeypatch):
+    group = symmetric_group(5)
+    calls = []
+    conjugates = FiniteGroup.conjugates
+    monkeypatch.setattr(
+        FiniteGroup, "conjugates", lambda self, g, xs: calls.append(g) or conjugates(self, g, xs)
+    )
+    assert group.conjugacy_union(range(group.order)) == frozenset(range(group.order))
+    assert calls == []
+    assert len(group.conjugacy_union([1])) < group.order
+    assert calls
+
+
+def test_the_closure_of_the_generators_is_walked_once(monkeypatch):
+    # kept on the group with its reduced generating set; other seeds walk
+    group = symmetric_group(5)
+    own = list(group.generator_indices)
+    walks = []
+    products = FiniteGroup.products
+    monkeypatch.setattr(
+        FiniteGroup, "products", lambda self, xs, t: walks.append(t) or products(self, xs, t)
+    )
+    first = group.closure_and_generators(own)
+    assert first[0] == frozenset(range(group.order)) and walks
+    walks.clear()
+    again = group.closure_and_generators(tuple(own))
+    assert again == first and walks == []
+    again[1].append(0)  # the caller's list, not the kept one
+    assert group.closure_and_generators(own) == first
+    assert group.subgroup_closure(own[:1]) < first[0] and walks
 
 
 def test_extend_action_rejects_broken_power_relation():
@@ -572,6 +620,51 @@ def test_orbits_rejects_out_of_range_subgroup_elements(z2):
     with pytest.raises(GroupError, match="^one permutation required per group element$"):
         orbits([], [0, 1])
     assert [o.stabilizer for o in orbits([perms[0], perms[1]], [0, 1])] == [(0,)]
+
+
+@pytest.mark.parametrize(
+    "perms, points, message",
+    [
+        ([(0, 1), (1, 0)], [-1, 0, 1], "point -1 is not an integer in range(2)"),
+        ([(0, 1)], [True], "point True is not an integer in range(2)"),
+        ([(0, 1)], [0, 5], "point 5 is not an integer in range(2)"),
+        ([(0, 1)], [1.0], "point 1.0 is not an integer in range(2)"),
+        ([(0, 1)], ["0"], "point '0' is not an integer in range(2)"),
+        ([(0, 1)], range(-1, 2), "point -1 is not an integer in range(2)"),
+        ([(0, 1)], range(3, 0, -1), "point 3 is not an integer in range(2)"),
+        (5, [0], "not a table of permutation tuples: 5"),
+        ([5], [0], "not a table of permutation tuples: [5]"),
+        ([[0, 1]], [0], "not a table of permutation tuples: [[0, 1]]"),
+        (
+            RestrictedTable(((0, 1, 2), (1, 2, 0)), [2, 0], (0, 9, 1)), [2],
+            "point 2 is not an integer in range(2)",
+        ),
+    ],
+    ids=[
+        "negative", "bool", "past-the-end", "float", "str", "range-start", "range-stop",
+        "scalar-table", "scalar-row", "list-row", "view-range",
+    ],
+)
+def test_orbits_rejects_bad_points_and_tables(perms, points, message):
+    # a negative point read from the end of a row, True read row entry 1,
+    # and the rest raised a bare IndexError or TypeError
+    with pytest.raises(GroupError) as err:
+        orbits(perms, points)
+    assert str(err.value) == message
+
+
+def test_orbits_of_shared_rows_read_one_row_and_share_stabilizers():
+    # a table whose rows are all row 0 (an inert table) reads that row once
+    # per point: every point is fixed by every element, and one stabilizer
+    # tuple serves every orbit; a table with one other row reads columns
+    ident = (0, 1, 2)
+    found = orbits((ident,) * 6, [2, 0, 1])
+    assert [(o.representative, o.members) for o in found] == [(2, (2,)), (0, (0,)), (1, (1,))]
+    assert found[0].stabilizer == tuple(range(6))
+    assert len({id(o.stabilizer) for o in found}) == 1
+    swap = (1, 0, 2)
+    found = orbits([ident, swap, ident, swap], [0, 1, 2])
+    assert [(o.members, o.stabilizer) for o in found] == [((0, 1), (0, 2)), ((2,), (0, 1, 2, 3))]
 
 
 def test_orbit_stabilizer_theorem():

@@ -260,6 +260,59 @@ def test_inert_s7_on_ten_component_cycle():
         assert t1.total == 3 * arithmetic_genus(graph) - 3
 
 
+def cycle_graph(n: int):
+    """An n-cycle of genus-2 components: edge i joins half-edge i at vertex
+    i to half-edge n + i at vertex i + 1."""
+    return build_graph(
+        [2] * n, list(range(n)) + [(i + 1) % n for i in range(n)], [(i, n + i) for i in range(n)]
+    )
+
+
+def test_inert_s7_on_160_component_cycle():
+    # every table is one identity tuple repeated 5040 times: orbits read that
+    # row once per object, and the group closes its generators once
+    s7 = symmetric_group(7)
+    graph = cycle_graph(160)
+    with criterion(
+        109, "inert S7 (|G| = 5040) on a 160-component cycle: validate, T1, oracle", budget=5.0
+    ):
+        action = inert_action(s7, graph)
+        t1 = t1_equivariant(action)
+        assert t1 == t1_equivariant_oracle(action)
+        assert t1.total == 3 * arithmetic_genus(graph) - 3
+
+
+def test_inert_orbits_read_no_column_and_keep_one_stabilizer_per_kind(monkeypatch):
+    # inert S7 on a 160-component cycle: no orbits call, in validation or
+    # in the oracle's per-vertex calls over a stabilizer's rows, reads a
+    # |G|-long column; each kind of orbit keeps one stabilizer tuple
+    s7 = symmetric_group(7)
+    columns = counting(monkeypatch, isoprod.groups, "column")  # as orbits calls it
+    calls = counting(monkeypatch, isoprod.actions, "orbits")
+    action = inert_action(s7, cycle_graph(160))
+    assert t1_equivariant_oracle(action) == t1_equivariant(action)
+    monkeypatch.undo()
+    assert sum(calls.values()) == 3 + 1 + 160
+    assert sum(columns.values()) == 0
+    for kind in (action.vertex_orbits, action.half_edge_orbits, action.edge_orbits):
+        assert len({id(o.stabilizer) for o in kind}) == 1
+        assert kind[0].stabilizer == tuple(range(s7.order))
+
+
+def test_inert_actions_close_the_group_once(monkeypatch):
+    # every kernel is seeded by the group's generators: the first inert
+    # action walks their closure, later ones read the one the group keeps
+    graph = cycle_graph(3)
+    for group in (symmetric_group(5), symmetric_group(7)):
+        walks = counting(monkeypatch, isoprod.groups.FiniteGroup, "products")
+        first = inert_action(group, graph)
+        assert walks
+        walks.clear()
+        assert inert_action(group, graph).kernels == first.kernels
+        monkeypatch.undo()
+        assert not walks
+
+
 def symmetric_group(n: int) -> FiniteGroup:
     return FiniteGroup.from_generators(
         [perm_from_cycles([list(range(n))], n), perm_from_cycles([[0, 1]], n)], n

@@ -34,6 +34,7 @@ from isoprod.errors import (
 from isoprod.groups import (
     CharacterTable,
     FiniteGroup,
+    Orbit,
     RestrictedTable,
     compose,
     format_perm,
@@ -422,6 +423,65 @@ def test_table_traces_on_inert_kernel_ramified_and_free_actions(make):
     rng = random.Random(group.order)
     for _ in range(2):
         assert_same_traces(randgen.random_free_action(group, rng))
+
+
+def orbits_by_definition(perms, points):
+    """Orbits read element by element in Python: the representative first
+    met in ``points``, members in point order, the elements fixing it."""
+    pos = {p: i for i, p in enumerate(points)}
+    found, seen = [], set()
+    for p in points:
+        if p not in seen:
+            members = {row[p] for row in perms}
+            seen |= members
+            stab = tuple(g for g, row in enumerate(perms) if row[p] == p)
+            found.append(Orbit(p, tuple(sorted(members, key=pos.__getitem__)), stab))
+    return found
+
+
+@pytest.mark.parametrize("make", [s4, a5])
+def test_orbits_over_shared_rows_match_the_seed_tables(make):
+    # validate_action's inert and kernel-carrying tables share row tuples,
+    # and an inert one is read once per point; the seed walk builds a tuple
+    # per element.  Orbits of each table, and of each vertex stabilizer's
+    # half-edge rows as the oracle takes them, agree with the seed tables'
+    # and with the definition, on the inputs of the trace test above
+    group = make()
+    full = frozenset(range(group.order))
+    alternating = group.subgroup_closure(
+        [element(group, [[i, i + 1, i + 2]]) for i in range(group.degree - 2)]
+    )
+    ngens = len(group.generators)
+    inert = {
+        "images": ([(0, 1)] * ngens, [(0, 1, 2, 3)] * ngens),
+        "kwargs": {"kernels": {0: full, 1: full}},
+    }
+    rotation = {24: [[0, 1, 2, 3]], 60: [[0, 1, 2, 3, 4]]}
+    inputs = [
+        (build_graph([2, 3], [0, 1, 0, 1], [(0, 1), (2, 3)]), inert),
+        kernel_action_inputs(group, full, alternating),
+        self_node_inputs(group, element(group, rotation[group.order])),
+    ]
+    one_row = 0
+    for graph, args in inputs:
+        new = validate_action(group, graph, *args["images"], **args["kwargs"])
+        seed = reference_seed.validate_action(group, graph, *args["images"], **args["kwargs"])
+        tables = [
+            (new.vertex_perms, seed.vertex_perms, range(graph.n_vertices)),
+            (new.half_edge_perms, seed.half_edge_perms, range(graph.n_half_edges)),
+            (new.edge_perms, seed.edge_perms, range(graph.n_edges)),
+        ]
+        for orb in new.vertex_orbits:
+            tables.append((
+                [new.half_edge_perms[g] for g in orb.stabilizer],
+                [seed.half_edge_perms[g] for g in orb.stabilizer],
+                graph.vertex_half_edges[orb.representative],
+            ))
+        for mine, theirs, points in tables:
+            one_row += len(mine) > 1 and len({id(row) for row in mine}) == 1
+            expected = orbits_by_definition(theirs, list(points))
+            assert orbits(mine, points) == orbits(theirs, points) == expected
+    assert one_row >= 3
 
 
 @pytest.mark.parametrize("n", [12, 30])
