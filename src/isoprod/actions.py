@@ -331,14 +331,9 @@ def _length(x: object) -> int:
         return -1
 
 
-def _is_int(x: object) -> bool:
-    """An index: an int that is not a bool (True would pass for element 1)."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_char(x: object) -> bool:
-    """A rotation character: a Fraction or an int (not a bool), never a float."""
-    return isinstance(x, Fraction) or _is_int(x)
+    """A rotation character: a Fraction or a plain int (no bool or IntEnum)."""
+    return isinstance(x, Fraction) or type(x) is int
 
 
 def _complete_chars(
@@ -442,7 +437,7 @@ def validate_action(
         ("smoothing", smoothing_chars, graph.n_edges, "edge"),
     ):
         for key, val in seeds.items():
-            if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_int, key))):
+            if not (isinstance(key, tuple) and len(key) == 2 and {int}.issuperset(map(type, key))):
                 raise ActionError(
                     f"{kind} character key {key!r} is not an (element, {obj_kind}) "
                     "pair of integers"
@@ -458,13 +453,13 @@ def validate_action(
                     f"got {val!r}"
                 )
     for v, ks in kernels.items():
-        if not _is_int(v) or not 0 <= v < graph.n_vertices:
+        if type(v) is not int or not 0 <= v < graph.n_vertices:
             raise ActionError(f"kernel at unknown vertex {v!r}")
         if type(ks) is not list and not isinstance(ks, Iterable):
             raise ActionError(f"kernel of vertex {v} is not a list of elements: {ks!r}")
         kernels[v] = ks = list(ks)
         for k in ks:
-            if not _is_int(k):
+            if type(k) is not int:
                 raise ActionError(f"kernel of vertex {v} names non-integer element {k!r}")
             if not 0 <= k < group.order:
                 raise ActionError(f"kernel of vertex {v} names unknown element {k}")
@@ -480,7 +475,7 @@ def validate_action(
                     f"ramification orbit {entry!r} is not (vertex, element, char, order)"
                 ) from None
         for name in ("vertex", "element", "order"):
-            if not _is_int(getattr(entry, name)):
+            if type(getattr(entry, name)) is not int:
                 raise ActionError(
                     f"ramification orbit {name} must be an integer, "
                     f"got {getattr(entry, name)!r}"
@@ -764,8 +759,9 @@ def t1_equivariant_oracle(action: CurveAction) -> EquivariantT1:
     gathered from a branch row) rather than orbits or table keys.  The
     quotient pieces are recomputed from scratch: the vertex orbits from the
     columns of the vertex table, and the branch suborbits as orbits of the
-    stabilizer's rows of the half-edge table rather than from the cached
-    half-edge orbits.
+    stabilizer's rows of the half-edge table (the table itself when the
+    stabilizer is the whole group) rather than from the cached half-edge
+    orbits.
     """
     if not isinstance(action, CurveAction):
         raise ActionError(f"not a CurveAction: {type(action).__name__}")
@@ -780,7 +776,8 @@ def t1_equivariant_oracle(action: CurveAction) -> EquivariantT1:
         branch_orders = [
             o.order for o in action.ramification_orbits if o.vertex in orb.members
         ]
-        rows = [action.half_edge_perms[g] for g in orb.stabilizer]
+        rows = action.half_edge_perms  # the whole table for a whole-group stabilizer
+        rows = rows if len(orb.stabilizer) == len(rows) else [rows[g] for g in orb.stabilizer]
         for sub in orbits(rows, action.graph.vertex_half_edges[rep]):
             e = len(sub.stabilizer) // len(kernel)
             if e >= 2:

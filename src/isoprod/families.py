@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .actions import CurveAction, EquivariantT1, RamificationOrbit, t1_equivariant
 from .curves import arithmetic_genus, contract
 from .errors import FamilyError, IsoprodError, SmoothingError
-from .groups import Orbit, RestrictedTable, column, format_rotation_char
+from .groups import Orbit, RestrictedTable, _listed, column, format_rotation_char
 
 
 class FamilyStratum(NamedTuple):
@@ -150,10 +150,8 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     swap = _local_model(action, orbit)
 
     new_graph, classes, he_map, edge_map = contract(graph, orbit.members)
-    half_edge_perms = RestrictedTable(action.half_edge_perms, list(he_map), he_map)
-    edge_perms = RestrictedTable(action.edge_perms, list(edge_map), edge_map)
-    tangent_chars = action.tangent_chars.restrict(half_edge_perms, he_map)
-    smoothing_chars = action.smoothing_chars.restrict(edge_perms, edge_map)
+    tangent_chars = action.tangent_chars.restrict(he_map)
+    smoothing_chars = action.smoothing_chars.restrict(edge_map)
     if len(classes) == graph.n_vertices:  # self-loops only: the vertices stay
         vclass = range(len(classes))
         vertex_perms = RestrictedTable(action.vertex_perms, vclass, vclass)
@@ -187,8 +185,8 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
         group=action.group,
         graph=new_graph,
         vertex_perms=vertex_perms,
-        half_edge_perms=half_edge_perms,
-        edge_perms=edge_perms,
+        half_edge_perms=tangent_chars.perms,
+        edge_perms=smoothing_chars.perms,
         tangent_chars=tangent_chars,
         smoothing_chars=smoothing_chars,
         kernels=kernels,
@@ -217,26 +215,26 @@ def smoothing_chain(action: CurveAction) -> SmoothingChain:
     """Iterate node-orbit smoothings until smooth or stuck.
 
     Deterministic: each step smooths the supported orbit with the smallest
-    representative edge index.  Obstructions of the final stratum are
-    reported in-band, never raised.
+    representative edge index, trying the orbits in order through
+    :func:`smooth_node_orbit`, which classifies each once.  Obstructions of
+    the final stratum are reported in-band, never raised.
     """
     if not isinstance(action, CurveAction):
         raise SmoothingError(f"not a CurveAction: {type(action).__name__}")
     strata = [FamilyStratum("step0", action)]
     current = action
     while True:
-        # orbits are tried in order up to the first smoothable one, so only
+        # orbits are tried in order up to the first that smooths, so only
         # the final stratum has every orbit classified
         obstructions = []
         for orbit in current.edge_orbits:
             try:
-                _local_model(current, orbit)
+                current = smooth_node_orbit(current, orbit.representative)
                 break
             except SmoothingError as exc:
                 obstructions.append(str(exc))
         else:
             return SmoothingChain(tuple(strata), tuple(obstructions))
-        current = smooth_node_orbit(current, orbit.representative)
         strata.append(FamilyStratum(f"step{len(strata)}", current))
 
 
@@ -247,11 +245,7 @@ def check_constancy(strata) -> ConstancyReport:
     disconnected curve's among them, are reported under the stratum's label
     without aborting the batch.
     """
-    try:
-        strata = iter(strata)
-    except TypeError:
-        raise FamilyError(f"strata must be iterable, got {strata!r}") from None
-    strata = list(strata)
+    strata = _listed(strata, "strata", FamilyError)
     for s in strata:
         if not (isinstance(s, FamilyStratum) and isinstance(s.action, CurveAction)):
             raise FamilyError(f"not a FamilyStratum of a CurveAction: {type(s).__name__}")

@@ -82,12 +82,12 @@ def invert(p: Perm) -> Perm:
     return tuple(out)
 
 
-def _listed(items: Iterable, what: str) -> list:
-    """``list(items)``; GroupError naming ``what`` when items is not iterable."""
+def _listed(items: Iterable, what: str, error: type[Exception] = GroupError) -> list:
+    """``list(items)``; ``error`` (GroupError by default) naming ``what`` if not iterable."""
     try:
         items = iter(items)
     except TypeError:
-        raise GroupError(f"{what} must be iterable, got {items!r}") from None
+        raise error(f"{what} must be iterable, got {items!r}") from None
     return list(items)
 
 
@@ -198,6 +198,8 @@ class FiniteGroup(_Frozen):
         _check_degree(degree)
         if type(cap) is not int:
             raise GroupError(f"cap must be an integer, got {cap!r}")
+        if cap < 1:  # the identity alone fills a cap of 1
+            raise GroupError(f"cap must be at least 1, got {cap}")
         if degree < 1:
             raise GroupError("degree must be at least 1")
         gens = tuple(check_perm(g, degree) for g in _listed(generators, "generators"))
@@ -684,13 +686,13 @@ class CharacterTable(Mapping):
             stab = self.group.conjugates(t, stab)
         yield from zip(stab, self.columns[i])
 
-    def restrict(self, perms: Sequence[Perm], new_index: dict[int, int]) -> "CharacterTable":
-        """The table on the surviving objects, with permutations ``perms``
-        and renumbered by the increasing ``new_index``: orbits that survive
-        whole keep their columns, stabilizers and order as a recomputation
-        would, and each object its transporter.  ``perms`` is kept as given,
-        so a :class:`RestrictedTable` stays a view whose rows are built on
-        first read."""
+    def restrict(self, new_index: dict[int, int]) -> "CharacterTable":
+        """The table on the surviving objects, renumbered by the increasing
+        ``new_index``: orbits that survive whole keep their columns,
+        stabilizers and order as a recomputation would, and each object its
+        transporter.  Its ``perms`` are a :class:`RestrictedTable` of these
+        at the keys of ``new_index``, a view built on first read."""
+        perms = RestrictedTable(self.perms, list(new_index), new_index)
         renumber = new_index.__getitem__
         alive = [i for i, o in enumerate(self.orbits) if o.representative in new_index]
         relabeled = tuple(

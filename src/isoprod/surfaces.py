@@ -22,9 +22,9 @@ from .errors import SurfaceError
 class SurfaceDescriptor(_Frozen):
     """A product-quotient surface (C1 x C2)/G given by its two factors.
 
-    ``declared_minimal`` records that the realization is the minimal one;
-    minimality itself is not re-verified (it needs curve isomorphism data
-    beyond the combinatorial model).
+    ``declared_minimal`` (a bool, else SurfaceError) records that the
+    realization is the minimal one; minimality itself is not re-verified
+    (it needs curve isomorphism data beyond the combinatorial model).
 
     Its freeness checks ``free_action`` and ``free_codim1`` are kept on first use.
     """
@@ -37,6 +37,8 @@ class SurfaceDescriptor(_Frozen):
         for label, action in (("factor1", factor1), ("factor2", factor2)):
             if not isinstance(action, CurveAction):
                 raise SurfaceError(f"{label}: not a CurveAction: {type(action).__name__}")
+        if type(declared_minimal) is not bool:  # a document keeps only true or false
+            raise SurfaceError(f"declared_minimal must be a bool, got {declared_minimal!r}")
         self.__dict__.update(
             factor1=factor1, factor2=factor2, declared_minimal=declared_minimal
         )

@@ -1,4 +1,5 @@
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -250,6 +251,41 @@ def test_malformed_seed_rejected(z2, nodal_quartic_graph, seeds, message):
         validate_action(
             z2, nodal_quartic_graph, vertex_images=[(0,)], half_edge_images=[(0, 1)], **seeds
         )
+
+
+class Index(IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+KEY_MESSAGE = "tangent character key (<Index.ONE: 1>, 0) is not an (element, half-edge) pair"
+
+
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        ({"tangent_chars": {(Index.ONE, 0): Fraction(0)}}, KEY_MESSAGE + " of integers"),
+        ({"tangent_chars": {(Index.ONE, 0): Fraction(1, 2)}}, KEY_MESSAGE + " of integers"),
+        ({"kernels": {Index.ZERO: [1]}}, "kernel at unknown vertex <Index.ZERO: 0>"),
+        (
+            {"kernels": {0: [Index.ONE]}},
+            "kernel of vertex 0 names non-integer element <Index.ONE: 1>",
+        ),
+        (
+            {"ramification_orbits": [RamificationOrbit(0, Index.ONE, Fraction(1, 2), 2)]},
+            "ramification orbit element must be an integer, got <Index.ONE: 1>",
+        ),
+    ],
+    ids=["tangent-key-char0", "tangent-key-char1/2", "kernel-vertex", "kernel-element", "ram"],
+)
+def test_an_int_enum_index_gets_the_argument_check(z2, nodal_quartic_graph, seeds, message):
+    # an index is ``type(x) is int``, as everywhere in the package: the first
+    # and third were accepted, the others leaked a GroupError from deep inside
+    with pytest.raises(ActionError) as err:
+        validate_action(
+            z2, nodal_quartic_graph, vertex_images=[(0,)], half_edge_images=[(0, 1)], **seeds
+        )
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(

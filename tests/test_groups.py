@@ -164,6 +164,15 @@ def test_mistyped_scalar_arguments_raise_group_error(call, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_a_cap_below_one_is_rejected(cap):
+    # cap 0 built the trivial group, and cap -1 reported "order exceeds cap -1"
+    with pytest.raises(GroupError) as err:
+        FiniteGroup.from_generators([(1, 0)], 2, cap=cap)
+    assert str(err.value) == f"cap must be at least 1, got {cap}"
+    assert FiniteGroup.from_generators([], 2, cap=1).order == 1
+
+
 @pytest.mark.parametrize(
     "seed, message",
     [

@@ -192,6 +192,26 @@ def test_package_has_no_float_arithmetic():
     assert found == []
 
 
+def test_an_index_is_a_plain_int_everywhere():
+    # the package's one integer rule is ``type(x) is int``: isinstance(x, int)
+    # would also take a bool (True for element 1) or an IntEnum member
+    root = Path(__file__).resolve().parents[1] / "src" / "isoprod"
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+                and "int" in {
+                    n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)
+                }
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_kept_facts_use_the_one_lock_free_helper():
     # _value.kept is the package's one way to keep a fact on an instance:
     # functools.cached_property (imported, or read as an attribute) would

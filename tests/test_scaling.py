@@ -335,6 +335,17 @@ def test_equal_stabilizers_are_one_tuple():
         assert kind[0].stabilizer == tuple(range(24))
 
 
+def test_oracle_reads_a_whole_group_stabilizer_through_the_table(monkeypatch):
+    # inert S4 on a 10-component cycle: each vertex's stabilizer is the
+    # whole group, so its branch suborbits read the half-edge table itself,
+    # not a |G|-long list of its rows
+    action = inert_action(symmetric_group(4), cycle_graph(10))
+    calls = counting(monkeypatch, isoprod.actions, "orbits")
+    assert t1_equivariant_oracle(action) == t1_equivariant(action)
+    monkeypatch.undo()
+    assert calls == {id(action.vertex_perms): 1, id(action.half_edge_perms): 10}
+
+
 def test_character_storage_does_not_grow_with_the_group(monkeypatch):
     # inert actions store one zero column per table whatever |G| is, build
     # no Fraction, and the oracle reads them without hashing a Fraction
@@ -590,6 +601,18 @@ def test_smoothing_steps_compute_no_orbits_and_no_components(monkeypatch):
     steps = sum(len(smoothing_chain(action).strata) - 1 for action in actions)
     assert steps > 100
     assert not any(calls)
+
+
+def test_a_chain_classifies_each_tried_orbit_once(monkeypatch):
+    # the chain smooths through smooth_node_orbit, which classifies the
+    # orbit itself: one local-model call per step on the free necklaces
+    # (the chain classified each smoothed orbit, and then the step again)
+    models = counting(monkeypatch, isoprod.families, "_local_model")
+    for n in (1, 2, 5, 12):
+        models.clear()
+        chain = smoothing_chain(validate_action(*necklace(n)))
+        assert len(chain.strata) == 2 and chain.obstructions == ()
+        assert sum(models.values()) == 1
 
 
 def test_an_unread_child_view_is_never_composed():

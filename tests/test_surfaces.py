@@ -138,6 +138,15 @@ def test_descriptor_checks_its_factor_types(paper_action):
     assert SurfaceDescriptor(paper_action, paper_action) == build_surface(paper_action, paper_action)
 
 
+@pytest.mark.parametrize("declared", ["no", 0, 1, None])
+def test_declared_minimal_must_be_a_bool(paper_action, declared):
+    # "no" was accepted, and its emitted document failed the schema on parsing
+    with pytest.raises(SurfaceError) as err:
+        build_surface(paper_action, paper_action, declared_minimal=declared)
+    assert str(err.value) == f"declared_minimal must be a bool, got {declared!r}"
+    assert SurfaceDescriptor(paper_action, paper_action, False).declared_minimal is False
+
+
 def test_genus_one_factor_rejected(z2):
     marked_elliptic = build_graph([1], [], [], marks=[0, 0])
     action = validate_action(
