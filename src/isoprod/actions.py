@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from math import lcm
+from operator import ne
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._value import _Frozen, kept
@@ -51,6 +52,7 @@ from .groups import (
     char_order,
     check_perm,
     column,
+    compose,
     identity_perm,
     invariant_dimension_trace,
     orbits,
@@ -370,13 +372,18 @@ def _complete_chars(
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     zero: dict[int, tuple[int, ...]] = {}  # stabilizer order -> its zero column
     for orbit in orbit_list:
-        # per member, the first element in table order carrying rep there
-        found: dict[int, int] = {}
-        for g, x in enumerate(column(perms, orbit.representative)):
-            found.setdefault(x, g)
-            if len(found) == len(orbit.members):
-                break
-        transporters.update(found)
+        # per member, the first element in table order carrying rep there: a
+        # free orbit's column holds each member once, read in one C pass; else
+        # a walk of the column stops once all are found (at 0 for a fixed point)
+        if len(orbit.stabilizer) == 1:
+            transporters.update(zip(column(perms, orbit.representative), range(len(perms))))
+        else:
+            found: dict[int, int] = {}
+            for g, x in enumerate(column(perms, orbit.representative)):
+                found.setdefault(x, g)
+                if len(found) == len(orbit.members):
+                    break
+            transporters.update(found)
         given = [(x, values[x]) for x in orbit.members if x in values]
         residues = _transport_and_close(
             group, orbit, transporters, given, forced(orbit), modulus, kind, obj_kind
@@ -385,6 +392,43 @@ def _complete_chars(
             zero[k] = zero.get(k := len(orbit.stabilizer)) or shared.setdefault((0,) * k, (0,) * k)
         columns.append(zero[k] if residues is None else shared.setdefault(residues, residues))
     return CharacterTable(group, perms, tuple(orbit_list), tuple(columns), modulus, transporters)
+
+
+def _word_images(group: FiniteGroup, graph: DualGraph, vertex_images, half_edge_images,
+                 half_edge_perms, edge_at: list[int]) -> None:
+    """The cover and edge-image walks, item by item: raise at the first fault."""
+    for k in range(len(vertex_images)):
+        for h in range(graph.n_half_edges):
+            if (
+                graph.half_edge_vertex[half_edge_images[k][h]]
+                != vertex_images[k][graph.half_edge_vertex[h]]
+            ):
+                raise ActionError(
+                    f"half-edge action does not cover the vertex action "
+                    f"(generator {k}, half-edge {h})"
+                )
+    for g in group.generator_indices:
+        hp = half_edge_perms[g]
+        for p, q in graph.edges:
+            m = edge_at[hp[p]]
+            if m < 0 or edge_at[hp[q]] != m:
+                raise ActionError(
+                    f"edge action ill-defined: element {g} sends a node to the "
+                    f"non-node pair {sorted((hp[p], hp[q]))}"
+                )
+
+
+def _word_kernels(graph: DualGraph, vertex_perms, half_edge_perms,
+                  kernels: list[tuple[frozenset[int], list[int]]]) -> None:
+    """The kernel walk, vertex by vertex: raise at the first fault."""
+    for v, (sub, _) in enumerate(kernels):
+        hes = graph.vertex_half_edges[v]
+        for k in sub:
+            if vertex_perms[k][v] != v:
+                raise ActionError(f"kernel element {k} of vertex {v} moves the vertex")
+            for h in hes:
+                if half_edge_perms[k][h] != h:
+                    raise ActionError(f"kernel element {k} of vertex {v} moves half-edge {h}")
 
 
 def _check_operands(group: FiniteGroup, graph: DualGraph) -> None:
@@ -422,7 +466,10 @@ def validate_action(
     half-edge (a smooth component) makes the vertex images walked.  Errors
     keep the order of separate walks: a bad vertex image first, and a
     failure of the half-edge walk or the cover check replays the vertex
-    walk, whose error wins.
+    walk, whose error wins.  The cover, edge and kernel-fixing checks are
+    passes in C per generator or per distinct kernel list; a fault found by
+    one runs the item-by-item walks, which word the first.  Equivariance is
+    not checked when every kernel has order 1 or |G|.
     """
     _check_operands(group, graph)
     tangent_chars = _as_dict(tangent_chars, "tangent characters")
@@ -497,20 +544,23 @@ def validate_action(
             return (ident,) * group.order
         return RestrictedTable(half_edge_perms, kept, owner)
 
+    edge_at = [-1] * graph.n_half_edges  # each branch's node
+    for n, (p, q) in enumerate(graph.edges):
+        edge_at[p] = edge_at[q] = n
     try:
         vertex_images = [check_perm(p, graph.n_vertices) for p in vertex_images]
         try:
             half_edge_perms = group.extend_action(half_edge_images, graph.n_half_edges)
-            for k in range(ngens):
-                for h in range(graph.n_half_edges):
-                    if (
-                        graph.half_edge_vertex[half_edge_images[k][h]]
-                        != vertex_images[k][graph.half_edge_vertex[h]]
-                    ):
-                        raise ActionError(
-                            f"half-edge action does not cover the vertex action "
-                            f"(generator {k}, half-edge {h})"
-                        )
+            # per generator s, owner after H_s is V_s after owner; the walk reads
+            # images that are not tuples or lists (a mapping indexes as it iterates)
+            owner = graph.half_edge_vertex
+            if owner and (
+                not {tuple, list}.issuperset(map(type, half_edge_images))
+                or any(map(ne, map(compose, repeat(owner), half_edge_images),
+                           map(compose, vertex_images, repeat(owner))))
+            ):
+                _word_images(group, graph, vertex_images, half_edge_images, half_edge_perms,
+                             edge_at)
         except (GroupError, ActionError):
             group.extend_action(vertex_images, graph.n_vertices)  # its error comes first
             raise
@@ -524,52 +574,38 @@ def validate_action(
 
     # an element sends a node to edge m when both its branches land on m;
     # composites keep nodes on nodes, so the generators are checked
-    edge_at = [-1] * graph.n_half_edges
-    for n, (p, q) in enumerate(graph.edges):
-        edge_at[p] = edge_at[q] = n
+    ps, qs = zip(*graph.edges) if graph.edges else ((), ())  # each node's two branches
     edge_images = []
-    for g in group.generator_indices:
-        hp = half_edge_perms[g]
-        row = []
-        for p, q in graph.edges:
-            m = edge_at[hp[p]]
-            if m < 0 or edge_at[hp[q]] != m:
-                raise ActionError(
-                    f"edge action ill-defined: element {g} sends a node to the "
-                    f"non-node pair {sorted((hp[p], hp[q]))}"
-                )
-            row.append(m)
-        edge_images.append(tuple(row))
-    edge_perms = induced(edge_images, [p for p, _ in graph.edges], edge_at)
+    for g in group.generator_indices if graph.edges else ():
+        at = compose(edge_at, half_edge_perms[g])  # the node of each branch's image
+        if -1 in (row := compose(at, ps)) or row != compose(at, qs):
+            _word_images(group, graph, vertex_images, half_edge_images, half_edge_perms, edge_at)
+        edge_images.append(row)
+    edge_perms = induced(edge_images, ps, edge_at)
 
-    # one closure walk per distinct generator list; a subgroup fixes v and its
-    # half-edges when its generators do, and a failure rescans it to name one
-    closures: dict[tuple[int, ...], tuple[frozenset[int], list[int]]] = {}
-    kernel_subs: list[frozenset[int]] = []
-    kernel_gens: list[list[int]] = []
-    for v in range(graph.n_vertices):
-        ks = tuple(kernels.get(v, ()))
-        if ks not in closures:
-            closures[ks] = group.closure_and_generators(ks)
-        sub, gens = closures[ks]
-        hes = graph.vertex_half_edges[v]
-        if any(vertex_perms[k][v] != v or any(half_edge_perms[k][h] != h for h in hes)
-               for k in gens):
-            for k in sub:
-                if vertex_perms[k][v] != v:
-                    raise ActionError(f"kernel element {k} of vertex {v} moves the vertex")
-                for h in hes:
-                    if half_edge_perms[k][h] != h:
-                        raise ActionError(
-                            f"kernel element {k} of vertex {v} moves half-edge {h}"
-                        )
-        kernel_subs.append(sub)
-        kernel_gens.append(gens)
+    # one closure walk per distinct kernel list, () for the undeclared; a
+    # subgroup fixes its vertices and their half-edges when its generators do
+    lists: dict[tuple[int, ...], list[int]] = {(): []} if len(kernels) < graph.n_vertices else {}
+    for v, ks in kernels.items():
+        lists.setdefault(tuple(ks), []).append(v)
+    closures = list(map(group.closure_and_generators, lists))
+    kernels_at, moved = [closures[0]] * graph.n_vertices, False
+    for closure, vs in zip(closures, map(tuple, lists.values())):
+        for v in vs:
+            kernels_at[v] = closure
+        hes = tuple(chain.from_iterable(compose(graph.vertex_half_edges, vs)))
+        moved = moved or any(compose(vertex_perms[k], vs) != vs
+                             or compose(half_edge_perms[k], hes) != hes for k in closure[1])
+    if moved:
+        _word_kernels(graph, vertex_perms, half_edge_perms, kernels_at)
+    kernel_subs, _ = zip(*kernels_at)
     # g K_v g^-1 = K_{g.v} is multiplicative in g, so generators suffice; for
-    # one g, equal orders and K_v's generators conjugated into K_{g.v} suffice
-    for g in group.generator_indices:
+    # one g, equal orders and K_v's generators conjugated into K_{g.v} suffice.
+    # Kernels of orders 1 and |G| alone need no check: a kernel G fixes its
+    # vertex, so no other vertex maps there
+    for g in group.generator_indices if {len(c[0]) for c in closures} - {1, group.order} else ():
         images = vertex_perms[g]
-        for v, (sub, gens) in enumerate(zip(kernel_subs, kernel_gens)):
+        for v, (sub, gens) in enumerate(kernels_at):
             target = kernel_subs[images[v]]
             if len(sub) != len(target) or gens and not target.issuperset(group.conjugates(g, gens)):
                 raise ActionError(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from itertools import chain, count, filterfalse
+from operator import add, countOf
 from typing import NamedTuple
 
 from ._value import _Frozen, kept
@@ -93,6 +94,8 @@ def _classes(genera, owner, pairs) -> tuple[list[list[int]], list[int], list[int
             up[b] = a
         elif b < a:
             up[a] = b
+    if len(up) == len(genera) - 1:  # one class: no walk over the vertices
+        return [[*range(len(genera))]], [0] * len(genera), [sum(genera) - len(up)]
     classes, vclass, sums = [], [], []
     for v, g in enumerate(genera):
         if v in up:  # merged into the class of a smaller vertex
@@ -138,8 +141,9 @@ def build_graph(
 
     Checks structure (each half-edge on exactly one edge, ids in range),
     stability of every vertex (2g - 2 + degree + marks > 0), and
-    connectivity unless ``allow_disconnected``.  Raises GraphError listing
-    every offending item.
+    connectivity unless ``allow_disconnected`` (a bool).  Passes in C over
+    whole sequences decide; a fault re-walks the data item by item to raise
+    GraphError listing every offending item.
     """
     # the containers first: len() and iteration would fail with a bare TypeError
     for what, items in (("genera", genera), ("half-edge vertices", half_edge_vertices),
@@ -148,11 +152,46 @@ def build_graph(
             raise GraphError(f"{what} must be a sequence, got {items!r}")
     if not isinstance(edges, Iterable):
         raise GraphError(f"edges must be an iterable of pairs, got {edges!r}")
-    problems: list[str] = []
-    nv = len(genera)
+    if type(allow_disconnected) is not bool:
+        raise GraphError(f"allow_disconnected must be a bool, got {allow_disconnected!r}")
+    nv, nh = len(genera), len(half_edge_vertices)
     if nv < 1:
         raise GraphError("graph needs at least one vertex")
-    # bools and floats compare like ints, so each type is checked before its range
+    edges = list(edges)
+    if not {tuple, list}.issuperset(map(type, edges)):  # any other iterable pair reads as a tuple
+        edges = [tuple(p) if type(p) is not list and isinstance(p, Iterable) else p for p in edges]
+    ends = list(chain.from_iterable(edges)) if {tuple, list}.issuperset(map(type, edges)) else None
+    ids = [*half_edge_vertices, *marks]  # vertex ids
+    # bools and floats compare like ints, so the types are checked before the ranges
+    if (
+        ends is None or countOf(map(len, edges), 2) < len(edges)
+        or countOf(map(type, chain(genera, ids, ends)), int) < nv + len(ids) + len(ends)
+        or min(genera) < 0 or ids and not 0 <= min(ids) <= max(ids) < nv
+        or sorted(ends) != list(range(nh))  # each half-edge on exactly one edge
+    ):
+        problems = _structure_problems(genera, half_edge_vertices, edges, marks)
+        raise GraphError("invalid graph structure:\n" + "\n".join(problems))
+
+    edge_list = tuple(zip(map(min, edges), map(max, edges)))
+    graph = DualGraph(tuple(genera), tuple(half_edge_vertices), edge_list, tuple(marks))
+    if min(genera) < 2:  # stable means 2g + branches + marks >= 3: genus 2 always is
+        # branches from the kept incidence, which validation reads again
+        incident = map(add, map(len, graph.vertex_half_edges), map(len, graph.vertex_marks))
+        weights = [*map(add, map(add, genera, genera), incident)]
+        if min(weights) < 3:
+            raise GraphError(
+                "unstable vertices (2g - 2 + branches + marks must be > 0): "
+                + ", ".join(str(v) for v, w in enumerate(weights) if w < 3)
+            )
+    if not allow_disconnected and len(graph.components) > 1:
+        raise GraphError("graph is disconnected (pass allow_disconnected to permit)")
+    return graph
+
+
+def _structure_problems(genera, half_edge_vertices, edges, marks) -> list[str]:
+    """Every structural fault, walked item by item in input order."""
+    problems: list[str] = []
+    nv = len(genera)
     for v, g in enumerate(genera):
         if type(g) is not int or g < 0:
             problems.append(f"vertex {v}: genus must be a nonnegative integer, got {g!r}")
@@ -162,7 +201,6 @@ def build_graph(
             problems.append(f"half-edge {h}: vertex {v!r} is not an integer")
         elif not 0 <= v < nv:
             problems.append(f"half-edge {h}: vertex {v} out of range")
-    edge_list: list[tuple[int, int]] = []
     use_count = [0] * nh
     for n, pair in enumerate(edges):
         if type(pair) is not tuple:  # exact types first: typing.Iterable's isinstance is slow
@@ -180,7 +218,6 @@ def build_graph(
         else:
             use_count[pair[0]] += 1
             use_count[pair[1]] += 1
-            edge_list.append((min(pair), max(pair)))
     for h, c in enumerate(use_count):
         if c == 0:
             problems.append(f"half-edge {h}: dangling (belongs to no edge)")
@@ -191,27 +228,7 @@ def build_graph(
             problems.append(f"mark {m}: vertex {v!r} is not an integer")
         elif not 0 <= v < nv:
             problems.append(f"mark {m}: vertex {v} out of range")
-    if problems:
-        raise GraphError("invalid graph structure:\n" + "\n".join(problems))
-
-    graph = DualGraph(
-        tuple(genera), tuple(half_edge_vertices), tuple(edge_list), tuple(marks)
-    )
-    unstable = [
-        v
-        for v, (g, hs, ms) in enumerate(
-            zip(graph.genera, graph.vertex_half_edges, graph.vertex_marks)
-        )
-        if 2 * g - 2 + len(hs) + len(ms) <= 0
-    ]
-    if unstable:
-        raise GraphError(
-            "unstable vertices (2g - 2 + branches + marks must be > 0): "
-            + ", ".join(map(str, unstable))
-        )
-    if not allow_disconnected and len(graph.components) > 1:
-        raise GraphError("graph is disconnected (pass allow_disconnected to permit)")
-    return graph
+    return problems
 
 
 def contract(

@@ -166,8 +166,8 @@ def parse_document(text: str, cap: int = DEFAULT_GROUP_CAP) -> Document:
     every detected problem."""
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
-    except ValueError as exc:
-        # JSONDecodeError, a repeated key, or an integer past the digit limit
+    except (TypeError, ValueError) as exc:
+        # not a str or bytes, JSONDecodeError, a repeated key, or an integer past the digit limit
         raise DocumentError([f"<json>: {exc}"]) from exc
     except RecursionError:
         raise DocumentError(["<json>: nesting too deep"]) from None
@@ -489,6 +489,8 @@ def _parse_action(
 
 def emit_document(doc: Document) -> dict:
     """Canonical JSON form; parse(emit(parse(x))) == parse(x)."""
+    if not isinstance(doc, Document):
+        raise DocumentError([f"<document>: not a Document: {type(doc).__name__}"])
     data: dict[str, Any] = {
         "version": doc.version,
         "group": {

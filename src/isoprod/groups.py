@@ -68,11 +68,11 @@ def compose(a: Perm, b: Perm) -> Perm:
     """Product a*b: apply b first, then a.
 
     ``itemgetter`` does the work in C; it returns a bare value for one index
-    and needs at least one, so degrees 0 and 1 take the comprehension.
+    and needs at least one, so degrees 0 and 1 are read directly.
     """
     if len(b) > 1:
         return itemgetter(*b)(a)
-    return tuple([a[x] for x in b])
+    return (a[b[0]],) if b else ()
 
 
 def invert(p: Perm) -> Perm:
@@ -485,9 +485,10 @@ class FiniteGroup(_Frozen):
         if not any(images):
             return (ident,) * self.order
         table: list[Perm | None] = [ident] + [None] * (self.order - 1)
+        by = [q and itemgetter(*q) for q in images]  # once per moving image (n >= 2)
         for i, row in enumerate(self.right):
             for k, prod in enumerate(row):
-                image = table[i] if images[k] is None else compose(table[i], images[k])
+                image = table[i] if by[k] is None else by[k](table[i])
                 known = table[prod]
                 if known is None:
                     table[prod] = image
@@ -513,12 +514,13 @@ def orbits(perms: Sequence[Perm], points: Sequence[int]) -> list[Orbit]:
     """Partition ``points`` into orbits of the permutation tables ``perms``.
 
     ``perms[g]`` is the permutation of element g, as returned by
-    :meth:`FiniteGroup.extend_action`, which has already checked that the
-    tables form an action; no callable and no further check.  Stabilizers
-    are positions in ``perms``: a subgroup's rows give its orbits.  A bad
-    table, points not ints in range, or an image outside ``points`` raise
-    GroupError.  If every row is row 0 (one C pass, identity first), a point
-    reads that row, else its column: O(|G|) lookups in C, no row of a view.
+    :meth:`FiniteGroup.extend_action`, which has checked that they form an
+    action.  Stabilizers are positions in ``perms``: a subgroup's rows give
+    its orbits.  A bad table, points not ints in range, an image outside
+    ``points`` or a point among none of its images (no identity row: one set
+    lookup per orbit) raise GroupError.  If every row is row 0 (one C pass,
+    identity first), a point reads that row, else its column: O(|G|)
+    lookups in C, no row of a view.
     """
     view = perms._composed() if type(perms) is RestrictedTable else (perms, None, None)
     source, kept, new_index = view
@@ -551,6 +553,8 @@ def orbits(perms: Sequence[Perm], points: Sequence[int]) -> list[Orbit]:
         if members.difference(pos):
             q = next(q for q in images if q not in pos)
             raise GroupError(f"not a group action on the given points: {p!r} -> {q!r}")
+        if p not in members:  # a table without the identity row
+            raise GroupError(f"not a group action on the given points: no element fixes {p!r}")
         seen.update(members)
         ordered = tuple(sorted(members, key=pos.__getitem__))
         stab = tuple(compress(range(len(rows)), map(eq, images, repeat(p))))
@@ -668,7 +672,9 @@ class CharacterTable(Mapping):
     ):
         self.group, self.perms, self.orbits = group, perms, orbits
         self.columns, self.modulus, self.transporters = columns, modulus, transporters
-        self.trivial = tuple(not any(c) for c in columns)
+        zero: dict[int, bool] = {}  # each column object read once
+        self.trivial = tuple([zero[i] if (i := id(c)) in zero else zero.setdefault(i, not any(c))
+                              for c in columns])
         self.orbit_at = {x: i for i, orbit in enumerate(orbits) for x in orbit.members}
         self._fractions = {0: TRIVIAL_CHAR}
 

@@ -8,21 +8,24 @@ them (kernel equivariance checked at every element), the per-element
 ``fixed_point_profile`` and the callable Burnside ``invariant_dimension_trace``
 (action and character evaluated at every (element, point) pair), with the
 ``Action`` alias and the action-axiom check ``_check_is_action`` that trace
-runs.  The bodies are copied unchanged; the group methods take the group as
-``self``, and calls to them go to the copies here instead of the library's.
+runs, and the ``build_graph`` that walked every vertex, half-edge, edge and
+mark in Python.  The bodies are copied unchanged; the group methods take the
+group as ``self``, and calls to them go to the copies here instead of the
+library's.
 Calls to ``extend_action`` and ``orbits`` pass the library's permutation
 tables and point counts.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable
 
 from isoprod.actions import CharTable, CurveAction, RamificationOrbit
 from isoprod.curves import DualGraph
 from isoprod.cyclotomic import root_of_unity_sum
-from isoprod.errors import ActionError, CharacterError, GroupError
+from isoprod.errors import ActionError, CharacterError, GraphError, GroupError
 from isoprod.groups import (
     TRIVIAL_CHAR,
     FiniteGroup,
@@ -435,3 +438,90 @@ def invariant_dimension_trace(
             "is not a nonnegative integer"
         )
     return dim
+
+
+def build_graph(
+    genera: Sequence[int],
+    half_edge_vertices: Sequence[int],
+    edges: Iterable[Sequence[int]],
+    marks: Sequence[int] = (),
+    allow_disconnected: bool = False,
+) -> DualGraph:
+    """Validate raw graph data and freeze it.
+
+    Checks structure (each half-edge on exactly one edge, ids in range),
+    stability of every vertex (2g - 2 + degree + marks > 0), and
+    connectivity unless ``allow_disconnected``.  Raises GraphError listing
+    every offending item.
+    """
+    # the containers first: len() and iteration would fail with a bare TypeError
+    for what, items in (("genera", genera), ("half-edge vertices", half_edge_vertices),
+                        ("marks", marks)):
+        if not isinstance(items, Sequence):
+            raise GraphError(f"{what} must be a sequence, got {items!r}")
+    if not isinstance(edges, Iterable):
+        raise GraphError(f"edges must be an iterable of pairs, got {edges!r}")
+    problems: list[str] = []
+    nv = len(genera)
+    if nv < 1:
+        raise GraphError("graph needs at least one vertex")
+    # bools and floats compare like ints, so each type is checked before its range
+    for v, g in enumerate(genera):
+        if type(g) is not int or g < 0:
+            problems.append(f"vertex {v}: genus must be a nonnegative integer, got {g!r}")
+    nh = len(half_edge_vertices)
+    for h, v in enumerate(half_edge_vertices):
+        if type(v) is not int:
+            problems.append(f"half-edge {h}: vertex {v!r} is not an integer")
+        elif not 0 <= v < nv:
+            problems.append(f"half-edge {h}: vertex {v} out of range")
+    edge_list: list[tuple[int, int]] = []
+    use_count = [0] * nh
+    for n, pair in enumerate(edges):
+        if type(pair) is not tuple:  # exact types first: typing.Iterable's isinstance is slow
+            pair = tuple(pair) if type(pair) is list or isinstance(pair, Iterable) else pair
+        if type(pair) is not tuple or len(pair) != 2 or pair[0] == pair[1]:
+            problems.append(f"edge {n}: must pair two distinct half-edges, got {pair!r}")
+            continue
+        for h in pair:
+            if type(h) is not int:
+                problems.append(f"edge {n}: half-edge {h!r} is not an integer")
+                break
+            if not 0 <= h < nh:
+                problems.append(f"edge {n}: half-edge {h} out of range")
+                break
+        else:
+            use_count[pair[0]] += 1
+            use_count[pair[1]] += 1
+            edge_list.append((min(pair), max(pair)))
+    for h, c in enumerate(use_count):
+        if c == 0:
+            problems.append(f"half-edge {h}: dangling (belongs to no edge)")
+        elif c > 1:
+            problems.append(f"half-edge {h}: belongs to {c} edges")
+    for m, v in enumerate(marks):
+        if type(v) is not int:
+            problems.append(f"mark {m}: vertex {v!r} is not an integer")
+        elif not 0 <= v < nv:
+            problems.append(f"mark {m}: vertex {v} out of range")
+    if problems:
+        raise GraphError("invalid graph structure:\n" + "\n".join(problems))
+
+    graph = DualGraph(
+        tuple(genera), tuple(half_edge_vertices), tuple(edge_list), tuple(marks)
+    )
+    unstable = [
+        v
+        for v, (g, hs, ms) in enumerate(
+            zip(graph.genera, graph.vertex_half_edges, graph.vertex_marks)
+        )
+        if 2 * g - 2 + len(hs) + len(ms) <= 0
+    ]
+    if unstable:
+        raise GraphError(
+            "unstable vertices (2g - 2 + branches + marks must be > 0): "
+            + ", ".join(map(str, unstable))
+        )
+    if not allow_disconnected and len(graph.components) > 1:
+        raise GraphError("graph is disconnected (pass allow_disconnected to permit)")
+    return graph

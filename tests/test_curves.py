@@ -119,6 +119,15 @@ def test_every_malformed_graph_entry_is_one_more_line():
     ]
 
 
+@pytest.mark.parametrize("flag", ["no", 0, 1, None])
+def test_allow_disconnected_must_be_a_bool(flag):
+    # "no" is truthy: a disconnected graph was accepted
+    with pytest.raises(GraphError) as err:
+        build_graph([2, 2], [], [], allow_disconnected=flag)
+    assert str(err.value) == f"allow_disconnected must be a bool, got {flag!r}"
+    assert build_graph([2, 2], [], [], allow_disconnected=True).components == ((0,), (1,))
+
+
 def test_disconnected_rejected_unless_flagged():
     with pytest.raises(GraphError, match="disconnected"):
         build_graph([2, 2], [], [])

@@ -53,6 +53,22 @@ def test_malformed_json():
         parse_document("{not json")
 
 
+def test_a_non_text_document_is_one_problem():
+    # raised a bare TypeError from json.loads
+    with pytest.raises(DocumentError) as err:
+        parse_document(5)
+    assert err.value.problems == [
+        "<json>: the JSON object must be str, bytes or bytearray, not int"
+    ]
+
+
+def test_emitting_a_non_document_is_one_problem():
+    # raised a bare AttributeError ("'int' object has no attribute 'version'")
+    with pytest.raises(DocumentError) as err:
+        emit_document(5)
+    assert err.value.problems == ["<document>: not a Document: int"]
+
+
 def test_deep_nesting_is_a_document_error():
     depth = 100_000
     with pytest.raises(DocumentError) as err:

@@ -662,6 +662,14 @@ def test_orbits_rejects_bad_points_and_tables(perms, points, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("perms", [[(1, 0), (1, 0)], [(1, 0, 2), (2, 1, 0)]])
+def test_an_orbit_must_hold_its_representative(perms):
+    # a table without the identity row gave the orbit (members=(1,)) of 0
+    with pytest.raises(GroupError) as err:
+        orbits(perms, range(len(perms[0])))
+    assert str(err.value) == "not a group action on the given points: no element fixes 0"
+
+
 def test_orbits_of_shared_rows_read_one_row_and_share_stabilizers():
     # a table whose rows are all row 0 (an inert table) reads that row once
     # per point: every point is fixed by every element, and one stabilizer
