@@ -21,7 +21,7 @@ by BFS over generators: one walk of the half-edge table, O(|G| * |H|) group
 products (the vertex and edge tables are read off it), and O(|stab| * gens)
 per column unless forced zeros cover the stabilizer.  ``Fraction`` values
 appear only when a table is read and in messages.  Quotient signatures read
-branch suborbits from the half-edge orbits (``tangent_chars.orbit_at``);
+branch suborbits from the half-edge orbit table (``tangent_chars.orbits``);
 the oracle recomputes them as orbits of the stabilizer's half-edge rows.
 """
 
@@ -46,7 +46,7 @@ from .errors import (
 from .groups import (
     CharacterTable,
     FiniteGroup,
-    Orbit,
+    OrbitTable,
     Perm,
     RestrictedTable,
     char_order,
@@ -104,9 +104,10 @@ class CurveAction(_Frozen):
 
     Character tables are complete: every (element, fixed half-edge) and
     (element, fixed edge) pair has an entry, read from one column per orbit
-    of half-edges or edges (:class:`CharacterTable`, whose orbits are
-    ``half_edge_orbits`` / ``edge_orbits``, found by ``orbit_at``).  Orbits
-    are cached at construction.  Instances are immutable.  A validated
+    of half-edges or edges (:class:`CharacterTable`, whose orbit tables are
+    ``half_edge_orbits`` / ``edge_orbits``).  Each orbit field is an
+    :class:`~isoprod.groups.OrbitTable`, which reads as the tuple of its
+    ``Orbit`` records.  Instances are immutable.  A validated
     action's half-edge table is a tuple (elements acting alike may share a
     row) and its vertex and edge tables are usually
     :class:`~isoprod.groups.RestrictedTable` views of it; build one through
@@ -130,9 +131,9 @@ class CurveAction(_Frozen):
     smoothing_chars: CharacterTable
     kernels: tuple[frozenset[int], ...]
     ramification_orbits: tuple[RamificationOrbit, ...]
-    vertex_orbits: tuple[Orbit, ...]
-    half_edge_orbits: tuple[Orbit, ...]
-    edge_orbits: tuple[Orbit, ...]
+    vertex_orbits: OrbitTable
+    half_edge_orbits: OrbitTable
+    edge_orbits: OrbitTable
 
     def __init__(
         self, group, graph, vertex_perms, half_edge_perms, edge_perms, tangent_chars,
@@ -167,7 +168,8 @@ class CurveAction(_Frozen):
         group = self.group
         fixes_component = frozenset().union(*set(self.kernels))  # frozensets cache their hash
         seeds = set(fixes_component)
-        seeds.update(*{id(s): s for *_, s in self.half_edge_orbits + self.edge_orbits}.values())
+        for table in (self.half_edge_orbits, self.edge_orbits):
+            seeds.update(*map(table.stabilizers.__getitem__, set(table.stabilizer_ids)))
         for o in self.ramification_orbits:
             seeds |= group.subgroup_closure([o.element, *self.kernels[o.vertex]])
         return group.conjugacy_union(seeds), fixes_component
@@ -175,7 +177,7 @@ class CurveAction(_Frozen):
     @kept
     def quotient_signatures(self) -> tuple[QuotientSignature, ...]:
         """See :func:`quotient_signatures`; a ramification error raises on every read."""
-        return tuple(_signature(self, o) for o in self.vertex_orbits)
+        return tuple(_signature(self, i) for i in range(len(self.vertex_orbits.representatives)))
 
     @kept
     def t1_equivariant(self) -> EquivariantT1:
@@ -192,8 +194,9 @@ class CurveAction(_Frozen):
 
 def _transport_and_close(
     group: FiniteGroup,
-    orbit: Orbit,
-    transporters: Sequence[int],
+    rep: int,
+    stab: tuple[int, ...],
+    transporters: Mapping[int, int],
     given: list[tuple[int, Sequence[tuple[int, int]]]],
     forced: Forced,
     modulus: int,
@@ -202,8 +205,9 @@ def _transport_and_close(
 ) -> tuple[int, ...] | None:
     """The column of one orbit: its representative's stabilizer character.
 
-    ``given`` lists the members with supplied residues, in orbit order.  If
-    the ``forced`` zeros cover the stabilizer and every supplied residue is
+    ``stab`` is the stabilizer of the representative ``rep``; ``given``
+    lists the members with supplied residues, in orbit order.  If the
+    ``forced`` zeros cover the stabilizer and every supplied residue is
     zero, the column is zero: None (the caller keeps one).  Otherwise the
     forced pairs and then the supplied values are moved to the
     representative by their member's transporter, closed under conjugation
@@ -213,7 +217,6 @@ def _transport_and_close(
     object and the element transporting it to the representative; gaps raise
     CharacterError naming the first missing (element, object) pair.
     """
-    rep, stab = orbit.representative, orbit.stabilizer
     size, zero, forced_pairs = forced
     if zero and size == len(stab) and not any(a for _, pairs in given for _, a in pairs):
         return None
@@ -341,9 +344,9 @@ def _is_char(x: object) -> bool:
 def _complete_chars(
     group: FiniteGroup,
     perms: Sequence[Perm],
-    orbit_list: Sequence[Orbit],
+    table: OrbitTable,
     seeds: CharTable,
-    forced: Callable[[Orbit], Forced],
+    forced: Callable[[int], Forced],
     modulus: int,
     kind: str,
     obj_kind: str,
@@ -352,7 +355,8 @@ def _complete_chars(
 
     Each seed is checked first: its element fixes the object, and the
     character's order divides the element's order.  Then every orbit's
-    column is completed; equal columns are one tuple.
+    column is completed, ``forced`` naming the values its representative's
+    stabilizer must take; equal columns are one tuple.
     """
     values: dict[int, list[tuple[int, int]]] = {}
     for (h, obj), val in seeds.items():
@@ -367,31 +371,34 @@ def _complete_chars(
             )
         residue = val.numerator * (modulus // val.denominator) % modulus
         values.setdefault(obj, []).append((h, residue))
+    given: dict[int, list] = {}  # per orbit, its members' supplied values, in member order
+    for x in sorted(values):
+        given.setdefault(table.orbit_of[x], []).append((x, values[x]))
     transporters: dict[int, int] = {}
     columns: list[tuple[int, ...]] = []
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     zero: dict[int, tuple[int, ...]] = {}  # stabilizer order -> its zero column
-    for orbit in orbit_list:
+    stabs = map(table.stabilizers.__getitem__, table.stabilizer_ids)
+    for i, (rep, members, stab) in enumerate(zip(table.representatives, table.members, stabs)):
         # per member, the first element in table order carrying rep there: a
         # free orbit's column holds each member once, read in one C pass; else
         # a walk of the column stops once all are found (at 0 for a fixed point)
-        if len(orbit.stabilizer) == 1:
-            transporters.update(zip(column(perms, orbit.representative), range(len(perms))))
+        if len(stab) == 1:
+            transporters.update(zip(column(perms, rep), range(len(perms))))
         else:
             found: dict[int, int] = {}
-            for g, x in enumerate(column(perms, orbit.representative)):
+            for g, x in enumerate(column(perms, rep)):
                 found.setdefault(x, g)
-                if len(found) == len(orbit.members):
+                if len(found) == len(members):
                     break
             transporters.update(found)
-        given = [(x, values[x]) for x in orbit.members if x in values]
         residues = _transport_and_close(
-            group, orbit, transporters, given, forced(orbit), modulus, kind, obj_kind
+            group, rep, stab, transporters, given.get(i, []), forced(rep), modulus, kind, obj_kind
         )
         if residues is None:  # forced zeros: one column per stabilizer order, hashed once
-            zero[k] = zero.get(k := len(orbit.stabilizer)) or shared.setdefault((0,) * k, (0,) * k)
+            zero[k] = zero.get(k := len(stab)) or shared.setdefault((0,) * k, (0,) * k)
         columns.append(zero[k] if residues is None else shared.setdefault(residues, residues))
-    return CharacterTable(group, perms, tuple(orbit_list), tuple(columns), modulus, transporters)
+    return CharacterTable(group, perms, table, tuple(columns), modulus, transporters)
 
 
 def _word_images(group: FiniteGroup, graph: DualGraph, vertex_images, half_edge_images,
@@ -613,14 +620,14 @@ def validate_action(
                     f"{images[v]} but does not conjugate the kernels"
                 )
 
-    vertex_orbits = tuple(orbits(vertex_perms, range(graph.n_vertices)))
-    half_edge_orbits = tuple(orbits(half_edge_perms, range(graph.n_half_edges)))
-    edge_orbits = tuple(orbits(edge_perms, range(graph.n_edges)))
+    vertex_orbits = orbits(vertex_perms, range(graph.n_vertices))
+    half_edge_orbits = orbits(half_edge_perms, range(graph.n_half_edges))
+    edge_orbits = orbits(edge_perms, range(graph.n_edges))
 
     modulus = lcm(*(c.denominator for c in chain(tangent_chars.values(), smoothing_chars.values())))
 
-    def kernel_zeros(orbit: Orbit) -> Forced:
-        kernel = kernel_subs[graph.half_edge_vertex[orbit.representative]]
+    def kernel_zeros(rep: int) -> Forced:
+        kernel = kernel_subs[graph.half_edge_vertex[rep]]
         return len(kernel), True, ((k, 0) for k in kernel if k)
 
     tangent = _complete_chars(
@@ -632,13 +639,14 @@ def validate_action(
         at_q = dict(tangent.at(q))  # on the first read of the sums: never on the zero path
         yield from ((g, (a + at_q[g]) % modulus) for g, a in tangent.at(p) if g)
 
-    def branch_sums(orbit: Orbit) -> Forced:
+    def branch_sums(rep: int) -> Forced:
         # g fixes both branches (p, q) exactly when it fixes p; it then acts
         # on the node by the sum of its tangent characters
-        p, q = graph.edges[orbit.representative]
-        i, j = tangent.orbit_at[p], tangent.orbit_at[q]
+        p, q = graph.edges[rep]
+        i, j = half_edge_orbits.orbit_of[p], half_edge_orbits.orbit_of[q]
         zero = tangent.trivial[i] and tangent.trivial[j]
-        return len(tangent.orbits[i].stabilizer), zero, pair_sums(p, q)
+        stab = half_edge_orbits.stabilizers[half_edge_orbits.stabilizer_ids[i]]
+        return len(stab), zero, pair_sums(p, q)
 
     smoothing = _complete_chars(
         group, edge_perms, edge_orbits, smoothing_chars, branch_sums, modulus,
@@ -740,14 +748,19 @@ def _solve_riemann_hurwitz(
     return g_prime, len(branch_orders)
 
 
-def _signature(action: CurveAction, orbit: Orbit) -> QuotientSignature:
-    rep, members, stabilizer = orbit
-    kernel = action.kernels[rep]
-    hbar = len(stabilizer) // len(kernel)
-    branch_orders = [o.order for o in action.ramification_orbits if o.vertex in members]
-    tangent = action.tangent_chars
-    for i in dict.fromkeys(map(tangent.orbit_at.__getitem__, action.graph.vertex_half_edges[rep])):
-        e = len(tangent.orbits[i].stabilizer) // len(kernel)
+def _signature(action: CurveAction, i: int) -> QuotientSignature:
+    """The signature of vertex orbit i; its branch suborbits are read off
+    the half-edge orbit table."""
+    vertices = action.vertex_orbits
+    rep = vertices.representatives[i]
+    kernel = len(action.kernels[rep])
+    hbar = len(vertices.stabilizers[vertices.stabilizer_ids[i]]) // kernel
+    orbit_of = vertices.orbit_of
+    branch_orders = [o.order for o in action.ramification_orbits if orbit_of[o.vertex] == i]
+    branches = action.half_edge_orbits
+    stabilizers, ids = branches.stabilizers, branches.stabilizer_ids
+    for j in dict.fromkeys(map(branches.orbit_of.__getitem__, action.graph.vertex_half_edges[rep])):
+        e = len(stabilizers[ids[j]]) // kernel
         if e >= 2:
             branch_orders.append(e)
     g_prime, b = _solve_riemann_hurwitz(
@@ -805,17 +818,19 @@ def t1_equivariant_oracle(action: CurveAction) -> EquivariantT1:
     node_inv = invariant_dimension_trace(action.smoothing_chars)
     branch_inv = invariant_dimension_trace(action.tangent_chars)
     minus_chi_inv = 0
-    for orb in orbits(action.vertex_perms, range(action.graph.n_vertices)):
-        rep = orb.representative
+    vertices = orbits(action.vertex_perms, range(action.graph.n_vertices))
+    for i, rep in enumerate(vertices.representatives):
         kernel = action.kernels[rep]
-        hbar = len(orb.stabilizer) // len(kernel)
+        stabilizer = vertices.stabilizers[vertices.stabilizer_ids[i]]
+        hbar = len(stabilizer) // len(kernel)
         branch_orders = [
-            o.order for o in action.ramification_orbits if o.vertex in orb.members
+            o.order for o in action.ramification_orbits if vertices.orbit_of[o.vertex] == i
         ]
         rows = action.half_edge_perms  # the whole table for a whole-group stabilizer
-        rows = rows if len(orb.stabilizer) == len(rows) else [rows[g] for g in orb.stabilizer]
-        for sub in orbits(rows, action.graph.vertex_half_edges[rep]):
-            e = len(sub.stabilizer) // len(kernel)
+        rows = rows if len(stabilizer) == len(rows) else [rows[g] for g in stabilizer]
+        subs = orbits(rows, action.graph.vertex_half_edges[rep])
+        for j in subs.stabilizer_ids:
+            e = len(subs.stabilizers[j]) // len(kernel)
             if e >= 2:
                 branch_orders.append(e)
         g_prime, b = _solve_riemann_hurwitz(

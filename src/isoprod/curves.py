@@ -9,12 +9,13 @@ self-loop keeps both half-edges on one vertex), and marks are marked points.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import chain, count, filterfalse
+from itertools import chain, count
 from operator import add, countOf
 from typing import NamedTuple
 
 from ._value import _Frozen, kept
 from .errors import GraphError
+from .groups import _renumbered, compose
 
 
 class DualGraph(_Frozen):
@@ -74,15 +75,16 @@ class DualGraph(_Frozen):
 
 
 def _components(graph: DualGraph) -> tuple[tuple[int, ...], ...]:
-    """The connected components: the classes of every edge, as tuples."""
-    return tuple(map(tuple, _classes(graph.genera, graph.half_edge_vertex, graph.edges)[0]))
+    """The connected components: the classes of every edge."""
+    return tuple(_classes(graph.genera, graph.half_edge_vertex, graph.edges)[0])
 
 
-def _classes(genera, owner, pairs) -> tuple[list[list[int]], list[int], list[int]]:
+def _classes(genera, owner, pairs) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
     """Union-find over the vertices joined by the half-edge ``pairs``, each
     class rooted at its least vertex: the classes (ascending, ordered by
     their least vertex), each vertex's class, and each class's genus sum
-    less one per merge."""
+    less one per merge.  Only the pairs' ends are walked: the other
+    vertices are classes of their own, numbered in one run of C passes."""
     up: dict[int, int] = {}  # a merged vertex -> a smaller vertex of its class
     for p, q in pairs:
         a, b = owner[p], owner[q]
@@ -95,18 +97,14 @@ def _classes(genera, owner, pairs) -> tuple[list[list[int]], list[int], list[int
         elif b < a:
             up[a] = b
     if len(up) == len(genera) - 1:  # one class: no walk over the vertices
-        return [[*range(len(genera))]], [0] * len(genera), [sum(genera) - len(up)]
-    classes, vclass, sums = [], [], []
-    for v, g in enumerate(genera):
-        if v in up:  # merged into the class of a smaller vertex
-            c = vclass[up[v]]
-            classes[c].append(v)
-            sums[c] += g - 1
-        else:
-            c = len(classes)
-            classes.append([v])
-            sums.append(g)
-        vclass.append(c)
+        return [(*range(len(genera)),)], [0] * len(genera), [sum(genera) - len(up)]
+    firsts, vclass = _renumbered(len(genera), up)
+    vclass.pop()  # every vertex has a class: none is read past the end
+    classes, sums = [*zip(firsts)], [*compose(genera, firsts)]
+    for v in sorted(up):  # each after the smaller vertex it merged into
+        c = vclass[v] = vclass[up[v]]
+        classes[c] += (v,)
+        sums[c] += genera[v] - 1
     return classes, vclass, sums
 
 
@@ -236,12 +234,12 @@ def contract(
 ) -> tuple[DualGraph, tuple[tuple[int, ...], ...], dict[int, int], dict[int, int]]:
     """The graph with the edges ``removed`` contracted, with its vertices'
     merge classes of parent vertices and the renumbering of the surviving
-    half-edges and edges.  Genera add, plus one per contracted cycle.  The
-    classes come from union-find over the removed edges' ends, not from a
-    walk of the whole graph.  It keeps every vertex stable and joins no two
-    components, so it is not re-validated: its components are the parent's,
-    mapped to the classes.  GraphError for a removed edge that is not an
-    edge index.
+    half-edges and edges (old index -> new index).  Genera add, plus one per
+    contracted cycle.  The classes come from union-find over the removed
+    edges' ends, not from a walk of the whole graph.  It keeps every vertex
+    stable and joins no two components, so it is not re-validated: its
+    components are the parent's, mapped to the classes.  GraphError for a
+    removed edge that is not an edge index.
     """
     if not isinstance(graph, DualGraph):
         raise GraphError(f"not a DualGraph: {type(graph).__name__}")
@@ -253,23 +251,29 @@ def contract(
         if type(n) is not int or not 0 <= n < len(edges):  # True reads edge 1, -1 the last
             raise GraphError(f"removed edge {n!r} is not an edge index of the graph")
         cut[n] = None
+    child, classes, _, (half_edges, _), (edges, _) = _contract(graph, cut)
+    return child, tuple(classes), dict(zip(half_edges, count())), dict(zip(edges, count()))
+
+
+def _contract(graph: DualGraph, cut: Sequence[int]) -> tuple:
+    """:func:`contract` of distinct edge indices, as lists: (child, classes,
+    each vertex's class, and for the half-edges and the edges (the survivors
+    ascending, each old object's new number)), in C passes but for the ends
+    of the edges ``cut``."""
+    edges, owner = graph.edges, graph.half_edge_vertex
     classes, vclass, genera = _classes(graph.genera, owner, map(edges.__getitem__, cut))
     for n in cut:  # one genus per contracted edge, the merges counted
         genera[vclass[owner[edges[n][0]]]] += 1
-    kept = list(filterfalse(cut.__contains__, range(len(edges))))
-    kept_ends = list(chain.from_iterable(map(edges.__getitem__, kept)))
-    he_map = dict(zip(sorted(kept_ends), count()))  # the surviving half-edges
-    ends = map(he_map.__getitem__, kept_ends)
-    child = DualGraph(
-        tuple(genera),
-        tuple(map(vclass.__getitem__, map(owner.__getitem__, he_map))),
-        tuple(zip(ends, ends)),  # each kept edge's two ends, renumbered
-        tuple(map(vclass.__getitem__, graph.marks)),
-    )
-    child.__dict__["components"] = graph.components if len(classes) == len(vclass) else tuple(
-        tuple(sorted(set(map(vclass.__getitem__, comp)))) for comp in graph.components
-    )
-    return child, tuple(map(tuple, classes)), he_map, dict(zip(kept, count()))
+    kept = _renumbered(len(edges), cut)
+    half_edges = _renumbered(len(owner), chain.from_iterable(map(edges.__getitem__, cut)))
+    ends = map(half_edges[1].__getitem__, chain.from_iterable(compose(edges, kept[0])))
+    owners, marks, components = compose(owner, half_edges[0]), graph.marks, graph.components
+    if len(classes) < graph.n_vertices:  # vertices merged
+        owners, marks = compose(vclass, owners), compose(vclass, marks)
+        components = tuple(tuple(sorted({*map(vclass.__getitem__, c)})) for c in components)
+    child = DualGraph(tuple(genera), owners, tuple(zip(ends, ends)), marks)  # ends paired
+    child.__dict__["components"] = components
+    return child, classes, vclass, half_edges, kept
 
 
 def _require_connected(graph: DualGraph) -> None:

@@ -23,17 +23,16 @@ stratum explicitly and verify it with :func:`check_constancy`.
 
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, repeat
-from operator import and_, eq
+from operator import and_, eq, itemgetter
 from typing import NamedTuple
 
 from .actions import CurveAction, EquivariantT1, RamificationOrbit, t1_equivariant
-from .curves import arithmetic_genus, contract
+from .curves import _contract, arithmetic_genus
 from .errors import FamilyError, IsoprodError, SmoothingError
-from .groups import Orbit, RestrictedTable, _listed, column, format_rotation_char
+from .groups import Orbit, RestrictedTable, _listed, column, compose, format_rotation_char
 
 
 class FamilyStratum(NamedTuple):
@@ -80,13 +79,13 @@ class SmoothingChain(NamedTuple):
     obstructions: tuple[str, ...]
 
 
-def _local_model(action: CurveAction, orbit: Orbit) -> int | None:
-    """The branch-swapping element of a node orbit's stabilizer, or None
-    when nothing swaps the branches (the free and rotation models);
+def _local_model(action: CurveAction, i: int) -> int | None:
+    """The branch-swapping element of the stabilizer of edge orbit i, or
+    None when nothing swaps the branches (the free and rotation models);
     SmoothingError when a stabilizer element moves the smoothing parameter
     or the stabilizer is not one of the three supported local models."""
-    rep = orbit.representative
-    stab = orbit.stabilizer
+    edges = action.edge_orbits
+    rep, stab = edges.representatives[i], edges.stabilizers[edges.stabilizer_ids[i]]
     smoothing, tangent = action.smoothing_chars, action.tangent_chars
     for g, a in smoothing.at(rep):
         if a:
@@ -130,45 +129,52 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     are :class:`RestrictedTable` views of the parent's on the surviving
     objects, renumbered (a merged class moves as its first vertex does),
     composed and gathered from the validated ancestor's when first read.
-    Half-edge and edge orbits other than the smoothed one survive whole with
-    their columns, renumbered (``CharacterTable.restrict``).  Vertex orbits
-    are merged, not recomputed: the classes the orbit's edges touch form one
-    orbit, as G is transitive on those edges, whose stabilizer is read off
-    one parent column; every other orbit survives relabeled.  A class's
-    kernel is the intersection of its vertices' kernels: an element acts
-    trivially on the merged component exactly when it does on each part.
+    Its orbit tables are the parent's composed with the renumberings
+    (``OrbitTable.restrict``), one C pass per column and no record: the
+    half-edge and edge orbits other than the smoothed one survive whole
+    with their columns and transporters (``CharacterTable.restrict``), and
+    the vertex classes the orbit's edges touch form one orbit, as G is
+    transitive on those edges, whose stabilizer is read off one parent
+    column.  A class's kernel is the intersection of its vertices' kernels:
+    an element acts trivially on the merged component exactly when it does
+    on each part.
     """
     if not isinstance(action, CurveAction):
         raise SmoothingError(f"not a CurveAction: {type(action).__name__}")
     if type(edge) is not int:  # True and 1.0 would find edge 1
         raise SmoothingError(f"edge index must be an integer, got {edge!r}")
-    graph = action.graph
-    try:
-        orbit = action.edge_orbits[action.smoothing_chars.orbit_at[edge]]
-    except KeyError:
-        raise SmoothingError(f"edge {edge} not found in any orbit") from None
-    swap = _local_model(action, orbit)
+    graph, owner = action.graph, action.graph.half_edge_vertex
+    if not 0 <= edge < graph.n_edges:
+        raise SmoothingError(f"edge {edge} not found in any orbit")
+    i = action.edge_orbits.orbit_of[edge]
+    swap = _local_model(action, i)
+    rep = action.edge_orbits.representatives[i]
 
-    new_graph, classes, he_map, edge_map = contract(graph, orbit.members)
-    tangent_chars = action.tangent_chars.restrict(he_map)
-    smoothing_chars = action.smoothing_chars.restrict(edge_map)
+    members = compress(range(graph.n_edges), map(eq, action.edge_orbits.orbit_of, repeat(i)))
+    new_graph, classes, vclass, half_edges, edges = _contract(graph, [*members])
+    # the smoothed edges' branches are one or two whole orbits, those of rep's
+    branch_orbits = {action.half_edge_orbits.orbit_of[h] for h in graph.edges[rep]}
+    tangent_chars = action.tangent_chars.restrict(*half_edges, branch_orbits)
+    smoothing_chars = action.smoothing_chars.restrict(*edges, (i,))
+    vertices = action.vertex_orbits
     if len(classes) == graph.n_vertices:  # self-loops only: the vertices stay
         vclass = range(len(classes))
         vertex_perms = RestrictedTable(action.vertex_perms, vclass, vclass)
-        kernels, vertex_orbits = action.kernels, action.vertex_orbits
+        kernels, vertex_orbits = action.kernels, vertices
     else:
-        vclass = {v: c for c, vs in enumerate(classes) for v in vs}
-        vertex_perms = RestrictedTable(action.vertex_perms, [vs[0] for vs in classes], vclass)
-        kernels = tuple(reduce(and_, map(action.kernels.__getitem__, vs)) for vs in classes)
-        touched = {graph.half_edge_vertex[h] for n in orbit.members for h in graph.edges[n]}
-        vertex_orbits = [
-            Orbit(vclass[o.representative], tuple(map(vclass.__getitem__, o.members)), o.stabilizer)
-            for o in action.vertex_orbits if o.representative not in touched
-        ]
-        c = vclass[v := min(touched)]
+        firsts = [*map(itemgetter(0), classes)]
+        vertex_perms = RestrictedTable(action.vertex_perms, firsts, vclass)
+        kernels = [*compose(action.kernels, firsts)]
+        for c, vs in enumerate(classes):
+            if len(vs) > 1:
+                kernels[c] = reduce(and_, map(action.kernels.__getitem__, vs))
+        # the touched vertices are the orbits of the representative's ends,
+        # the first holding the least of them
+        t, u = sorted(vertices.orbit_of[owner[h]] for h in graph.edges[rep])
+        c = vclass[v := vertices.representatives[t]]
         images = map(vclass.__getitem__, column(action.vertex_perms, v))
         stab = tuple(compress(range(action.group.order), map(eq, images, repeat(c))))
-        insort(vertex_orbits, Orbit(c, tuple(sorted({vclass[u] for u in touched})), stab))
+        vertex_orbits = vertices.restrict(firsts, vclass, {u} - {t}, (t, stab))[0]
 
     ram = [
         RamificationOrbit(vclass[o.vertex], o.element, o.char, o.order)
@@ -177,7 +183,7 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
     if swap is not None:
         # |G| new fixed points of the swap involutions, in orbits of size
         # |G|/2: exactly two new orbits, both of order 2 with character -1.
-        c = vclass[graph.half_edge_vertex[graph.edges[orbit.representative][0]]]
+        c = vclass[owner[graph.edges[rep][0]]]
         ram += [RamificationOrbit(c, swap, Fraction(1, 2), 2)] * 2
     ram.sort()
 
@@ -189,9 +195,9 @@ def smooth_node_orbit(action: CurveAction, edge: int) -> CurveAction:
         edge_perms=smoothing_chars.perms,
         tangent_chars=tangent_chars,
         smoothing_chars=smoothing_chars,
-        kernels=kernels,
+        kernels=tuple(kernels),
         ramification_orbits=tuple(ram),
-        vertex_orbits=tuple(vertex_orbits),
+        vertex_orbits=vertex_orbits,
         half_edge_orbits=tangent_chars.orbits,
         edge_orbits=smoothing_chars.orbits,
     )
@@ -202,9 +208,9 @@ def smoothable_edge_orbits(action: CurveAction) -> list[tuple[Orbit, str | None]
     if not isinstance(action, CurveAction):
         raise SmoothingError(f"not a CurveAction: {type(action).__name__}")
     out = []
-    for orbit in action.edge_orbits:
+    for i, orbit in enumerate(action.edge_orbits):
         try:
-            _local_model(action, orbit)
+            _local_model(action, i)
             out.append((orbit, None))
         except SmoothingError as exc:
             out.append((orbit, str(exc)))
@@ -227,9 +233,9 @@ def smoothing_chain(action: CurveAction) -> SmoothingChain:
         # orbits are tried in order up to the first that smooths, so only
         # the final stratum has every orbit classified
         obstructions = []
-        for orbit in current.edge_orbits:
+        for rep in current.edge_orbits.representatives:
             try:
-                current = smooth_node_orbit(current, orbit.representative)
+                current = smooth_node_orbit(current, rep)
                 break
             except SmoothingError as exc:
                 obstructions.append(str(exc))

@@ -43,12 +43,12 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import compress, filterfalse, repeat
+from itertools import accumulate, chain, compress, filterfalse, repeat
 from math import gcd, lcm
 from operator import countOf, eq, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from ._value import _Frozen
+from ._value import _Frozen, kept
 from .cyclotomic import root_of_unity_sum
 from .errors import CharacterError, GroupError
 
@@ -92,6 +92,11 @@ def _listed(items: Iterable, what: str, error: type[Exception] = GroupError) -> 
 
 
 def check_perm(p: Sequence[int], degree: int) -> Perm:
+    if type(p) not in (tuple, list) and isinstance(p, Mapping):  # read by index, p[0] ...
+        try:
+            p = tuple(map(p.__getitem__, range(degree)))
+        except KeyError:
+            raise GroupError(f"not a permutation of {degree} letters: {p!r}") from None
     p = tuple(_listed(p, f"a permutation of {degree} letters"))
     # bools and floats sort like ints, so their type is checked first
     if (
@@ -510,7 +515,99 @@ class Orbit(NamedTuple):
     stabilizer: tuple[int, ...]
 
 
-def orbits(perms: Sequence[Perm], points: Sequence[int]) -> list[Orbit]:
+def _renumbered(n: int, removed: Iterable[int]) -> tuple[list[int], list[int]]:
+    """The survivors of range(n) after ``removed``, ascending, and each new
+    number over range(n + 1): a survivor's rank, which a removed object and
+    n share with the next survivor, so composed renumberings stay in range."""
+    mask = [1] * n
+    for x in removed:
+        mask[x] = 0
+    return [*compress(range(n), mask)], [*accumulate(mask, initial=0)]
+
+
+class _ReadsAsTuple(Sequence):
+    """A read-only sequence equal to the tuple of its items in either operand
+    order (and to the types in ``_peers``), with that tuple's hash and repr."""
+
+    __slots__ = ()
+    _peers: tuple[type, ...] = (tuple,)
+
+    def __eq__(self, other):
+        if not isinstance(other, (*self._peers, type(self))):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+class OrbitTable(_ReadsAsTuple):
+    """The orbits of one kind of object as integer columns.
+
+    ``orbit_of[x]`` is object x's orbit (a list when the points were
+    range(degree), else a dict).  Orbit i has representative
+    ``representatives[i]``, stabilizer ``stabilizers[stabilizer_ids[i]]``
+    (one tuple per distinct stabilizer) and ``members[i]`` in point order,
+    which a table made by :meth:`restrict` builds from ``orbit_of`` on first
+    read.  Reads as the tuple, or list, of its :class:`Orbit` records, built
+    on first read and kept; racing first reads each build equal values and
+    publish them by one assignment.  Read-only.
+    """
+
+    __slots__ = ("orbit_of", "representatives", "stabilizer_ids", "stabilizers", "_members",
+                 "_records")
+    _peers = (tuple, list)
+
+    def __init__(self, orbit_of, representatives, stabilizer_ids, stabilizers, members=None):
+        self.orbit_of, self.representatives = orbit_of, representatives
+        self.stabilizer_ids, self.stabilizers = stabilizer_ids, stabilizers
+        self._members, self._records = members, None
+
+    @property
+    def members(self) -> Sequence[tuple[int, ...]]:
+        if self._members is None:
+            lists: list[list[int]] = [[] for _ in self.representatives]
+            for x, i in enumerate(self.orbit_of):
+                lists[i].append(x)
+            self._members = [*map(tuple, lists)]
+        return self._members
+
+    def restrict(self, kept: Sequence[int], new_index: Sequence[int], dropped: Iterable[int],
+                 join: tuple[int, tuple[int, ...]] | None = None):
+        """(table, alive): the orbits other than ``dropped`` of the objects
+        ``kept`` (ascending), renumbered by ``new_index`` (a sequence over
+        every object, increasing on ``kept``), and the surviving orbits'
+        indices.  A dropped orbit's objects are gone, or with ``join`` = (t,
+        stab) join orbit t, below them, whose stabilizer becomes ``stab``
+        (merged vertex classes).  One compose per column, no record."""
+        alive, renumber = _renumbered(len(self.representatives), dropped)
+        ids, stabilizers = compose(self.stabilizer_ids, alive), self.stabilizers
+        if join is not None:
+            t, stab = join
+            for u in dropped:
+                renumber[u] = t
+            if stab not in stabilizers:
+                stabilizers += (stab,)
+            ids = [*ids]
+            ids[t] = stabilizers.index(stab)
+        orbit_of = compose(renumber, compose(self.orbit_of, kept))
+        reps = compose(new_index, compose(self.representatives, alive))
+        return OrbitTable(orbit_of, reps, ids, stabilizers), alive
+
+    def __getitem__(self, i):
+        if self._records is None:
+            stabilizers = map(self.stabilizers.__getitem__, self.stabilizer_ids)
+            self._records = tuple(map(Orbit, self.representatives, self.members, stabilizers))
+        return self._records[i]
+
+    def __len__(self) -> int:
+        return len(self.representatives)
+
+
+def orbits(perms: Sequence[Perm], points: Sequence[int]) -> OrbitTable:
     """Partition ``points`` into orbits of the permutation tables ``perms``.
 
     ``perms[g]`` is the permutation of element g, as returned by
@@ -520,7 +617,8 @@ def orbits(perms: Sequence[Perm], points: Sequence[int]) -> list[Orbit]:
     ``points`` or a point among none of its images (no identity row: one set
     lookup per orbit) raise GroupError.  If every row is row 0 (one C pass,
     identity first), a point reads that row, else its column: O(|G|)
-    lookups in C, no row of a view.
+    lookups in C, no row of a view.  Points given as a range of step 1 are
+    read off it: members sort without a key and no position map is built.
     """
     view = perms._composed() if type(perms) is RestrictedTable else (perms, None, None)
     source, kept, new_index = view
@@ -540,29 +638,38 @@ def orbits(perms: Sequence[Perm], points: Sequence[int]) -> list[Orbit]:
         raise GroupError(f"point {p!r} is not an integer in range({degree})")
     n = len(source)
     rows = (first,) if n > 1 and source[-1] == first and countOf(source, first) == n else source
-    pos = {p: i for i, p in enumerate(points)}
+    ascending = type(points) is range and points.step == 1  # point order is index order
+    pos = points if ascending else {p: i for i, p in enumerate(points)}
+    orbit_of = {} if len(points) < degree or not ascending else [0] * degree
     seen: set[int] = set()
-    # one tuple per stabilizer; one row standing for all is fixed by all (0,) or none ()
-    shared = {} if rows is source else {(0,): _EVERY.get(n) or _EVERY.setdefault(n, (*range(n),))}
-    out: list[Orbit] = []
+    reps, members, ids = [], [], []  # per orbit: representative, members, stabilizer id
+    shared: dict[tuple[int, ...], int] = {}  # a stabilizer -> its id
     for p in filterfalse(seen.__contains__, points):  # skips members of earlier orbits
         images = map(itemgetter(p if kept is None else kept[p]), rows)
         images = list(images if kept is None else map(new_index.__getitem__, images))
-        members = set(images)
-        # O(|orbit|): issubset() would first copy every key of ``pos``
-        if members.difference(pos):
+        found = set(images)
+        # O(|orbit|): a range's ends bound it; issubset() would copy every key of ``pos``
+        if (min(found) < pos.start or max(found) >= pos.stop) if ascending else (
+                found.difference(pos)):
             q = next(q for q in images if q not in pos)
             raise GroupError(f"not a group action on the given points: {p!r} -> {q!r}")
-        if p not in members:  # a table without the identity row
+        if p not in found:  # a table without the identity row
             raise GroupError(f"not a group action on the given points: no element fixes {p!r}")
-        seen.update(members)
-        ordered = tuple(sorted(members, key=pos.__getitem__))
+        seen.update(found)
+        i = len(reps)
+        for x in found:
+            orbit_of[x] = i
+        reps.append(p)
+        members.append(tuple(sorted(found, key=None if ascending else pos.__getitem__)))
         stab = tuple(compress(range(len(rows)), map(eq, images, repeat(p))))
-        out.append(Orbit(p, ordered, shared.setdefault(stab, stab)))
-    return out
+        ids.append(shared.setdefault(stab, len(shared)))
+    stabilizers = tuple(shared)
+    if rows is not source:  # one row stood for all: each point read (0,), fixed by all
+        stabilizers = (_EVERY.get(n) or _EVERY.setdefault(n, (*range(n),)),) * len(shared)
+    return OrbitTable(orbit_of, reps, ids, stabilizers, members)
 
 
-class RestrictedTable(Sequence):
+class RestrictedTable(_ReadsAsTuple):
     """Per-element permutations of the objects ``kept`` of a table ``perms``,
     renumbered by ``new_index`` (a mapping, or a sequence over all objects):
     row g is ``new_index[perms[g][k]] for k in kept``, built on first read
@@ -574,11 +681,15 @@ class RestrictedTable(Sequence):
     slices, ``IndexError`` past the end.  Over another restricted table, a
     view is built in O(1) and stays pending: it keeps that table (so every
     unread ancestor up to the first composed one, with its ``kept`` and
-    ``new_index``, stays alive) and its own ``kept`` and ``new_index``
-    (then a mapping).  Its first row or column read composes the chain onto
-    the root source, so a row costs one gather from a materialized row
-    however long the chain, and then it keeps only the root alive.
-    ``new_index`` must be defined on every image of a kept object.
+    ``new_index``, stays alive) and its own ``kept`` and ``new_index``.
+    Its first row or column read composes the chain onto the root source,
+    a C pass per level over sequences, so a row costs one gather from a
+    materialized row however long the chain, and then it keeps only the
+    root alive.  The chain is kept: composing a child onto its parent when
+    built costs every smoothing step C passes over its objects, though a
+    chain and its constancy check on free local models read no row (13%
+    more time for the catalog batch's chains).  ``new_index`` must be
+    defined on every image of a kept object.
     Read-only, like every table.
     """
 
@@ -601,8 +712,13 @@ class RestrictedTable(Sequence):
                 view = view[0]._view
             source, inner, old = view
             for _, kept, new_index in reversed(pending):
-                pairs = old.items() if isinstance(old, Mapping) else enumerate(old)
-                old = {x: new_index[i] for x, i in pairs if i in new_index}
+                if isinstance(new_index, Mapping):
+                    pairs = old.items() if isinstance(old, Mapping) else enumerate(old)
+                    old = {x: new_index[i] for x, i in pairs if i in new_index}
+                elif isinstance(old, Mapping):
+                    old = dict(zip(old, map(new_index.__getitem__, old.values())))
+                else:
+                    old = compose(new_index, old)
                 inner = compose(inner, kept)
             view = self._view = (source, inner, old)
         return view
@@ -626,17 +742,6 @@ class RestrictedTable(Sequence):
     def __iter__(self) -> Iterator[Perm]:
         return map(self.__getitem__, range(len(self)))
 
-    def __eq__(self, other):
-        if not isinstance(other, (tuple, RestrictedTable)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
 
 def column(perms: Sequence[Perm], p: int) -> Iterator[int]:
     """``perms[g][p]`` for each element g in turn, lazily, in C loops; a
@@ -650,33 +755,53 @@ def column(perms: Sequence[Perm], p: int) -> Iterator[int]:
 class CharacterTable(Mapping):
     """Rotation characters of one kind: (element, fixed object) -> Fraction.
 
-    ``columns[i]`` is the character of ``orbits[i]``'s representative on its
+    ``orbits`` is the kind's :class:`OrbitTable` (or its records, as given).
+    ``columns[i]`` is the character of orbit i's representative on its
     stabilizer, residues modulo ``modulus`` in stabilizer order (equal
-    columns are one tuple); ``trivial[i]`` says whether it is zero, and
-    ``orbit_at[x]`` is the index of x's orbit.  The value at (g, x) is the
-    column's at t^-1 g t, t = ``transporters[x]`` carrying the
-    representative to x; ``perms`` are the objects' permutations.  The
-    library reads columns only through :meth:`at` and :meth:`restrict`;
-    ``__getitem__`` is the public ``Mapping`` face.  One ``Fraction`` per
-    residue, built when read.  Read-only.
+    columns are one tuple), and ``trivial[i]`` says whether it is zero.  The
+    value at (g, x) is the column's at t^-1 g t, t = ``transporter_of[x]``
+    carrying the representative to x (a mapping, such as the one given as
+    ``transporters``, or a restricted table's list over its objects);
+    ``perms`` are the objects' permutations.  ``orbit_at`` (x -> its orbit)
+    and a dict ``transporters`` for a list are built on first read and
+    kept.  The library reads
+    columns only through :meth:`at` and :meth:`restrict`; ``__getitem__`` is
+    the public ``Mapping`` face.  One ``Fraction`` per residue, built when
+    read.  Read-only.
     """
 
     def __init__(
         self,
         group: FiniteGroup,
         perms: Sequence[Perm],
-        orbits: tuple[Orbit, ...],
+        orbits: OrbitTable | Sequence[Orbit],
         columns: tuple[tuple[int, ...], ...],
         modulus: int,
-        transporters: Mapping[int, int],
+        transporters: Sequence[int] | Mapping[int, int],
     ):
-        self.group, self.perms, self.orbits = group, perms, orbits
-        self.columns, self.modulus, self.transporters = columns, modulus, transporters
+        if type(orbits) is not OrbitTable:  # Orbit records: the table they read as
+            ids: dict[tuple[int, ...], int] = {}
+            orbits = OrbitTable(
+                {x: i for i, o in enumerate(orbits) for x in o.members},
+                [o.representative for o in orbits],
+                [ids.setdefault(o.stabilizer, len(ids)) for o in orbits], tuple(ids),
+                [o.members for o in orbits],
+            )
+        self.group, self.perms, self.orbits, self.columns = group, perms, orbits, columns
+        self.modulus, self.transporter_of = modulus, transporters
         zero: dict[int, bool] = {}  # each column object read once
         self.trivial = tuple([zero[i] if (i := id(c)) in zero else zero.setdefault(i, not any(c))
                               for c in columns])
-        self.orbit_at = {x: i for i, orbit in enumerate(orbits) for x in orbit.members}
         self._fractions = {0: TRIVIAL_CHAR}
+
+    @kept
+    def orbit_at(self) -> dict[int, int]:
+        return {x: i for i, members in enumerate(self.orbits.members) for x in members}
+
+    @kept
+    def transporters(self) -> Mapping[int, int]:
+        moves = self.transporter_of
+        return moves if isinstance(moves, Mapping) else dict(enumerate(moves))
 
     def fraction(self, a: int) -> Fraction:
         """The character a / modulus."""
@@ -686,28 +811,27 @@ class CharacterTable(Mapping):
 
     def at(self, x: int) -> Iterator[tuple[int, int]]:
         """(element, residue) pairs on the stabilizer of object x; lazy."""
-        i = self.orbit_at[x]
-        stab = self.orbits[i].stabilizer
-        if t := self.transporters[x]:
+        orbits = self.orbits
+        i = orbits.orbit_of[x]
+        stab = orbits.stabilizers[orbits.stabilizer_ids[i]]
+        if t := self.transporter_of[x]:
             stab = self.group.conjugates(t, stab)
         yield from zip(stab, self.columns[i])
 
-    def restrict(self, new_index: dict[int, int]) -> "CharacterTable":
-        """The table on the surviving objects, renumbered by the increasing
-        ``new_index``: orbits that survive whole keep their columns,
-        stabilizers and order as a recomputation would, and each object its
-        transporter.  Its ``perms`` are a :class:`RestrictedTable` of these
-        at the keys of ``new_index``, a view built on first read."""
-        perms = RestrictedTable(self.perms, list(new_index), new_index)
-        renumber = new_index.__getitem__
-        alive = [i for i, o in enumerate(self.orbits) if o.representative in new_index]
-        relabeled = tuple(
-            Orbit(renumber(o.representative), tuple(map(renumber, o.members)), o.stabilizer)
-            for o in map(self.orbits.__getitem__, alive)
+    def restrict(self, kept: Sequence[int], new_index: Sequence[int], dropped: Iterable[int]
+                 ) -> "CharacterTable":
+        """The table on the objects ``kept`` (ascending), renumbered by
+        ``new_index`` (a sequence over every object), without the orbits
+        ``dropped``, those of the other objects: the orbit table and the
+        transporters are composed with them, and the orbits that survive keep
+        their columns, stabilizers and order as a recomputation would.  Its
+        ``perms`` are a :class:`RestrictedTable` of these, a view built on
+        first read."""
+        orbits, alive = self.orbits.restrict(kept, new_index, dropped)
+        return CharacterTable(
+            self.group, RestrictedTable(self.perms, kept, new_index), orbits,
+            compose(self.columns, alive), self.modulus, compose(self.transporter_of, kept),
         )
-        columns = tuple(map(self.columns.__getitem__, alive))
-        transporters = dict(zip(new_index.values(), map(self.transporters.__getitem__, new_index)))
-        return CharacterTable(self.group, perms, relabeled, columns, self.modulus, transporters)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         try:
@@ -717,17 +841,20 @@ class CharacterTable(Mapping):
             fixed = False
         if not fixed:
             raise KeyError(key)
-        i = self.orbit_at[x]
-        if t := self.transporters[x]:
+        i = self.orbits.orbit_of[x]
+        if t := self.transporter_of[x]:
             g = self.group.conjugate(self.group.inverse(t), g)
-        return self.fraction(self.columns[i][bisect_left(self.orbits[i].stabilizer, g)])
+        stab = self.orbits.stabilizers[self.orbits.stabilizer_ids[i]]
+        return self.fraction(self.columns[i][bisect_left(stab, g)])
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        for x in self.orbit_at:
+        for x in chain.from_iterable(self.orbits.members):
             yield from ((g, x) for g, _ in self.at(x))
 
     def __len__(self) -> int:
-        return sum(len(o.members) * len(o.stabilizer) for o in self.orbits)
+        orbits = self.orbits
+        stabilizers = map(orbits.stabilizers.__getitem__, orbits.stabilizer_ids)
+        return sum(len(s) * len(m) for s, m in zip(stabilizers, orbits.members))
 
 
 def invariant_dimension_trace(table: CharacterTable) -> int:
@@ -759,7 +886,7 @@ def invariant_dimension_trace(table: CharacterTable) -> int:
     if len(perms) != group.order:
         raise GroupError("one permutation required per group element")
     ident = identity_perm(len(perms[0]))
-    zero = {x for x, i in table.orbit_at.items() if table.trivial[i]}  # zero-column objects
+    zero = {x for members, z in zip(table.orbits.members, table.trivial) if z for x in members}
     rows: dict[int, dict[int, int]] = {}  # per object read: element -> residue
 
     def residues_at(p: int) -> dict[int, int]:

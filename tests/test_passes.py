@@ -6,6 +6,7 @@ wording walk, and each character table's ``trivial`` flags read its columns."""
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ import reference_seed
 from isoprod import actions, curves
 from isoprod.actions import inert_action, validate_action
 from isoprod.curves import build_graph
-from isoprod.errors import ActionError, IsoprodError
+from isoprod.errors import ActionError, GroupError, IsoprodError
 from isoprod.groups import FiniteGroup, perm_from_cycles
 from test_scaling import necklace
 from test_seed_differential import (
@@ -311,3 +312,23 @@ def test_an_image_that_is_not_a_tuple_or_list_is_walked_as_the_seed_reads_it():
         got = image_error(validate_action, z2, graph, images)
         assert got == image_error(reference_seed.validate_action, z2, graph, images)
         assert got and "does not cover" in got[1]
+
+
+def test_a_mapping_image_is_read_by_index_everywhere():
+    # check_perm reads a mapping as p[0] ... p[n - 1], the way the cover and
+    # edge walks index it; it read the keys, so this swap of both nodes'
+    # branches, with the components swapped, validated with identity tables
+    z2 = FiniteGroup.from_generators([perm_from_cycles([[0, 1]], 2)], 2)
+    graph = build_graph([2, 2], [0, 1, 0, 1], [(0, 1), (2, 3)])
+    swap = {0: 1, 1: 0, 2: 3, 3: 2}
+    tangent = {(1, h): Fraction(1, 2) for h in range(4)}
+    with pytest.raises(ActionError) as err:
+        validate_action(z2, graph, [(1, 0)], [swap], tangent_chars=tangent)
+    assert str(err.value) == "tangent character assigned to element 1 which moves half-edge 0"
+    smoothing = {(1, 0): Fraction(0), (1, 1): Fraction(0)}
+    read = validate_action(z2, graph, [(1, 0)], [swap], smoothing_chars=smoothing)
+    assert read == validate_action(z2, graph, [(1, 0)], [(1, 0, 3, 2)], smoothing_chars=smoothing)
+    assert z2.extend_action([{0: 1, 1: 0}], 2) == ((0, 1), (1, 0))
+    with pytest.raises(GroupError) as err:
+        z2.extend_action([{0: 1, 2: 0}], 2)
+    assert str(err.value) == "not a permutation of 2 letters: {0: 1, 2: 0}"

@@ -14,6 +14,7 @@ import pytest
 from randgen import catalog, random_action
 from test_acceptance import criterion
 
+import isoprod
 import isoprod.actions
 import isoprod.curves
 import isoprod.families
@@ -654,6 +655,38 @@ def test_trivial_200_cycle_chain_and_constancy():
         report = check_constancy(chain.strata)
     assert len(chain.strata) == n + 1
     assert report.verdict == "constant" and report.constant_value == 3 * (2 * n + 1) - 3
+
+
+def test_a_step_builds_no_orbit_record_and_no_lookup_dict(monkeypatch):
+    # a step composes the parent's orbit tables with its renumberings: the
+    # chain and its constancy check build no Orbit record, under any module
+    # name that binds one, and no child table builds its orbit_at or
+    # transporters dict, on the trivial 200-cycle, seeded catalog actions
+    # and the free necklaces n = 1..8
+    n = 200
+    graph = build_graph(
+        [2] * n, list(range(n)) + [(i + 1) % n for i in range(n)], [(i, n + i) for i in range(n)]
+    )
+    rng = random.Random(34)
+    actions = [trivial_action(graph)]
+    actions += [random_action(rng.choice(catalog()), rng) for _ in range(40)]
+    actions += [validate_action(*necklace(k)) for k in range(1, 9)]
+    records = [
+        counting(monkeypatch, module, "Orbit")
+        for module in (isoprod, isoprod.groups, isoprod.actions, isoprod.families)
+        if hasattr(module, "Orbit")
+    ]
+    steps = 0
+    for action in actions:
+        chain = smoothing_chain(action)
+        if len(chain.strata) > 1:
+            assert check_constancy(chain.strata).verdict == "constant"
+        for stratum in chain.strata[1:]:
+            steps += 1
+            for table in (stratum.action.tangent_chars, stratum.action.smoothing_chars):
+                assert not {"orbit_at", "transporters"} & vars(table).keys()
+    assert steps > n + 40
+    assert not any(records)
 
 
 def test_trace_reads_one_edge_row_per_cyclic_subgroup_through_the_view(monkeypatch):
