@@ -158,12 +158,14 @@ class CurveAction(_Frozen):
 
         An element fixes a point exactly when it lies in a kernel, in a
         conjugate of a half-edge or edge stabilizer, or in a conjugate of a
-        ramification orbit's point stabilizer (generated by the orbit's element
-        and the component's kernel).  Kernels are permuted by conjugation, so
-        one conjugacy closure of all these subgroups gives the first set:
-        O(|G| * gens) group products on first use, each distinct kernel and
-        stabilizer read once; ``surfaces.fixed_point_profile`` and the
-        freeness checks read it.  Both may hold the identity, which all skip.
+        ramification orbit's point stabilizer <h, K>: the kernel cosets K h^j,
+        as K is normal in the component's stabilizer, which holds h.  Kernels
+        are permuted by conjugation, so one conjugacy closure of all these
+        subgroups gives the first set: O(|G| * gens) group products on first
+        use, each distinct kernel and stabilizer read once and a point
+        stabilizer read as one product batch per coset, with no subgroup
+        closure; ``surfaces.fixed_point_profile`` and the freeness checks read
+        it.  Both may hold the identity, which all skip.
         """
         group = self.group
         fixes_component = frozenset().union(*set(self.kernels))  # frozensets cache their hash
@@ -171,7 +173,10 @@ class CurveAction(_Frozen):
         for table in (self.half_edge_orbits, self.edge_orbits):
             seeds.update(*map(table.stabilizers.__getitem__, set(table.stabilizer_ids)))
         for o in self.ramification_orbits:
-            seeds |= group.subgroup_closure([o.element, *self.kernels[o.vertex]])
+            kernel, x = self.kernels[o.vertex], o.element
+            while x not in kernel:
+                seeds.update(group.products(kernel, x))
+                x = group.mul(x, o.element)
         return group.conjugacy_union(seeds), fixes_component
 
     @kept

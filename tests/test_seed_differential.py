@@ -2,7 +2,8 @@
 conjugacy closures, the vertex and edge permutations read off the half-edge
 table, fixed-point sets, freeness verdicts
 and Burnside counts against the algorithms they replaced (``reference_seed``), on the random
-catalog, on inert, kernel and ramified actions of S4 and A5, on necklaces,
+catalog, on inert, kernel and ramified actions of S4 and A5, on ramified
+actions of S4 and S5 that carry a kernel, on necklaces,
 and on corrupted inputs."""
 
 import random
@@ -375,6 +376,50 @@ def test_inert_kernel_and_ramified_actions_match_seed(make):
     assert outcome(validate_action, group, graph, args) is ActionError
     assert assert_same(group, graph, args) is None
     assert assert_same(group, *ramified_inputs(group, vector, genus)) is not None
+
+
+def kernel_ramified_inputs():
+    """(group, graph, args) for genus-2 curves fixed by a group acting
+    through its quotient by a normal kernel, whose ramification elements have
+    a larger order than their order modulo the kernel: S4 through S4/V4 = S3
+    with signature (0; 2, 2, 3, 3), two 3-cycle and two 4-cycle orbits (a
+    4-cycle squares into V4), and S5 through S5/A5 with signature (1; 2, 2),
+    a 4-cycle and an element of order 6 outside A5."""
+    cases = []
+    for group, kernel_gens, vector in (
+        (s4(), [[[0, 1], [2, 3]], [[0, 2], [1, 3]]],
+         [([[0, 1, 2]], 3)] * 2 + [([[0, 1, 2, 3]], 2)] * 2),
+        (s5(), [[[0, 1, 2]], [[1, 2, 3]], [[2, 3, 4]]],
+         [([[0, 1, 2, 3]], 2), ([[0, 1], [2, 3, 4]], 2)]),
+    ):
+        graph, args = ramified_inputs(group, vector, 2)
+        args["kwargs"]["kernels"] = {0: [element(group, c) for c in kernel_gens]}
+        cases.append((group, graph, args))
+    return cases
+
+
+def test_kernel_carrying_ramified_actions_match_seed():
+    for group, graph, args in kernel_ramified_inputs():
+        action = assert_same(group, graph, args)
+        assert action is not None and len(action.kernels[0]) > 1
+        assert any(group.element_order(o.element) > o.order for o in action.ramification_orbits)
+
+
+def test_fixed_point_sets_build_no_subgroup_closure(monkeypatch):
+    # a point stabilizer <h, K> is read as the kernel cosets K h^j
+    calls = []
+    closure = FiniteGroup.closure_and_generators
+    for group, graph, args in kernel_ramified_inputs():
+        action = validate_action(group, graph, *args["images"], **args["kwargs"])
+        monkeypatch.setattr(
+            FiniteGroup, "closure_and_generators",
+            lambda self, seeds: calls.append(seeds) or closure(self, seeds),
+        )
+        has_fixed_point, fixes_component = action.fixed_point_sets
+        monkeypatch.undo()
+        assert calls == []
+        assert has_fixed_point == frozenset(range(group.order))
+        assert fixes_component == action.kernels[0]
 
 
 @pytest.mark.parametrize("n", [3, 8, 25])

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from isoprod.actions import (
 )
 from isoprod.curves import arithmetic_genus, build_graph
 from isoprod.errors import SurfaceError
+from isoprod.families import smoothing_chain
 from isoprod.groups import FiniteGroup, format_perm, perm_from_cycles
 from isoprod.surfaces import (
     CertificateCondition,
@@ -450,6 +452,40 @@ def test_invariant_identities_random_free_instances():
         assert inv.k_squared == 8 * inv.chi
         assert inv.euler == 4 * inv.chi
         assert inv.chi.denominator == 1
+
+
+def smooth_end(factor):
+    """The factor's smooth end along ``smoothing_chain``, or "undetermined"
+    when the chain stops at a node orbit it cannot smooth (the kernel gap
+    among them): a stopped chain gives no verdict."""
+    chain = smoothing_chain(factor)
+    return "undetermined" if chain.obstructions else chain.strata[-1].action
+
+
+def test_a_pair_free_at_the_root_is_free_at_its_smooth_end():
+    # the three local models only shrink fixed-point sets: a rotation node
+    # loses its fixed point on xy = t, and a swap node's new fixed points lie
+    # over a branch swap, which fixes the node already; 2,400 ordered pairs,
+    # each factor smoothed once
+    rng = random.Random(5)
+    counts = {"pairs": 0, "undetermined": 0, "free at the root": 0, "free at the end": 0}
+    for group in catalog()[1:]:
+        actions = [random_action(group, rng) for _ in range(20)]
+        ends = [smooth_end(a) for a in actions]
+        for (a, end_a), (b, end_b) in itertools.product(zip(actions, ends), repeat=2):
+            counts["pairs"] += 1
+            if "undetermined" in (end_a, end_b):
+                counts["undetermined"] += 1
+                continue
+            assert not end_a.graph.edges and not end_b.graph.edges
+            free_at_root = check_free_action(SurfaceDescriptor(a, b)).passed
+            free_at_end = check_free_action(SurfaceDescriptor(end_a, end_b)).passed
+            counts["free at the root"] += free_at_root
+            counts["free at the end"] += free_at_end
+            assert free_at_end or not free_at_root, (a, b)
+    assert counts == {
+        "pairs": 2400, "undetermined": 807, "free at the root": 1043, "free at the end": 1105
+    }
 
 
 def _outcome(query, surface):
